@@ -43,6 +43,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from mpmath.libmp import mpf_sub, round_nearest
+
 from .linearization import (
     AFamily,
     KAHAN,
@@ -56,8 +58,12 @@ from .precision import PrecisionContext
 from .schemes import (
     ButcherTableau,
     PoleError,
+    _abs_le,
+    _on_tuples,
     a_family_step_pitchfork,
+    euler_kernel,
     kahan_step_fold,
+    kahan_step_transcritical,
     rk_step,
 )
 from .systems import (
@@ -460,8 +466,9 @@ def critical_triplet_linearized(
 
     Scans rho in (0, rho_max] (default 10/h; larger entries fall outside the
     local canonical-form regime) and refines the first sign change to the
-    context's precision.  Forward Euler gives rho* = 1/(2h) exactly; some
-    schemes (e.g. heun2) have no root and return None.
+    context's precision.  Forward Euler gives rho* = 1/(2h) exactly; where a
+    scheme has no root in the scanned range (heun2 at h = 0.1, eps = 0.01)
+    the result is None.
     """
     params = SystemParams.create(ctx, eps, h)
     if not params.epsilon > 0:
@@ -629,52 +636,50 @@ def _classify_transcritical_deviation(scheme, params, u0, y0, threshold, max_n):
     raise ValueError(f"unsupported transcritical scheme: {scheme!r}")
 
 
+def _glued(u, a, b, glue, prec) -> bool:
+    """The sticky-set rule |u| <= glue * max(|a|, |b|) on ``_mpf_`` tuples.
+
+    Rounding is monotone, so the rounded glue * max(|a|, |b|) is the larger
+    of the rounded glue * |a| and glue * |b|: two exponent-prefiltered
+    comparisons decide the rule exactly as mpf arithmetic would.
+    """
+    return _abs_le(u, a, glue, prec) or _abs_le(u, b, glue, prec)
+
+
 def _classify_transcritical_raw(scheme, params, start, threshold, max_n):
     # in raw coordinates the deviation is a difference of stored values; once
     # it falls to a few digits above the working-precision floor, the map's
     # increments can no longer evolve it faithfully and the simulated orbit
     # is glued to the invariant set: that is the sticky-set artifact this
     # engine exposes, reported as STUCK
-    h, eps = params.h, params.epsilon
-    heps = h * eps
-    glue = params.ctx.tol(3)
-    x, y = start.x, start.y
-    u0 = x - y
+    ctx = params.ctx
+    prec = ctx.prec
     if scheme == KAHAN:
-        for n in range(1, max_n + 1):
-            den = 1 - h * x
-            if den == 0:
-                raise PoleError("transcritical Kahan step hit its pole", index=n)
-            yn = y + heps
-            x = (x + heps - h * y * yn) / den
-            y = yn
-            u = x - y
-            if abs(u) <= glue * max(abs(x), abs(y)):
-                return JumpResult(JumpClass.STUCK, n, PlanarPoint(x, y), u)
-            if abs(u) >= threshold:
-                return _decide(u, u0, n, PlanarPoint(x, y))
-        return JumpResult(JumpClass.STUCK, max_n, PlanarPoint(x, y), x - y)
-    if isinstance(scheme, ButcherTableau):
-        if scheme.s == 1:  # forward Euler fast path (same rounding as euler_step)
-            for n in range(1, max_n + 1):
-                t = x * x - y * y + eps
-                x, y = x + h * t, y + heps
-                u = x - y
-                if abs(u) <= glue * max(abs(x), abs(y)):
-                    return JumpResult(JumpClass.STUCK, n, PlanarPoint(x, y), u)
-                if abs(u) >= threshold:
-                    return _decide(u, u0, n, PlanarPoint(x, y))
-            return JumpResult(JumpClass.STUCK, max_n, PlanarPoint(x, y), x - y)
-        p = PlanarPoint(x, y)
-        for n in range(1, max_n + 1):
-            p = rk_step(scheme, SingularityKind.TRANSCRITICAL, params, p)
-            u = p.x - p.y
-            if abs(u) <= glue * max(abs(p.x), abs(p.y)):
-                return JumpResult(JumpClass.STUCK, n, p, u)
-            if abs(u) >= threshold:
-                return _decide(u, u0, n, p)
-        return JumpResult(JumpClass.STUCK, max_n, p, p.x - p.y)
-    raise ValueError(f"unsupported transcritical scheme: {scheme!r}")
+        step = _on_tuples(ctx, lambda p: kahan_step_transcritical(params, p))
+    elif isinstance(scheme, ButcherTableau) and scheme.s == 1:
+        step = euler_kernel(SingularityKind.TRANSCRITICAL, params)
+    elif isinstance(scheme, ButcherTableau):
+        step = _on_tuples(ctx, lambda p: rk_step(scheme, SingularityKind.TRANSCRITICAL, params, p))
+    else:
+        raise ValueError(f"unsupported transcritical scheme: {scheme!r}")
+    glue = ctx.tol(3)._mpf_
+    thr = threshold._mpf_
+    make = ctx.make_mpf
+    u0 = start.x - start.y
+    x, y = start.x._mpf_, start.y._mpf_
+    for n in range(1, max_n + 1):
+        try:
+            x, y = step(x, y)
+        except PoleError as err:
+            err.index = n
+            raise
+        u = mpf_sub(x, y, prec, round_nearest)
+        if _glued(u, x, y, glue, prec):
+            return JumpResult(JumpClass.STUCK, n, PlanarPoint(make(x), make(y)), make(u))
+        if _abs_le(thr, u):
+            return _decide(make(u), u0, n, PlanarPoint(make(x), make(y)))
+    u = mpf_sub(x, y, prec, round_nearest)
+    return JumpResult(JumpClass.STUCK, max_n, PlanarPoint(make(x), make(y)), make(u))
 
 
 def _classify_pitchfork(scheme, params, start, threshold, max_n):
@@ -720,8 +725,10 @@ def _classify_fold(scheme, params, start, threshold, max_n):
     """Fold classification (Kahan only); deviation is the parabola residual."""
     if scheme != KAHAN:
         raise NoCanard("explicit one-step maps of the fold have no canard to classify against")
+    prec = params.ctx.prec
     offset = fold_kahan_parabola_offset(params)
-    glue = params.ctx.tol(3)
+    glue = params.ctx.tol(3)._mpf_
+    thr = threshold._mpf_
     p = start
     w0 = p.y - (p.x * p.x - offset)
     for n in range(1, max_n + 1):
@@ -730,10 +737,11 @@ def _classify_fold(scheme, params, start, threshold, max_n):
         except PoleError as err:
             err.index = n
             raise
-        w = p.y - (p.x * p.x - offset)
-        if abs(w) <= glue * max(abs(p.y), p.x * p.x):
+        xx = p.x * p.x
+        w = p.y - (xx - offset)
+        if _glued(w._mpf_, p.y._mpf_, xx._mpf_, glue, prec):
             return JumpResult(JumpClass.STUCK, n, p, w)
-        if abs(w) >= threshold:
+        if _abs_le(thr, w._mpf_):
             return _decide(w, w0, n, p)
     w = p.y - (p.x * p.x - offset)
     return JumpResult(JumpClass.STUCK, max_n, p, w)

@@ -26,6 +26,8 @@ import random
 import sys
 from pathlib import Path
 
+from mpmath.libmp import fzero, mpf_mul, mpf_sub, round_nearest
+
 from . import __version__
 from .analysis import (
     NoBracket,
@@ -56,8 +58,10 @@ from .schemes import (
     NoRealBranch,
     PoleError,
     QuadraticField,
+    _abs_le,
+    _on_tuples,
     a_family_step_pitchfork,
-    euler_step,
+    euler_kernel,
     kahan_step_fold,
     kahan_step_general,
     kahan_step_pitchfork,
@@ -119,34 +123,43 @@ def _scheme_selector(args, ctx):
 
 
 def _build_stepper(kind, args, ctx, params):
+    """One step of the selected scheme on raw (x, y) ``_mpf_`` tuples."""
     name = args.scheme
     if name == "euler":
-        return lambda p: euler_step(kind, params, p)
+        return euler_kernel(kind, params)
     if name == "rk":
         tab = _resolve_tableau(args)
-        return lambda p: rk_step(tab, kind, params, p)
+        return _on_tuples(ctx, lambda p: rk_step(tab, kind, params, p))
     if name == "kahan":
         if kind is SingularityKind.TRANSCRITICAL:
-            return lambda p: kahan_step_transcritical(params, p)
+            return _on_tuples(ctx, lambda p: kahan_step_transcritical(params, p))
         if kind is SingularityKind.FOLD:
-            return lambda p: kahan_step_fold(params, p)
-        return lambda p: kahan_step_pitchfork(params, p).point
+            return _on_tuples(ctx, lambda p: kahan_step_fold(params, p))
+        return _on_tuples(ctx, lambda p: kahan_step_pitchfork(params, p).point)
     if name == "afamily":
         if kind is not SingularityKind.PITCHFORK:
             raise ValueError("the afamily scheme is defined for the pitchfork system only")
         if args.a is None:
             raise ValueError("--a is required for the afamily scheme")
         a = ctx.mpf(args.a)
-        return lambda p: a_family_step_pitchfork(a, params, p).point
+        return _on_tuples(ctx, lambda p: a_family_step_pitchfork(a, params, p).point)
     raise ValueError(f"unknown scheme {name!r}")
 
 
-def _deviation(kind, params, p):
+def _deviation(kind, params):
+    """Transversal deviation from the canard as a function of raw (x, y) tuples."""
+    prec = params.ctx.prec
+    rnd = round_nearest
     if kind is SingularityKind.TRANSCRITICAL:
-        return p.x - p.y
+        return lambda x, y: mpf_sub(x, y, prec, rnd)
     if kind is SingularityKind.PITCHFORK:
-        return p.x
-    return p.y - (p.x * p.x - fold_kahan_parabola_offset(params))
+        return lambda x, y: x
+    offset = fold_kahan_parabola_offset(params)._mpf_
+    return lambda x, y: mpf_sub(y, mpf_sub(mpf_mul(x, x, prec, rnd), offset, prec, rnd), prec, rnd)
+
+
+def _row(ctx, n, x, y, nd):
+    return [n, ctx.nstr(ctx.make_mpf(x), nd), ctx.nstr(ctx.make_mpf(y), nd)]
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +168,9 @@ def _deviation(kind, params, p):
 
 
 def cmd_simulate(args) -> int:
+    stride, n_max = args.stride, args.n_max
+    if stride < 1:
+        raise ValueError(f"--stride must be >= 1, got {stride}")
     ctx = make_context(args.digits)
     params = SystemParams.create(ctx, args.eps, args.h, a=args.a)
     kind = _KINDS[args.kind]
@@ -171,40 +187,50 @@ def cmd_simulate(args) -> int:
             p = PlanarPoint(-rho, rho * rho - fold_kahan_parabola_offset(params) + delta)
     else:
         raise ValueError("give either --x0/--y0 or --rho (with optional --delta)")
+    for what, value in (("h", params.h), ("eps", params.epsilon), ("start point", p.x),
+                        ("start point", p.y), ("a", params.a)):
+        if value is not None and not ctx.isfinite(value):
+            raise ValueError(f"{what} must be finite")
 
-    stepper = _build_stepper(kind, args, ctx, params)
+    step = _build_stepper(kind, args, ctx, params)
+    deviation = _deviation(kind, params)
     scale = max(abs(p.x), abs(p.y), ctx.mpf(1))
     threshold = ctx.mpf(args.escape) if args.escape else scale / 2
-    hard_stop = 4 * max(scale, threshold)
+    if not threshold > 0:
+        raise ValueError("escape threshold must be > 0")
+    thr = threshold._mpf_
+    hard_stop = (4 * max(scale, threshold))._mpf_
 
-    dev0 = _deviation(kind, params, p)
+    x, y = p.x._mpf_, p.y._mpf_
+    dev0 = ctx.make_mpf(deviation(x, y))
+    decidable = dev0 != 0
     label = "undecided"
     nd = args.out_digits
     out, close = _open_out(args.out)
     try:
         writer = csv.writer(out)
         writer.writerow(["n", "x", "y"])
-        writer.writerow([0, ctx.nstr(p.x, nd), ctx.nstr(p.y, nd)])
+        writer.writerow(_row(ctx, 0, x, y, nd))
         n = 0
-        while n < args.n_max:
+        while n < n_max:
             try:
-                p = stepper(p)
+                x, y = step(x, y)
             except PoleError as err:
                 err.index = n + 1
                 raise
             n += 1
-            if n % args.stride == 0 or n == args.n_max:
-                writer.writerow([n, ctx.nstr(p.x, nd), ctx.nstr(p.y, nd)])
-            dev = _deviation(kind, params, p)
+            if n % stride == 0 or n == n_max:
+                writer.writerow(_row(ctx, n, x, y, nd))
             if label == "undecided":
-                if dev == 0:
+                dev = deviation(x, y)
+                if _abs_le(dev, fzero):
                     label = "stuck"
-                elif dev0 != 0 and abs(dev) >= threshold:
-                    same = (dev > 0) == (dev0 > 0)
+                elif decidable and _abs_le(thr, dev):
+                    same = (ctx.make_mpf(dev) > 0) == (dev0 > 0)
                     label = "right" if same else "left"
-            if abs(p.x) > hard_stop or abs(p.y) > hard_stop:
-                if n % args.stride != 0 and n != args.n_max:
-                    writer.writerow([n, ctx.nstr(p.x, nd), ctx.nstr(p.y, nd)])
+            if not (_abs_le(x, hard_stop) and _abs_le(y, hard_stop)):
+                if n % stride != 0 and n != n_max:
+                    writer.writerow(_row(ctx, n, x, y, nd))
                 break
         if label == "undecided":
             label = "stuck"  # never detached within the budget

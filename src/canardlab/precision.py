@@ -19,10 +19,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import dps_to_prec, mpf_pos, round_down
 
 MIN_DIGITS = 16
 SIMULATE_DIGITS = 50
 ANALYSIS_DIGITS = 5000
+
+# binary magnitude (exp + bc) beyond which mpmath's decimal conversion rescales
+_RESCALED_MAGNITUDE = 3500
 
 
 class InvalidPrecision(ValueError):
@@ -52,6 +56,11 @@ class PrecisionContext:
     def __repr__(self):
         return f"PrecisionContext(digits={self.digits})"
 
+    @property
+    def prec(self) -> int:
+        """Working precision in bits, the precision of every rounded operation."""
+        return self._mp.prec
+
     # -- scalar construction -------------------------------------------------
 
     def mpf(self, value):
@@ -64,6 +73,10 @@ class PrecisionContext:
         if isinstance(value, Fraction):
             return self._mp.mpf(value.numerator) / value.denominator
         return self._mp.mpf(value)
+
+    def make_mpf(self, raw):
+        """Scalar holding the raw mpmath ``_mpf_`` tuple ``raw`` as is (no rounding)."""
+        return self._mp.make_mpf(raw)
 
     def tol(self, offset: int = 10):
         """Tolerance scalar 10**(-digits + offset), the package-wide residual bar."""
@@ -90,7 +103,18 @@ class PrecisionContext:
         return self._mp.polyroots(coeffs, **kwargs)
 
     def nstr(self, x, n: int):
-        """Decimal string of x with n significant digits."""
+        """Decimal string of x with n significant digits.
+
+        mpmath prints a value beyond 2**(+-3500) by first scaling it with a
+        power of ten chosen from its raw binary exponent, which ignores the
+        mantissa length; at 4300 or more working digits the scaled integer
+        exceeds CPython's int-to-str limit.  Such values are truncated to 64
+        bits more than n digits need before printing; all others print
+        exactly as mpmath prints them.
+        """
+        raw = getattr(x, "_mpf_", None)
+        if raw is not None and raw[1] and abs(raw[2] + raw[3]) > _RESCALED_MAGNITUDE:
+            x = self._mp.make_mpf(mpf_pos(raw, dps_to_prec(n) + 64, round_down))
         return self._mp.nstr(x, n)
 
     def isfinite(self, x) -> bool:

@@ -20,6 +20,11 @@ Four families:
 Tableau coefficients are stored as exact Fractions and bound to a precision
 context at evaluation time, so a tableau can serve contexts of any precision
 without accumulating conversion error.
+
+Forward Euler also runs on raw mpmath ``_mpf_`` tuples (euler_kernel), for
+the long orbit loops of the analysis and the command line: the same
+correctly rounded operations as mpf objects, without their per-operation
+object overhead.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
+
+from mpmath.libmp import mpf_abs, mpf_add, mpf_le, mpf_mul, mpf_sub, round_nearest
 
 from .precision import PrecisionContext
 from .systems import Orbit, PlanarPoint, SingularityKind, SystemParams, vector_field
@@ -127,8 +134,8 @@ SHIPPED_TABLEAUX = {
 }
 
 #: The tableaux used for the critical-triplet surface figures: Euler plus the
-#: four common third-order schemes.  (heun2 is shipped too, but it has no
-#: critical triplet, so its surface is empty.)
+#: four common third-order schemes.  (heun2 is shipped too and has critical
+#: step sizes, e.g. h* = 1 at rho = eps = 1, but is not one of the figures.)
 SURFACE_TABLEAUX = ("euler", "kutta3", "heun3", "ralston3", "ssprk3")
 
 
@@ -172,11 +179,83 @@ def load_tableau_file(path, name: Optional[str] = None) -> ButcherTableau:
 # ---------------------------------------------------------------------------
 
 
+def _abs_le(a, b, scale=None, prec=0) -> bool:
+    """|a| <= |b|, or |a| <= scale * |b| rounded to nearest at prec bits.
+
+    a, b and scale are raw ``_mpf_`` tuples; scale, when given, is positive.
+    The result equals the mpf comparison abs(a) <= scale * abs(b), NaN
+    included.  A nonzero finite value v satisfies 2**(m-1) <= |v| < 2**m
+    with m = exp + bc, and the rounded product lies in
+    [2**(ms+mb-2), 2**(ms+mb)], so magnitudes two or more apart decide the
+    comparison; only closer ones pay for the product and the exact compare.
+    """
+    if a[1] and b[1]:
+        d = a[2] + a[3] - b[2] - b[3]
+        if scale is not None:
+            d -= scale[2] + scale[3]
+        if d <= -2:
+            return True
+        if d >= 2:
+            return False
+    b = mpf_abs(b)
+    if scale is not None:
+        b = mpf_mul(scale, b, prec, round_nearest)
+    return mpf_le(mpf_abs(a), b)
+
+
+def euler_kernel(kind: SingularityKind, params: SystemParams):
+    """Forward-Euler step on raw mpmath ``_mpf_`` tuples.
+
+    Returns step(x, y) -> (xnew, ynew), the update p + h * f(p) with every
+    operation rounded to nearest at the context's precision, in the order
+    of the mpf expression, so the tuples are bit-identical to mpf
+    arithmetic on the same values.  h * eps is formed once, not per step.
+    """
+    prec = params.ctx.prec
+    rnd = round_nearest
+    add, sub, mul = mpf_add, mpf_sub, mpf_mul
+    h, eps = params.h._mpf_, params.epsilon._mpf_
+    heps = mul(h, eps, prec, rnd)
+    if kind is SingularityKind.TRANSCRITICAL:
+
+        def step(x, y):
+            t = add(sub(mul(x, x, prec, rnd), mul(y, y, prec, rnd), prec, rnd), eps, prec, rnd)
+            return add(x, mul(h, t, prec, rnd), prec, rnd), add(y, heps, prec, rnd)
+
+    elif kind is SingularityKind.PITCHFORK:
+
+        def step(x, y):
+            t = mul(x, sub(y, mul(x, x, prec, rnd), prec, rnd), prec, rnd)
+            return add(x, mul(h, t, prec, rnd), prec, rnd), add(y, heps, prec, rnd)
+
+    elif kind is SingularityKind.FOLD:
+
+        def step(x, y):
+            t = sub(mul(x, x, prec, rnd), y, prec, rnd)
+            ny = add(y, mul(h, mul(eps, x, prec, rnd), prec, rnd), prec, rnd)
+            return add(x, mul(h, t, prec, rnd), prec, rnd), ny
+
+    else:
+        raise ValueError(f"unknown singularity kind: {kind!r}")
+    return step
+
+
+def _on_tuples(ctx: PrecisionContext, stepper):
+    """Adapt a stepper on PlanarPoints of ctx scalars to raw (x, y) tuples."""
+    make = ctx.make_mpf
+
+    def step(x, y):
+        q = stepper(PlanarPoint(make(x), make(y)))
+        return q.x._mpf_, q.y._mpf_
+
+    return step
+
+
 def euler_step(kind: SingularityKind, params: SystemParams, p: PlanarPoint) -> PlanarPoint:
-    """Forward-Euler update p + h * f(p)."""
-    v = vector_field(kind, params, p)
-    h = params.h
-    return PlanarPoint(p.x + h * v.x, p.y + h * v.y)
+    """Forward-Euler update p + h * f(p); p holds scalars of params.ctx."""
+    x, y = euler_kernel(kind, params)(p.x._mpf_, p.y._mpf_)
+    make = params.ctx.make_mpf
+    return PlanarPoint(make(x), make(y))
 
 
 def rk_step(

@@ -63,6 +63,42 @@ def test_simulate_requires_start(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--stride", "0"], "--stride must be >= 1, got 0"),
+    (["--stride", "-3"], "--stride must be >= 1, got -3"),
+    (["--escape", "0"], "escape threshold must be > 0"),
+    (["--escape=-0.5"], "escape threshold must be > 0"),
+    (["--x0=nan", "--y0=0"], "start point must be finite"),
+    (["--delta", "inf"], "start point must be finite"),
+    (["--h", "inf"], "h must be finite"),
+    (["--eps", "inf"], "eps must be finite"),
+])
+def test_simulate_rejects_bad_input(tmp_path, capsys, extra, message):
+    out = tmp_path / "x.csv"
+    code = main([
+        "simulate", "--kind", "transcritical", "--h", "0.1", "--eps", "1", "--rho", "5",
+        "--n-max", "10", "--out", str(out),
+    ] + extra)
+    assert code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_prints_tiny_values_at_5000_digits(tmp_path):
+    # below about 1e-1054, mpmath's own decimal conversion at 5000 digits
+    # exceeds CPython's int-to-str limit
+    out = tmp_path / "deep.csv"
+    code = main([
+        "simulate", "--kind", "pitchfork", "--h", "0.1", "--eps", "0.00125",
+        "--x0=1e-2000", "--y0=-5", "--n-max", "1", "--digits", "5000", "--out", str(out),
+    ])
+    assert code == 0
+    rows, comments = _read_csv(out)
+    # x1 = x0 (1 + h (y0 - x0^2)) = x0 (1/2 - 1e-4001)
+    assert rows[1:] == [["0", "1.0e-2000", "-5.0"], ["1", "5.0e-2001", "-4.999875"]]
+    assert "n=1" in comments[0]
+
+
 def test_simulate_pole_exit_code(tmp_path, capsys):
     code = main([
         "simulate", "--kind", "transcritical", "--scheme", "kahan",

@@ -1,6 +1,10 @@
+import sys
+from decimal import Decimal
+from fractions import Fraction
+
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canardlab import InvalidPrecision, approx_eq, make_context
@@ -95,3 +99,45 @@ def test_determinism_bit_identical(ctx):
 
 def test_tol_helper(ctx):
     assert ctx.tol(10) == ctx.mpf(10) ** -40
+
+
+def _adjacent_near_tie(x, got, want, n):
+    """got and want are neighbouring n-digit decimals, x within 1e-3 units of their midpoint.
+
+    Beyond 2**(+-3500) mpmath's own conversion scales with rounded-down
+    arithmetic, so at a near-tie either neighbour is a faithful answer.
+    """
+    a, b = Fraction(Decimal(got)), Fraction(Decimal(want))
+    _, man, exp, _ = x._mpf_
+    exact = abs(Fraction(man) * Fraction(2) ** exp)
+    unit = abs(a - b)
+    return unit <= exact * Fraction(10) ** (1 - n) and abs(exact - abs(a + b) / 2) <= unit / 1000
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    digits=st.sampled_from([50, 5000]),
+    mantissa=st.integers(min_value=1, max_value=10**40),
+    exponent=st.integers(min_value=-5200, max_value=1200),
+    negative=st.booleans(),
+)
+@example(digits=5000, mantissa=36, exponent=-1075, negative=False)  # the deep pitchfork row
+@example(digits=50, mantissa=4365, exponent=-1298, negative=False)  # a near-tie at n = 3
+def test_nstr_matches_unlimited_conversion(digits, mantissa, exponent, negative):
+    """nstr prints what mpmath prints with the int-to-str limit lifted.
+
+    At 4300 or more working digits mpmath's own conversion of a value below
+    about 1e-1054 hits CPython's int-to-str limit; the limit is lifted only
+    for the reference conversion and restored before nstr runs.
+    """
+    ctx = make_context(digits)
+    x = ctx.mpf(f"{'-' if negative else ''}{mantissa}e{exponent}") / 3
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = [mpmath.nstr(x, n) for n in (3, 12, 30)]
+    finally:
+        sys.set_int_max_str_digits(old)
+    for n, ref in zip((3, 12, 30), want):
+        got = ctx.nstr(x, n)
+        assert got == ref or _adjacent_near_tie(x, got, ref, n), (n, got, ref)

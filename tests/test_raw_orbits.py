@@ -1,0 +1,266 @@
+"""Bit-identity of the raw-tuple Euler kernel and the exponent-prefiltered checks.
+
+The references below are plain-mpf copies of the loops the tuple code
+replaced: the mpf forward-Euler update p + h f(p), the raw transcritical
+classification (Kahan, Euler and RK branches) and the Kahan fold
+classification, each with the glue rule written as
+abs(u) <= glue * max(abs(x), abs(y)).  The tuple code must reproduce them
+exactly: same label, same step count, and the same ``_mpf_`` tuples for the
+point and the deviation.
+"""
+
+from mpmath.libmp import fnan, finf, fninf, from_man_exp, fzero
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from canardlab import (
+    EULER,
+    KAHAN,
+    KUTTA3,
+    JumpClass,
+    JumpResult,
+    PlanarPoint,
+    PoleError,
+    SingularityKind,
+    SystemParams,
+    euler_step,
+    fold_kahan_parabola_offset,
+    kahan_step_fold,
+    make_context,
+    rk_step,
+)
+from canardlab.analysis import _classify_fold, _classify_transcritical_raw, _glued
+from canardlab.schemes import _abs_le, euler_kernel
+from canardlab.systems import vector_field
+
+T = SingularityKind.TRANSCRITICAL
+P = SingularityKind.PITCHFORK
+F = SingularityKind.FOLD
+
+CONTEXTS = {d: make_context(d) for d in (16, 50, 200)}
+
+
+# -- plain-mpf references -------------------------------------------------------
+
+
+def ref_euler_step(kind, params, p):
+    v = vector_field(kind, params, p)
+    h = params.h
+    return PlanarPoint(p.x + h * v.x, p.y + h * v.y)
+
+
+def _ref_decide(dev, dev0, steps, point):
+    same_side = (dev > 0) == (dev0 > 0)
+    return JumpResult(JumpClass.RIGHT if same_side else JumpClass.LEFT, steps, point, dev)
+
+
+def ref_classify_transcritical_raw(scheme, params, start, threshold, max_n):
+    h, eps = params.h, params.epsilon
+    heps = h * eps
+    glue = params.ctx.tol(3)
+    x, y = start.x, start.y
+    u0 = x - y
+    if scheme == KAHAN:
+        for n in range(1, max_n + 1):
+            den = 1 - h * x
+            if den == 0:
+                raise PoleError("transcritical Kahan step hit its pole", index=n)
+            yn = y + heps
+            x = (x + heps - h * y * yn) / den
+            y = yn
+            u = x - y
+            if abs(u) <= glue * max(abs(x), abs(y)):
+                return JumpResult(JumpClass.STUCK, n, PlanarPoint(x, y), u)
+            if abs(u) >= threshold:
+                return _ref_decide(u, u0, n, PlanarPoint(x, y))
+        return JumpResult(JumpClass.STUCK, max_n, PlanarPoint(x, y), x - y)
+    if scheme.s == 1:
+        for n in range(1, max_n + 1):
+            t = x * x - y * y + eps
+            x, y = x + h * t, y + heps
+            u = x - y
+            if abs(u) <= glue * max(abs(x), abs(y)):
+                return JumpResult(JumpClass.STUCK, n, PlanarPoint(x, y), u)
+            if abs(u) >= threshold:
+                return _ref_decide(u, u0, n, PlanarPoint(x, y))
+        return JumpResult(JumpClass.STUCK, max_n, PlanarPoint(x, y), x - y)
+    p = PlanarPoint(x, y)
+    for n in range(1, max_n + 1):
+        p = rk_step(scheme, T, params, p)
+        u = p.x - p.y
+        if abs(u) <= glue * max(abs(p.x), abs(p.y)):
+            return JumpResult(JumpClass.STUCK, n, p, u)
+        if abs(u) >= threshold:
+            return _ref_decide(u, u0, n, p)
+    return JumpResult(JumpClass.STUCK, max_n, p, p.x - p.y)
+
+
+def ref_classify_fold(params, start, threshold, max_n):
+    offset = fold_kahan_parabola_offset(params)
+    glue = params.ctx.tol(3)
+    p = start
+    w0 = p.y - (p.x * p.x - offset)
+    for n in range(1, max_n + 1):
+        try:
+            p = kahan_step_fold(params, p)
+        except PoleError as err:
+            err.index = n
+            raise
+        w = p.y - (p.x * p.x - offset)
+        if abs(w) <= glue * max(abs(p.y), p.x * p.x):
+            return JumpResult(JumpClass.STUCK, n, p, w)
+        if abs(w) >= threshold:
+            return _ref_decide(w, w0, n, p)
+    w = p.y - (p.x * p.x - offset)
+    return JumpResult(JumpClass.STUCK, max_n, p, w)
+
+
+def _raw(res):
+    return res.label, res.steps, res.point.x._mpf_, res.point.y._mpf_, res.deviation._mpf_
+
+
+def _outcome(fn, *args):
+    try:
+        return _raw(fn(*args))
+    except PoleError as err:
+        return "pole", err.index
+
+
+# -- strategies -----------------------------------------------------------------
+
+digits_st = st.sampled_from(sorted(CONTEXTS))
+# decimal strings k * 10^-e: dense in the ranges the experiments use
+step_st = st.builds(lambda k, e: f"{k}e-{e}", st.integers(1, 999), st.integers(3, 4))
+eps_st = st.builds(lambda k: f"{k}e-3", st.integers(10, 1000))
+rho_st = st.builds(lambda k: f"{k}e-2", st.integers(10, 300))
+# deviation 10^-e relative to the entry: from far off the canard to below
+# the glue bar of every context
+delta_st = st.builds(
+    lambda sign, k, e: f"{sign}{k}e-{e}", st.sampled_from(["", "-"]), st.integers(1, 9),
+    st.integers(1, 210),
+)
+
+
+# -- the Euler kernel -----------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    digits=digits_st, kind=st.sampled_from([T, P, F]), h=step_st, eps=eps_st,
+    x0=st.builds(lambda k, e: f"{k}e{e}", st.integers(-999, 999), st.integers(-40, 1)),
+    y0=st.builds(lambda k, e: f"{k}e{e}", st.integers(-999, 999), st.integers(-40, 1)),
+)
+def test_euler_kernel_matches_mpf_update(digits, kind, h, eps, x0, y0):
+    ctx = CONTEXTS[digits]
+    params = SystemParams.create(ctx, eps, h)
+    step = euler_kernel(kind, params)
+    p = PlanarPoint(ctx.mpf(x0), ctx.mpf(y0))
+    x, y = p.x._mpf_, p.y._mpf_
+    for _ in range(40):
+        ref = ref_euler_step(kind, params, p)
+        got = euler_step(kind, params, p)
+        x, y = step(x, y)
+        assert (got.x._mpf_, got.y._mpf_) == (ref.x._mpf_, ref.y._mpf_)
+        assert (x, y) == (ref.x._mpf_, ref.y._mpf_)
+        p = ref
+
+
+# -- raw classification ---------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(digits=digits_st, h=step_st, eps=eps_st, rho=rho_st, delta=delta_st,
+       scheme=st.sampled_from([EULER, KAHAN, KUTTA3]))
+@example(digits=16, h="1e-3", eps="10e-3", rho="100e-2", delta="1e-4", scheme=EULER)
+def test_raw_transcritical_classification_bit_identical(digits, h, eps, rho, delta, scheme):
+    ctx = CONTEXTS[digits]
+    params = SystemParams.create(ctx, eps, h)
+    rho = ctx.mpf(rho)
+    start = PlanarPoint(-rho, -rho + ctx.mpf(delta))
+    assume(start.x != start.y)
+    max_n = 20_000 if scheme is EULER and digits == 16 else 300
+    args = (scheme, params, start, rho / 2, max_n)
+    assert _outcome(_classify_transcritical_raw, *args) == _outcome(ref_classify_transcritical_raw, *args)
+
+
+@settings(max_examples=40, deadline=None)
+@given(digits=digits_st, h=step_st, eps=eps_st, rho=rho_st, delta=delta_st)
+def test_raw_fold_classification_bit_identical(digits, h, eps, rho, delta):
+    ctx = CONTEXTS[digits]
+    params = SystemParams.create(ctx, eps, h)
+    rho = ctx.mpf(rho)
+    start = PlanarPoint(-rho, rho * rho - fold_kahan_parabola_offset(params) + ctx.mpf(delta))
+    args = (params, start, rho / 2, 300)
+    got = _outcome(lambda *a: _classify_fold(KAHAN, *a), *args)
+    assert got == _outcome(ref_classify_fold, *args)
+
+
+# -- the comparison helper at its decision boundaries ---------------------------
+
+
+def _ref_glued(ctx, u, x, y):
+    u, x, y = ctx.make_mpf(u), ctx.make_mpf(x), ctx.make_mpf(y)
+    return abs(u) <= ctx.tol(3) * max(abs(x), abs(y))
+
+
+def _neighbours(bar):
+    """Tuples at the bar, one unit in the last place off it, and 1 or 2 binades off."""
+    _, man, exp, _ = bar
+    out = [from_man_exp(man + dm, exp + k) for k in (-2, -1, 0, 1, 2) for dm in (-1, 0, 1)]
+    return out + [(1,) + t[1:] for t in out]
+
+
+@pytest.mark.parametrize("digits", sorted(CONTEXTS))
+@pytest.mark.parametrize("m", ["1", "0.75", "-3.3", "2.5e-7", "-1e30"])
+def test_glue_rule_at_its_boundary(digits, m):
+    ctx = CONTEXTS[digits]
+    prec, glue = ctx.prec, ctx.tol(3)._mpf_
+    big = ctx.mpf(m)
+    bar = (ctx.tol(3) * abs(big))._mpf_
+    for other in (ctx.mpf(0), big / 3, -big / 5):
+        for u in _neighbours(bar):
+            for x, y in ((big._mpf_, other._mpf_), (other._mpf_, big._mpf_)):
+                assert _glued(u, x, y, glue, prec) == _ref_glued(ctx, u, x, y), (u, x, y)
+    # the bar itself is glued, one unit above it is not
+    assert _glued(bar, big._mpf_, fzero, glue, prec)
+    assert not _glued(from_man_exp(bar[1] + 1, bar[2]), big._mpf_, fzero, glue, prec)
+
+
+def test_glue_rule_zero_operands(ctx):
+    prec, glue = ctx.prec, ctx.tol(3)._mpf_
+    one, tiny = ctx.mpf(1)._mpf_, ctx.mpf("1e-60")._mpf_
+    cases = [(fzero, one, one), (fzero, fzero, fzero), (tiny, fzero, fzero),
+             (tiny, one, fzero), (tiny, fzero, one), (one, fzero, one)]
+    for u, x, y in cases:
+        assert _glued(u, x, y, glue, prec) == _ref_glued(ctx, u, x, y), (u, x, y)
+
+
+def test_abs_le_special_values(ctx):
+    vals = [fzero, finf, fninf, fnan, ctx.mpf(-2)._mpf_, ctx.mpf("1e-70")._mpf_]
+    scale = ctx.mpf("0.3")
+    for a in vals:
+        for b in vals:
+            A, B = ctx.make_mpf(a), ctx.make_mpf(b)
+            assert _abs_le(a, b) == (abs(A) <= abs(B)), (a, b)
+            assert _abs_le(a, b, scale._mpf_, ctx.prec) == (abs(A) <= scale * abs(B)), (a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    digits=digits_st,
+    b_man=st.integers(1, 2**700), b_exp=st.integers(-900, 900),
+    s_man=st.integers(1, 2**60), s_exp=st.integers(-250, 10),
+    shift=st.integers(-3, 3), dm=st.integers(-2, 2), neg=st.booleans(),
+)
+def test_abs_le_matches_mpf_comparison(digits, b_man, b_exp, s_man, s_exp, shift, dm, neg):
+    ctx = CONTEXTS[digits]
+    prec = ctx.prec
+    b = ctx.mpf(from_man_exp(b_man, b_exp)) * (-1 if neg else 1)
+    scale = ctx.mpf(from_man_exp(s_man, s_exp))
+    for bar in (abs(b), scale * abs(b)):
+        _, man, exp, _ = bar._mpf_
+        a = ctx.mpf(from_man_exp(man + dm, exp + shift))
+        for aa in (a, -a):
+            assert _abs_le(aa._mpf_, b._mpf_) == (abs(aa) <= abs(b))
+            assert _abs_le(aa._mpf_, b._mpf_, scale._mpf_, prec) == (abs(aa) <= scale * abs(b))
