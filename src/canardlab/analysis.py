@@ -33,6 +33,12 @@ deviation representation rewrites the same map exactly in (deviation, slow)
 coordinates, where the transversal deviation carries its own exponent; this
 is what makes critical-step bisection feasible at a few hundred digits even
 where the raw orbit would need thousands.
+
+The long orbit loops of both representations run on raw mpmath ``_mpf_``
+tuples: every operation is rounded to nearest at the context's precision in
+the order of the mpf expression it stands for, and every per-step check
+goes through the exponent-prefiltered comparison schemes._abs_le, so labels,
+step counts, points and deviations are bit-identical to mpf arithmetic.
 """
 
 from __future__ import annotations
@@ -43,7 +49,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from mpmath.libmp import mpf_sub, round_nearest
+from mpmath.libmp import (
+    fone, fzero, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_shift, mpf_sub, round_nearest,
+)
 
 from .linearization import (
     AFamily,
@@ -570,6 +578,100 @@ def _decide(dev, dev0, steps, point) -> JumpResult:
     )
 
 
+def _iterate_deviation(ctx, step, u0, y0, heps, threshold, max_n, point):
+    """Deviation-coordinate orbit loop on raw ``_mpf_`` tuples.
+
+    step(u, y) -> u advances the transversal deviation from the current
+    (deviation, slow) pair; the slow coordinate then advances by heps.  The
+    orbit is STUCK when u becomes exactly 0 or the budget runs out, and is
+    decided once |u| reaches the threshold.  point(u, y) gives the tuples
+    (x, y) of the reported PlanarPoint.
+    """
+    prec = ctx.prec
+    make = ctx.make_mpf
+    thr = threshold._mpf_
+    u, y = u0._mpf_, y0._mpf_
+    n = max_n
+    for n in range(1, max_n + 1):
+        try:
+            u = step(u, y)
+        except PoleError as err:
+            err.index = n
+            raise
+        y = mpf_add(y, heps, prec, round_nearest)
+        if u == fzero:
+            break
+        if _abs_le(thr, u):
+            x, y = point(u, y)
+            return _decide(make(u), u0, n, PlanarPoint(make(x), make(y)))
+    x, y = point(u, y)
+    return JumpResult(JumpClass.STUCK, n, PlanarPoint(make(x), make(y)), make(u))
+
+
+def _twice(v, prec):
+    """2 * v rounded to nearest at prec bits, as mpf arithmetic computes it.
+
+    Normalized mantissas are odd, so doubling one of at most prec bits is an
+    exact exponent shift; only a longer operand needs the rounded product.
+    """
+    return mpf_shift(v, 1) if v[3] <= prec else mpf_mul_int(v, 2, prec, round_nearest)
+
+
+def _transcritical_deviation_step(scheme, params):
+    """One step u -> unew of the transcritical map in (deviation, slow) coordinates.
+
+    Every operation is rounded to nearest at the context's precision in the
+    order of the mpf expression it replaces, so the tuples are bit-identical
+    to mpf arithmetic: forward Euler u (1 + h (2y + u)); explicit RK
+    u + h sum_i alpha_i d_i with d_i = u_i s_i, u_i = u + sum_j (h a_ij) d_j
+    and s_i = (2y + u) + sum_j (h a_ij) (d_j + 2 eps); Kahan
+    u (1 + h y + eps h h) / (1 - h (y + u)).
+    """
+    ctx = params.ctx
+    prec, rnd = ctx.prec, round_nearest
+    add, sub, mul, div = mpf_add, mpf_sub, mpf_mul, mpf_div
+    h, eps = params.h._mpf_, params.epsilon._mpf_
+    if scheme == KAHAN:
+        num_eps = mul(mul(eps, h, prec, rnd), h, prec, rnd)
+
+        def step(u, y):
+            den = sub(fone, mul(h, add(y, u, prec, rnd), prec, rnd), prec, rnd)
+            if den == fzero:
+                raise PoleError("transcritical Kahan step hit its pole")
+            num = add(add(mul(h, y, prec, rnd), fone, prec, rnd), num_eps, prec, rnd)
+            return div(mul(u, num, prec, rnd), den, prec, rnd)
+
+        return step
+    if not isinstance(scheme, ButcherTableau):
+        raise ValueError(f"unsupported transcritical scheme: {scheme!r}")
+    if scheme.s == 1:  # forward Euler fast path
+
+        def step(u, y):
+            s = add(_twice(y, prec), u, prec, rnd)
+            return mul(u, add(mul(h, s, prec, rnd), fone, prec, rnd), prec, rnd)
+
+        return step
+    alpha, rows, _ = scheme.bind_raw(ctx)
+    hrows = tuple(tuple(mul(h, aij, prec, rnd) for aij in row) for row in rows)
+    two_eps = _twice(eps, prec)
+
+    def step(u, y):
+        base_s = add(_twice(y, prec), u, prec, rnd)
+        ds = []
+        for hrow in hrows:
+            ui, si = u, base_s
+            for haij, dj in zip(hrow, ds):
+                ui = add(ui, mul(haij, dj, prec, rnd), prec, rnd)
+                si = add(si, mul(haij, add(dj, two_eps, prec, rnd), prec, rnd), prec, rnd)
+            ds.append(mul(ui, si, prec, rnd))
+        du = fzero
+        for ai, di in zip(alpha, ds):
+            du = add(du, mul(ai, di, prec, rnd), prec, rnd)
+        return add(u, mul(h, du, prec, rnd), prec, rnd)
+
+    return step
+
+
 def _classify_transcritical_deviation(scheme, params, u0, y0, threshold, max_n):
     """Exact (deviation, slow) iteration of the transcritical one-step maps.
 
@@ -578,62 +680,11 @@ def _classify_transcritical_deviation(scheme, params, u0, y0, threshold, max_n):
     u -> u (1 + h y + eps h^2) / (1 - h (y + u)) under the Kahan map; the
     slow coordinate advances by eps*h per step in all cases.
     """
-    ctx = params.ctx
-    h, eps = params.h, params.epsilon
-    heps = h * eps
-    u, y = u0, y0
-    if scheme == KAHAN:
-        num_eps = eps * h * h
-        for n in range(1, max_n + 1):
-            den = 1 - h * (y + u)
-            if den == 0:
-                raise PoleError("transcritical Kahan step hit its pole", index=n)
-            u = u * (1 + h * y + num_eps) / den
-            y = y + heps
-            if u == 0:
-                return JumpResult(JumpClass.STUCK, n, PlanarPoint(y + u, y), u)
-            if abs(u) >= threshold:
-                return _decide(u, u0, n, PlanarPoint(y + u, y))
-        return JumpResult(JumpClass.STUCK, max_n, PlanarPoint(y + u, y), u)
-    if isinstance(scheme, ButcherTableau):
-        if scheme.s == 1:  # forward Euler fast path
-            for n in range(1, max_n + 1):
-                u = u * (1 + h * (2 * y + u))
-                y = y + heps
-                if u == 0:
-                    return JumpResult(JumpClass.STUCK, n, PlanarPoint(y + u, y), u)
-                if abs(u) >= threshold:
-                    return _decide(u, u0, n, PlanarPoint(y + u, y))
-            return JumpResult(JumpClass.STUCK, max_n, PlanarPoint(y + u, y), u)
-        alpha, rows, _ = scheme.bind(ctx)
-        s = scheme.s
-        two_eps = 2 * eps
-        for n in range(1, max_n + 1):
-            us = []
-            ss = []
-            ds = []
-            base_s = 2 * y + u
-            for i in range(s):
-                ui = u
-                si = base_s
-                for j, aij in enumerate(rows[i]):
-                    ui = ui + h * aij * ds[j]
-                    si = si + h * aij * (ds[j] + two_eps)
-                di = ui * si
-                us.append(ui)
-                ss.append(si)
-                ds.append(di)
-            du = ctx.mpf(0)
-            for i in range(s):
-                du = du + alpha[i] * ds[i]
-            u = u + h * du
-            y = y + heps
-            if u == 0:
-                return JumpResult(JumpClass.STUCK, n, PlanarPoint(y + u, y), u)
-            if abs(u) >= threshold:
-                return _decide(u, u0, n, PlanarPoint(y + u, y))
-        return JumpResult(JumpClass.STUCK, max_n, PlanarPoint(y + u, y), u)
-    raise ValueError(f"unsupported transcritical scheme: {scheme!r}")
+    prec = params.ctx.prec
+    step = _transcritical_deviation_step(scheme, params)
+    heps = (params.h * params.epsilon)._mpf_
+    point = lambda u, y: (mpf_add(y, u, prec, round_nearest), y)
+    return _iterate_deviation(params.ctx, step, u0, y0, heps, threshold, max_n, point)
 
 
 def _glued(u, a, b, glue, prec) -> bool:
@@ -689,14 +740,17 @@ def _classify_pitchfork(scheme, params, start, threshold, max_n):
     heps = h * eps
     x0 = start.x
     if isinstance(scheme, ButcherTableau) and scheme.s == 1:
-        x, y = start.x, start.y
-        for n in range(1, max_n + 1):
-            x, y = x + h * x * (y - x * x), y + heps
-            if x == 0:
-                return JumpResult(JumpClass.STUCK, n, PlanarPoint(x, y), x)
-            if abs(x) >= threshold:
-                return _decide(x, x0, n, PlanarPoint(x, y))
-        return JumpResult(JumpClass.STUCK, max_n, PlanarPoint(x, y), x)
+        # forward Euler x + (h x)(y - x x) on tuples, in the order of that
+        # mpf expression (which rounds differently from euler_kernel's)
+        prec, rnd = ctx.prec, round_nearest
+        hr = h._mpf_
+
+        def step(x, y):
+            t = mpf_sub(y, mpf_mul(x, x, prec, rnd), prec, rnd)
+            return mpf_add(x, mpf_mul(mpf_mul(hr, x, prec, rnd), t, prec, rnd), prec, rnd)
+
+        return _iterate_deviation(ctx, step, x0, start.y, heps._mpf_, threshold, max_n,
+                                  lambda x, y: (x, y))
     if isinstance(scheme, ButcherTableau):
         stepper = lambda p: rk_step(scheme, SingularityKind.PITCHFORK, params, p)
     elif scheme == KAHAN:
@@ -906,6 +960,7 @@ class SweepCell:
     eps: object
     h_star: object  # None when no critical step exists
     mode: str
+    status: str = "ok"  # ok, no-root, no-bracket, stuck or pole
 
 
 def sweep_surface(
@@ -921,8 +976,12 @@ def sweep_surface(
 
     mode "linearized" solves 1 + h Q_s(-rho) = 0 for h cell by cell; mode
     "bisection" locates the nonlinear value per cell.  Cells without a
-    solution carry h_star = None.  For the shipped schemes the surfaces come
-    out essentially constant along the eps axis (h* ~ const / rho).
+    solution carry h_star = None and say why in status: "no-root" (no
+    linearized critical step), "no-bracket" (no RIGHT/LEFT flip to bisect),
+    "stuck" (a bisection midpoint never detached) or "pole" (a step hit a
+    pole); a failed cell does not stop the sweep.  For the shipped schemes
+    the surfaces come out essentially constant along the eps axis
+    (h* ~ const / rho).
     """
     mode = mode.lower()
     if mode not in ("linearized", "bisection"):
@@ -932,16 +991,22 @@ def sweep_surface(
         for eps in eps_grid:
             rho_s = ctx.mpf(rho)
             eps_s = ctx.mpf(eps)
+            h_star, status = None, "ok"
             if mode == "linearized":
                 h_star = linearized_critical_h(tableau, rho_s, eps_s, ctx)
+                if h_star is None:
+                    status = "no-root"
             else:
                 try:
-                    trip = critical_h_bisection(
+                    h_star = critical_h_bisection(
                         SingularityKind.TRANSCRITICAL, tableau, rho_s, eps_s,
                         delta, digits_target, ctx,
-                    )
-                    h_star = trip.h_star
+                    ).h_star
                 except NoBracket:
-                    h_star = None
-            cells.append(SweepCell(rho=rho_s, eps=eps_s, h_star=h_star, mode=mode))
+                    status = "no-bracket"
+                except Unresolved:
+                    status = "stuck"
+                except PoleError:
+                    status = "pole"
+            cells.append(SweepCell(rho=rho_s, eps=eps_s, h_star=h_star, mode=mode, status=status))
     return cells

@@ -128,6 +128,10 @@ def _build_stepper(kind, args, ctx, params):
     if name == "euler":
         return euler_kernel(kind, params)
     if name == "rk":
+        if kind is SingularityKind.FOLD:  # rejected before any output is opened
+            raise ValueError(
+                "explicit RK steps are provided for the transcritical and pitchfork systems"
+            )
         tab = _resolve_tableau(args)
         return _on_tuples(ctx, lambda p: rk_step(tab, kind, params, p))
     if name == "kahan":
@@ -295,11 +299,11 @@ def cmd_sweep(args) -> int:
         csv_path = out_dir / f"surface_{tab.name}.csv"
         with open(csv_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["rho", "eps", "h_star", "mode", "tableau"])
+            writer.writerow(["rho", "eps", "h_star", "mode", "tableau", "status"])
             for cell in cells:
                 h_txt = "" if cell.h_star is None else ctx.nstr(cell.h_star, nd)
                 writer.writerow([ctx.nstr(cell.rho, nd), ctx.nstr(cell.eps, nd),
-                                 h_txt, cell.mode, tab.name])
+                                 h_txt, cell.mode, tab.name, cell.status])
         script_path = out_dir / f"surface_{tab.name}.gp"
         script_path.write_text(
             _PLOT_TEMPLATE.format(

@@ -19,7 +19,9 @@ Four families:
 
 Tableau coefficients are stored as exact Fractions and bound to a precision
 context at evaluation time, so a tableau can serve contexts of any precision
-without accumulating conversion error.
+without accumulating conversion error.  The bound coefficients are cached
+per tableau as raw ``_mpf_`` tuples keyed by the binary precision, so each
+precision pays for the Fraction conversions once.
 
 Forward Euler also runs on raw mpmath ``_mpf_`` tuples (euler_kernel), for
 the long orbit loops of the analysis and the command line: the same
@@ -29,7 +31,7 @@ object overhead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
@@ -76,6 +78,9 @@ class ButcherTableau:
     name: str
     alpha: tuple
     a: tuple
+    # precision in bits -> (alpha, a-rows, row sums) as raw _mpf_ tuples;
+    # plain tuples only, so contexts still share no mutable state
+    _bound: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         alpha = tuple(_frac(v) for v in self.alpha)
@@ -98,12 +103,25 @@ class ButcherTableau:
         """A_i = sum_j a_ij as exact Fractions (A_1 = 0)."""
         return tuple(sum(row, Fraction(0)) for row in self.a)
 
+    def bind_raw(self, ctx: PrecisionContext):
+        """Coefficients at ctx's precision as ``_mpf_`` tuples: (alpha, a-rows, row sums)."""
+        raw = self._bound.get(ctx.prec)
+        if raw is None:
+            alpha = tuple(ctx.mpf(v)._mpf_ for v in self.alpha)
+            rows = tuple(tuple(ctx.mpf(v)._mpf_ for v in row) for row in self.a)
+            sums = tuple(ctx.mpf(v)._mpf_ for v in self.row_sums())
+            raw = self._bound[ctx.prec] = (alpha, rows, sums)
+        return raw
+
     def bind(self, ctx: PrecisionContext):
         """Coefficients as scalars of ctx: (alpha, a-rows, row sums)."""
-        alpha = tuple(ctx.mpf(v) for v in self.alpha)
-        rows = tuple(tuple(ctx.mpf(v) for v in row) for row in self.a)
-        sums = tuple(ctx.mpf(v) for v in self.row_sums())
-        return alpha, rows, sums
+        alpha, rows, sums = self.bind_raw(ctx)
+        make = ctx.make_mpf
+        return (
+            tuple(make(v) for v in alpha),
+            tuple(tuple(make(v) for v in row) for row in rows),
+            tuple(make(v) for v in sums),
+        )
 
 
 EULER = ButcherTableau("euler", (1,), ((),))

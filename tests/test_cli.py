@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from canardlab import JumpClass, analysis
 from canardlab.cli import main
 
 
@@ -81,6 +82,18 @@ def test_simulate_rejects_bad_input(tmp_path, capsys, extra, message):
     ] + extra)
     assert code == 2
     assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_rejects_rk_on_fold_before_writing(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main([
+        "simulate", "--kind", "fold", "--scheme", "rk", "--h", "0.01", "--eps", "0.1",
+        "--rho", "0.5", "--n-max", "400", "--out", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: explicit RK steps are provided for the transcritical and pitchfork systems" in err
     assert not out.exists()
 
 
@@ -211,13 +224,51 @@ def test_sweep_surfaces_preset(tmp_path):
     assert "surface_euler.csv" in csvs
 
     rows, _ = _read_csv(tmp_path / "surface_euler.csv")
-    assert rows[0] == ["rho", "eps", "h_star", "mode", "tableau"]
+    assert rows[0] == ["rho", "eps", "h_star", "mode", "tableau", "status"]
     assert len(rows) == 7  # header + 3*2 cells
     for row in rows[1:]:
         assert abs(float(row[2]) - 1 / (2 * float(row[0]))) < 1e-12
 
     script = (tmp_path / "surface_euler.gp").read_text(encoding="utf-8")
     assert "surface_euler.csv" in script  # relative reference
+
+
+def test_sweep_writes_every_cell_past_a_stuck_one(tmp_path, monkeypatch):
+    real = analysis.classify_jump
+    labels = {}
+
+    def classify(kind, scheme, params, rho, delta, **kwargs):
+        seen = labels.setdefault(str(rho), set())
+        if rho == 6 and {JumpClass.RIGHT, JumpClass.LEFT} <= seen:
+            kwargs["max_n"] = 1  # bracket found: no bisection midpoint can detach
+        res = real(kind, scheme, params, rho, delta, **kwargs)
+        seen.add(res.label)
+        return res
+
+    monkeypatch.setattr(analysis, "classify_jump", classify)
+    code = main([
+        "sweep", "--tableau", "euler", "--mode", "bisection",
+        "--rho-min", "5", "--rho-max", "7", "--rho-steps", "3",
+        "--eps-min", "1", "--eps-max", "1", "--eps-steps", "1",
+        "--digits-target", "4", "--digits", "30", "--out-dir", str(tmp_path),
+    ])
+    assert code == 0
+    rows, _ = _read_csv(tmp_path / "surface_euler.csv")
+    assert [row[5] for row in rows[1:]] == ["ok", "stuck", "ok"]
+    assert rows[2][2] == ""
+    for row in (rows[1], rows[3]):
+        assert abs(float(row[2]) - 1 / (2 * float(row[0]))) < 0.01 / float(row[0])
+
+
+def test_sweep_marks_rootless_cells(tmp_path):
+    main([
+        "sweep", "--tableau", "heun2", "--mode", "linearized",
+        "--rho-min", "2", "--rho-max", "4", "--rho-steps", "2",
+        "--eps-min", "0.1", "--eps-max", "0.1", "--eps-steps", "1",
+        "--digits", "30", "--out-dir", str(tmp_path),
+    ])
+    rows, _ = _read_csv(tmp_path / "surface_heun2.csv")
+    assert [(row[2], row[5]) for row in rows[1:]] == [("", "no-root")] * 2
 
 
 def test_sweep_heun2_empty_cells(tmp_path):

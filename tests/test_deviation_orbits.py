@@ -1,0 +1,252 @@
+"""Bit-identity of the deviation-coordinate classification on raw tuples.
+
+The references below are plain-mpf copies of the loops the tuple code
+replaced: the transcritical deviation iteration (Kahan, forward Euler and
+the explicit RK stage recursion) and the pitchfork forward-Euler fast path.
+The tuple code must reproduce them exactly: same label, same step count,
+and the same ``_mpf_`` tuples for the point and the deviation, or the same
+pole at the same iterate.
+"""
+
+from mpmath.libmp import from_man_exp
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from canardlab import (
+    EULER,
+    KAHAN,
+    SHIPPED_TABLEAUX,
+    JumpClass,
+    JumpResult,
+    PlanarPoint,
+    PoleError,
+    SystemParams,
+    make_context,
+)
+from canardlab.analysis import _classify_pitchfork, _classify_transcritical_deviation
+
+CONTEXTS = {d: make_context(d) for d in (16, 50, 200)}
+SCHEMES = [KAHAN] + [SHIPPED_TABLEAUX[name] for name in sorted(SHIPPED_TABLEAUX)]
+
+
+def _name(scheme):
+    return getattr(scheme, "name", scheme)
+
+
+# -- plain-mpf references -------------------------------------------------------
+
+
+def _ref_decide(dev, dev0, steps, point):
+    same_side = (dev > 0) == (dev0 > 0)
+    return JumpResult(JumpClass.RIGHT if same_side else JumpClass.LEFT, steps, point, dev)
+
+
+def ref_transcritical_deviation(scheme, params, u0, y0, threshold, max_n):
+    ctx = params.ctx
+    h, eps = params.h, params.epsilon
+    heps = h * eps
+    u, y = u0, y0
+    if scheme == KAHAN:
+        num_eps = eps * h * h
+        for n in range(1, max_n + 1):
+            den = 1 - h * (y + u)
+            if den == 0:
+                raise PoleError("transcritical Kahan step hit its pole", index=n)
+            u = u * (1 + h * y + num_eps) / den
+            y = y + heps
+            if u == 0:
+                return JumpResult(JumpClass.STUCK, n, PlanarPoint(y + u, y), u)
+            if abs(u) >= threshold:
+                return _ref_decide(u, u0, n, PlanarPoint(y + u, y))
+        return JumpResult(JumpClass.STUCK, max_n, PlanarPoint(y + u, y), u)
+    if scheme.s == 1:
+        for n in range(1, max_n + 1):
+            u = u * (1 + h * (2 * y + u))
+            y = y + heps
+            if u == 0:
+                return JumpResult(JumpClass.STUCK, n, PlanarPoint(y + u, y), u)
+            if abs(u) >= threshold:
+                return _ref_decide(u, u0, n, PlanarPoint(y + u, y))
+        return JumpResult(JumpClass.STUCK, max_n, PlanarPoint(y + u, y), u)
+    alpha = [ctx.mpf(v) for v in scheme.alpha]
+    rows = [[ctx.mpf(v) for v in row] for row in scheme.a]
+    two_eps = 2 * eps
+    for n in range(1, max_n + 1):
+        ds = []
+        base_s = 2 * y + u
+        for i in range(scheme.s):
+            ui = u
+            si = base_s
+            for j, aij in enumerate(rows[i]):
+                ui = ui + h * aij * ds[j]
+                si = si + h * aij * (ds[j] + two_eps)
+            ds.append(ui * si)
+        du = ctx.mpf(0)
+        for i in range(scheme.s):
+            du = du + alpha[i] * ds[i]
+        u = u + h * du
+        y = y + heps
+        if u == 0:
+            return JumpResult(JumpClass.STUCK, n, PlanarPoint(y + u, y), u)
+        if abs(u) >= threshold:
+            return _ref_decide(u, u0, n, PlanarPoint(y + u, y))
+    return JumpResult(JumpClass.STUCK, max_n, PlanarPoint(y + u, y), u)
+
+
+def ref_pitchfork_euler(params, start, threshold, max_n):
+    h, eps = params.h, params.epsilon
+    heps = h * eps
+    x0 = start.x
+    x, y = start.x, start.y
+    for n in range(1, max_n + 1):
+        x, y = x + h * x * (y - x * x), y + heps
+        if x == 0:
+            return JumpResult(JumpClass.STUCK, n, PlanarPoint(x, y), x)
+        if abs(x) >= threshold:
+            return _ref_decide(x, x0, n, PlanarPoint(x, y))
+    return JumpResult(JumpClass.STUCK, max_n, PlanarPoint(x, y), x)
+
+
+def _raw(res):
+    return res.label, res.steps, res.point.x._mpf_, res.point.y._mpf_, res.deviation._mpf_
+
+
+def _outcome(fn, *args):
+    try:
+        return _raw(fn(*args))
+    except PoleError as err:
+        return "pole", str(err), err.index
+
+
+def _both_transcritical(scheme, params, u0, y0, threshold, max_n):
+    args = (scheme, params, u0, y0, threshold, max_n)
+    got = _outcome(_classify_transcritical_deviation, *args)
+    assert got == _outcome(ref_transcritical_deviation, *args)
+    return got
+
+
+def _both_pitchfork(params, start, threshold, max_n):
+    got = _outcome(lambda *a: _classify_pitchfork(EULER, *a), params, start, threshold, max_n)
+    assert got == _outcome(ref_pitchfork_euler, params, start, threshold, max_n)
+    return got
+
+
+# -- strategies -----------------------------------------------------------------
+
+digits_st = st.sampled_from(sorted(CONTEXTS))
+# decimal strings k * 10^-e over the step sizes, time scales and entry
+# points of the experiments, up to step sizes past their critical values
+step_st = st.builds(lambda k, e: f"{k}e-{e}", st.integers(1, 999), st.integers(2, 4))
+eps_st = st.builds(lambda k: f"{k}e-3", st.integers(10, 1000))
+rho_st = st.builds(lambda k: f"{k}e-2", st.integers(10, 500))
+delta_st = st.builds(
+    lambda sign, k, e: f"{sign}{k}e-{e}", st.sampled_from(["", "-"]), st.integers(1, 9),
+    st.integers(1, 210),
+)
+
+
+# -- properties -----------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(digits=digits_st, scheme=st.sampled_from(SCHEMES), h=step_st, eps=eps_st,
+       rho=rho_st, delta=delta_st)
+@example(digits=200, scheme=SHIPPED_TABLEAUX["kutta3"], h="997e-4", eps="10e-3",
+         rho="800e-2", delta="1e-4")
+def test_transcritical_deviation_bit_identical(digits, scheme, h, eps, rho, delta):
+    ctx = CONTEXTS[digits]
+    params = SystemParams.create(ctx, eps, h)
+    rho = ctx.mpf(rho)
+    _both_transcritical(scheme, params, ctx.mpf(delta), -rho, rho / 2, 400)
+
+
+@settings(max_examples=60, deadline=None)
+@given(digits=digits_st, h=step_st, eps=eps_st, rho=rho_st, delta=delta_st)
+def test_pitchfork_euler_bit_identical(digits, h, eps, rho, delta):
+    ctx = CONTEXTS[digits]
+    params = SystemParams.create(ctx, eps, h)
+    rho = ctx.mpf(rho)
+    _both_pitchfork(params, PlanarPoint(ctx.mpf(delta), -rho), rho / 2, 1500)
+
+
+# -- hand-built cases -----------------------------------------------------------
+
+
+def _next_up(v):
+    """The tuple one unit in the last place above the positive tuple v."""
+    return from_man_exp(v[1] + 1, v[2])
+
+
+@pytest.mark.parametrize("digits", sorted(CONTEXTS))
+@pytest.mark.parametrize("scheme", SCHEMES, ids=_name)
+def test_threshold_equal_to_the_deviation_decides(digits, scheme):
+    ctx = CONTEXTS[digits]
+    params = SystemParams.create(ctx, "0.1", "0.05")
+    u0, y0 = ctx.mpf("-1e-3"), ctx.mpf("-2")
+    first = ref_transcritical_deviation(scheme, params, u0, y0, ctx.mpf(1), 1)
+    bar = abs(first.deviation)
+    hit = _both_transcritical(scheme, params, u0, y0, bar, 50)
+    assert hit[:2] == (JumpClass.RIGHT, 1)
+    above = ctx.make_mpf(_next_up(bar._mpf_))
+    assert _both_transcritical(scheme, params, u0, y0, above, 50)[1] > 1
+
+
+def test_pitchfork_threshold_equal_to_the_deviation_decides(ctx):
+    params = SystemParams.create(ctx, "0.1", "0.05")
+    start = PlanarPoint(ctx.mpf("1e-3"), ctx.mpf("2"))
+    bar = abs(ref_pitchfork_euler(params, start, ctx.mpf(1), 1).deviation)
+    assert _both_pitchfork(params, start, bar, 50)[:2] == (JumpClass.RIGHT, 1)
+    assert _both_pitchfork(params, start, ctx.make_mpf(_next_up(bar._mpf_)), 50)[1] > 1
+
+
+@pytest.mark.parametrize("digits", sorted(CONTEXTS))
+def test_deviation_collapsing_to_zero_is_stuck(digits):
+    ctx = CONTEXTS[digits]
+    # h = 1/2, eps = 1: Euler's factor 1 + h (2y + u) and Kahan's
+    # 1 + h y + eps h^2 vanish exactly at the first step
+    params = SystemParams.create(ctx, "1", "0.5")
+    euler = _both_transcritical(EULER, params, ctx.mpf(1), ctx.mpf("-1.5"), ctx.mpf(10), 50)
+    kahan = _both_transcritical(KAHAN, params, ctx.mpf(1), ctx.mpf("-2.5"), ctx.mpf(10), 50)
+    # pitchfork: 1 + h (y - x^2) = 0 at x = 1, y = -1
+    pitchfork = _both_pitchfork(params, PlanarPoint(ctx.mpf(1), ctx.mpf(-1)), ctx.mpf(10), 50)
+    for got in (euler, kahan, pitchfork):
+        assert got[:2] == (JumpClass.STUCK, 1)
+        assert got[4] == ctx.mpf(0)._mpf_
+
+
+@pytest.mark.parametrize("digits", sorted(CONTEXTS))
+def test_kahan_pole_carries_its_index(digits):
+    ctx = CONTEXTS[digits]
+    # h = 1/2, eps = 1 from (u, y) = (3/8, 1/2): one exact step reaches
+    # (1, 1), where the denominator 1 - h (y + u) vanishes
+    params = SystemParams.create(ctx, "1", "0.5")
+    got = _both_transcritical(KAHAN, params, ctx.mpf("0.375"), ctx.mpf("0.5"), ctx.mpf(10), 50)
+    assert got == ("pole", "transcritical Kahan step hit its pole", 2)
+
+
+@pytest.mark.parametrize("digits", sorted(CONTEXTS))
+@pytest.mark.parametrize("scheme", SCHEMES, ids=_name)
+def test_budget_exhausted_is_stuck(digits, scheme):
+    ctx = CONTEXTS[digits]
+    params = SystemParams.create(ctx, "0.01", "0.01")
+    got = _both_transcritical(scheme, params, ctx.mpf("1e-4"), ctx.mpf(-1), ctx.mpf("0.5"), 7)
+    assert got[:2] == (JumpClass.STUCK, 7)
+    none = _both_transcritical(scheme, params, ctx.mpf("1e-4"), ctx.mpf(-1), ctx.mpf("0.5"), 0)
+    assert none[:2] == (JumpClass.STUCK, 0)
+    start = PlanarPoint(ctx.mpf("1e-4"), ctx.mpf(-1))
+    assert _both_pitchfork(params, start, ctx.mpf("0.5"), 7)[:2] == (JumpClass.STUCK, 7)
+
+
+@pytest.mark.parametrize("digits", sorted(CONTEXTS))
+@pytest.mark.parametrize("scheme", [EULER, SHIPPED_TABLEAUX["kutta3"]], ids=_name)
+def test_slow_start_longer_than_the_precision(digits, scheme):
+    # y0 = 1/2 + 2^-(prec+1) has prec+1 bits: 2 y0 is a tie that mpf
+    # arithmetic rounds to 1 before adding the deviation
+    ctx = CONTEXTS[digits]
+    prec = ctx.prec
+    y0 = ctx.make_mpf(from_man_exp(2**prec + 1, -prec - 1))
+    for h in ("0.75", "0.3", "0.1"):
+        params = SystemParams.create(ctx, "1", h)
+        u0 = ctx.mpf(2) ** (-prec - 10)
+        _both_transcritical(scheme, params, u0, y0, ctx.mpf(1), 3)

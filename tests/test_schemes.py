@@ -22,6 +22,7 @@ from canardlab import (
     kahan_step_general,
     kahan_step_transcritical,
     load_tableau_file,
+    make_context,
     rk_step,
 )
 
@@ -52,6 +53,24 @@ def test_tableau_must_be_strictly_lower_triangular():
 
 def test_row_sums():
     assert KUTTA3.row_sums() == (0, Fraction(1, 2), 1)
+
+
+@pytest.mark.parametrize("tab", list(SHIPPED_TABLEAUX.values()), ids=lambda t: t.name)
+def test_bind_is_cached_per_precision_as_plain_tuples(tab):
+    digit_counts = (16, 50, 200)
+    for digits in digit_counts:
+        ctx = make_context(digits)
+        for _ in range(2):  # the second call reads the cache
+            alpha, rows, sums = tab.bind(ctx)
+            assert [v._mpf_ for v in alpha] == [ctx.mpf(v)._mpf_ for v in tab.alpha]
+            assert [[v._mpf_ for v in r] for r in rows] == [[ctx.mpf(v)._mpf_ for v in r] for r in tab.a]
+            assert [v._mpf_ for v in sums] == [ctx.mpf(v)._mpf_ for v in tab.row_sums()]
+        assert tab.bind_raw(ctx) is tab.bind_raw(ctx)
+    # one entry per precision, holding raw tuples of ints only
+    assert {make_context(d).prec for d in digit_counts} <= set(tab._bound)
+    for alpha, rows, sums in tab._bound.values():
+        for v in alpha + sums + sum(rows, ()):
+            assert type(v) is tuple and all(type(c) is int for c in v)
 
 
 def test_tableau_file_roundtrip(tmp_path):
