@@ -22,7 +22,6 @@ from .systems import (
     PlanarPoint,
     SingularityKind,
     SystemParams,
-    canard_trajectory,
     critical_set_residual,
     fold_first_integral,
     fold_kahan_parabola_offset,
@@ -60,6 +59,7 @@ from .linearization import (
     ContractionLedger,
     KAHAN,
     canard_spacing,
+    canard_trajectory,
     contraction_product,
     finite_difference_factor,
     jacobian_factor,

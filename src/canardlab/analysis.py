@@ -49,38 +49,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from mpmath.libmp import (
-    fone, fzero, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_shift, mpf_sub, round_nearest,
-)
+from mpmath.libmp import fzero, mpf_add, round_nearest
 
-from .linearization import (
-    AFamily,
-    KAHAN,
-    SchemeSelector,
-    canard_spacing,
-    jacobian_factor,
-    q_s,
-    symmetry_center,
-)
+from .linearization import CANARDS, SchemeSelector, q_s, scheme_map
 from .precision import PrecisionContext
-from .schemes import (
-    ButcherTableau,
-    PoleError,
-    _abs_le,
-    _on_tuples,
-    a_family_step_pitchfork,
-    euler_kernel,
-    kahan_step_fold,
-    kahan_step_transcritical,
-    rk_step,
-)
-from .systems import (
-    NoCanard,
-    PlanarPoint,
-    SingularityKind,
-    SystemParams,
-    fold_kahan_parabola_offset,
-)
+from .schemes import ButcherTableau, PoleError, _abs_le
+from .systems import PlanarPoint, SingularityKind, SystemParams
 
 
 class OutOfDomain(ValueError):
@@ -359,8 +333,10 @@ def wayout(
     """Way-in/way-out map of the linearization along the canard.
 
     Accumulates multipliers at canard positions -rho + k*spacing and returns
-    the smallest psi with |v1(n_in + psi)| >= 1 (to the context's residual
-    tolerance, so pairs that cancel exactly in real arithmetic are accepted).
+    the smallest psi with |v1(n_in + psi)| >= 1 - tol(10) (the context's
+    residual tolerance, so pairs that cancel exactly in real arithmetic are
+    accepted).  The product is kept as it is: mpf exponents are unbounded,
+    so it neither overflows nor underflows.
     Raises Unresolved if psi is not found within max_n steps past the center.
     """
     ctx = params.ctx
@@ -369,31 +345,22 @@ def wayout(
     rho = ctx.mpf(rho)
     if not rho > 0:
         raise ValueError("entry offset rho must be > 0")
-    spacing = canard_spacing(kind, params)
-    center = symmetry_center(kind, params)
-    n_in = _entry_index(ctx, rho, center, spacing)
-    tol = ctx.tol(10)
-    logsum = ctx.mpf(0)
-    sign = 1
-    n = 0
-    while n <= n_in + max_n:
+    factor = scheme_map(kind, scheme, params).factor
+    canard = CANARDS[kind]
+    spacing = canard.spacing(params)
+    n_in = _entry_index(ctx, rho, canard.center(params), spacing)
+    bar = 1 - ctx.tol(10)
+    prod = ctx.mpf(1)
+    for n in range(n_in + max_n + 1):
         pos = -rho + n * spacing
         try:
-            f = jacobian_factor(kind, scheme, params, pos)
+            f = factor(pos)
         except PoleError as err:
             err.index = n
             raise
-        if f == 0:
-            sign = 0
-            logsum = ctx.mpf("-inf")
-        else:
-            if f < 0:
-                sign = -sign
-            logsum = logsum + ctx.ln(abs(f))
-        if n >= n_in and logsum >= -tol:
-            product = sign * ctx.exp(logsum)
-            return WayOutResult(n_in=n_in, psi=n - n_in, product_at_exit=product)
-        n += 1
+        prod = prod * f
+        if n >= n_in and abs(prod) >= bar:
+            return WayOutResult(n_in=n_in, psi=n - n_in, product_at_exit=prod)
     raise Unresolved(max_n, f"way-out not reached within {max_n} steps past the center")
 
 
@@ -557,17 +524,6 @@ class JumpResult:
     deviation: object
 
 
-def _default_start(kind: SingularityKind, params: SystemParams, rho, delta) -> PlanarPoint:
-    if kind is SingularityKind.TRANSCRITICAL:
-        return PlanarPoint(-rho, -rho + delta)
-    if kind is SingularityKind.PITCHFORK:
-        return PlanarPoint(delta, -rho)
-    if kind is SingularityKind.FOLD:
-        y = rho * rho - fold_kahan_parabola_offset(params) + delta
-        return PlanarPoint(-rho, y)
-    raise ValueError(f"unknown singularity kind: {kind!r}")
-
-
 def _decide(dev, dev0, steps, point) -> JumpResult:
     same_side = (dev > 0) == (dev0 > 0)
     return JumpResult(
@@ -608,115 +564,30 @@ def _iterate_deviation(ctx, step, u0, y0, heps, threshold, max_n, point):
     return JumpResult(JumpClass.STUCK, n, PlanarPoint(make(x), make(y)), make(u))
 
 
-def _twice(v, prec):
-    """2 * v rounded to nearest at prec bits, as mpf arithmetic computes it.
+def _classify_deviation(kind, step, params, u0, y0, threshold, max_n):
+    """Deviation-coordinate classification from the deviation u0 at slow position y0.
 
-    Normalized mantissas are odd, so doubling one of at most prec bits is an
-    exact exponent shift; only a longer operand needs the rounded product.
-    """
-    return mpf_shift(v, 1) if v[3] <= prec else mpf_mul_int(v, 2, prec, round_nearest)
-
-
-def _transcritical_deviation_step(scheme, params):
-    """One step u -> unew of the transcritical map in (deviation, slow) coordinates.
-
-    Every operation is rounded to nearest at the context's precision in the
-    order of the mpf expression it replaces, so the tuples are bit-identical
-    to mpf arithmetic: forward Euler u (1 + h (2y + u)); explicit RK
-    u + h sum_i alpha_i d_i with d_i = u_i s_i, u_i = u + sum_j (h a_ij) d_j
-    and s_i = (2y + u) + sum_j (h a_ij) (d_j + 2 eps); Kahan
-    u (1 + h y + eps h h) / (1 - h (y + u)).
-    """
-    ctx = params.ctx
-    prec, rnd = ctx.prec, round_nearest
-    add, sub, mul, div = mpf_add, mpf_sub, mpf_mul, mpf_div
-    h, eps = params.h._mpf_, params.epsilon._mpf_
-    if scheme == KAHAN:
-        num_eps = mul(mul(eps, h, prec, rnd), h, prec, rnd)
-
-        def step(u, y):
-            den = sub(fone, mul(h, add(y, u, prec, rnd), prec, rnd), prec, rnd)
-            if den == fzero:
-                raise PoleError("transcritical Kahan step hit its pole")
-            num = add(add(mul(h, y, prec, rnd), fone, prec, rnd), num_eps, prec, rnd)
-            return div(mul(u, num, prec, rnd), den, prec, rnd)
-
-        return step
-    if not isinstance(scheme, ButcherTableau):
-        raise ValueError(f"unsupported transcritical scheme: {scheme!r}")
-    if scheme.s == 1:  # forward Euler fast path
-
-        def step(u, y):
-            s = add(_twice(y, prec), u, prec, rnd)
-            return mul(u, add(mul(h, s, prec, rnd), fone, prec, rnd), prec, rnd)
-
-        return step
-    alpha, rows, _ = scheme.bind_raw(ctx)
-    hrows = tuple(tuple(mul(h, aij, prec, rnd) for aij in row) for row in rows)
-    two_eps = _twice(eps, prec)
-
-    def step(u, y):
-        base_s = add(_twice(y, prec), u, prec, rnd)
-        ds = []
-        for hrow in hrows:
-            ui, si = u, base_s
-            for haij, dj in zip(hrow, ds):
-                ui = add(ui, mul(haij, dj, prec, rnd), prec, rnd)
-                si = add(si, mul(haij, add(dj, two_eps, prec, rnd), prec, rnd), prec, rnd)
-            ds.append(mul(ui, si, prec, rnd))
-        du = fzero
-        for ai, di in zip(alpha, ds):
-            du = add(du, mul(ai, di, prec, rnd), prec, rnd)
-        return add(u, mul(h, du, prec, rnd), prec, rnd)
-
-    return step
-
-
-def _classify_transcritical_deviation(scheme, params, u0, y0, threshold, max_n):
-    """Exact (deviation, slow) iteration of the transcritical one-step maps.
-
-    u = x - y obeys u -> u (1 + h (2y + u)) under forward Euler, the
-    analogous stage recursion under explicit RK, and
-    u -> u (1 + h y + eps h^2) / (1 - h (y + u)) under the Kahan map; the
-    slow coordinate advances by eps*h per step in all cases.
+    step is the pair's SchemeMap.deviation_step; u is x - y on the transcritical
+    diagonal and x itself on the pitchfork line.
     """
     prec = params.ctx.prec
-    step = _transcritical_deviation_step(scheme, params)
     heps = (params.h * params.epsilon)._mpf_
-    point = lambda u, y: (mpf_add(y, u, prec, round_nearest), y)
+    if kind is SingularityKind.TRANSCRITICAL:
+        point = lambda u, y: (mpf_add(y, u, prec, round_nearest), y)
+    else:
+        point = lambda x, y: (x, y)
     return _iterate_deviation(params.ctx, step, u0, y0, heps, threshold, max_n, point)
 
 
-def _glued(u, a, b, glue, prec) -> bool:
-    """The sticky-set rule |u| <= glue * max(|a|, |b|) on ``_mpf_`` tuples.
+def _classify_raw(step, deviation, ctx, start, u0, threshold, max_n):
+    """Raw-coordinate classification on ``_mpf_`` tuples, for every (kind, scheme) pair.
 
-    Rounding is monotone, so the rounded glue * max(|a|, |b|) is the larger
-    of the rounded glue * |a| and glue * |b|: two exponent-prefiltered
-    comparisons decide the rule exactly as mpf arithmetic would.
+    u0 is the deviation at start.  Each step is followed by the kind's
+    deviation and stuck rule (see linearization.Canard), then by the escape
+    threshold.
     """
-    return _abs_le(u, a, glue, prec) or _abs_le(u, b, glue, prec)
-
-
-def _classify_transcritical_raw(scheme, params, start, threshold, max_n):
-    # in raw coordinates the deviation is a difference of stored values; once
-    # it falls to a few digits above the working-precision floor, the map's
-    # increments can no longer evolve it faithfully and the simulated orbit
-    # is glued to the invariant set: that is the sticky-set artifact this
-    # engine exposes, reported as STUCK
-    ctx = params.ctx
-    prec = ctx.prec
-    if scheme == KAHAN:
-        step = _on_tuples(ctx, lambda p: kahan_step_transcritical(params, p))
-    elif isinstance(scheme, ButcherTableau) and scheme.s == 1:
-        step = euler_kernel(SingularityKind.TRANSCRITICAL, params)
-    elif isinstance(scheme, ButcherTableau):
-        step = _on_tuples(ctx, lambda p: rk_step(scheme, SingularityKind.TRANSCRITICAL, params, p))
-    else:
-        raise ValueError(f"unsupported transcritical scheme: {scheme!r}")
-    glue = ctx.tol(3)._mpf_
-    thr = threshold._mpf_
     make = ctx.make_mpf
-    u0 = start.x - start.y
+    thr = threshold._mpf_
     x, y = start.x._mpf_, start.y._mpf_
     for n in range(1, max_n + 1):
         try:
@@ -724,81 +595,13 @@ def _classify_transcritical_raw(scheme, params, start, threshold, max_n):
         except PoleError as err:
             err.index = n
             raise
-        u = mpf_sub(x, y, prec, round_nearest)
-        if _glued(u, x, y, glue, prec):
+        u, stuck = deviation(x, y)
+        if stuck:
             return JumpResult(JumpClass.STUCK, n, PlanarPoint(make(x), make(y)), make(u))
         if _abs_le(thr, u):
             return _decide(make(u), u0, n, PlanarPoint(make(x), make(y)))
-    u = mpf_sub(x, y, prec, round_nearest)
+    u, _ = deviation(x, y)
     return JumpResult(JumpClass.STUCK, max_n, PlanarPoint(make(x), make(y)), make(u))
-
-
-def _classify_pitchfork(scheme, params, start, threshold, max_n):
-    """Pitchfork classification; x itself is the transversal deviation."""
-    ctx = params.ctx
-    h, eps = params.h, params.epsilon
-    heps = h * eps
-    x0 = start.x
-    if isinstance(scheme, ButcherTableau) and scheme.s == 1:
-        # forward Euler x + (h x)(y - x x) on tuples, in the order of that
-        # mpf expression (which rounds differently from euler_kernel's)
-        prec, rnd = ctx.prec, round_nearest
-        hr = h._mpf_
-
-        def step(x, y):
-            t = mpf_sub(y, mpf_mul(x, x, prec, rnd), prec, rnd)
-            return mpf_add(x, mpf_mul(mpf_mul(hr, x, prec, rnd), t, prec, rnd), prec, rnd)
-
-        return _iterate_deviation(ctx, step, x0, start.y, heps._mpf_, threshold, max_n,
-                                  lambda x, y: (x, y))
-    if isinstance(scheme, ButcherTableau):
-        stepper = lambda p: rk_step(scheme, SingularityKind.PITCHFORK, params, p)
-    elif scheme == KAHAN:
-        a = ctx.mpf(-1) / 2
-        stepper = lambda p: a_family_step_pitchfork(a, params, p).point
-    elif isinstance(scheme, AFamily):
-        a = ctx.mpf(scheme.a)
-        stepper = lambda p: a_family_step_pitchfork(a, params, p).point
-    else:
-        raise ValueError(f"unsupported pitchfork scheme: {scheme!r}")
-    p = start
-    for n in range(1, max_n + 1):
-        try:
-            p = stepper(p)
-        except PoleError as err:
-            err.index = n
-            raise
-        if p.x == 0:
-            return JumpResult(JumpClass.STUCK, n, p, p.x)
-        if abs(p.x) >= threshold:
-            return _decide(p.x, x0, n, p)
-    return JumpResult(JumpClass.STUCK, max_n, p, p.x)
-
-
-def _classify_fold(scheme, params, start, threshold, max_n):
-    """Fold classification (Kahan only); deviation is the parabola residual."""
-    if scheme != KAHAN:
-        raise NoCanard("explicit one-step maps of the fold have no canard to classify against")
-    prec = params.ctx.prec
-    offset = fold_kahan_parabola_offset(params)
-    glue = params.ctx.tol(3)._mpf_
-    thr = threshold._mpf_
-    p = start
-    w0 = p.y - (p.x * p.x - offset)
-    for n in range(1, max_n + 1):
-        try:
-            p = kahan_step_fold(params, p)
-        except PoleError as err:
-            err.index = n
-            raise
-        xx = p.x * p.x
-        w = p.y - (xx - offset)
-        if _glued(w._mpf_, p.y._mpf_, xx._mpf_, glue, prec):
-            return JumpResult(JumpClass.STUCK, n, p, w)
-        if _abs_le(thr, w._mpf_):
-            return _decide(w, w0, n, p)
-    w = p.y - (p.x * p.x - offset)
-    return JumpResult(JumpClass.STUCK, max_n, p, w)
 
 
 def classify_jump(
@@ -820,8 +623,10 @@ def classify_jump(
     transversal deviation reaches the escape threshold (default rho/2); the
     side it leaves on, relative to the side it entered, gives RIGHT (same
     side, correct direction) or LEFT (flipped, wrong direction).  STUCK is
-    returned when the deviation vanishes exactly (finite-precision collapse
-    onto the invariant set) or the iteration budget runs out.
+    returned when the orbit collapses onto the invariant set (by the kind's
+    stuck rule in raw coordinates, see linearization.Canard; when the
+    deviation vanishes exactly in deviation coordinates) or the iteration
+    budget runs out.
 
     track_deviation=True iterates the map in exact deviation coordinates
     (transcritical), immune to the collapse artifact; =False iterates the
@@ -837,26 +642,21 @@ def classify_jump(
     threshold = ctx.mpf(escape) if escape is not None else rho / 2
     if not threshold > 0:
         raise ValueError("escape threshold must be > 0")
+    canard = CANARDS[kind]
     if max_n is None:
-        spacing = canard_spacing(kind, params)
-        max_n = int(10 * ctx.floor(2 * rho / spacing) + 10)
+        max_n = int(10 * ctx.floor(2 * rho / canard.spacing(params)) + 10)
     if start is None:
-        start = _default_start(kind, params, rho, delta)
-
-    if kind is SingularityKind.TRANSCRITICAL:
-        u0 = start.x - start.y
-        if u0 == 0:
-            raise ValueError("start lies exactly on the canard; nothing to classify")
-        if track_deviation:
-            return _classify_transcritical_deviation(scheme, params, u0, start.y, threshold, max_n)
-        return _classify_transcritical_raw(scheme, params, start, threshold, max_n)
-    if kind is SingularityKind.PITCHFORK:
-        if start.x == 0:
-            raise ValueError("start lies exactly on the canard; nothing to classify")
-        return _classify_pitchfork(scheme, params, start, threshold, max_n)
-    if kind is SingularityKind.FOLD:
-        return _classify_fold(scheme, params, start, threshold, max_n)
-    raise ValueError(f"unknown singularity kind: {kind!r}")
+        start = canard.start(params, rho, delta)
+    smap = scheme_map(kind, scheme, params)
+    deviation = canard.deviation(params)
+    u0 = ctx.make_mpf(deviation(start.x._mpf_, start.y._mpf_)[0])
+    if u0 == 0 and kind is not SingularityKind.FOLD:
+        raise ValueError("start lies exactly on the canard; nothing to classify")
+    # the pitchfork's x is its own deviation, so its forward-Euler orbit takes
+    # the deviation loop in either representation
+    if smap.deviation_step is not None and (track_deviation or kind is SingularityKind.PITCHFORK):
+        return _classify_deviation(kind, smap.deviation_step, params, u0, start.y, threshold, max_n)
+    return _classify_raw(smap.step, deviation, ctx, start, u0, threshold, max_n)
 
 
 # ---------------------------------------------------------------------------
@@ -909,28 +709,19 @@ def critical_h_bisection(
             raise NoBracket("no linearized critical step size exists to seed the scan")
         ratio = 1 + ctx.mpf(1) / 256
         h0 = seed * (1 - ctx.mpf(1) / 512)
-        c0 = classify_at(h0)
+        # scan up from a RIGHT seed, down from any other, to the first RIGHT/LEFT flip
+        h_prev, c_prev = h0, classify_at(h0)
+        up = c_prev is JumpClass.RIGHT
         lo = hi = None
-        if c0 is JumpClass.RIGHT:
-            h_prev, c_prev = h0, c0
-            h_cur = h0
-            for _ in range(scan_budget):
-                h_cur = h_cur * ratio
-                c_cur = classify_at(h_cur)
-                if c_prev is JumpClass.RIGHT and c_cur is JumpClass.LEFT:
-                    lo, hi = h_prev, h_cur
-                    break
-                h_prev, c_prev = h_cur, c_cur
-        else:
-            h_prev, c_prev = h0, c0
-            h_cur = h0
-            for _ in range(scan_budget):
-                h_cur = h_cur / ratio
-                c_cur = classify_at(h_cur)
-                if c_cur is JumpClass.RIGHT and c_prev is JumpClass.LEFT:
-                    lo, hi = h_cur, h_prev
-                    break
-                h_prev, c_prev = h_cur, c_cur
+        for _ in range(scan_budget):
+            h_cur = h_prev * ratio if up else h_prev / ratio
+            c_cur = classify_at(h_cur)
+            pair = ((h_prev, c_prev), (h_cur, c_cur))
+            (h_lo, c_lo), (h_hi, c_hi) = pair if up else pair[::-1]
+            if c_lo is JumpClass.RIGHT and c_hi is JumpClass.LEFT:
+                lo, hi = h_lo, h_hi
+                break
+            h_prev, c_prev = h_cur, c_cur
         if lo is None:
             raise NoBracket("no RIGHT/LEFT flip found within the scan budget")
 

@@ -24,9 +24,8 @@ import argparse
 import csv
 import random
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-
-from mpmath.libmp import fzero, mpf_mul, mpf_sub, round_nearest
 
 from . import __version__
 from .analysis import (
@@ -42,15 +41,18 @@ from .analysis import (
     wayout,
 )
 from .linearization import (
+    CANARDS,
     AFamily,
     KAHAN,
     finite_difference_factor,
     jacobian_factor,
+    scheme_map,
     symmetry_center,
     symmetry_defect,
 )
 from .precision import ANALYSIS_DIGITS, SIMULATE_DIGITS, InvalidPrecision, make_context
 from .schemes import (
+    EULER,
     KUTTA3,
     SHIPPED_TABLEAUX,
     SURFACE_TABLEAUX,
@@ -59,12 +61,9 @@ from .schemes import (
     PoleError,
     QuadraticField,
     _abs_le,
-    _on_tuples,
     a_family_step_pitchfork,
-    euler_kernel,
     kahan_step_fold,
     kahan_step_general,
-    kahan_step_pitchfork,
     kahan_step_transcritical,
     load_tableau_file,
     rk_step,
@@ -89,6 +88,17 @@ def _add_common(p: argparse.ArgumentParser, digits_default: int):
     p.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
 
 
+def _add_pair(p: argparse.ArgumentParser, scheme_default: str):
+    """--kind, --scheme and the flags _scheme reads, plus --h and --eps."""
+    p.add_argument("--kind", choices=sorted(_KINDS), required=True)
+    p.add_argument("--scheme", choices=("euler", "rk", "kahan", "afamily"), default=scheme_default)
+    p.add_argument("--tableau", default="kutta3", help="shipped tableau name for --scheme rk")
+    p.add_argument("--tableau-file", help="plain-text tableau file")
+    p.add_argument("--h", required=True)
+    p.add_argument("--eps", required=True)
+    p.add_argument("--a", help="implicit-family parameter (pitchfork)")
+
+
 def _resolve_tableau(args) -> ButcherTableau:
     if getattr(args, "tableau_file", None):
         return load_tableau_file(args.tableau_file, name=Path(args.tableau_file).stem)
@@ -101,65 +111,28 @@ def _resolve_tableau(args) -> ButcherTableau:
         ) from None
 
 
-def _open_out(path):
+@contextmanager
+def _output(path):
+    """The --out stream: the file at path, or standard output for '-'."""
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline="", encoding="utf-8"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            yield fh
 
 
-def _scheme_selector(args, ctx):
+def _scheme(args, params):
+    """The scheme selector named by --scheme (with --tableau, --tableau-file or --a)."""
     name = args.scheme
     if name == "euler":
-        return SHIPPED_TABLEAUX["euler"]
+        return EULER
     if name == "rk":
         return _resolve_tableau(args)
     if name == "kahan":
         return KAHAN
-    if name == "afamily":
-        if args.a is None:
-            raise ValueError("--a is required for the afamily scheme")
-        return AFamily(ctx.mpf(args.a))
-    raise ValueError(f"unknown scheme {name!r}")
-
-
-def _build_stepper(kind, args, ctx, params):
-    """One step of the selected scheme on raw (x, y) ``_mpf_`` tuples."""
-    name = args.scheme
-    if name == "euler":
-        return euler_kernel(kind, params)
-    if name == "rk":
-        if kind is SingularityKind.FOLD:  # rejected before any output is opened
-            raise ValueError(
-                "explicit RK steps are provided for the transcritical and pitchfork systems"
-            )
-        tab = _resolve_tableau(args)
-        return _on_tuples(ctx, lambda p: rk_step(tab, kind, params, p))
-    if name == "kahan":
-        if kind is SingularityKind.TRANSCRITICAL:
-            return _on_tuples(ctx, lambda p: kahan_step_transcritical(params, p))
-        if kind is SingularityKind.FOLD:
-            return _on_tuples(ctx, lambda p: kahan_step_fold(params, p))
-        return _on_tuples(ctx, lambda p: kahan_step_pitchfork(params, p).point)
-    if name == "afamily":
-        if kind is not SingularityKind.PITCHFORK:
-            raise ValueError("the afamily scheme is defined for the pitchfork system only")
-        if args.a is None:
-            raise ValueError("--a is required for the afamily scheme")
-        a = ctx.mpf(args.a)
-        return _on_tuples(ctx, lambda p: a_family_step_pitchfork(a, params, p).point)
-    raise ValueError(f"unknown scheme {name!r}")
-
-
-def _deviation(kind, params):
-    """Transversal deviation from the canard as a function of raw (x, y) tuples."""
-    prec = params.ctx.prec
-    rnd = round_nearest
-    if kind is SingularityKind.TRANSCRITICAL:
-        return lambda x, y: mpf_sub(x, y, prec, rnd)
-    if kind is SingularityKind.PITCHFORK:
-        return lambda x, y: x
-    offset = fold_kahan_parabola_offset(params)._mpf_
-    return lambda x, y: mpf_sub(y, mpf_sub(mpf_mul(x, x, prec, rnd), offset, prec, rnd), prec, rnd)
+    if params.a is None:
+        raise ValueError("--a is required for the afamily scheme")
+    return AFamily(params.a)
 
 
 def _row(ctx, n, x, y, nd):
@@ -178,26 +151,18 @@ def cmd_simulate(args) -> int:
     ctx = make_context(args.digits)
     params = SystemParams.create(ctx, args.eps, args.h, a=args.a)
     kind = _KINDS[args.kind]
+    canard = CANARDS[kind]
     if args.x0 is not None and args.y0 is not None:
         p = PlanarPoint(ctx.mpf(args.x0), ctx.mpf(args.y0))
     elif args.rho is not None:
-        rho = ctx.mpf(args.rho)
-        delta = ctx.mpf(args.delta)
-        if kind is SingularityKind.TRANSCRITICAL:
-            p = PlanarPoint(-rho, -rho + delta)
-        elif kind is SingularityKind.PITCHFORK:
-            p = PlanarPoint(delta, -rho)
-        else:
-            p = PlanarPoint(-rho, rho * rho - fold_kahan_parabola_offset(params) + delta)
+        p = canard.start(params, ctx.mpf(args.rho), ctx.mpf(args.delta))
     else:
         raise ValueError("give either --x0/--y0 or --rho (with optional --delta)")
-    for what, value in (("h", params.h), ("eps", params.epsilon), ("start point", p.x),
-                        ("start point", p.y), ("a", params.a)):
-        if value is not None and not ctx.isfinite(value):
-            raise ValueError(f"{what} must be finite")
+    if not (ctx.isfinite(p.x) and ctx.isfinite(p.y)):
+        raise ValueError("start point must be finite")
 
-    step = _build_stepper(kind, args, ctx, params)
-    deviation = _deviation(kind, params)
+    step = scheme_map(kind, _scheme(args, params), params, canard=False).step
+    deviation = canard.deviation(params)
     scale = max(abs(p.x), abs(p.y), ctx.mpf(1))
     threshold = ctx.mpf(args.escape) if args.escape else scale / 2
     if not threshold > 0:
@@ -206,28 +171,26 @@ def cmd_simulate(args) -> int:
     hard_stop = (4 * max(scale, threshold))._mpf_
 
     x, y = p.x._mpf_, p.y._mpf_
-    dev0 = ctx.make_mpf(deviation(x, y))
+    dev0 = ctx.make_mpf(deviation(x, y)[0])
     decidable = dev0 != 0
     label = "undecided"
     nd = args.out_digits
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         writer = csv.writer(out)
         writer.writerow(["n", "x", "y"])
         writer.writerow(_row(ctx, 0, x, y, nd))
         n = 0
-        while n < n_max:
+        for n in range(1, n_max + 1):
             try:
                 x, y = step(x, y)
             except PoleError as err:
-                err.index = n + 1
+                err.index = n
                 raise
-            n += 1
             if n % stride == 0 or n == n_max:
                 writer.writerow(_row(ctx, n, x, y, nd))
             if label == "undecided":
-                dev = deviation(x, y)
-                if _abs_le(dev, fzero):
+                dev, stuck = deviation(x, y)
+                if stuck:
                     label = "stuck"
                 elif decidable and _abs_le(thr, dev):
                     same = (ctx.make_mpf(dev) > 0) == (dev0 > 0)
@@ -242,9 +205,6 @@ def cmd_simulate(args) -> int:
             f"# kind={args.kind} scheme={args.scheme} h={args.h} eps={args.eps}"
             f" digits={args.digits} n={n} jump={label}\n"
         )
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -325,17 +285,12 @@ def cmd_wayout(args) -> int:
     ctx = make_context(args.digits)
     params = SystemParams.create(ctx, args.eps, args.h, a=args.a)
     kind = _KINDS[args.kind]
-    scheme = _scheme_selector(args, ctx)
-    result = wayout(kind, scheme, params, ctx.mpf(args.rho), max_n=args.n_max)
-    out, close = _open_out(args.out)
-    try:
+    result = wayout(kind, _scheme(args, params), params, ctx.mpf(args.rho), max_n=args.n_max)
+    with _output(args.out) as out:
         writer = csv.writer(out)
         writer.writerow(["kind", "scheme", "h", "eps", "rho", "N", "psi"])
         writer.writerow([args.kind, args.scheme, args.h, args.eps, args.rho,
                          result.n_in, result.psi])
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -356,16 +311,12 @@ def cmd_bisect(args) -> int:
         h_bracket=bracket, max_n=args.n_max,
     )
     nd = max(args.digits_target + 5, args.out_digits)
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         writer = csv.writer(out)
         writer.writerow(["kind", "tableau", "rho", "eps", "h_lo", "h_hi", "digits"])
         writer.writerow([args.kind, tab.name, args.rho, args.eps,
                          ctx.nstr(trip.source.lo, nd), ctx.nstr(trip.source.hi, nd),
                          args.digits_target])
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -396,15 +347,11 @@ def cmd_kstar(args) -> int:
         tab_name = tab.name
     else:
         raise ValueError(f"unknown kstar variant {variant!r}")
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         writer = csv.writer(out)
         writer.writerow(["variant", "tableau", "rho", "h", "eps", "theta0", "cbar", "s", "kstar"])
         writer.writerow([variant, tab_name, args.rho, args.h, args.eps,
                          theta0_txt, cbar_txt, s_txt, ctx.nstr(value, nd)])
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -525,18 +472,11 @@ def _suite_fold_structure(ctx, rng):
 
 def _suite_wayout_lattice(ctx, rng):
     params = SystemParams.create(ctx, "0.01", "0.1")
-    eh = params.epsilon * params.h
-    for kind, scheme in (
-        (SingularityKind.TRANSCRITICAL, KAHAN),
-        (SingularityKind.PITCHFORK, KAHAN),
-        (SingularityKind.FOLD, KAHAN),
-    ):
+    for kind in SingularityKind:
+        canard = CANARDS[kind]
         for n in range(1, 21):
-            if kind is SingularityKind.FOLD:
-                rho = eh * n / 2
-            else:
-                rho = eh * n + eh / 2
-            result = wayout(kind, scheme, params, rho, max_n=3 * n + 10)
+            rho = n * canard.spacing(params) - canard.center(params)
+            result = wayout(kind, KAHAN, params, rho, max_n=3 * n + 10)
             if result.psi != n or result.n_in != n:
                 return False, f"{kind.value}: psi={result.psi} at lattice N={n}"
     return True, "psi = N on the lattice for N = 1..20"
@@ -629,13 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="iterate one orbit and write an n,x,y CSV")
-    p.add_argument("--kind", choices=sorted(_KINDS), required=True)
-    p.add_argument("--scheme", choices=("euler", "rk", "kahan", "afamily"), default="euler")
-    p.add_argument("--tableau", default="kutta3", help="shipped tableau name for --scheme rk")
-    p.add_argument("--tableau-file", help="plain-text tableau file")
-    p.add_argument("--h", required=True)
-    p.add_argument("--eps", required=True)
-    p.add_argument("--a", help="implicit-family parameter (pitchfork)")
+    _add_pair(p, "euler")
     p.add_argument("--x0")
     p.add_argument("--y0")
     p.add_argument("--rho", help="canard entry offset (alternative to --x0/--y0)")
@@ -665,14 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("wayout", help="way-in/way-out indices along the canard")
-    p.add_argument("--kind", choices=sorted(_KINDS), required=True)
-    p.add_argument("--scheme", choices=("euler", "rk", "kahan", "afamily"), default="kahan")
-    p.add_argument("--tableau", default="kutta3")
-    p.add_argument("--tableau-file")
-    p.add_argument("--h", required=True)
-    p.add_argument("--eps", required=True)
+    _add_pair(p, "kahan")
     p.add_argument("--rho", required=True)
-    p.add_argument("--a", help="implicit-family parameter (pitchfork)")
     p.add_argument("--n-max", type=int, default=1_000_000)
     _add_common(p, SIMULATE_DIGITS)
     p.set_defaults(func=cmd_wayout)

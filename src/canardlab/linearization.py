@@ -1,4 +1,9 @@
-"""Linearization along canard trajectories.
+"""Linearization along canard trajectories, and the table of discrete maps.
+
+scheme_map is the one place a scheme selector is dispatched on: it turns a
+(kind, scheme) pair into the pair's one-step map, transversal multiplier and
+variational matrix.  CANARDS holds, per singularity kind, where the canard
+lies and how far an orbit is from it.
 
 For each scheme/singularity pair the one-step map, linearized along the
 canard, is upper (or lower) triangular with a unit eigenvalue in the canard
@@ -18,27 +23,32 @@ toward and expansion away from the canard.  Closed forms:
 The Kahan/implicit factors satisfy the exact pairing J(c+d) J(c-d) = 1 about
 the symmetry center c (-eps h/2 on the lines, 0 on the fold parabola), which
 is what makes the delayed loss of stability symmetric for those schemes.
-Accumulated products over canard positions are kept both directly and in
-log-space (sign tracked separately) so ledgers stay finite for very long
-runs.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Union
+from functools import partial
+from typing import Callable, Optional, Union
+
+from mpmath.libmp import fzero, mpf_mul, mpf_sub, round_nearest
 
 from .schemes import (
     ButcherTableau,
     PoleError,
+    _abs_le,
+    _on_tuples,
     a_family_step_pitchfork,
-    euler_step,
+    euler_deviation_kernel,
+    euler_kernel,
+    kahan_deviation_kernel,
     kahan_step_fold,
     kahan_step_transcritical,
+    rk_deviation_kernel,
     rk_step,
 )
-from .systems import PlanarPoint, SingularityKind, SystemParams, fold_kahan_parabola_offset
+from .systems import NoCanard, PlanarPoint, SingularityKind, SystemParams, fold_kahan_parabola_offset
 
 #: Scheme selector for the Kahan map (transcritical and fold closed forms;
 #: for the pitchfork it is routed to the implicit family with a = -1/2).
@@ -55,11 +65,220 @@ class AFamily:
 SchemeSelector = Union[ButcherTableau, str, AFamily]
 
 
-def q_s(tableau: ButcherTableau, params: SystemParams, x):
-    """Weighted stage-derivative sum Q_s(x) along the transcritical canard.
+@dataclass(frozen=True)
+class SchemeMap:
+    """The discrete map of one (kind, scheme) pair, as built by scheme_map.
 
-    dk_i/dx = 2 (x + h eps A_i) (1 + h sum_{j<i} a_ij dk_j/dx), A_i = sum_j a_ij;
-    Q_s(x) = sum_i alpha_i dk_i/dx.  For s = 1 this is 2x.
+    step(x, y) advances raw ``_mpf_`` tuples by one step; factor(s) and
+    matrix(s) are the transversal multiplier and the variational matrix at
+    canard position s (None without a canard); deviation_step(u, y), where
+    the pair has one, advances the deviation u in deviation coordinates.
+    """
+
+    step: Callable
+    factor: Optional[Callable] = None
+    matrix: Optional[Callable] = None
+    deviation_step: Optional[Callable] = None
+
+
+def scheme_map(
+    kind: SingularityKind,
+    scheme: SchemeSelector,
+    params: SystemParams,
+    canard: bool = True,
+) -> SchemeMap:
+    """Resolve a (kind, scheme) pair into its map, once, outside any loop.
+
+    Forward Euler on the fold has a one-step map but no canard: it raises
+    NoCanard unless canard=False, which asks for the one-step map only.
+    Every other pair without a map raises ValueError.
+    """
+    ctx = params.ctx
+    h, eps = params.h, params.epsilon
+    zero, one = ctx.mpf(0), ctx.mpf(1)
+    diagonal = kind is SingularityKind.TRANSCRITICAL
+    if isinstance(scheme, ButcherTableau) and kind is not SingularityKind.FOLD:
+        stage_factor = 2 if diagonal else 1
+
+        def factor(s):
+            return 1 + h * q_s(scheme, params, s, stage_factor)
+
+        def matrix(s):
+            j = factor(s)
+            # on the diagonal the stage derivatives w.r.t. y are those w.r.t. x negated
+            return ((j, one - j if diagonal else zero), (zero, one))
+
+        if scheme.s == 1:
+            step = euler_kernel(kind, params)
+            deviation_step = euler_deviation_kernel(kind, params)
+        else:
+            step = _on_tuples(ctx, lambda p: rk_step(scheme, kind, params, p))
+            deviation_step = rk_deviation_kernel(scheme, params) if diagonal else None
+        return SchemeMap(step, factor, matrix, deviation_step)
+    if scheme == KAHAN and diagonal:
+        factor = partial(_kahan_transcritical_factor, params)
+        step = _on_tuples(ctx, lambda p: kahan_step_transcritical(params, p))
+        matrix = lambda x: ((factor(x), (-2 * h * x - eps * h * h) / (1 - h * x)), (zero, one))
+        return SchemeMap(step, factor, matrix, kahan_deviation_kernel(params))
+    if scheme == KAHAN and kind is SingularityKind.FOLD:
+        step = _on_tuples(ctx, lambda p: kahan_step_fold(params, p))
+        return SchemeMap(step, partial(_kahan_fold_factor, params), partial(_kahan_fold_matrix, params))
+    if kind is SingularityKind.PITCHFORK and (scheme == KAHAN or isinstance(scheme, AFamily)):
+        a = ctx.mpf(-1) / 2 if scheme == KAHAN else ctx.mpf(scheme.a)
+        factor = partial(_afamily_pitchfork_factor, a, params)
+        step = _on_tuples(ctx, lambda p: a_family_step_pitchfork(a, params, p).point)
+        return SchemeMap(step, factor, lambda y: ((factor(y), zero), (zero, one)))
+    if isinstance(scheme, ButcherTableau):  # on the fold
+        if canard:
+            raise NoCanard(
+                f"the explicit RK scheme {scheme.name!r} has no canard on the fold: "
+                "the reduced slow map of an explicit one-step map is undefined on a gap"
+            )
+        if scheme.s == 1:
+            return SchemeMap(euler_kernel(kind, params))
+        raise ValueError(
+            "explicit RK steps are provided for the transcritical and pitchfork systems, "
+            f"not for the fold (tableau {scheme.name!r})"
+        )
+    if isinstance(scheme, AFamily):
+        raise ValueError(
+            f"the afamily scheme is defined for the pitchfork system only, not for the {kind.value}"
+        )
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
+# ---------------------------------------------------------------------------
+# Per-kind canard geometry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Canard:
+    """Where one singularity kind's canard lies and how far an orbit is from it.
+
+    Fields are functions of SystemParams: start(params, rho, delta) is the
+    default entry beside the canard at slow position -rho, point(params, s)
+    the canard point at slow position s, spacing(params) the slow advance
+    per step and center(params) the centre of the pairing identity.
+    deviation(params) returns (x, y) -> (u, stuck) on raw ``_mpf_`` tuples:
+    the transversal deviation u, and whether the orbit is stuck on the
+    invariant set.  That is u == 0 on the pitchfork line; elsewhere u is a
+    difference a - b of stored values, and below |u| <= tol(3) max(|a|, |b|)
+    the raw map can no longer evolve it faithfully (the sticky-set artifact).
+    """
+
+    start: Callable
+    point: Callable
+    spacing: Callable
+    center: Callable
+    deviation: Callable
+
+
+def _glued(u, a, b, glue, prec) -> bool:
+    """The sticky-set rule |u| <= glue * max(|a|, |b|) on ``_mpf_`` tuples.
+
+    Rounding is monotone, so the rounded glue * max(|a|, |b|) is the larger
+    of the rounded glue * |a| and glue * |b|: two exponent-prefiltered
+    comparisons decide the rule exactly as mpf arithmetic would.
+    """
+    return _abs_le(u, a, glue, prec) or _abs_le(u, b, glue, prec)
+
+
+def _diagonal_deviation(params: SystemParams):
+    prec, glue = params.ctx.prec, params.ctx.tol(3)._mpf_
+
+    def deviation(x, y):
+        u = mpf_sub(x, y, prec, round_nearest)
+        return u, _glued(u, x, y, glue, prec)
+
+    return deviation
+
+
+def _parabola_deviation(params: SystemParams):
+    prec, glue = params.ctx.prec, params.ctx.tol(3)._mpf_
+    offset = fold_kahan_parabola_offset(params)._mpf_
+
+    def deviation(x, y):
+        xx = mpf_mul(x, x, prec, round_nearest)
+        w = mpf_sub(y, mpf_sub(xx, offset, prec, round_nearest), prec, round_nearest)
+        return w, _glued(w, y, xx, glue, prec)
+
+    return deviation
+
+
+CANARDS = {
+    SingularityKind.TRANSCRITICAL: Canard(
+        start=lambda params, rho, delta: PlanarPoint(-rho, -rho + delta),
+        point=lambda params, s: PlanarPoint(s, s),
+        spacing=lambda params: params.epsilon * params.h,
+        center=lambda params: -params.epsilon * params.h / 2,
+        deviation=_diagonal_deviation,
+    ),
+    SingularityKind.PITCHFORK: Canard(
+        start=lambda params, rho, delta: PlanarPoint(delta, -rho),
+        point=lambda params, s: PlanarPoint(params.ctx.mpf(0), s),
+        spacing=lambda params: params.epsilon * params.h,
+        center=lambda params: -params.epsilon * params.h / 2,
+        deviation=lambda params: lambda x, y: (x, x == fzero),
+    ),
+    SingularityKind.FOLD: Canard(
+        start=lambda params, rho, delta: PlanarPoint(
+            -rho, rho * rho - fold_kahan_parabola_offset(params) + delta
+        ),
+        point=lambda params, s: PlanarPoint(s, s * s - fold_kahan_parabola_offset(params)),
+        spacing=lambda params: params.epsilon * params.h / 2,
+        center=lambda params: params.ctx.mpf(0),
+        deviation=_parabola_deviation,
+    ),
+}
+
+
+def canard_trajectory(
+    kind: SingularityKind,
+    scheme_tag: str,
+    params: SystemParams,
+    start,
+    n: int,
+) -> PlanarPoint:
+    """Closed-form canard point after n steps of the given scheme family.
+
+    scheme_tag is one of "euler", "rk", "kahan" (for the pitchfork, "kahan"
+    covers the whole symmetric implicit family, whose canard does not depend
+    on a).  The transcritical canard lives on the diagonal with slow speed
+    eps*h per step for every scheme; the pitchfork canard on {x = 0}; the
+    fold canard (Kahan only) on the invariant parabola with speed eps*h/2.
+    Explicit schemes admit no fold canard: the reduced slow map has a gap.
+
+    n may be negative for the birational Kahan maps; explicit schemes
+    require n >= 0.
+    """
+    tag = scheme_tag.lower()
+    if tag not in ("euler", "rk", "kahan", "afamily"):
+        raise ValueError(f"unknown scheme tag: {scheme_tag!r}")
+    explicit = tag in ("euler", "rk")
+    if explicit and n < 0:
+        raise ValueError("explicit schemes cannot be iterated backwards")
+    if explicit and kind is SingularityKind.FOLD:
+        raise NoCanard(
+            "explicit one-step maps of the fold have no singular canard: "
+            "the reduced slow map is undefined on a gap left of the origin"
+        )
+    canard = CANARDS[kind]
+    return canard.point(params, params.ctx.mpf(start) + n * canard.spacing(params))
+
+
+# ---------------------------------------------------------------------------
+# Multipliers
+# ---------------------------------------------------------------------------
+
+
+def q_s(tableau: ButcherTableau, params: SystemParams, x, stage_factor=2):
+    """Weighted stage-derivative sum Q_s(x) along the canard.
+
+    dk_i/dx = c (x + h eps A_i) (1 + h sum_{j<i} a_ij dk_j/dx), A_i = sum_j a_ij;
+    Q_s(x) = sum_i alpha_i dk_i/dx.  The stage factor c is 2 on the
+    transcritical diagonal and 1 on the pitchfork line {x = 0}, whose slow
+    position is y.  For s = 1 this is c x.
     """
     ctx = params.ctx
     h, eps = params.h, params.epsilon
@@ -69,7 +288,7 @@ def q_s(tableau: ButcherTableau, params: SystemParams, x):
         acc = ctx.mpf(0)
         for j, aij in enumerate(rows[i]):
             acc = acc + aij * dk[j]
-        dk.append(2 * (x + h * eps * sums[i]) * (1 + h * acc))
+        dk.append(stage_factor * (x + h * eps * sums[i]) * (1 + h * acc))
     total = ctx.mpf(0)
     for i in range(tableau.s):
         total = total + alpha[i] * dk[i]
@@ -77,20 +296,8 @@ def q_s(tableau: ButcherTableau, params: SystemParams, x):
 
 
 def q_s_pitchfork(tableau: ButcherTableau, params: SystemParams, y):
-    """Pitchfork analogue of q_s: stage factor (y + h eps A_i), evaluated on {x=0}."""
-    ctx = params.ctx
-    h, eps = params.h, params.epsilon
-    alpha, rows, sums = tableau.bind(ctx)
-    dk: list = []
-    for i in range(tableau.s):
-        acc = ctx.mpf(0)
-        for j, aij in enumerate(rows[i]):
-            acc = acc + aij * dk[j]
-        dk.append((y + h * eps * sums[i]) * (1 + h * acc))
-    total = ctx.mpf(0)
-    for i in range(tableau.s):
-        total = total + alpha[i] * dk[i]
-    return total
+    """Pitchfork analogue of q_s: stage factor 1, evaluated on {x=0}."""
+    return q_s(tableau, params, y, 1)
 
 
 def _kahan_transcritical_factor(params: SystemParams, x):
@@ -119,6 +326,18 @@ def _kahan_fold_factor(params: SystemParams, x):
     return (q * q - h * h * x * x) / (den * den)
 
 
+def _kahan_fold_matrix(params: SystemParams, x):
+    h, eps = params.h, params.epsilon
+    j = _kahan_fold_factor(params, x)
+    y = x * x - fold_kahan_parabola_offset(params)
+    q = h * h * eps / 4
+    den = 1 - h * x + q
+    m12 = -h / den
+    m21 = (h * eps - h * h * eps * x + (h * h * h * eps / 4) * (2 * x * x - 2 * y + eps) - q * h * eps * x) / (den * den)
+    m22 = (1 - h * x - q) / den
+    return ((j, m12), (m21, m22))
+
+
 def jacobian_factor(
     kind: SingularityKind,
     scheme: SchemeSelector,
@@ -130,22 +349,7 @@ def jacobian_factor(
     s_pos is the canard coordinate: x (= y) on the transcritical diagonal,
     y on the pitchfork line, x on the fold parabola.
     """
-    if kind is SingularityKind.TRANSCRITICAL:
-        if isinstance(scheme, ButcherTableau):
-            return 1 + params.h * q_s(scheme, params, s_pos)
-        if scheme == KAHAN:
-            return _kahan_transcritical_factor(params, s_pos)
-    elif kind is SingularityKind.PITCHFORK:
-        if isinstance(scheme, ButcherTableau):
-            return 1 + params.h * q_s_pitchfork(scheme, params, s_pos)
-        if scheme == KAHAN:
-            return _afamily_pitchfork_factor(params.ctx.mpf(-1) / 2, params, s_pos)
-        if isinstance(scheme, AFamily):
-            return _afamily_pitchfork_factor(params.ctx.mpf(scheme.a), params, s_pos)
-    elif kind is SingularityKind.FOLD:
-        if scheme == KAHAN:
-            return _kahan_fold_factor(params, s_pos)
-    raise ValueError(f"no canard multiplier for {kind.value} with scheme {scheme!r}")
+    return scheme_map(kind, scheme, params).factor(s_pos)
 
 
 def variational_matrix(
@@ -160,46 +364,17 @@ def variational_matrix(
     diagonal and (0, 1) on the pitchfork line; the transversal multiplier is
     the (1,1) entry.
     """
-    ctx = params.ctx
-    h, eps = params.h, params.epsilon
-    one = ctx.mpf(1)
-    zero = ctx.mpf(0)
-    j = jacobian_factor(kind, scheme, params, s_pos)
-    if kind is SingularityKind.TRANSCRITICAL:
-        if isinstance(scheme, ButcherTableau):
-            # stage derivatives w.r.t. y are the negatives of those w.r.t. x
-            return ((j, one - j), (zero, one))
-        if scheme == KAHAN:
-            den = 1 - h * s_pos
-            jt = (-2 * h * s_pos - eps * h * h) / den
-            return ((j, jt), (zero, one))
-    elif kind is SingularityKind.PITCHFORK:
-        return ((j, zero), (zero, one))
-    elif kind is SingularityKind.FOLD and scheme == KAHAN:
-        x = s_pos
-        y = x * x - fold_kahan_parabola_offset(params)
-        q = h * h * eps / 4
-        den = 1 - h * x + q
-        m12 = -h / den
-        m21 = (h * eps - h * h * eps * x + (h * h * h * eps / 4) * (2 * x * x - 2 * y + eps) - q * h * eps * x) / (den * den)
-        m22 = (1 - h * x - q) / den
-        return ((j, m12), (m21, m22))
-    raise ValueError(f"no variational matrix for {kind.value} with scheme {scheme!r}")
+    return scheme_map(kind, scheme, params).matrix(s_pos)
 
 
 def canard_spacing(kind: SingularityKind, params: SystemParams):
     """Per-step slow advance of the canard: eps*h, except eps*h/2 on the fold."""
-    step = params.epsilon * params.h
-    if kind is SingularityKind.FOLD:
-        return step / 2
-    return step
+    return CANARDS[kind].spacing(params)
 
 
 def symmetry_center(kind: SingularityKind, params: SystemParams):
     """Center of the pairing identity: -eps*h/2 on the lines, 0 on the fold."""
-    if kind is SingularityKind.FOLD:
-        return params.ctx.mpf(0)
-    return -params.epsilon * params.h / 2
+    return CANARDS[kind].center(params)
 
 
 @dataclass
@@ -207,8 +382,7 @@ class ContractionLedger:
     """Multipliers and running products along a canard entered at -rho.
 
     factors[k] is the multiplier at canard position -rho + k*spacing and
-    running_product[k] the inclusive product of factors[0..k].  log_abs[k]
-    and sign[k] carry the same products in log-space for very long runs.
+    running_product[k] the inclusive product of factors[0..k].
     """
 
     rho: object
@@ -216,25 +390,17 @@ class ContractionLedger:
     positions: list = field(default_factory=list)
     factors: list = field(default_factory=list)
     running_product: list = field(default_factory=list)
-    log_abs: list = field(default_factory=list)
-    sign: list = field(default_factory=list)
 
     def write_csv(self, path, ndigits: int = 30, ctx=None):
-        """Export as CSV with columns k, s_pos, factor, log_running_product."""
+        """Export as CSV with columns k, s_pos, factor, log_running_product (ln|product|)."""
         if ctx is None:
             ctx = self.positions[0].context
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["k", "s_pos", "factor", "log_running_product"])
-            for k in range(len(self.factors)):
-                writer.writerow(
-                    [
-                        k,
-                        ctx.nstr(self.positions[k], ndigits),
-                        ctx.nstr(self.factors[k], ndigits),
-                        ctx.nstr(self.log_abs[k], ndigits),
-                    ]
-                )
+            rows = zip(self.positions, self.factors, self.running_product)
+            for k, (pos, f, prod) in enumerate(rows):
+                writer.writerow([k] + [ctx.nstr(v, ndigits) for v in (pos, f, ctx.ln(abs(prod)))])
 
 
 def contraction_product(
@@ -249,31 +415,21 @@ def contraction_product(
     rho = ctx.mpf(rho)
     if not rho > 0:
         raise ValueError("entry offset rho must be > 0")
+    factor = scheme_map(kind, scheme, params).factor
     spacing = canard_spacing(kind, params)
     ledger = ContractionLedger(rho=rho, spacing=spacing)
     prod = ctx.mpf(1)
-    logabs = ctx.mpf(0)
-    sgn = 1
     for k in range(n + 1):
         pos = -rho + k * spacing
         try:
-            f = jacobian_factor(kind, scheme, params, pos)
+            f = factor(pos)
         except PoleError as err:
             err.index = k
             raise
         prod = prod * f
-        if f == 0:
-            sgn = 0
-            logabs = ctx.mpf("-inf")
-        elif sgn != 0:
-            if f < 0:
-                sgn = -sgn
-            logabs = logabs + ctx.ln(abs(f))
         ledger.positions.append(pos)
         ledger.factors.append(f)
         ledger.running_product.append(prod)
-        ledger.log_abs.append(logabs)
-        ledger.sign.append(sgn)
     return ledger
 
 
@@ -288,41 +444,10 @@ def symmetry_defect(
     Exactly zero (to context precision) for the Kahan and implicit-family
     multipliers; explicit schemes have no such pairing.
     """
+    factor = scheme_map(kind, scheme, params).factor
     c = symmetry_center(kind, params)
     d = s_pos - c
-    j_plus = jacobian_factor(kind, scheme, params, c + d)
-    j_minus = jacobian_factor(kind, scheme, params, c - d)
-    return abs(j_plus * j_minus - 1)
-
-
-def _canard_point(kind: SingularityKind, params: SystemParams, s_pos) -> PlanarPoint:
-    if kind is SingularityKind.TRANSCRITICAL:
-        return PlanarPoint(s_pos, s_pos)
-    if kind is SingularityKind.PITCHFORK:
-        return PlanarPoint(params.ctx.mpf(0), s_pos)
-    if kind is SingularityKind.FOLD:
-        return PlanarPoint(s_pos, s_pos * s_pos - fold_kahan_parabola_offset(params))
-    raise ValueError(f"unknown singularity kind: {kind!r}")
-
-
-def _step_x(kind: SingularityKind, scheme: SchemeSelector, params: SystemParams, p: PlanarPoint):
-    if isinstance(scheme, ButcherTableau):
-        if scheme.s == 1:
-            return euler_step(kind, params, p).x
-        return rk_step(scheme, kind, params, p).x
-    if kind is SingularityKind.TRANSCRITICAL and scheme == KAHAN:
-        return kahan_step_transcritical(params, p).x
-    if kind is SingularityKind.FOLD and scheme == KAHAN:
-        return kahan_step_fold(params, p).x
-    if kind is SingularityKind.PITCHFORK:
-        if scheme == KAHAN:
-            a = params.ctx.mpf(-1) / 2
-        elif isinstance(scheme, AFamily):
-            a = params.ctx.mpf(scheme.a)
-        else:
-            raise ValueError(f"unsupported pitchfork scheme: {scheme!r}")
-        return a_family_step_pitchfork(a, params, p).point.x
-    raise ValueError(f"unsupported scheme {scheme!r} for {kind.value}")
+    return abs(factor(c + d) * factor(c - d) - 1)
 
 
 def finite_difference_factor(
@@ -340,7 +465,8 @@ def finite_difference_factor(
     """
     ctx = params.ctx
     delta = ctx.mpf(delta)
-    p = _canard_point(kind, params, s_pos)
-    hi = _step_x(kind, scheme, params, PlanarPoint(p.x + delta, p.y))
-    lo = _step_x(kind, scheme, params, PlanarPoint(p.x - delta, p.y))
-    return (hi - lo) / (2 * delta)
+    step = scheme_map(kind, scheme, params).step
+    p = CANARDS[kind].point(params, s_pos)
+    hi, _ = step((p.x + delta)._mpf_, p.y._mpf_)
+    lo, _ = step((p.x - delta)._mpf_, p.y._mpf_)
+    return (ctx.make_mpf(hi) - ctx.make_mpf(lo)) / (2 * delta)

@@ -26,7 +26,9 @@ precision pays for the Fraction conversions once.
 Forward Euler also runs on raw mpmath ``_mpf_`` tuples (euler_kernel), for
 the long orbit loops of the analysis and the command line: the same
 correctly rounded operations as mpf objects, without their per-operation
-object overhead.
+object overhead.  The transcritical forward-Euler, explicit-RK and Kahan
+maps and the pitchfork's forward Euler also run on tuples in deviation
+coordinates, for the jump classification.
 """
 
 from __future__ import annotations
@@ -35,7 +37,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from mpmath.libmp import mpf_abs, mpf_add, mpf_le, mpf_mul, mpf_sub, round_nearest
+from mpmath.libmp import (
+    fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_mul, mpf_mul_int, mpf_shift, mpf_sub,
+    round_nearest,
+)
 
 from .precision import PrecisionContext
 from .systems import Orbit, PlanarPoint, SingularityKind, SystemParams, vector_field
@@ -255,6 +260,93 @@ def euler_kernel(kind: SingularityKind, params: SystemParams):
 
     else:
         raise ValueError(f"unknown singularity kind: {kind!r}")
+    return step
+
+
+def _twice(v, prec):
+    """2 * v rounded to nearest at prec bits, as mpf arithmetic computes it.
+
+    Normalized mantissas are odd, so doubling one of at most prec bits is an
+    exact exponent shift; only a longer operand needs the rounded product.
+    """
+    return mpf_shift(v, 1) if v[3] <= prec else mpf_mul_int(v, 2, prec, round_nearest)
+
+
+# Deviation-coordinate steps u -> unew from the raw tuples (u, y), with u the
+# transversal deviation (x - y on the transcritical diagonal, x on the
+# pitchfork line); y then advances by eps*h.  Each rounds like mpf arithmetic.
+
+
+def euler_deviation_kernel(kind: SingularityKind, params: SystemParams):
+    """Forward Euler in deviation coordinates.
+
+    Transcritical u (1 + h (2y + u)); pitchfork x + (h x)(y - x x), which
+    rounds differently from euler_kernel's x + h (x (y - x x)).
+    """
+    prec, rnd = params.ctx.prec, round_nearest
+    add, sub, mul = mpf_add, mpf_sub, mpf_mul
+    h = params.h._mpf_
+    if kind is SingularityKind.TRANSCRITICAL:
+
+        def step(u, y):
+            s = add(_twice(y, prec), u, prec, rnd)
+            return mul(u, add(mul(h, s, prec, rnd), fone, prec, rnd), prec, rnd)
+
+    elif kind is SingularityKind.PITCHFORK:
+
+        def step(x, y):
+            t = sub(y, mul(x, x, prec, rnd), prec, rnd)
+            return add(x, mul(mul(h, x, prec, rnd), t, prec, rnd), prec, rnd)
+
+    else:
+        raise ValueError(f"no deviation coordinates for {kind.value}")
+    return step
+
+
+def rk_deviation_kernel(tableau: ButcherTableau, params: SystemParams):
+    """Transcritical explicit RK: u + h sum_i alpha_i d_i.
+
+    d_i = u_i s_i with u_i = u + sum_j (h a_ij) d_j and
+    s_i = (2y + u) + sum_j (h a_ij) (d_j + 2 eps); h a_ij is formed once.
+    """
+    prec, rnd = params.ctx.prec, round_nearest
+    add, mul = mpf_add, mpf_mul
+    h, eps = params.h._mpf_, params.epsilon._mpf_
+    alpha, rows, _ = tableau.bind_raw(params.ctx)
+    hrows = tuple(tuple(mul(h, aij, prec, rnd) for aij in row) for row in rows)
+    two_eps = _twice(eps, prec)
+
+    def step(u, y):
+        base_s = add(_twice(y, prec), u, prec, rnd)
+        ds = []
+        for hrow in hrows:
+            ui, si = u, base_s
+            for haij, dj in zip(hrow, ds):
+                ui = add(ui, mul(haij, dj, prec, rnd), prec, rnd)
+                si = add(si, mul(haij, add(dj, two_eps, prec, rnd), prec, rnd), prec, rnd)
+            ds.append(mul(ui, si, prec, rnd))
+        du = fzero
+        for ai, di in zip(alpha, ds):
+            du = add(du, mul(ai, di, prec, rnd), prec, rnd)
+        return add(u, mul(h, du, prec, rnd), prec, rnd)
+
+    return step
+
+
+def kahan_deviation_kernel(params: SystemParams):
+    """Transcritical Kahan: u (1 + h y + eps h h) / (1 - h (y + u))."""
+    prec, rnd = params.ctx.prec, round_nearest
+    add, sub, mul, div = mpf_add, mpf_sub, mpf_mul, mpf_div
+    h, eps = params.h._mpf_, params.epsilon._mpf_
+    num_eps = mul(mul(eps, h, prec, rnd), h, prec, rnd)
+
+    def step(u, y):
+        den = sub(fone, mul(h, add(y, u, prec, rnd), prec, rnd), prec, rnd)
+        if den == fzero:
+            raise PoleError("transcritical Kahan step hit its pole")
+        num = add(add(mul(h, y, prec, rnd), fone, prec, rnd), num_eps, prec, rnd)
+        return div(mul(u, num, prec, rnd), den, prec, rnd)
+
     return step
 
 

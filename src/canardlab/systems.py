@@ -18,8 +18,7 @@ branch at x < 0.
 
 This module also carries the fold-specific structural facts used downstream:
 the slow-subsystem gap of explicit one-step maps (no discrete singular canard
-exists), the conserved quantity of the fold flow, and the closed-form canard
-trajectories of the discretizations.
+exists) and the conserved quantity of the fold flow.
 """
 
 from __future__ import annotations
@@ -59,14 +58,21 @@ class SystemParams:
 
     @classmethod
     def create(cls, ctx: PrecisionContext, epsilon, h, a=None) -> "SystemParams":
-        """Build params, parsing decimal strings exactly at ctx precision."""
+        """Build params, parsing decimal strings exactly at ctx precision.
+
+        Rejects a non-finite epsilon, h or a with a ValueError naming it.
+        """
         eps = ctx.mpf(epsilon)
         hh = ctx.mpf(h)
+        aa = None if a is None else ctx.mpf(a)
+        for name, value, given in (("eps", eps, epsilon), ("h", hh, h), ("a", aa, a)):
+            if value is not None and not ctx.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {given!r}")
         if not eps >= 0:
             raise ValueError(f"epsilon must be >= 0, got {epsilon!r}")
         if not hh > 0:
             raise ValueError(f"step size h must be > 0, got {h!r}")
-        return cls(ctx=ctx, epsilon=eps, h=hh, a=None if a is None else ctx.mpf(a))
+        return cls(ctx=ctx, epsilon=eps, h=hh, a=aa)
 
 
 @dataclass(frozen=True)
@@ -134,50 +140,6 @@ def fold_kahan_parabola_offset(params: SystemParams):
     """
     eps, h = params.epsilon, params.h
     return eps / 2 + eps * eps * h * h / 8
-
-
-def canard_trajectory(
-    kind: SingularityKind,
-    scheme_tag: str,
-    params: SystemParams,
-    start,
-    n: int,
-) -> PlanarPoint:
-    """Closed-form canard point after n steps of the given scheme family.
-
-    scheme_tag is one of "euler", "rk", "kahan" (for the pitchfork, "kahan"
-    covers the whole symmetric implicit family, whose canard does not depend
-    on a).  The transcritical canard lives on the diagonal with slow speed
-    eps*h per step for every scheme; the pitchfork canard on {x = 0}; the
-    fold canard (Kahan only) on the invariant parabola with speed eps*h/2.
-    Explicit schemes admit no fold canard: the reduced slow map has a gap.
-
-    n may be negative for the birational Kahan maps; explicit schemes
-    require n >= 0.
-    """
-    tag = scheme_tag.lower()
-    if tag not in ("euler", "rk", "kahan", "afamily"):
-        raise ValueError(f"unknown scheme tag: {scheme_tag!r}")
-    explicit = tag in ("euler", "rk")
-    if explicit and n < 0:
-        raise ValueError("explicit schemes cannot be iterated backwards")
-    ctx = params.ctx
-    s = ctx.mpf(start)
-    eh = params.epsilon * params.h
-    if kind is SingularityKind.TRANSCRITICAL:
-        v = s + n * eh
-        return PlanarPoint(v, v)
-    if kind is SingularityKind.PITCHFORK:
-        return PlanarPoint(ctx.mpf(0), s + n * eh)
-    if kind is SingularityKind.FOLD:
-        if explicit:
-            raise NoCanard(
-                "explicit one-step maps of the fold have no singular canard: "
-                "the reduced slow map is undefined on a gap left of the origin"
-            )
-        v = s + n * eh / 2
-        return PlanarPoint(v, v * v - fold_kahan_parabola_offset(params))
-    raise ValueError(f"unknown singularity kind: {kind!r}")
 
 
 def fold_slow_solutions(x, h) -> Optional[tuple]:

@@ -1,8 +1,20 @@
 import csv
+import re
 
 import pytest
 
-from canardlab import JumpClass, analysis
+from canardlab import (
+    EULER,
+    KAHAN,
+    KUTTA3,
+    JumpClass,
+    PlanarPoint,
+    SingularityKind,
+    SystemParams,
+    analysis,
+    classify_jump,
+    make_context,
+)
 from canardlab.cli import main
 
 
@@ -321,3 +333,86 @@ def test_simulate_stdout(capsys):
     assert code == 0
     captured = capsys.readouterr().out
     assert captured.startswith("n,x,y")
+
+
+# every pair the command line accepts; the listed ones have no map (simulate)
+# or no canard multiplier (wayout)
+PAIR_ARGS = ["--h", "0.1", "--eps", "0.1", "--rho", "0.5", "--digits", "20"]
+NO_PAIR = {
+    "simulate": {("transcritical", "afamily"), ("fold", "rk"), ("fold", "afamily")},
+    "wayout": {("transcritical", "afamily"), ("fold", "euler"), ("fold", "rk"),
+               ("fold", "afamily")},
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "wayout"])
+@pytest.mark.parametrize("kind", ["transcritical", "pitchfork", "fold"])
+@pytest.mark.parametrize("scheme", ["euler", "rk", "kahan", "afamily"])
+def test_every_kind_scheme_pair(tmp_path, capsys, command, kind, scheme):
+    out = tmp_path / "x.csv"
+    argv = [command, "--kind", kind, "--scheme", scheme, "--n-max", "400"] + PAIR_ARGS
+    if scheme == "afamily":
+        argv += ["--a", "0.5"]
+    code = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    if (kind, scheme) not in NO_PAIR[command]:
+        assert code == 0, err
+        assert out.exists()
+        return
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert re.search(rf"\b{scheme}\b", lines[0], re.IGNORECASE), lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--kind", "pitchfork", "--scheme", "afamily", "--a", "nan", "--h", "0.1"], "a"),
+    (["--kind", "transcritical", "--scheme", "kahan", "--h", "inf"], "h"),
+])
+def test_wayout_rejects_non_finite_parameters(tmp_path, capsys, argv, flag):
+    out = tmp_path / "x.csv"
+    code = main(["wayout"] + argv + ["--eps", "0.01", "--rho", "0.5", "--out", str(out)])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {flag} must be finite"), lines
+    assert not out.exists()
+
+
+# kind, scheme flag, selector, h, eps, start, escape, n-max, and the label at
+# 16 and at 50 digits.  The transcritical and fold starts lie on the expanding
+# side, 1e-14 and 1e-15 off the canard: below the glue bar tol(3) max(|a|, |b|)
+# of their raw deviation at 16 digits, so the orbit is stuck from step 1 there.
+JUMP_CASES = [
+    ("transcritical", "euler", EULER, "0.05", "0.1", ("0.5", "0.49999999999999"), "1e-6", 2000,
+     ("stuck", "right")),
+    ("transcritical", "rk", KUTTA3, "0.05", "0.1", ("0.5", "0.49999999999999"), "1e-6", 2000,
+     ("stuck", "right")),
+    ("pitchfork", "kahan", KAHAN, "0.1", "0.1", ("1e-4", "-1"), "0.01", 1000, ("right", "right")),
+    # y0 = x0^2 - (eps/2 + eps^2 h^2 / 8) + 1e-15, on the Kahan map's parabola but for 1e-15
+    ("fold", "kahan", KAHAN, "0.1", "0.01", ("0.3", "0.084999875000001"), "1e-6", 2000,
+     ("stuck", "right")),
+]
+
+
+@pytest.mark.parametrize("digits", [16, 50])
+@pytest.mark.parametrize("case", JUMP_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_simulate_label_matches_raw_classification(tmp_path, digits, case):
+    kind, flag, scheme, h, eps, (x0, y0), escape, n_max, labels = case
+    out = tmp_path / "orbit.csv"
+    code = main([
+        "simulate", "--kind", kind, "--scheme", flag, "--tableau", "kutta3", "--h", h,
+        "--eps", eps, f"--x0={x0}", f"--y0={y0}", "--escape", escape, "--n-max", str(n_max),
+        "--stride", str(n_max), "--digits", str(digits), "--out", str(out),
+    ])
+    assert code == 0
+    _, comments = _read_csv(out)
+    label = re.search(r"jump=(\w+)", comments[0]).group(1)
+
+    ctx = make_context(digits)
+    params = SystemParams.create(ctx, eps, h)
+    start = PlanarPoint(ctx.mpf(x0), ctx.mpf(y0))
+    res = classify_jump(SingularityKind(kind), scheme, params, 1, 0, escape=escape, max_n=n_max,
+                        track_deviation=False, start=start)
+    assert label == res.label.value
+    assert label == labels[digits == 50]

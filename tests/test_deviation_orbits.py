@@ -3,9 +3,10 @@
 The references below are plain-mpf copies of the loops the tuple code
 replaced: the transcritical deviation iteration (Kahan, forward Euler and
 the explicit RK stage recursion) and the pitchfork forward-Euler fast path.
-The tuple code must reproduce them exactly: same label, same step count,
-and the same ``_mpf_`` tuples for the point and the deviation, or the same
-pole at the same iterate.
+The deviation maps of scheme_map, iterated by the deviation classification
+loop (the pitchfork through classify_jump), must reproduce them exactly:
+same label, same step count, and the same ``_mpf_`` tuples for the point
+and the deviation, or the same pole at the same iterate.
 """
 
 from mpmath.libmp import from_man_exp
@@ -21,10 +22,16 @@ from canardlab import (
     JumpResult,
     PlanarPoint,
     PoleError,
+    SingularityKind,
     SystemParams,
+    classify_jump,
     make_context,
 )
-from canardlab.analysis import _classify_pitchfork, _classify_transcritical_deviation
+from canardlab.analysis import _classify_deviation
+from canardlab.linearization import scheme_map
+
+T = SingularityKind.TRANSCRITICAL
+P = SingularityKind.PITCHFORK
 
 CONTEXTS = {d: make_context(d) for d in (16, 50, 200)}
 SCHEMES = [KAHAN] + [SHIPPED_TABLEAUX[name] for name in sorted(SHIPPED_TABLEAUX)]
@@ -119,15 +126,24 @@ def _outcome(fn, *args):
         return "pole", str(err), err.index
 
 
+def merged_transcritical(scheme, params, u0, y0, threshold, max_n):
+    step = scheme_map(T, scheme, params).deviation_step
+    return _classify_deviation(T, step, params, u0, y0, threshold, max_n)
+
+
+def merged_pitchfork_euler(params, start, threshold, max_n):
+    return classify_jump(P, EULER, params, 1, 0, escape=threshold, max_n=max_n, start=start)
+
+
 def _both_transcritical(scheme, params, u0, y0, threshold, max_n):
     args = (scheme, params, u0, y0, threshold, max_n)
-    got = _outcome(_classify_transcritical_deviation, *args)
+    got = _outcome(merged_transcritical, *args)
     assert got == _outcome(ref_transcritical_deviation, *args)
     return got
 
 
 def _both_pitchfork(params, start, threshold, max_n):
-    got = _outcome(lambda *a: _classify_pitchfork(EULER, *a), params, start, threshold, max_n)
+    got = _outcome(merged_pitchfork_euler, params, start, threshold, max_n)
     assert got == _outcome(ref_pitchfork_euler, params, start, threshold, max_n)
     return got
 

@@ -53,6 +53,7 @@ def test_qs_vanishes_at_origin_for_layer_problem(ctx):
 def test_qs_pitchfork_euler(ctx, params):
     y = ctx.mpf("-3")
     assert q_s_pitchfork(EULER, params, y) == y
+    assert q_s(EULER, params, y, 1) == y
 
 
 # -- multipliers ------------------------------------------------------------------
@@ -163,12 +164,19 @@ def test_contraction_lattice_symmetry_fold(ctx, params):
     assert abs(ledger.running_product[2 * n_lat] - 1) < ctx.tol(12)
 
 
-def test_contraction_log_tracking(ctx, params):
+def test_ledger_csv_log_column(tmp_path, ctx, params):
     ledger = contraction_product(T, EULER, params, ctx.mpf("0.3"), 20)
+    path = tmp_path / "ledger.csv"
+    ledger.write_csv(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    bar = ctx.mpf("1e-28")  # the column is printed to 30 digits
     for k in (0, 7, 20):
-        direct = ledger.running_product[k]
-        recon = ledger.sign[k] * ctx.exp(ledger.log_abs[k])
-        assert abs(direct - recon) < ctx.tol(12) * max(1, abs(direct))
+        logged = ctx.mpf(rows[k][3])
+        log_sum = sum(ctx.ln(abs(f)) for f in ledger.factors[: k + 1])
+        assert abs(logged - log_sum) <= bar * max(1, abs(log_sum))
+        direct = abs(ledger.running_product[k])
+        assert abs(ctx.exp(logged) - direct) <= bar * direct
 
 
 def test_contraction_pole_carries_index(ctx):

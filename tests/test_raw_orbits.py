@@ -2,11 +2,13 @@
 
 The references below are plain-mpf copies of the loops the tuple code
 replaced: the mpf forward-Euler update p + h f(p), the raw transcritical
-classification (Kahan, Euler and RK branches) and the Kahan fold
+classification (Kahan, Euler and RK branches), the Kahan fold
 classification, each with the glue rule written as
-abs(u) <= glue * max(abs(x), abs(y)).  The tuple code must reproduce them
-exactly: same label, same step count, and the same ``_mpf_`` tuples for the
-point and the deviation.
+abs(u) <= glue * max(abs(x), abs(y)), and the pitchfork classification of
+the explicit-RK and implicit-family maps.  The one raw classification loop,
+reached through classify_jump(..., track_deviation=False), must reproduce
+them exactly: same label, same step count, and the same ``_mpf_`` tuples
+for the point and the deviation.
 """
 
 from mpmath.libmp import fnan, finf, fninf, from_man_exp, fzero
@@ -18,19 +20,23 @@ from canardlab import (
     EULER,
     KAHAN,
     KUTTA3,
+    AFamily,
     JumpClass,
     JumpResult,
+    NoRealBranch,
     PlanarPoint,
     PoleError,
     SingularityKind,
     SystemParams,
+    a_family_step_pitchfork,
+    classify_jump,
     euler_step,
     fold_kahan_parabola_offset,
     kahan_step_fold,
     make_context,
     rk_step,
 )
-from canardlab.analysis import _classify_fold, _classify_transcritical_raw, _glued
+from canardlab.linearization import _glued
 from canardlab.schemes import _abs_le, euler_kernel
 from canardlab.systems import vector_field
 
@@ -116,6 +122,36 @@ def ref_classify_fold(params, start, threshold, max_n):
     return JumpResult(JumpClass.STUCK, max_n, p, w)
 
 
+def ref_classify_pitchfork(scheme, params, start, threshold, max_n):
+    if scheme is KUTTA3:
+        stepper = lambda p: rk_step(scheme, P, params, p)
+    else:
+        a = params.ctx.mpf(-1) / 2 if scheme == KAHAN else params.ctx.mpf(scheme.a)
+        stepper = lambda p: a_family_step_pitchfork(a, params, p).point
+    p = start
+    for n in range(1, max_n + 1):
+        try:
+            p = stepper(p)
+        except PoleError as err:
+            err.index = n
+            raise
+        if p.x == 0:
+            return JumpResult(JumpClass.STUCK, n, p, p.x)
+        if abs(p.x) >= threshold:
+            return _ref_decide(p.x, start.x, n, p)
+    return JumpResult(JumpClass.STUCK, max_n, p, p.x)
+
+
+def merged_raw(kind):
+    """The one raw classification loop for kind, with the references' arguments."""
+
+    def classify(scheme, params, start, threshold, max_n):
+        return classify_jump(kind, scheme, params, 1, 0, escape=threshold, max_n=max_n,
+                             track_deviation=False, start=start)
+
+    return classify
+
+
 def _raw(res):
     return res.label, res.steps, res.point.x._mpf_, res.point.y._mpf_, res.deviation._mpf_
 
@@ -125,6 +161,8 @@ def _outcome(fn, *args):
         return _raw(fn(*args))
     except PoleError as err:
         return "pole", err.index
+    except NoRealBranch as err:
+        return "no real branch", str(err)
 
 
 # -- strategies -----------------------------------------------------------------
@@ -181,7 +219,7 @@ def test_raw_transcritical_classification_bit_identical(digits, h, eps, rho, del
     assume(start.x != start.y)
     max_n = 20_000 if scheme is EULER and digits == 16 else 300
     args = (scheme, params, start, rho / 2, max_n)
-    assert _outcome(_classify_transcritical_raw, *args) == _outcome(ref_classify_transcritical_raw, *args)
+    assert _outcome(merged_raw(T), *args) == _outcome(ref_classify_transcritical_raw, *args)
 
 
 @settings(max_examples=40, deadline=None)
@@ -192,8 +230,19 @@ def test_raw_fold_classification_bit_identical(digits, h, eps, rho, delta):
     rho = ctx.mpf(rho)
     start = PlanarPoint(-rho, rho * rho - fold_kahan_parabola_offset(params) + ctx.mpf(delta))
     args = (params, start, rho / 2, 300)
-    got = _outcome(lambda *a: _classify_fold(KAHAN, *a), *args)
+    got = _outcome(merged_raw(F), KAHAN, *args)
     assert got == _outcome(ref_classify_fold, *args)
+
+
+@settings(max_examples=30, deadline=None)
+@given(digits=digits_st, h=step_st, eps=eps_st, rho=rho_st, delta=delta_st,
+       scheme=st.sampled_from([KUTTA3, KAHAN, AFamily("0.5"), AFamily("0")]))
+def test_raw_pitchfork_classification_bit_identical(digits, h, eps, rho, delta, scheme):
+    ctx = CONTEXTS[digits]
+    params = SystemParams.create(ctx, eps, h)
+    rho = ctx.mpf(rho)
+    args = (scheme, params, PlanarPoint(ctx.mpf(delta), -rho), rho / 2, 150)
+    assert _outcome(merged_raw(P), *args) == _outcome(ref_classify_pitchfork, *args)
 
 
 # -- the comparison helper at its decision boundaries ---------------------------
