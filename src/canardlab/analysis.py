@@ -121,6 +121,24 @@ def lambert_w0(ctx: PrecisionContext, x):
 # ---------------------------------------------------------------------------
 
 
+def _kstar_euler(ctx: PrecisionContext, c, rho, h, eps):
+    """K* = (1/(h^2 eps)) (-1 + c h rho + exp(W(-h^2 eps ln(1 - c h rho)))).
+
+    h and eps are checked by SystemParams.create (a non-finite one is named).
+    """
+    params = SystemParams.create(ctx, eps, h)
+    rho, h, eps = ctx.mpf(rho), params.h, params.epsilon
+    if not (eps > 0 and rho > 0 and ctx.isfinite(rho)):
+        raise ValueError("need finite rho > 0, h > 0, eps > 0")
+    a = 1 - c * h * rho
+    if a <= 0:
+        raise PastCriticality(
+            f"entry multiplier 1 - {c} h rho <= 0: entry is at or past the critical multiplier"
+        )
+    w = lambert_w0(ctx, -h * h * eps * ctx.ln(a))
+    return (-1 + c * h * rho + ctx.exp(w)) / (h * h * eps)
+
+
 def kstar_transcritical_euler(ctx: PrecisionContext, rho, h, eps):
     """Lower bound K* on the exit count for forward Euler, transcritical case.
 
@@ -129,14 +147,7 @@ def kstar_transcritical_euler(ctx: PrecisionContext, rho, h, eps):
     approaches 1/(2h) the bound (and the exit coordinate -rho + K* h eps)
     diverges.
     """
-    rho, h, eps = ctx.mpf(rho), ctx.mpf(h), ctx.mpf(eps)
-    if not (h > 0 and eps > 0 and rho > 0):
-        raise ValueError("need rho > 0, h > 0, eps > 0")
-    a = 1 - 2 * h * rho
-    if a <= 0:
-        raise PastCriticality("1 - 2 h rho <= 0: entry is at or past the critical multiplier")
-    w = lambert_w0(ctx, -h * h * eps * ctx.ln(a))
-    return (-1 + 2 * h * rho + ctx.exp(w)) / (h * h * eps)
+    return _kstar_euler(ctx, 2, rho, h, eps)
 
 
 def kstar_pitchfork_euler(ctx: PrecisionContext, rho, h, eps):
@@ -145,14 +156,7 @@ def kstar_pitchfork_euler(ctx: PrecisionContext, rho, h, eps):
     K* = (1/(h^2 eps)) (-1 + h rho + exp(W(-h^2 eps ln(1 - h rho)))),
     valid while 1 - h rho > 0; diverges as rho -> 1/h.
     """
-    rho, h, eps = ctx.mpf(rho), ctx.mpf(h), ctx.mpf(eps)
-    if not (h > 0 and eps > 0 and rho > 0):
-        raise ValueError("need rho > 0, h > 0, eps > 0")
-    a = 1 - h * rho
-    if a <= 0:
-        raise PastCriticality("1 - h rho <= 0: entry is at or past the critical multiplier")
-    w = lambert_w0(ctx, -h * h * eps * ctx.ln(a))
-    return (-1 + h * rho + ctx.exp(w)) / (h * h * eps)
+    return _kstar_euler(ctx, 1, rho, h, eps)
 
 
 # -- generic explicit-RK bound ------------------------------------------------
@@ -201,42 +205,39 @@ def _poly_eval(p, x):
     return acc
 
 
-def _poly_shift_linear(p, alpha, beta):
-    """Coefficients of p(alpha + beta * t) as a polynomial in t (Horner)."""
-    res = [0 * alpha]
-    for c in reversed(p):
-        res = _poly_add(_poly_mul(res, [alpha, beta]), [c])
-    return res
+def _stage_polynomial(tableau: ButcherTableau, ctx: PrecisionContext, x, h, eps):
+    """Coefficients (ascending) of Q_s in a variable t, given x and h as polynomials in t.
 
-
-def qs_polynomial(tableau: ButcherTableau, params: SystemParams):
-    """Coefficients (ascending) of Q_s as a polynomial in the canard position."""
-    ctx = params.ctx
-    h, eps = params.h, params.epsilon
+    The transcritical stage recursion dk_i = 2 (x + h eps A_i) (1 + h sum_{j<i}
+    a_ij dk_j), Q_s = sum_i alpha_i dk_i, over coefficient lists: x = [0, 1],
+    h = [h] gives Q_s in the canard position; x = [-rho], h = [0, 1] gives
+    Q_s(-rho) in the step size.
+    """
     alpha, rows, sums = tableau.bind(ctx)
+    heps = _poly_scale(h, eps)
     dk = []
     for i in range(tableau.s):
         acc = [ctx.mpf(0)]
         for j, aij in enumerate(rows[i]):
             acc = _poly_add(acc, _poly_scale(dk[j], aij))
-        base = [2 * h * eps * sums[i], ctx.mpf(2)]
-        dk.append(_poly_mul(base, _poly_add([ctx.mpf(1)], _poly_scale(acc, h))))
+        base = _poly_scale(_poly_add(_poly_scale(heps, sums[i]), x), 2)
+        dk.append(_poly_mul(base, _poly_add([ctx.mpf(1)], _poly_mul(h, acc))))
     total = [ctx.mpf(0)]
     for i in range(tableau.s):
         total = _poly_add(total, _poly_scale(dk[i], alpha[i]))
     return total
 
 
+def qs_polynomial(tableau: ButcherTableau, params: SystemParams):
+    """Coefficients (ascending) of Q_s as a polynomial in the canard position."""
+    return _stage_polynomial(tableau, params.ctx, [0, 1], [params.h], params.epsilon)
+
+
 def _theta_coefficients(tableau: ButcherTableau, params: SystemParams, rho):
     """Coefficients theta_i of 1 + h Q_s(-rho + h eps k) as a polynomial in k."""
-    ctx = params.ctx
-    qs = qs_polynomial(tableau, params)
-    shifted = _poly_shift_linear(qs, -rho, params.h * params.epsilon)
-    theta = _poly_scale(shifted, params.h)
-    theta[0] = theta[0] + 1
-    while len(theta) < tableau.s + 1:
-        theta.append(ctx.mpf(0))
-    return theta
+    h, eps = params.h, params.epsilon
+    qs = _stage_polynomial(tableau, params.ctx, [-rho, h * eps], [h], eps)
+    return _poly_add([params.ctx.mpf(1)], _poly_scale(qs, h))
 
 
 def rk_theta0(tableau: ButcherTableau, params: SystemParams, rho):
@@ -389,120 +390,111 @@ class CriticalTriplet:
     source: Union[str, BisectionBracket]
 
 
-def _refine_root(g, lo, hi, glo, ghi, ctx, rel_tol):
-    """Root of g on a sign-changing bracket: bisection then secant polish."""
-    if glo == 0:
-        return lo
-    if ghi == 0:
-        return hi
-    # bisect to a short bracket first
-    for _ in range(24):
-        mid = (lo + hi) / 2
-        gm = g(mid)
-        if gm == 0:
-            return mid
-        if (gm < 0) == (glo < 0):
-            lo, glo = mid, gm
+#: The linearized solvers search h in (0, _H_CAP / rho] and rho in (0, _RHO_CAP / h].
+_H_CAP = 10
+_RHO_CAP = 10
+
+
+def _newton_in_bracket(ctx, p, dp, a, b, fa):
+    """Root of p on [a, b], where p is monotone and changes sign, by safeguarded Newton.
+
+    Convergence (a Newton step below tol(8) relative) is tested before the
+    bracket safeguard, so the converged iterate is returned; a step that
+    leaves the bracket is replaced by bisection.
+    """
+    tol = ctx.tol(8)
+    x = (a + b) / 2
+    while True:
+        fx = _poly_eval(p, x)
+        if fx == 0:
+            return x
+        if (fx < 0) == (fa < 0):
+            a = x
         else:
-            hi, ghi = mid, gm
-    # secant iteration, safeguarded by the bracket
-    a, fa = lo, glo
-    b, fb = hi, ghi
-    for _ in range(400):
-        if abs(b - a) <= rel_tol * max(abs(a), abs(b)):
-            break
-        if fb == fa:
-            c = (a + b) / 2
-        else:
-            c = b - fb * (b - a) / (fb - fa)
-            if not (lo < c < hi):
-                c = (lo + hi) / 2
-        fc = g(c)
-        if fc == 0:
-            return c
-        if (fc < 0) == (glo < 0):
-            lo, glo = c, fc
-        else:
-            hi, ghi = c, fc
-        a, fa = b, fb
-        b, fb = c, fc
-    return (lo + hi) / 2
+            b = x
+        d = _poly_eval(dp, x)
+        step = fx / d if d != 0 else None
+        if step is not None and abs(step) <= tol * x:
+            return x - step
+        if b - a <= tol * x:
+            return x
+        x = x - step if step is not None and a < x - step < b else (a + b) / 2
+
+
+def _sign_changes(ctx, p, hi, first=False):
+    """Ascending roots in (0, hi] of the polynomial p at which it changes sign.
+
+    The sign changes of p' (found the same way, down to a constant) cut
+    (0, hi] into pieces on which p is monotone; a piece whose end values
+    differ in sign holds one, polished by _newton_in_bracket, and a piece
+    ending in an exact zero of p yields that end.  first=True stops at the
+    first.
+    """
+    while len(p) > 1 and p[-1] == 0:
+        p = p[:-1]
+    if len(p) < 2:
+        return []
+    dp = [i * c for i, c in enumerate(p)][1:]
+    cuts = [ctx.mpf(0), *_sign_changes(ctx, dp, hi), hi]
+    roots = []
+    fa = _poly_eval(p, cuts[0])
+    for a, b in zip(cuts, cuts[1:]):
+        fb = _poly_eval(p, b)
+        if fa != 0 and (fb == 0 or (fa < 0) != (fb < 0)):
+            roots.append(b if fb == 0 else _newton_in_bracket(ctx, p, dp, a, b, fa))
+            if first:
+                break
+        fa = fb
+    return roots
+
+
+def _first_root(ctx, q, h, hi):
+    """Smallest sign change in (0, hi] of 1 + h q, for polynomials q and h, or None."""
+    roots = _sign_changes(ctx, _poly_add([ctx.mpf(1)], _poly_mul(h, q)), hi, first=True)
+    return roots[0] if roots else None
 
 
 def critical_triplet_linearized(
-    tableau: ButcherTableau,
-    h,
-    eps,
-    ctx: PrecisionContext,
-    rho_max=None,
-    scan_points: int = 2000,
+    tableau: ButcherTableau, h, eps, ctx: PrecisionContext
 ) -> Optional[CriticalTriplet]:
-    """Smallest rho > 0 with 1 + h Q_s(-rho) = 0, or None if no sign change.
+    """Smallest rho in (0, 10/h] with 1 + h Q_s(-rho) = 0, or None if no sign change.
 
-    Scans rho in (0, rho_max] (default 10/h; larger entries fall outside the
-    local canonical-form regime) and refines the first sign change to the
-    context's precision.  Forward Euler gives rho* = 1/(2h) exactly; where a
-    scheme has no root in the scanned range (heun2 at h = 0.1, eps = 0.01)
-    the result is None.
+    At fixed (h, eps), 1 + h Q_s(-rho) is a polynomial of degree s in rho.
+    Its first sign change in (0, 10/h] is isolated between the sign changes
+    of its derivative (found the same way, down to a constant) and polished
+    by bracket-safeguarded Newton to the context's precision; nothing is
+    scanned.  The cap 10/h is fixed: larger entries fall outside the local
+    canonical-form regime.  Forward Euler gives rho* = 1/(2h) exactly; where
+    a scheme has no sign change below the cap (heun2 at h = 0.1,
+    eps = 0.01) the result is None.
     """
     params = SystemParams.create(ctx, eps, h)
     if not params.epsilon > 0:
         raise ValueError("critical triplets require epsilon > 0")
     h_s = params.h
-    rho_max = ctx.mpf(rho_max) if rho_max is not None else 10 / h_s
-
-    def g(rho):
-        return 1 + h_s * q_s(tableau, params, -rho)
-
-    prev_rho = ctx.mpf(0)
-    prev_g = ctx.mpf(1)  # g(0) = 1 + h*Q_s(0) with Q_s(0) = O(h eps^2) — treat start as positive
-    step = rho_max / scan_points
-    for i in range(1, scan_points + 1):
-        rho = i * step
-        gi = g(rho)
-        if gi == 0:
-            return CriticalTriplet(rho, h_s, params.epsilon, "linearized")
-        if (gi < 0) != (prev_g < 0):
-            root = _refine_root(g, prev_rho, rho, prev_g, gi, ctx, ctx.tol(8))
-            return CriticalTriplet(root, h_s, params.epsilon, "linearized")
-        prev_rho, prev_g = rho, gi
-    return None
+    q = _stage_polynomial(tableau, ctx, [0, -1], [h_s], params.epsilon)
+    rho = _first_root(ctx, q, [h_s], _RHO_CAP / h_s)
+    return None if rho is None else CriticalTriplet(rho, h_s, params.epsilon, "linearized")
 
 
-def linearized_critical_h(
-    tableau: ButcherTableau,
-    rho,
-    eps,
-    ctx: PrecisionContext,
-    h_max=None,
-    scan_points: int = 2000,
-):
-    """Smallest h > 0 with 1 + h Q_s(-rho; h, eps) = 0, or None.
+def linearized_critical_h(tableau: ButcherTableau, rho, eps, ctx: PrecisionContext):
+    """Smallest h in (0, 10/rho] with 1 + h Q_s(-rho; h, eps) = 0, or None.
 
     This is the critical-triplet equation solved for the step size at fixed
-    (rho, eps), the quantity plotted by the critical-surface sweeps.
+    (rho, eps), the quantity plotted by the critical-surface sweeps.  At
+    fixed (rho, eps) it is a polynomial of degree at most 2s in h, equal to
+    1 at h = 0; its first sign change in (0, 10/rho] is isolated and
+    polished as in critical_triplet_linearized, with no scan.  The cap
+    10/rho is fixed; it is what leaves heun2 without a root in most cells
+    of the README grid.
     """
-    rho = ctx.mpf(rho)
-    if not rho > 0:
-        raise ValueError("rho must be > 0")
-    h_max = ctx.mpf(h_max) if h_max is not None else 10 / rho
-
-    def g(h):
-        params = SystemParams.create(ctx, eps, h)
-        return 1 + h * q_s(tableau, params, -rho)
-
-    prev_h = None
-    prev_g = None
-    step = h_max / scan_points
-    for i in range(1, scan_points + 1):
-        h = i * step
-        gi = g(h)
-        if gi == 0:
-            return h
-        if prev_g is not None and (gi < 0) != (prev_g < 0):
-            return _refine_root(g, prev_h, h, prev_g, gi, ctx, ctx.tol(8))
-        prev_h, prev_g = h, gi
-    return None
+    rho, eps = ctx.mpf(rho), ctx.mpf(eps)
+    if not (rho > 0 and ctx.isfinite(rho)):
+        raise ValueError(f"rho must be finite and > 0, got {rho}")
+    if not (eps >= 0 and ctx.isfinite(eps)):
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
+    h = [ctx.mpf(0), ctx.mpf(1)]
+    return _first_root(ctx, _stage_polynomial(tableau, ctx, [-rho], h, eps), h, _H_CAP / rho)
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +656,11 @@ def classify_jump(
 # ---------------------------------------------------------------------------
 
 
+#: Steps of the geometric scan (ratio 1 + 1/256) from the linearized seed to
+#: the first RIGHT/LEFT flip: about a factor 1.87 either way.
+_SCAN_BUDGET = 160
+
+
 def critical_h_bisection(
     kind: SingularityKind,
     tableau: ButcherTableau,
@@ -675,7 +672,6 @@ def critical_h_bisection(
     h_bracket=None,
     max_n: Optional[int] = None,
     track_deviation: bool = True,
-    scan_budget: int = 160,
 ) -> CriticalTriplet:
     """Bracket the nonlinear critical step size h* by bisection on h.
 
@@ -713,7 +709,7 @@ def critical_h_bisection(
         h_prev, c_prev = h0, classify_at(h0)
         up = c_prev is JumpClass.RIGHT
         lo = hi = None
-        for _ in range(scan_budget):
+        for _ in range(_SCAN_BUDGET):
             h_cur = h_prev * ratio if up else h_prev / ratio
             c_cur = classify_at(h_cur)
             pair = ((h_prev, c_prev), (h_cur, c_cur))

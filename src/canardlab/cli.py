@@ -195,7 +195,10 @@ def cmd_simulate(args) -> int:
                 elif decidable and _abs_le(thr, dev):
                     same = (ctx.make_mpf(dev) > 0) == (dev0 > 0)
                     label = "right" if same else "left"
-            if not (_abs_le(x, hard_stop) and _abs_le(y, hard_stop)):
+            # stop at the box once the label is decided (or never can be), not before
+            if (label != "undecided" or not decidable) and not (
+                _abs_le(x, hard_stop) and _abs_le(y, hard_stop)
+            ):
                 if n % stride != 0 and n != n_max:
                     writer.writerow(_row(ctx, n, x, y, nd))
                 break
@@ -213,9 +216,10 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _grid(ctx, lo, hi, steps):
-    lo = ctx.mpf(lo)
-    hi = ctx.mpf(hi)
+def _grid(ctx, args, axis):
+    """The --{axis}-min/-max/-steps grid of the sweep."""
+    lo, hi, steps = (getattr(args, f"{axis}_{end}") for end in ("min", "max", "steps"))
+    lo, hi = ctx.mpf(lo), ctx.mpf(hi)
     if steps < 1:
         raise ValueError("grid needs at least one point")
     if steps == 1:
@@ -245,8 +249,7 @@ def cmd_sweep(args) -> int:
         names = list(SURFACE_TABLEAUX)
     else:
         names = [args.tableau]
-    rho_grid = _grid(ctx, args.rho_min, args.rho_max, args.rho_steps)
-    eps_grid = _grid(ctx, args.eps_min, args.eps_max, args.eps_steps)
+    rho_grid, eps_grid = _grid(ctx, args, "rho"), _grid(ctx, args, "eps")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     nd = args.out_digits
@@ -584,12 +587,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="critical-step-size surfaces over a (rho, eps) grid")
     p.add_argument("--tableau", default="surfaces",
                    help="tableau name, 'surfaces' (euler + 3rd-order set), or 'all'")
-    p.add_argument("--rho-min", default="1")
-    p.add_argument("--rho-max", default="10")
-    p.add_argument("--rho-steps", type=int, default=10)
-    p.add_argument("--eps-min", default="0.01")
-    p.add_argument("--eps-max", default="1")
-    p.add_argument("--eps-steps", type=int, default=5)
+    for axis, lo, hi, steps in (("rho", "1", "10", 10), ("eps", "0.01", "1", 5)):
+        p.add_argument(f"--{axis}-min", default=lo)
+        p.add_argument(f"--{axis}-max", default=hi)
+        p.add_argument(f"--{axis}-steps", type=int, default=steps)
     p.add_argument("--mode", choices=("linearized", "bisection"), default="linearized")
     p.add_argument("--delta", default="1e-4")
     p.add_argument("--digits-target", type=int, default=3)

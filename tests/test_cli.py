@@ -209,6 +209,21 @@ def test_kstar_csv(tmp_path):
     assert rows[1][8].startswith("8001.6")
 
 
+@pytest.mark.parametrize("variant, flag, value", [
+    ("euler-transcritical", "eps", "inf"),
+    ("euler-pitchfork", "h", "nan"),
+])
+def test_kstar_rejects_non_finite_parameters(tmp_path, capsys, variant, flag, value):
+    out = tmp_path / "kstar.csv"
+    argv = {"rho": "4", "h": "0.1", "eps": "0.01", flag: value}
+    code = main(["kstar", "--variant", variant, "--out", str(out)]
+                + [arg for name, v in argv.items() for arg in (f"--{name}", v)])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {flag} must be finite"), lines
+    assert not out.exists()
+
+
 def test_kstar_rk_csv(tmp_path):
     out = tmp_path / "kstar.csv"
     code = main([
@@ -392,6 +407,10 @@ JUMP_CASES = [
     # y0 = x0^2 - (eps/2 + eps^2 h^2 / 8) + 1e-15, on the Kahan map's parabola but for 1e-15
     ("fold", "kahan", KAHAN, "0.1", "0.01", ("0.3", "0.084999875000001"), "1e-6", 2000,
      ("stuck", "right")),
+    # --rho 1 --delta 1e-14: at 50 digits it leaves the 4x-scale box (step 500) before it
+    # detaches (step 683), so simulate must not stop at the box while undecided
+    pytest.param(("transcritical", "euler", EULER, "0.01", "1", ("-1", "-0.99999999999999"),
+                  "0.5", 2000, ("stuck", "right")), id="transcritical-euler-box"),
 ]
 
 
