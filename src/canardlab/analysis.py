@@ -510,19 +510,29 @@ class JumpClass(enum.Enum):
 
 @dataclass(frozen=True)
 class JumpResult:
+    """Outcome of one classification.
+
+    steps is the step at which the orbit was decided (or stopped), point and
+    deviation are the state there.  last_sign_change is the step at which the
+    deviation last changed sign (0 if it never did); deviation-coordinate
+    orbits record it, raw-coordinate orbits leave it None.
+    """
+
     label: JumpClass
     steps: int
     point: PlanarPoint
     deviation: object
+    last_sign_change: Optional[int] = None
 
 
-def _decide(dev, dev0, steps, point) -> JumpResult:
+def _decide(dev, dev0, steps, point, last_sign_change=None) -> JumpResult:
     same_side = (dev > 0) == (dev0 > 0)
     return JumpResult(
         label=JumpClass.RIGHT if same_side else JumpClass.LEFT,
         steps=steps,
         point=point,
         deviation=dev,
+        last_sign_change=last_sign_change,
     )
 
 
@@ -533,12 +543,14 @@ def _iterate_deviation(ctx, step, u0, y0, heps, threshold, max_n, point):
     (deviation, slow) pair; the slow coordinate then advances by heps.  The
     orbit is STUCK when u becomes exactly 0 or the budget runs out, and is
     decided once |u| reaches the threshold.  point(u, y) gives the tuples
-    (x, y) of the reported PlanarPoint.
+    (x, y) of the reported PlanarPoint.  The step of the last sign change of
+    u (the tuple's sign word) is carried in the result.
     """
     prec = ctx.prec
     make = ctx.make_mpf
     thr = threshold._mpf_
     u, y = u0._mpf_, y0._mpf_
+    sign, flip = u[0], 0
     n = max_n
     for n in range(1, max_n + 1):
         try:
@@ -549,11 +561,13 @@ def _iterate_deviation(ctx, step, u0, y0, heps, threshold, max_n, point):
         y = mpf_add(y, heps, prec, round_nearest)
         if u == fzero:
             break
+        if u[0] != sign:
+            sign, flip = u[0], n
         if _abs_le(thr, u):
             x, y = point(u, y)
-            return _decide(make(u), u0, n, PlanarPoint(make(x), make(y)))
+            return _decide(make(u), u0, n, PlanarPoint(make(x), make(y)), flip)
     x, y = point(u, y)
-    return JumpResult(JumpClass.STUCK, n, PlanarPoint(make(x), make(y)), make(u))
+    return JumpResult(JumpClass.STUCK, n, PlanarPoint(make(x), make(y)), make(u), flip)
 
 
 def _classify_deviation(kind, step, params, u0, y0, threshold, max_n):
@@ -618,7 +632,7 @@ def classify_jump(
     returned when the orbit collapses onto the invariant set (by the kind's
     stuck rule in raw coordinates, see linearization.Canard; when the
     deviation vanishes exactly in deviation coordinates) or the iteration
-    budget runs out.
+    budget runs out.  delta must be finite.
 
     track_deviation=True iterates the map in exact deviation coordinates
     (transcritical), immune to the collapse artifact; =False iterates the
@@ -631,6 +645,8 @@ def classify_jump(
     delta = ctx.mpf(delta)
     if not rho > 0:
         raise ValueError("rho must be > 0")
+    if not ctx.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
     threshold = ctx.mpf(escape) if escape is not None else rho / 2
     if not threshold > 0:
         raise ValueError("escape threshold must be > 0")
@@ -660,6 +676,45 @@ def classify_jump(
 #: the first RIGHT/LEFT flip: about a factor 1.87 either way.
 _SCAN_BUDGET = 160
 
+#: Deviation steps a prefix label iterates beyond twice the latest sign change
+#: seen in the bisection's full classifications.
+_PREFIX_MARGIN = 64
+
+
+def _prefix_bisection(classify_at, lo, hi, width_bar, entry_negative, budget):
+    """Narrow the verified RIGHT/LEFT bracket [lo, hi] by bisecting on prefix labels.
+
+    A midpoint's orbit is iterated for at most budget deviation steps.  If it
+    escapes, its label is exact; otherwise the label is read from the sign of
+    the deviation it reached, relative to the entry side.  Both endpoints of
+    the final bracket that are new are then fully classified, and every
+    RIGHT/LEFT label among them is folded into [lo, hi], which is returned.
+    A prefix whose deviation collapsed to exactly 0 stops the search with
+    [lo, hi] unchanged.
+    """
+    a, b = lo, hi
+    while (b - a) > width_bar * b:
+        mid = (a + b) / 2
+        res = classify_at(mid, budget)
+        if res.label is not JumpClass.STUCK:
+            right = res.label is JumpClass.RIGHT
+        elif res.deviation == 0:
+            return lo, hi
+        else:
+            right = (res.deviation < 0) == entry_negative
+        if right:
+            a = mid
+        else:
+            b = mid
+    for h in (a, b):
+        if lo < h < hi:
+            label = classify_at(h).label
+            if label is JumpClass.RIGHT:
+                lo = h
+            elif label is JumpClass.LEFT:
+                hi = h
+    return lo, hi
+
 
 def critical_h_bisection(
     kind: SingularityKind,
@@ -678,27 +733,53 @@ def critical_h_bisection(
     Below h* orbits jump in the correct direction (RIGHT); just above they
     jump in the wrong direction (LEFT).  Starting from the linearized
     critical step (or a caller-provided bracket), the first RIGHT/LEFT flip
-    is bracketed and bisected until the bracket is narrower than
-    10^(-digits_target) relative.  The returned triplet carries the bracket;
+    is bracketed by full classifications and bisected until the bracket is
+    narrower than 10^(-digits_target) relative.  The returned triplet
+    carries the bracket, whose ends are fully classified RIGHT and LEFT;
     h_star is its midpoint.
+
+    The label flips because the entry multiplier 1 + h Q_s(-rho) turns
+    negative, so the deviation changes sign only within the first few steps
+    of the orbit and never again.  Where the orbits run in deviation
+    coordinates (which record that last sign change), midpoints are
+    therefore labelled from a prefix of the orbit: twice the latest sign
+    change seen in the full classifications plus _PREFIX_MARGIN steps
+    (capped at max_n).  Only the final bracket's new ends are fully
+    classified.  If one of them does not confirm its prefix label, or a
+    prefix deviation collapses to exactly 0, the full labels found so far
+    narrow the verified bracket and the bisection finishes with a full
+    classification at every midpoint, which is what raw-coordinate
+    bisection (track_deviation=False) always does.
+
+    digits_target must lie in [1, ctx.digits) and max_n, when given, be at
+    least 1.
     """
+    if not 1 <= digits_target < ctx.digits:
+        raise ValueError(
+            f"digits target must be between 1 and {ctx.digits - 1} "
+            f"(below the working digits), got {digits_target}"
+        )
+    if max_n is not None and max_n < 1:
+        raise ValueError(f"iteration budget must be >= 1, got {max_n}")
     rho = ctx.mpf(rho)
     delta = ctx.mpf(delta)
 
-    def classify_at(h):
+    def classify_at(h, budget=max_n):
         params = SystemParams.create(ctx, eps, h)
         return classify_jump(
             kind, tableau, params, rho, delta,
-            max_n=max_n, track_deviation=track_deviation,
-        ).label
+            max_n=budget, track_deviation=track_deviation,
+        )
 
     if h_bracket is not None:
         lo, hi = ctx.mpf(h_bracket[0]), ctx.mpf(h_bracket[1])
-        c_lo, c_hi = classify_at(lo), classify_at(hi)
-        if c_lo is not JumpClass.RIGHT or c_hi is not JumpClass.LEFT:
+        r_lo, r_hi = classify_at(lo), classify_at(hi)
+        if r_lo.label is not JumpClass.RIGHT or r_hi.label is not JumpClass.LEFT:
             raise NoBracket(
-                f"provided bracket does not classify RIGHT/LEFT: got {c_lo.value}/{c_hi.value}"
+                "provided bracket does not classify RIGHT/LEFT: "
+                f"got {r_lo.label.value}/{r_hi.label.value}"
             )
+        full = [r_lo, r_hi]
     else:
         seed = linearized_critical_h(tableau, rho, eps, ctx)
         if seed is None:
@@ -706,25 +787,33 @@ def critical_h_bisection(
         ratio = 1 + ctx.mpf(1) / 256
         h0 = seed * (1 - ctx.mpf(1) / 512)
         # scan up from a RIGHT seed, down from any other, to the first RIGHT/LEFT flip
-        h_prev, c_prev = h0, classify_at(h0)
-        up = c_prev is JumpClass.RIGHT
+        h_prev, r_prev = h0, classify_at(h0)
+        full = [r_prev]
+        up = r_prev.label is JumpClass.RIGHT
         lo = hi = None
         for _ in range(_SCAN_BUDGET):
             h_cur = h_prev * ratio if up else h_prev / ratio
-            c_cur = classify_at(h_cur)
-            pair = ((h_prev, c_prev), (h_cur, c_cur))
-            (h_lo, c_lo), (h_hi, c_hi) = pair if up else pair[::-1]
-            if c_lo is JumpClass.RIGHT and c_hi is JumpClass.LEFT:
+            r_cur = classify_at(h_cur)
+            full.append(r_cur)
+            pair = ((h_prev, r_prev), (h_cur, r_cur))
+            (h_lo, r_lo), (h_hi, r_hi) = pair if up else pair[::-1]
+            if r_lo.label is JumpClass.RIGHT and r_hi.label is JumpClass.LEFT:
                 lo, hi = h_lo, h_hi
                 break
-            h_prev, c_prev = h_cur, c_cur
+            h_prev, r_prev = h_cur, r_cur
         if lo is None:
             raise NoBracket("no RIGHT/LEFT flip found within the scan budget")
 
     width_bar = ctx.mpf(10) ** (-digits_target)
+    sign_changes = [r.last_sign_change for r in full]
+    if None not in sign_changes:
+        budget = 2 * max(sign_changes) + _PREFIX_MARGIN
+        if max_n is not None:
+            budget = min(budget, max_n)
+        lo, hi = _prefix_bisection(classify_at, lo, hi, width_bar, r_lo.deviation < 0, budget)
     while (hi - lo) > width_bar * hi:
         mid = (lo + hi) / 2
-        c_mid = classify_at(mid)
+        c_mid = classify_at(mid).label
         if c_mid is JumpClass.RIGHT:
             lo = mid
         elif c_mid is JumpClass.LEFT:

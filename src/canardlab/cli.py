@@ -306,9 +306,9 @@ def cmd_bisect(args) -> int:
     ctx = make_context(args.digits)
     kind = _KINDS[args.kind]
     tab = _resolve_tableau(args)
-    bracket = None
-    if args.h_lo is not None and args.h_hi is not None:
-        bracket = (args.h_lo, args.h_hi)
+    if (args.h_lo is None) != (args.h_hi is None):
+        raise ValueError("give both --h-lo and --h-hi, or neither")
+    bracket = None if args.h_lo is None else (args.h_lo, args.h_hi)
     trip = critical_h_bisection(
         kind, tab, args.rho, args.eps, args.delta, args.digits_target, ctx,
         h_bracket=bracket, max_n=args.n_max,

@@ -196,6 +196,47 @@ def test_bisect_no_bracket_exit_code(tmp_path, capsys):
     assert code == 4
 
 
+BISECT_ARGV = ["bisect", "--tableau", "euler", "--rho", "5", "--eps", "1", "--digits", "30"]
+BRACKET = ["--h-lo", "0.103", "--h-hi", "0.105"]
+
+
+@pytest.mark.parametrize("extra, message", [
+    (BRACKET + ["--digits-target", "-3"], "digits target must be between 1 and 29"),
+    (BRACKET + ["--digits-target", "40"], "digits target must be between 1 and 29"),
+    (BRACKET + ["--digits-target", "30"], "digits target must be between 1 and 29"),
+    (BRACKET + ["--n-max", "0"], "iteration budget must be >= 1"),
+    (BRACKET + ["--n-max", "-5"], "iteration budget must be >= 1"),
+    (BRACKET + ["--delta", "nan"], "delta must be finite"),
+    (["--h-lo", "0.103"], "give both --h-lo and --h-hi"),
+    (["--h-hi", "0.105"], "give both --h-lo and --h-hi"),
+], ids=["target-negative", "target-above-digits", "target-at-digits", "n-max-0",
+        "n-max-negative", "delta-nan", "h-lo-only", "h-hi-only"])
+def test_bisect_rejects_bad_inputs(tmp_path, capsys, extra, message):
+    out = tmp_path / "bisect.csv"
+    code = main(BISECT_ARGV + extra + ["--out", str(out)])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}"), lines
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--digits-target", "-3"], "digits target must be between 1 and 29"),
+    (["--delta", "nan"], "delta must be finite"),
+], ids=["target-negative", "delta-nan"])
+def test_sweep_bisection_rejects_bad_inputs(tmp_path, capsys, extra, message):
+    code = main([
+        "sweep", "--tableau", "euler", "--mode", "bisection",
+        "--rho-min", "5", "--rho-max", "5", "--rho-steps", "1",
+        "--eps-min", "1", "--eps-max", "1", "--eps-steps", "1",
+        "--digits", "30", "--out-dir", str(tmp_path), *extra,
+    ])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}"), lines
+    assert not (tmp_path / "surface_euler.csv").exists()
+
+
 def test_kstar_csv(tmp_path):
     out = tmp_path / "kstar.csv"
     code = main([
