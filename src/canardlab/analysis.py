@@ -673,7 +673,9 @@ def classify_jump(
 
 
 #: Steps of the geometric scan (ratio 1 + 1/256) from the linearized seed to
-#: the first RIGHT/LEFT flip: about a factor 1.87 either way.
+#: the first neighbouring pair of scan points labelled RIGHT and LEFT: about a
+#: factor 1.87 either way.  The pair may hold many RIGHT/LEFT edges (see
+#: critical_h_bisection).
 _SCAN_BUDGET = 160
 
 #: Deviation steps a prefix label iterates beyond twice the latest sign change
@@ -731,17 +733,27 @@ def critical_h_bisection(
     """Bracket the nonlinear critical step size h* by bisection on h.
 
     Below h* orbits jump in the correct direction (RIGHT); just above they
-    jump in the wrong direction (LEFT).  Starting from the linearized
-    critical step (or a caller-provided bracket), the first RIGHT/LEFT flip
-    is bracketed by full classifications and bisected until the bracket is
-    narrower than 10^(-digits_target) relative.  The returned triplet
-    carries the bracket, whose ends are fully classified RIGHT and LEFT;
-    h_star is its midpoint.
+    jump in the wrong direction (LEFT).  A caller-provided bracket, or else
+    the first neighbouring pair of a geometric scan (ratio 1 + 1/256) from
+    the linearized critical step whose points are labelled RIGHT and LEFT,
+    is fully classified and bisected until it is narrower than
+    10^(-digits_target) relative.  The returned triplet carries the bracket,
+    whose ends are fully classified RIGHT and LEFT; h_star is its midpoint.
 
-    The label flips because the entry multiplier 1 + h Q_s(-rho) turns
-    negative, so the deviation changes sign only within the first few steps
-    of the orbit and never again.  Where the orbits run in deviation
-    coordinates (which record that last sign change), midpoints are
+    The label flips because entry multipliers 1 + h Q_s turn negative.
+    While they are negative the deviation changes sign at every step, so it
+    changes sign only within an early band of steps, never after it, and the
+    label is the parity of the number of those sign changes.  One bracket
+    can therefore hold many RIGHT/LEFT edges, and the bisection returns one
+    of them, not necessarily the lowest.  On the Kutta3 row rho = 8,
+    eps = 0.01 at 200 digits, the scan bracket [0.0999548, 0.1003452] has
+    ends whose deviations change sign at steps 1-16 and 1-47, so it holds
+    about 31 edges; the bisection returns the 30 -> 31 edge
+    (0.1001378-0.1001439), while the lowest edge in the bracket is the
+    16 -> 17 one at h = 0.0999618198.
+
+    Where the orbits run in deviation coordinates (which record the last
+    sign change), midpoints are
     therefore labelled from a prefix of the orbit: twice the latest sign
     change seen in the full classifications plus _PREFIX_MARGIN steps
     (capped at max_n).  Only the final bracket's new ends are fully
@@ -786,7 +798,7 @@ def critical_h_bisection(
             raise NoBracket("no linearized critical step size exists to seed the scan")
         ratio = 1 + ctx.mpf(1) / 256
         h0 = seed * (1 - ctx.mpf(1) / 512)
-        # scan up from a RIGHT seed, down from any other, to the first RIGHT/LEFT flip
+        # scan up from a RIGHT seed, down from any other, to the first RIGHT/LEFT pair
         h_prev, r_prev = h0, classify_at(h0)
         full = [r_prev]
         up = r_prev.label is JumpClass.RIGHT

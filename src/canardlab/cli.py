@@ -82,6 +82,23 @@ from .systems import (
 _KINDS = {k.value: k for k in SingularityKind}
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of --out-digits: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _check_budget(n_max: int) -> None:
+    """Reject an --n-max below 1, as critical_h_bisection does for bisect."""
+    if n_max < 1:
+        raise ValueError(f"iteration budget must be >= 1, got {n_max}")
+
+
 def _add_common(p: argparse.ArgumentParser, digits_default: int):
     p.add_argument("--digits", type=int, default=digits_default,
                    help=f"working decimal digits (default {digits_default})")
@@ -146,6 +163,7 @@ def _row(ctx, n, x, y, nd):
 
 def cmd_simulate(args) -> int:
     stride, n_max = args.stride, args.n_max
+    _check_budget(n_max)
     if stride < 1:
         raise ValueError(f"--stride must be >= 1, got {stride}")
     ctx = make_context(args.digits)
@@ -285,6 +303,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_wayout(args) -> int:
+    _check_budget(args.n_max)
     ctx = make_context(args.digits)
     params = SystemParams.create(ctx, args.eps, args.h, a=args.a)
     kind = _KINDS[args.kind]
@@ -580,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--stride", type=int, default=1, help="write every stride-th point")
     p.add_argument("--escape", help="deviation threshold for jump classification")
-    p.add_argument("--out-digits", type=int, default=30)
+    p.add_argument("--out-digits", type=_positive_int, default=30)
     _add_common(p, SIMULATE_DIGITS)
     p.set_defaults(func=cmd_simulate)
 
@@ -595,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", default="1e-4")
     p.add_argument("--digits-target", type=int, default=3)
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--out-digits", type=int, default=30)
+    p.add_argument("--out-digits", type=_positive_int, default=30)
     _add_common(p, ANALYSIS_DIGITS)
     p.set_defaults(func=cmd_sweep)
 
@@ -617,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h-lo", help="optional bracket low end")
     p.add_argument("--h-hi", help="optional bracket high end")
     p.add_argument("--n-max", type=int, help="classification iteration budget")
-    p.add_argument("--out-digits", type=int, default=30)
+    p.add_argument("--out-digits", type=_positive_int, default=30)
     _add_common(p, ANALYSIS_DIGITS)
     p.set_defaults(func=cmd_bisect)
 
@@ -629,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True)
     p.add_argument("--tableau", default="kutta3")
     p.add_argument("--tableau-file")
-    p.add_argument("--out-digits", type=int, default=30)
+    p.add_argument("--out-digits", type=_positive_int, default=30)
     _add_common(p, SIMULATE_DIGITS)
     p.set_defaults(func=cmd_kstar)
 

@@ -1,0 +1,98 @@
+"""Round-to-nearest-even arithmetic on signed integer mantissa pairs.
+
+A pair (m, e) holds the value m * 2**e; m is a signed integer, 0 for zero,
+and need not be odd.  rn, add, sub and mul round to nearest, ties to even,
+at prec bits, exactly as mpmath's libmp does with round_nearest (add keeps
+libmp's rule for a far smaller operand): pack(add(split(s), split(t),
+prec)) equals mpf_add(s, t, prec, round_nearest), and likewise for sub and
+mul.  Results are neither packed nor stripped of trailing zeros, so a chain
+of operations builds and normalises no ``_mpf_`` tuple between two
+roundings; pack makes the canonical tuple once, at the end.  Pairs hold
+finite values only.
+"""
+
+from mpmath.libmp import fzero
+
+
+def split(v):
+    """The pair of the finite ``_mpf_`` tuple v."""
+    sign, m, e, _ = v
+    if not m and e:
+        raise ValueError("no mantissa pair for an infinity or NaN")
+    return (-m if sign else m), e
+
+
+def pack(p):
+    """The canonical ``_mpf_`` tuple of the pair p: odd mantissa, exact bit count."""
+    m, e = p
+    if not m:
+        return fzero
+    sign = 0
+    if m < 0:
+        sign, m = 1, -m
+    if not m & 1:
+        tz = _trailing_zeros(m)
+        m >>= tz
+        e += tz
+    return sign, m, e, m.bit_length()
+
+
+def _trailing_zeros(m):
+    return (m & -m).bit_length() - 1
+
+
+def rn(m, e, prec):
+    """m * 2**e rounded to nearest at prec bits, ties to even, as a pair.
+
+    m >> k floors for either sign, so the half bit and the sticky bits
+    below it decide the rounding of negative mantissas too.
+    """
+    n = m.bit_length() - prec
+    if n <= 0:
+        return m, e
+    t = m >> (n - 1)
+    if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)):
+        return (t >> 1) + 1, e + n
+    return t >> 1, e + n
+
+
+def mul(a, b, prec):
+    """a * b rounded at prec bits."""
+    return rn(a[0] * b[0], a[1] + b[1], prec)
+
+
+def add(a, b, prec):
+    """a + b rounded at prec bits, with libmp's rule for a far smaller operand.
+
+    When the exponents of the canonical operands lie more than 100 apart and
+    the smaller operand lies more than prec + 4 bits below the larger, libmp
+    replaces it by a unit prec + 4 bits below the larger operand's last bit.
+    That gives the correctly rounded sum unless the larger operand is itself
+    more than prec + 4 bits wide; only then do the canonical exponents
+    matter.  Such an operand comes from split and is canonical already (rn
+    returns at most prec + 1 bits), so only the smaller one's trailing zeros
+    are counted, and only then.
+    """
+    am, ae = a
+    bm, be = b
+    if not am:
+        return rn(bm, be, prec)
+    if not bm:
+        return rn(am, ae, prec)
+    if ae < be:
+        am, ae, bm, be = bm, be, am, ae
+    off = ae - be
+    if off > 100:
+        k = prec + 4
+        abits = am.bit_length()
+        if abits + off - bm.bit_length() > k and (
+            abits <= k or off - _trailing_zeros(bm) > 100
+        ):
+            return rn((am << k) + (1 if bm > 0 else -1), ae - k, prec)
+    return rn((am << off) + bm, be, prec)
+
+
+def sub(a, b, prec):
+    """a - b rounded at prec bits, as add rounds a + (-b)."""
+    bm, be = b
+    return add(a, (-bm, be), prec)

@@ -24,11 +24,14 @@ per tableau as raw ``_mpf_`` tuples keyed by the binary precision, so each
 precision pays for the Fraction conversions once.
 
 Forward Euler also runs on raw mpmath ``_mpf_`` tuples (euler_kernel), for
-the long orbit loops of the analysis and the command line: the same
-correctly rounded operations as mpf objects, without their per-operation
-object overhead.  The transcritical forward-Euler, explicit-RK and Kahan
-maps and the pitchfork's forward Euler also run on tuples in deviation
-coordinates, for the jump classification.
+the long orbit loops of the analysis and the command line, and so do the
+transcritical forward-Euler, explicit-RK and Kahan maps and the pitchfork's
+forward Euler in deviation coordinates, for the jump classification.  Each
+step gives the tuples mpf arithmetic gives, bit for bit.  Except for the
+Kahan step, which keeps libmp's division, a step splits its input tuples
+into signed integer mantissa pairs once, rounds every operation on the
+pairs (see rounding), and packs only its outputs, so no tuple is built or
+normalised between two operations.
 """
 
 from __future__ import annotations
@@ -38,11 +41,11 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from mpmath.libmp import (
-    fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_mul, mpf_mul_int, mpf_shift, mpf_sub,
-    round_nearest,
+    fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_mul, mpf_sub, round_nearest,
 )
 
 from .precision import PrecisionContext
+from .rounding import add, mul, pack, rn, split, sub
 from .systems import Orbit, PlanarPoint, SingularityKind, SystemParams, vector_field
 
 
@@ -232,49 +235,46 @@ def euler_kernel(kind: SingularityKind, params: SystemParams):
     Returns step(x, y) -> (xnew, ynew), the update p + h * f(p) with every
     operation rounded to nearest at the context's precision, in the order
     of the mpf expression, so the tuples are bit-identical to mpf
-    arithmetic on the same values.  h * eps is formed once, not per step.
+    arithmetic on the same values.  The step works on mantissa pairs
+    (see rounding) and packs only its outputs; h * eps is formed once.
     """
     prec = params.ctx.prec
-    rnd = round_nearest
-    add, sub, mul = mpf_add, mpf_sub, mpf_mul
-    h, eps = params.h._mpf_, params.epsilon._mpf_
-    heps = mul(h, eps, prec, rnd)
+    h, eps = split(params.h._mpf_), split(params.epsilon._mpf_)
+    heps = mul(h, eps, prec)
     if kind is SingularityKind.TRANSCRITICAL:
 
         def step(x, y):
-            t = add(sub(mul(x, x, prec, rnd), mul(y, y, prec, rnd), prec, rnd), eps, prec, rnd)
-            return add(x, mul(h, t, prec, rnd), prec, rnd), add(y, heps, prec, rnd)
+            x, y = split(x), split(y)
+            t = add(sub(mul(x, x, prec), mul(y, y, prec), prec), eps, prec)
+            return pack(add(x, mul(h, t, prec), prec)), pack(add(y, heps, prec))
 
     elif kind is SingularityKind.PITCHFORK:
 
         def step(x, y):
-            t = mul(x, sub(y, mul(x, x, prec, rnd), prec, rnd), prec, rnd)
-            return add(x, mul(h, t, prec, rnd), prec, rnd), add(y, heps, prec, rnd)
+            x, y = split(x), split(y)
+            t = mul(x, sub(y, mul(x, x, prec), prec), prec)
+            return pack(add(x, mul(h, t, prec), prec)), pack(add(y, heps, prec))
 
     elif kind is SingularityKind.FOLD:
 
         def step(x, y):
-            t = sub(mul(x, x, prec, rnd), y, prec, rnd)
-            ny = add(y, mul(h, mul(eps, x, prec, rnd), prec, rnd), prec, rnd)
-            return add(x, mul(h, t, prec, rnd), prec, rnd), ny
+            x, y = split(x), split(y)
+            t = sub(mul(x, x, prec), y, prec)
+            ny = add(y, mul(h, mul(eps, x, prec), prec), prec)
+            return pack(add(x, mul(h, t, prec), prec)), pack(ny)
 
     else:
         raise ValueError(f"unknown singularity kind: {kind!r}")
     return step
 
 
-def _twice(v, prec):
-    """2 * v rounded to nearest at prec bits, as mpf arithmetic computes it.
-
-    Normalized mantissas are odd, so doubling one of at most prec bits is an
-    exact exponent shift; only a longer operand needs the rounded product.
-    """
-    return mpf_shift(v, 1) if v[3] <= prec else mpf_mul_int(v, 2, prec, round_nearest)
-
-
 # Deviation-coordinate steps u -> unew from the raw tuples (u, y), with u the
 # transversal deviation (x - y on the transcritical diagonal, x on the
-# pitchfork line); y then advances by eps*h.  Each rounds like mpf arithmetic.
+# pitchfork line); y then advances by eps*h.  Each rounds like mpf arithmetic,
+# on mantissa pairs between its split inputs and its packed output; 2 v is
+# the pair (m, e + 1), rounded in case v is longer than the precision.
+
+_ZERO, _ONE = (0, 0), (1, 0)
 
 
 def euler_deviation_kernel(kind: SingularityKind, params: SystemParams):
@@ -283,20 +283,21 @@ def euler_deviation_kernel(kind: SingularityKind, params: SystemParams):
     Transcritical u (1 + h (2y + u)); pitchfork x + (h x)(y - x x), which
     rounds differently from euler_kernel's x + h (x (y - x x)).
     """
-    prec, rnd = params.ctx.prec, round_nearest
-    add, sub, mul = mpf_add, mpf_sub, mpf_mul
-    h = params.h._mpf_
+    prec = params.ctx.prec
+    h = split(params.h._mpf_)
     if kind is SingularityKind.TRANSCRITICAL:
 
         def step(u, y):
-            s = add(_twice(y, prec), u, prec, rnd)
-            return mul(u, add(mul(h, s, prec, rnd), fone, prec, rnd), prec, rnd)
+            u, (ym, ye) = split(u), split(y)
+            s = add(rn(ym, ye + 1, prec), u, prec)
+            return pack(mul(u, add(mul(h, s, prec), _ONE, prec), prec))
 
     elif kind is SingularityKind.PITCHFORK:
 
         def step(x, y):
-            t = sub(y, mul(x, x, prec, rnd), prec, rnd)
-            return add(x, mul(mul(h, x, prec, rnd), t, prec, rnd), prec, rnd)
+            x, y = split(x), split(y)
+            t = sub(y, mul(x, x, prec), prec)
+            return pack(add(x, mul(mul(h, x, prec), t, prec), prec))
 
     else:
         raise ValueError(f"no deviation coordinates for {kind.value}")
@@ -307,28 +308,30 @@ def rk_deviation_kernel(tableau: ButcherTableau, params: SystemParams):
     """Transcritical explicit RK: u + h sum_i alpha_i d_i.
 
     d_i = u_i s_i with u_i = u + sum_j (h a_ij) d_j and
-    s_i = (2y + u) + sum_j (h a_ij) (d_j + 2 eps); h a_ij is formed once.
+    s_i = (2y + u) + sum_j (h a_ij) (d_j + 2 eps); h a_ij, alpha_i and
+    2 eps are formed as pairs once.
     """
-    prec, rnd = params.ctx.prec, round_nearest
-    add, mul = mpf_add, mpf_mul
-    h, eps = params.h._mpf_, params.epsilon._mpf_
+    prec = params.ctx.prec
+    h, (em, ee) = split(params.h._mpf_), split(params.epsilon._mpf_)
     alpha, rows, _ = tableau.bind_raw(params.ctx)
-    hrows = tuple(tuple(mul(h, aij, prec, rnd) for aij in row) for row in rows)
-    two_eps = _twice(eps, prec)
+    alpha = tuple(split(ai) for ai in alpha)
+    hrows = tuple(tuple(mul(h, split(aij), prec) for aij in row) for row in rows)
+    two_eps = rn(em, ee + 1, prec)
 
     def step(u, y):
-        base_s = add(_twice(y, prec), u, prec, rnd)
+        u, (ym, ye) = split(u), split(y)
+        base_s = add(rn(ym, ye + 1, prec), u, prec)
         ds = []
         for hrow in hrows:
             ui, si = u, base_s
             for haij, dj in zip(hrow, ds):
-                ui = add(ui, mul(haij, dj, prec, rnd), prec, rnd)
-                si = add(si, mul(haij, add(dj, two_eps, prec, rnd), prec, rnd), prec, rnd)
-            ds.append(mul(ui, si, prec, rnd))
-        du = fzero
+                ui = add(ui, mul(haij, dj, prec), prec)
+                si = add(si, mul(haij, add(dj, two_eps, prec), prec), prec)
+            ds.append(mul(ui, si, prec))
+        du = _ZERO
         for ai, di in zip(alpha, ds):
-            du = add(du, mul(ai, di, prec, rnd), prec, rnd)
-        return add(u, mul(h, du, prec, rnd), prec, rnd)
+            du = add(du, mul(ai, di, prec), prec)
+        return pack(add(u, mul(h, du, prec), prec))
 
     return step
 

@@ -149,6 +149,21 @@ def test_unknown_tableau_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--kind", "transcritical", "--h", "0.1", "--eps", "1", "--rho", "5"],
+    ["wayout", "--kind", "transcritical", "--scheme", "kahan", "--h", "0.1", "--eps", "0.01",
+     "--rho", "0.0105"],
+], ids=["simulate", "wayout"])
+@pytest.mark.parametrize("n_max", ["-1", "0"])
+def test_n_max_below_one_is_rejected_before_output(tmp_path, capsys, argv, n_max):
+    out = tmp_path / "x.csv"
+    code = main(argv + [f"--n-max={n_max}", "--out", str(out)])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: iteration budget must be >= 1, got {n_max}"], lines
+    assert not out.exists()
+
+
 def test_wayout_lattice_csv(tmp_path):
     out = tmp_path / "wayout.csv"
     code = main([
@@ -218,6 +233,32 @@ def test_bisect_rejects_bad_inputs(tmp_path, capsys, extra, message):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {message}"), lines
     assert not out.exists()
+
+
+OUT_DIGITS_ARGV = {
+    "simulate": ["simulate", "--kind", "transcritical", "--h", "0.1", "--eps", "1", "--rho", "5",
+                 "--n-max", "2"],
+    "sweep": ["sweep", "--tableau", "euler", "--rho-steps", "1", "--eps-steps", "1"],
+    "bisect": BISECT_ARGV + BRACKET,
+    "kstar": ["kstar", "--variant", "euler-transcritical", "--rho", "4", "--h", "0.1",
+              "--eps", "0.01"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_DIGITS_ARGV))
+@pytest.mark.parametrize("value", ["-4", "0"])
+def test_out_digits_below_one_is_rejected_before_output(tmp_path, capsys, command, value):
+    out = tmp_path / "x.csv"
+    argv = OUT_DIGITS_ARGV[command] + [f"--out-digits={value}"]
+    argv += ["--out-dir", str(tmp_path)] if command == "sweep" else ["--out", str(out)]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(lines) == 1 and lines[0].endswith(
+        f"error: argument --out-digits: must be >= 1, got {value}"
+    ), lines
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("extra, message", [

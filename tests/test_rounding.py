@@ -1,0 +1,159 @@
+"""The mantissa-pair arithmetic of canardlab.rounding against mpmath's libmp.
+
+pack(op(split(s), split(t), prec)) must equal libmp's op(s, t, prec,
+round_nearest) tuple for tuple, at the binary precisions of the 16, 50, 200
+and 5000-digit contexts (56, 169, 668 and 16613 bits).  Operands are drawn
+with mantissas up to about twice the precision (wider than prec: the
+slow-start case) and with the second placed relative to the first, so sums
+overlap, cancel, or lie past libmp's far-operand cut-off.
+"""
+
+import random
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import (
+    finf, fnan, fninf, fzero, from_man_exp, mpf_add, mpf_mul, mpf_neg, mpf_sub, round_nearest,
+)
+
+from canardlab import make_context
+from canardlab.rounding import add, mul, pack, rn, split, sub
+
+PRECS = [make_context(d).prec for d in (16, 50, 200, 5000)]
+OPS = ((add, mpf_add), (sub, mpf_sub), (mul, mpf_mul))
+
+
+def v(m, e=0):
+    """The canonical tuple of m * 2**e, unrounded."""
+    return from_man_exp(m, e)
+
+
+@st.composite
+def mantissas(draw, prec):
+    """Signed mantissas up to 2 prec + 8 bits: random bits, all ones, or 2^w + 1."""
+    width = draw(st.integers(1, 2 * prec + 8))
+    shape = draw(st.sampled_from(["random", "ones", "power-plus-one"]))
+    if shape == "random":
+        m = random.Random(draw(st.integers(0, 2**32))).getrandbits(width) | 1 << (width - 1)
+    elif shape == "ones":
+        m = (1 << width) - 1
+    else:
+        m = (1 << width) + 1
+    return -m if draw(st.booleans()) else m
+
+
+@st.composite
+def operand_pairs(draw):
+    prec = draw(st.sampled_from(PRECS))
+    am, bm = draw(mantissas(prec)), draw(mantissas(prec))
+    ae = draw(st.integers(-3 * prec, 3 * prec))
+    # gap between the leading bits: overlapping, around libmp's prec + 4
+    # cut-off, or far apart, with either operand the larger
+    gap = draw(st.one_of(
+        st.integers(-prec - 8, prec + 8),
+        st.sampled_from([prec + 3, prec + 4, prec + 5, -prec - 4, -prec - 5]),
+        st.integers(-20 * prec, 20 * prec),
+    ))
+    be = ae + am.bit_length() - bm.bit_length() - gap
+    a, b = v(am, ae), v(bm, be)
+    zero = draw(st.sampled_from([None, None, None, 0, 1]))
+    if zero == 0:
+        a = fzero
+    elif zero == 1:
+        b = fzero
+    return prec, a, b
+
+
+def _check(prec, a, b):
+    for op, ref in OPS:
+        assert pack(op(split(a), split(b), prec)) == ref(a, b, prec, round_nearest), (op, a, b)
+
+
+P = PRECS[0]  # 16 digits
+W = 2 * P  # a mantissa width past prec + 4
+S = v(2**(W - 1) + 2**(W - P - 1) + 1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(operand_pairs())
+# zero operands
+@example((P, fzero, v(3)))
+@example((P, v(-3), fzero))
+@example((P, fzero, fzero))
+# half-ulp ties: 2^P + 2 + 1 rounds up to the even 2^P + 4, 2^P + 4 + 1 stays
+@example((P, v(2**P + 2), v(1)))
+@example((P, v(2**P + 4), v(1)))
+@example((P, v(-(2**P) - 2), v(-1)))
+@example((P, v(2**P + 1), v(1)))  # mul: a single operand of P + 1 bits at a tie
+@example((P, v(2**P + 3), v(1)))
+# round-up carrying the mantissa to 2^P: (2^P - 1) + 1/2 and (2^(P+1) - 1) * 1
+@example((P, v(2**P - 1), v(1, -1)))
+@example((P, v(2**(P + 1) - 1), v(1)))
+# cancellation to exactly 0
+@example((P, v(12345, -7), v(-12345, -7)))
+@example((P, v(2**W - 1, -3), v(2**W - 1, -3)))
+# exponent offsets of 100 and 101 with the smaller operand far below, either side
+@example((P, v(1), v(1, -100)))
+@example((P, v(1), v(1, -101)))
+@example((P, v(-1, -100), v(1)))
+@example((P, v(1, -101), v(-1)))
+# the smaller operand exactly prec + 4 (no cut-off) and prec + 5 bits below,
+# at an exponent offset past 100, either side
+@example((P, v(1), v(2**44 + 1, -P - 48)))
+@example((P, v(1), v(2**44 + 1, -P - 49)))
+@example((P, v(2**44 + 1, -P - 48), v(-1)))
+@example((P, v(2**44 + 1, -P - 49), v(-1)))
+# operands wider than prec: the slow-start y0 = 1/2 + 2^-(P+1)
+@example((P, v(2**P + 1, -P - 1), v(1, -P - 10)))
+@example((P, v(2**P + 1, -P - 1), v(-1, -P - 200)))
+# the 2P-bit S just above a tie plus a far smaller negative operand that
+# overlaps it: libmp replaces that operand by a unit, and so rounds up where
+# the exact sum rounds down, only when their exponents lie more than 100
+# apart and their leading bits more than P + 4
+@example((P, S, v(-(2**110) - 1, -100)))
+@example((P, S, v(-(2**110) - 1, -101)))
+@example((P, v(-(2**110) - 1, -101), S))
+@example((P, S, v(-(2**152) - 1, -101)))
+@example((P, S, v(-(2**151) - 1, -101)))
+def test_ops_match_libmp(case):
+    _check(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operand_pairs(), st.integers(0, 80))
+# at 169 bits, a canonical operand of 228 bits and a rounded one of 169 bits
+# with 15 trailing zeros: 115 exponents apart as pairs but 100 canonically,
+# so libmp adds exactly rather than replacing the smaller by a unit
+@example(
+    (PRECS[1], v(300794312789057875780201052138881662455211131144298776926035600481213, 115),
+     v(16520776000067504078940540250371629127268794769, 15)),
+    15,
+)
+def test_ops_on_rounded_operands_match_libmp(case, shift):
+    """The second operand comes from rn, as pairs inside a kernel do: not canonical."""
+    prec, a, b = case
+    sign, m, e, _ = b
+    pair = rn((-m if sign else m) << shift, e - shift, prec)
+    b = pack(pair)
+    for op, ref in OPS:
+        assert pack(op(split(a), pair, prec)) == ref(a, b, prec, round_nearest), (op, a, b, shift)
+        assert pack(op(pair, split(a), prec)) == ref(b, a, prec, round_nearest), (op, b, a, shift)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operand_pairs())
+def test_rn_and_pack_match_libmp_rounding(case):
+    prec, a, _ = case
+    sign, m, e, _ = a
+    assert pack(rn(-m if sign else m, e, prec)) == from_man_exp(
+        -m if sign else m, e, prec, round_nearest
+    )
+    assert pack(split(a)) == a
+    assert pack(split(mpf_neg(a))) == mpf_neg(a)
+
+
+@pytest.mark.parametrize("special", [finf, fninf, fnan], ids=["inf", "-inf", "nan"])
+def test_split_rejects_non_finite_values(special):
+    with pytest.raises(ValueError, match="infinity or NaN"):
+        split(special)
