@@ -82,15 +82,10 @@ from .systems import (
 _KINDS = {k.value: k for k in SingularityKind}
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of --out-digits: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+def _check_positive(flag: str, value: int) -> None:
+    """Reject a count flag (--stride, --out-digits) below 1 before any output."""
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+        raise ValueError(f"{flag} must be >= 1, got {value}")
 
 
 def _check_budget(n_max: int) -> None:
@@ -164,8 +159,8 @@ def _row(ctx, n, x, y, nd):
 def cmd_simulate(args) -> int:
     stride, n_max = args.stride, args.n_max
     _check_budget(n_max)
-    if stride < 1:
-        raise ValueError(f"--stride must be >= 1, got {stride}")
+    _check_positive("--stride", stride)
+    _check_positive("--out-digits", args.out_digits)
     ctx = make_context(args.digits)
     params = SystemParams.create(ctx, args.eps, args.h, a=args.a)
     kind = _KINDS[args.kind]
@@ -260,6 +255,7 @@ splot "{csv}" every ::1 using 1:2:3 with lines notitle
 
 
 def cmd_sweep(args) -> int:
+    _check_positive("--out-digits", args.out_digits)
     ctx = make_context(args.digits)
     if args.tableau == "all":
         names = sorted(SHIPPED_TABLEAUX)
@@ -322,6 +318,7 @@ def cmd_wayout(args) -> int:
 
 
 def cmd_bisect(args) -> int:
+    _check_positive("--out-digits", args.out_digits)
     ctx = make_context(args.digits)
     kind = _KINDS[args.kind]
     tab = _resolve_tableau(args)
@@ -348,6 +345,7 @@ def cmd_bisect(args) -> int:
 
 
 def cmd_kstar(args) -> int:
+    _check_positive("--out-digits", args.out_digits)
     ctx = make_context(args.digits)
     nd = args.out_digits
     rho = ctx.mpf(args.rho)
@@ -599,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--stride", type=int, default=1, help="write every stride-th point")
     p.add_argument("--escape", help="deviation threshold for jump classification")
-    p.add_argument("--out-digits", type=_positive_int, default=30)
+    p.add_argument("--out-digits", type=int, default=30)
     _add_common(p, SIMULATE_DIGITS)
     p.set_defaults(func=cmd_simulate)
 
@@ -614,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", default="1e-4")
     p.add_argument("--digits-target", type=int, default=3)
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--out-digits", type=_positive_int, default=30)
+    p.add_argument("--out-digits", type=int, default=30)
     _add_common(p, ANALYSIS_DIGITS)
     p.set_defaults(func=cmd_sweep)
 
@@ -636,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h-lo", help="optional bracket low end")
     p.add_argument("--h-hi", help="optional bracket high end")
     p.add_argument("--n-max", type=int, help="classification iteration budget")
-    p.add_argument("--out-digits", type=_positive_int, default=30)
+    p.add_argument("--out-digits", type=int, default=30)
     _add_common(p, ANALYSIS_DIGITS)
     p.set_defaults(func=cmd_bisect)
 
@@ -648,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True)
     p.add_argument("--tableau", default="kutta3")
     p.add_argument("--tableau-file")
-    p.add_argument("--out-digits", type=_positive_int, default=30)
+    p.add_argument("--out-digits", type=int, default=30)
     _add_common(p, SIMULATE_DIGITS)
     p.set_defaults(func=cmd_kstar)
 

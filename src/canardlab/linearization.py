@@ -39,7 +39,7 @@ from .schemes import (
     PoleError,
     _abs_le,
     _on_tuples,
-    a_family_step_pitchfork,
+    afamily_kernel,
     euler_deviation_kernel,
     euler_kernel,
     kahan_deviation_kernel,
@@ -126,7 +126,7 @@ def scheme_map(
     if kind is SingularityKind.PITCHFORK and (scheme == KAHAN or isinstance(scheme, AFamily)):
         a = ctx.mpf(-1) / 2 if scheme == KAHAN else ctx.mpf(scheme.a)
         factor = partial(_afamily_pitchfork_factor, a, params)
-        step = _on_tuples(ctx, lambda p: a_family_step_pitchfork(a, params, p).point)
+        step = afamily_kernel(a, params)
         return SchemeMap(step, factor, lambda y: ((factor(y), zero), (zero, one)))
     if isinstance(scheme, ButcherTableau):  # on the fold
         if canard:

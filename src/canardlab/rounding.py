@@ -1,14 +1,14 @@
 """Round-to-nearest-even arithmetic on signed integer mantissa pairs.
 
 A pair (m, e) holds the value m * 2**e; m is a signed integer, 0 for zero,
-and need not be odd.  rn, add, sub and mul round to nearest, ties to even,
-at prec bits, exactly as mpmath's libmp does with round_nearest (add keeps
-libmp's rule for a far smaller operand): pack(add(split(s), split(t),
-prec)) equals mpf_add(s, t, prec, round_nearest), and likewise for sub and
-mul.  Results are neither packed nor stripped of trailing zeros, so a chain
-of operations builds and normalises no ``_mpf_`` tuple between two
-roundings; pack makes the canonical tuple once, at the end.  Pairs hold
-finite values only.
+and need not be odd.  rn, add, sub, mul and div round to nearest, ties to
+even, at prec bits, exactly as mpmath's libmp does with round_nearest (add
+keeps libmp's rule for a far smaller operand): pack(add(split(s), split(t),
+prec)) equals mpf_add(s, t, prec, round_nearest), and likewise for sub, mul
+and div.  abs_le compares magnitudes exactly.  Results are neither packed
+nor stripped of trailing zeros, so a chain of operations builds and
+normalises no ``_mpf_`` tuple between two roundings; pack makes the
+canonical tuple once, at the end.  Pairs hold finite values only.
 """
 
 from mpmath.libmp import fzero
@@ -96,3 +96,42 @@ def sub(a, b, prec):
     """a - b rounded at prec bits, as add rounds a + (-b)."""
     bm, be = b
     return add(a, (-bm, be), prec)
+
+
+def div(a, b, prec):
+    """a / b rounded at prec bits; b is nonzero.
+
+    The truncated quotient gets at least prec + 2 bits, and a sticky bit
+    below them records a nonzero remainder, so rn sees the half bit and
+    whether anything lies below it: the correctly rounded quotient, which is
+    what libmp's mpf_div returns.
+    """
+    am, ae = a
+    bm, be = b
+    if not am:
+        return a
+    neg = (am < 0) != (bm < 0)
+    am, bm = abs(am), abs(bm)
+    extra = max(0, prec + 3 - am.bit_length() + bm.bit_length())
+    q, r = divmod(am << extra, bm)
+    if r:
+        q = (q << 1) | 1
+        extra += 1
+    return rn(-q if neg else q, ae - be - extra, prec)
+
+
+def abs_le(a, b):
+    """|a| <= |b|, exactly; magnitudes a bit or more apart decide it unshifted."""
+    am, ae = a
+    bm, be = b
+    am, bm = abs(am), abs(bm)
+    if not am:
+        return True
+    if not bm:
+        return False
+    d = am.bit_length() + ae - bm.bit_length() - be
+    if d:
+        return d < 0
+    if ae >= be:
+        return am << (ae - be) <= bm
+    return am <= bm << (be - ae)

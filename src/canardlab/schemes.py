@@ -23,15 +23,16 @@ without accumulating conversion error.  The bound coefficients are cached
 per tableau as raw ``_mpf_`` tuples keyed by the binary precision, so each
 precision pays for the Fraction conversions once.
 
-Forward Euler also runs on raw mpmath ``_mpf_`` tuples (euler_kernel), for
-the long orbit loops of the analysis and the command line, and so do the
-transcritical forward-Euler, explicit-RK and Kahan maps and the pitchfork's
-forward Euler in deviation coordinates, for the jump classification.  Each
-step gives the tuples mpf arithmetic gives, bit for bit.  Except for the
-Kahan step, which keeps libmp's division, a step splits its input tuples
-into signed integer mantissa pairs once, rounds every operation on the
-pairs (see rounding), and packs only its outputs, so no tuple is built or
-normalised between two operations.
+Forward Euler and the implicit pitchfork family also run on raw mpmath
+``_mpf_`` tuples (euler_kernel, afamily_kernel), for the long orbit loops of
+the analysis and the command line, and so do the transcritical
+forward-Euler, explicit-RK and Kahan maps and the pitchfork's forward Euler
+in deviation coordinates, for the jump classification.  Each step gives the
+tuples mpf arithmetic gives, bit for bit: it splits its input tuples into
+signed integer mantissa pairs once, rounds every operation on the pairs
+(see rounding; divisions included), and packs only its outputs, so no tuple
+is built or normalised between two operations.  Only the implicit family's
+rare cubic fallback finds its root with mpmath's polyroots.
 """
 
 from __future__ import annotations
@@ -40,12 +41,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from mpmath.libmp import (
-    fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_mul, mpf_sub, round_nearest,
-)
+from mpmath.libmp import mpf_abs, mpf_le, mpf_mul, round_nearest
 
 from .precision import PrecisionContext
-from .rounding import add, mul, pack, rn, split, sub
+from .rounding import abs_le, add, div, mul, pack, rn, split, sub
 from .systems import Orbit, PlanarPoint, SingularityKind, SystemParams, vector_field
 
 
@@ -338,17 +337,17 @@ def rk_deviation_kernel(tableau: ButcherTableau, params: SystemParams):
 
 def kahan_deviation_kernel(params: SystemParams):
     """Transcritical Kahan: u (1 + h y + eps h h) / (1 - h (y + u))."""
-    prec, rnd = params.ctx.prec, round_nearest
-    add, sub, mul, div = mpf_add, mpf_sub, mpf_mul, mpf_div
-    h, eps = params.h._mpf_, params.epsilon._mpf_
-    num_eps = mul(mul(eps, h, prec, rnd), h, prec, rnd)
+    prec = params.ctx.prec
+    h, eps = split(params.h._mpf_), split(params.epsilon._mpf_)
+    num_eps = mul(mul(eps, h, prec), h, prec)
 
     def step(u, y):
-        den = sub(fone, mul(h, add(y, u, prec, rnd), prec, rnd), prec, rnd)
-        if den == fzero:
+        u, y = split(u), split(y)
+        den = sub(_ONE, mul(h, add(y, u, prec), prec), prec)
+        if not den[0]:
             raise PoleError("transcritical Kahan step hit its pole")
-        num = add(add(mul(h, y, prec, rnd), fone, prec, rnd), num_eps, prec, rnd)
-        return div(mul(u, num, prec, rnd), den, prec, rnd)
+        num = add(add(mul(h, y, prec), _ONE, prec), num_eps, prec)
+        return pack(div(mul(u, num, prec), den, prec))
 
     return step
 
@@ -544,24 +543,49 @@ class StepResult:
 
 
 _AFAMILY_MAX_NEWTON = 200
+_THREE = (3, 0)
+
+
+# The implicit relation and its slope on mantissa pairs, rounded like the mpf
+# expressions x + h (a f(x, y) + b f(mx, my) + a f(xn, yn)) - xn and
+# h (b (my - 3 mx mx)/2 + a (yn - 3 xn xn)) - 1, with f(x, y) = x y - x x x,
+# b = 1 - 2a, mx = (x + xn)/2 and my = (y + yn)/2.  af_old = a f(x, y) is
+# formed once per step and mx once per candidate xn; halving is exact, so it
+# is an exponent shift.
+
+
+def _pitchfork_f(x, y, prec):
+    return sub(mul(x, y, prec), mul(mul(x, x, prec), x, prec), prec)
+
+
+def _afamily_residual_pair(a, b, h, x, af_old, my, yn, xn, mx, prec):
+    f = add(add(af_old, mul(b, _pitchfork_f(mx, my, prec), prec), prec),
+            mul(a, _pitchfork_f(xn, yn, prec), prec), prec)
+    return sub(add(x, mul(h, f, prec), prec), xn, prec)
+
+
+def _afamily_slope_pair(a, b, h, my, yn, xn, mx, prec):
+    m, e = sub(my, mul(mul(_THREE, mx, prec), mx, prec), prec)
+    d_new = sub(yn, mul(mul(_THREE, xn, prec), xn, prec), prec)
+    return sub(mul(h, add(mul(b, (m, e - 1), prec), mul(a, d_new, prec), prec), prec), _ONE, prec)
+
+
+def _half_sum(u, v, prec):
+    m, e = add(u, v, prec)
+    return m, e - 1
 
 
 def _afamily_residual(aparam, h, x, y, yn, xn):
-    """Residual of the implicit pitchfork relation at candidate xnew."""
-    mid_x = (x + xn) / 2
-    mid_y = (y + yn) / 2
-    f_old = x * y - x * x * x
-    f_mid = mid_x * mid_y - mid_x * mid_x * mid_x
-    f_new = xn * yn - xn * xn * xn
-    return x + h * (aparam * f_old + (1 - 2 * aparam) * f_mid + aparam * f_new) - xn
-
-
-def _afamily_residual_prime(aparam, h, x, y, yn, xn):
-    mid_x = (x + xn) / 2
-    mid_y = (y + yn) / 2
-    d_mid = (mid_y - 3 * mid_x * mid_x) / 2
-    d_new = yn - 3 * xn * xn
-    return h * ((1 - 2 * aparam) * d_mid + aparam * d_new) - 1
+    """Residual of the implicit pitchfork relation at candidate xnew (mpf scalars)."""
+    mp = xn.context
+    prec = mp.prec
+    a, h, x, y, yn, xn = (split(mp.mpf(v)._mpf_) for v in (aparam, h, x, y, yn, xn))
+    b = sub(_ONE, rn(a[0], a[1] + 1, prec), prec)
+    af_old = mul(a, _pitchfork_f(x, y, prec), prec)
+    r = _afamily_residual_pair(
+        a, b, h, x, af_old, _half_sum(y, yn, prec), yn, xn, _half_sum(x, xn, prec), prec
+    )
+    return mp.make_mpf(pack(r))
 
 
 def _afamily_cubic_coeffs(aparam, h, x, y, yn):
@@ -575,6 +599,111 @@ def _afamily_cubic_coeffs(aparam, h, x, y, yn):
     return c0, c1, c2, c3
 
 
+def _afamily_solver(aparam, params: SystemParams, reverse: bool = False):
+    """The implicit pitchfork step as solve(x, y) -> (xnew, ynew, method, residual).
+
+    x, y, xnew and ynew are ``_mpf_`` tuples, residual a mantissa pair and
+    method "newton", "cubic" or "canard" (see a_family_step_pitchfork).
+    a, b = 1 - 2a, h (negated for reverse), eps h and the residual bars
+    tol(2) and tol(10) are formed once; every operation but the cubic's
+    polyroots and root choice rounds on pairs like the mpf expression it
+    replaces, so the tuples are those of mpf arithmetic, bit for bit.
+    """
+    ctx = params.ctx
+    prec = ctx.prec
+    a_mpf = ctx.mpf(aparam)
+    h_mpf = -params.h if reverse else params.h
+    a, h = split(a_mpf._mpf_), split(h_mpf._mpf_)
+    b = sub(_ONE, rn(a[0], a[1] + 1, prec), prec)
+    heps = mul(split(params.epsilon._mpf_), h, prec)
+    tol2, tol10 = split(ctx.tol(2)._mpf_), split(ctx.tol(10)._mpf_)
+
+    def within(v, tol, xn):
+        """|v| <= tol (1 + |xn|)."""
+        return abs_le(v, mul(tol, add(_ONE, (abs(xn[0]), xn[1]), prec), prec))
+
+    def residual(x, af_old, my, yn, xn):
+        return _afamily_residual_pair(a, b, h, x, af_old, my, yn, xn, _half_sum(x, xn, prec), prec)
+
+    def correction(x, af_old, my, yn, xn):
+        """Newton's residual / slope at xn, or None where the slope is 0."""
+        mx = _half_sum(x, xn, prec)
+        dr = _afamily_slope_pair(a, b, h, my, yn, xn, mx, prec)
+        if not dr[0]:
+            return None
+        return div(_afamily_residual_pair(a, b, h, x, af_old, my, yn, xn, mx, prec), dr, prec)
+
+    def cubic_root(x, y, yn, predictor):
+        """The real root of the cleared polynomial nearest the predictor, as a pair."""
+        make = ctx.make_mpf
+        coeffs = list(_afamily_cubic_coeffs(a_mpf, h_mpf, make(x), make(y), make(pack(yn))))
+        coeffs.reverse()
+        while coeffs and coeffs[0] == 0:
+            coeffs = coeffs[1:]
+        if len(coeffs) < 2:
+            raise NoRealBranch("implicit pitchfork update degenerated to a constant relation")
+        roots = ctx.polyroots(coeffs, maxsteps=200, extraprec=60)
+        imag_bar = ctx.tol(15)
+        real_roots = [r.real for r in roots if abs(r.imag) <= imag_bar * (1 + abs(r))]
+        if not real_roots:
+            raise NoRealBranch("implicit pitchfork update has no real branch at this point")
+        predictor = make(pack(predictor))
+        return split(min(real_roots, key=lambda r: abs(r - predictor))._mpf_)
+
+    def solve(x0, y0):
+        try:
+            x, y = split(x0), split(y0)
+        except ValueError:  # an infinity or NaN
+            raise NoRealBranch(
+                "implicit pitchfork update has no real branch at this point"
+            ) from None
+        yn = add(y, heps, prec)
+        if not x[0]:
+            return x0, pack(yn), "canard", _ZERO
+        my = _half_sum(y, yn, prec)
+        af_old = mul(a, _pitchfork_f(x, y, prec), prec)
+        xn = predictor = add(x, mul(mul(h, x, prec), sub(y, mul(x, x, prec), prec), prec), prec)
+        for _ in range(_AFAMILY_MAX_NEWTON):
+            step = correction(x, af_old, my, yn, xn)
+            if step is None:
+                break
+            xn = sub(xn, step, prec)
+            if within(step, tol2, xn):
+                r = residual(x, af_old, my, yn, xn)
+                if within(r, tol10, xn):
+                    return pack(xn), pack(yn), "newton", r
+                break
+
+        # Newton failed: solve the cleared polynomial exactly, then polish.
+        xn = cubic_root(x0, y0, yn, predictor)
+        for _ in range(8):
+            step = correction(x, af_old, my, yn, xn)
+            if step is None:
+                break
+            xn = sub(xn, step, prec)
+        r = residual(x, af_old, my, yn, xn)
+        if not within(r, tol10, xn):
+            raise NoRealBranch("implicit pitchfork update: no branch met the residual tolerance")
+        return pack(xn), pack(yn), "cubic", r
+
+    return solve
+
+
+def afamily_kernel(aparam, params: SystemParams):
+    """The implicit pitchfork step on raw ``_mpf_`` tuples: step(x, y) -> (xnew, ynew).
+
+    Bit-identical to a_family_step_pitchfork(aparam, params, p).point;
+    everything that depends only on the orbit is formed once.
+    """
+    solve = _afamily_solver(aparam, params)
+
+    def step(x, y):
+        xn, yn, _, _ = solve(x, y)
+        return xn, yn
+
+    return step
+
+
 def a_family_step_pitchfork(
     aparam, params: SystemParams, p: PlanarPoint, reverse: bool = False
 ) -> StepResult:
@@ -583,66 +712,20 @@ def a_family_step_pitchfork(
     The slow update is explicit, ynew = y + eps h.  The fast update solves
     the degree-<=3 implicit relation for xnew by Newton iteration seeded at
     the forward-Euler predictor; if Newton fails to meet the residual bar
-    10^(-digits+10), the cleared polynomial is solved exactly and the real
-    root nearest the predictor is selected.  The line {x = 0} is invariant:
-    from x = 0 the canard branch xnew = 0 is returned unconditionally (other
-    real branches may coexist there).
+    10^(-digits+10), the cleared polynomial is solved exactly, the real
+    root nearest the predictor is selected and polished by up to 8 Newton
+    steps.  The line {x = 0} is invariant: from x = 0 the canard branch
+    xnew = 0 is returned unconditionally (other real branches may coexist
+    there).  Newton and polish round on mantissa pairs (see rounding), as
+    afamily_kernel does for whole orbits, giving the values mpf arithmetic
+    gives; a non-finite x or y raises NoRealBranch.
 
     The family is symmetric (time-reversible): reverse=True applies the step
     with h -> -h, which undoes the forward step.
     """
-    ctx = params.ctx
-    aparam = ctx.mpf(aparam)
-    h, eps = params.h, params.epsilon
-    if reverse:
-        h = -h
-    x, y = p.x, p.y
-    yn = y + eps * h
-    if x == 0:
-        return StepResult(PlanarPoint(ctx.mpf(0), yn), BranchInfo("canard", ctx.mpf(0)))
-
-    tol = ctx.tol(10)
-    xn = x + h * x * (y - x * x)  # Euler predictor
-    predictor = xn
-    converged = False
-    for _ in range(_AFAMILY_MAX_NEWTON):
-        r = _afamily_residual(aparam, h, x, y, yn, xn)
-        dr = _afamily_residual_prime(aparam, h, x, y, yn, xn)
-        if dr == 0:
-            break
-        step = r / dr
-        xn = xn - step
-        if abs(step) <= ctx.tol(2) * (1 + abs(xn)):
-            converged = True
-            break
-    if converged:
-        r = _afamily_residual(aparam, h, x, y, yn, xn)
-        if abs(r) <= tol * (1 + abs(xn)):
-            return StepResult(PlanarPoint(xn, yn), BranchInfo("newton", r))
-
-    # Newton failed: solve the cleared polynomial exactly.
-    c0, c1, c2, c3 = _afamily_cubic_coeffs(aparam, h, x, y, yn)
-    coeffs = [c3, c2, c1, c0]
-    while coeffs and coeffs[0] == 0:
-        coeffs = coeffs[1:]
-    if len(coeffs) < 2:
-        raise NoRealBranch("implicit pitchfork update degenerated to a constant relation")
-    roots = ctx.polyroots(coeffs, maxsteps=200, extraprec=60)
-    imag_bar = ctx.tol(15)
-    real_roots = [r.real for r in roots if abs(r.imag) <= imag_bar * (1 + abs(r))]
-    if not real_roots:
-        raise NoRealBranch("implicit pitchfork update has no real branch at this point")
-    xn = min(real_roots, key=lambda r: abs(r - predictor))
-    for _ in range(8):  # polish
-        r = _afamily_residual(aparam, h, x, y, yn, xn)
-        dr = _afamily_residual_prime(aparam, h, x, y, yn, xn)
-        if dr == 0:
-            break
-        xn = xn - r / dr
-    r = _afamily_residual(aparam, h, x, y, yn, xn)
-    if abs(r) > tol * (1 + abs(xn)):
-        raise NoRealBranch("implicit pitchfork update: no branch met the residual tolerance")
-    return StepResult(PlanarPoint(xn, yn), BranchInfo("cubic", r))
+    x, y, method, r = _afamily_solver(aparam, params, reverse)(p.x._mpf_, p.y._mpf_)
+    make = params.ctx.make_mpf
+    return StepResult(PlanarPoint(make(x), make(y)), BranchInfo(method, make(pack(r))))
 
 
 def kahan_step_pitchfork(params: SystemParams, p: PlanarPoint) -> StepResult:

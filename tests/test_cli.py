@@ -251,13 +251,9 @@ def test_out_digits_below_one_is_rejected_before_output(tmp_path, capsys, comman
     out = tmp_path / "x.csv"
     argv = OUT_DIGITS_ARGV[command] + [f"--out-digits={value}"]
     argv += ["--out-dir", str(tmp_path)] if command == "sweep" else ["--out", str(out)]
-    with pytest.raises(SystemExit) as err:
-        main(argv)
-    assert err.value.code == 2
-    lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-    assert len(lines) == 1 and lines[0].endswith(
-        f"error: argument --out-digits: must be >= 1, got {value}"
-    ), lines
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: --out-digits must be >= 1, got {value}"], lines
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,8 +1,9 @@
 """The mantissa-pair arithmetic of canardlab.rounding against mpmath's libmp.
 
 pack(op(split(s), split(t), prec)) must equal libmp's op(s, t, prec,
-round_nearest) tuple for tuple, at the binary precisions of the 16, 50, 200
-and 5000-digit contexts (56, 169, 668 and 16613 bits).  Operands are drawn
+round_nearest) tuple for tuple, for add, sub, mul and div, at the binary
+precisions of the 16, 50, 200 and 5000-digit contexts (56, 169, 668 and
+16613 bits); abs_le must agree with mpf_le on the magnitudes.  Operands are drawn
 with mantissas up to about twice the precision (wider than prec: the
 slow-start case) and with the second placed relative to the first, so sums
 overlap, cancel, or lie past libmp's far-operand cut-off.
@@ -11,14 +12,15 @@ overlap, cancel, or lie past libmp's far-operand cut-off.
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import (
-    finf, fnan, fninf, fzero, from_man_exp, mpf_add, mpf_mul, mpf_neg, mpf_sub, round_nearest,
+    finf, fnan, fninf, fzero, from_man_exp, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_mul, mpf_neg,
+    mpf_sub, round_nearest,
 )
 
 from canardlab import make_context
-from canardlab.rounding import add, mul, pack, rn, split, sub
+from canardlab.rounding import abs_le, add, div, mul, pack, rn, split, sub
 
 PRECS = [make_context(d).prec for d in (16, 50, 200, 5000)]
 OPS = ((add, mpf_add), (sub, mpf_sub), (mul, mpf_mul))
@@ -157,3 +159,73 @@ def test_rn_and_pack_match_libmp_rounding(case):
 def test_split_rejects_non_finite_values(special):
     with pytest.raises(ValueError, match="infinity or NaN"):
         split(special)
+
+
+def _check_div(prec, a, b):
+    assert pack(div(split(a), split(b), prec)) == mpf_div(a, b, prec, round_nearest), (a, b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(operand_pairs())
+# a zero numerator
+@example((P, fzero, v(3)))
+@example((P, fzero, v(-(2**W) - 1, -40)))
+# exact quotients: a unit divisor, a power of two, and (2^P - 1)(2^P + 1) / (2^P + 1)
+@example((P, v(12345, -7), v(1)))
+@example((P, v(-(2**W) - 1, 3), v(1, -9)))
+@example((P, v(2**(2 * P) - 1), v(2**P + 1)))
+@example((P, v(6), v(3)))
+# exact ties: 2^P + 1 and 2^P + 3 over 1 round to the even neighbour
+@example((P, v(2**P + 1), v(1)))
+@example((P, v(2**P + 3), v(1)))
+@example((P, v(2**(P + 1) + 2), v(2)))
+# negative operands of each sign
+@example((P, v(-1), v(3)))
+@example((P, v(1), v(-3)))
+@example((P, v(-1), v(-3)))
+@example((P, v(-(2**P) - 1), v(7, -3)))
+# divisors wider than prec
+@example((P, v(3), S))
+@example((P, v(-1), v(2**W - 1, -W)))
+@example((P, S, v(-(2**(W + 7)) - 1, -20)))
+# quotients just below and just above a power of two: 2^(2P) / (2^P +- 1),
+# and 1 / (1 +- 2^-(P + 5)), which round to 1
+@example((P, v(2**(2 * P)), v(2**P + 1)))
+@example((P, v(2**(2 * P)), v(2**P - 1)))
+@example((P, v(1), v(2**(P + 5) + 1, -P - 5)))
+@example((P, v(1), v(2**(P + 5) - 1, -P - 5)))
+@example((P, v(-1), v(2**(P + 5) + 1, -P - 5)))
+def test_div_matches_libmp(case):
+    prec, a, b = case
+    assume(b != fzero)
+    _check_div(prec, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operand_pairs(), st.integers(0, 80))
+def test_div_and_abs_le_on_rounded_operands(case, shift):
+    """Non-canonical pairs from rn, as inside a kernel, give the same results."""
+    prec, a, b = case
+    sign, m, e, _ = b
+    pair = rn((-m if sign else m) << shift, e - shift, prec)
+    b = pack(pair)
+    assert abs_le(split(a), pair) == mpf_le(mpf_abs(a), mpf_abs(b))
+    assert abs_le(pair, split(a)) == mpf_le(mpf_abs(b), mpf_abs(a))
+    if b != fzero:
+        assert pack(div(split(a), pair, prec)) == mpf_div(a, b, prec, round_nearest)
+    if a != fzero:
+        assert pack(div(pair, split(a), prec)) == mpf_div(b, a, prec, round_nearest)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operand_pairs())
+@example((P, fzero, fzero))
+@example((P, fzero, v(-1)))
+@example((P, v(-1), fzero))
+@example((P, v(-5), v(5)))
+@example((P, v(5, -1), v(-3)))  # same binary magnitude, either order
+@example((P, v(3), v(5, -1)))
+@example((P, S, v(2**W - 1, 1)))
+def test_abs_le_matches_libmp(case):
+    _, a, b = case
+    assert abs_le(split(a), split(b)) == mpf_le(mpf_abs(a), mpf_abs(b)), (a, b)
