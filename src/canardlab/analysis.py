@@ -34,11 +34,12 @@ coordinates, where the transversal deviation carries its own exponent; this
 is what makes critical-step bisection feasible at a few hundred digits even
 where the raw orbit would need thousands.
 
-The long orbit loops of both representations run on raw mpmath ``_mpf_``
-tuples: every operation is rounded to nearest at the context's precision in
-the order of the mpf expression it stands for, and every per-step check
-goes through the exponent-prefiltered comparison schemes._abs_le, so labels,
-step counts, points and deviations are bit-identical to mpf arithmetic.
+The raw loop runs on mpmath ``_mpf_`` tuples and checks each step with the
+exponent-prefiltered comparison schemes._abs_le; the deviation loop runs on
+signed mantissa pairs and checks with rounding.abs_le.  Every operation is
+rounded to nearest at the context's precision in the order of the mpf
+expression it stands for, so labels, step counts, points and deviations are
+bit-identical to mpf arithmetic.
 """
 
 from __future__ import annotations
@@ -49,10 +50,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from mpmath.libmp import fzero, mpf_add, round_nearest
-
 from .linearization import CANARDS, SchemeSelector, q_s, scheme_map
 from .precision import PrecisionContext
+from .rounding import abs_le, add, mul, pack, split
 from .schemes import ButcherTableau, PoleError, _abs_le
 from .systems import PlanarPoint, SingularityKind, SystemParams
 
@@ -205,12 +205,13 @@ def _poly_eval(p, x):
     return acc
 
 
-def _stage_polynomial(tableau: ButcherTableau, ctx: PrecisionContext, x, h, eps):
+def _stage_polynomial(tableau: ButcherTableau, ctx: PrecisionContext, x, h, eps, stage_factor=2):
     """Coefficients (ascending) of Q_s in a variable t, given x and h as polynomials in t.
 
-    The transcritical stage recursion dk_i = 2 (x + h eps A_i) (1 + h sum_{j<i}
-    a_ij dk_j), Q_s = sum_i alpha_i dk_i, over coefficient lists: x = [0, 1],
-    h = [h] gives Q_s in the canard position; x = [-rho], h = [0, 1] gives
+    The stage recursion dk_i = c (x + h eps A_i) (1 + h sum_{j<i} a_ij dk_j),
+    Q_s = sum_i alpha_i dk_i, with q_s's stage factor c (2 on the
+    transcritical diagonal), over coefficient lists: x = [0, 1], h = [h]
+    gives Q_s in the canard position; x = [-rho], h = [0, 1] gives
     Q_s(-rho) in the step size.
     """
     alpha, rows, sums = tableau.bind(ctx)
@@ -220,7 +221,7 @@ def _stage_polynomial(tableau: ButcherTableau, ctx: PrecisionContext, x, h, eps)
         acc = [ctx.mpf(0)]
         for j, aij in enumerate(rows[i]):
             acc = _poly_add(acc, _poly_scale(dk[j], aij))
-        base = _poly_scale(_poly_add(_poly_scale(heps, sums[i]), x), 2)
+        base = _poly_scale(_poly_add(_poly_scale(heps, sums[i]), x), stage_factor)
         dk.append(_poly_mul(base, _poly_add([ctx.mpf(1)], _poly_mul(h, acc))))
     total = [ctx.mpf(0)]
     for i in range(tableau.s):
@@ -477,7 +478,9 @@ def critical_triplet_linearized(
     return None if rho is None else CriticalTriplet(rho, h_s, params.epsilon, "linearized")
 
 
-def linearized_critical_h(tableau: ButcherTableau, rho, eps, ctx: PrecisionContext):
+def linearized_critical_h(
+    tableau: ButcherTableau, rho, eps, ctx: PrecisionContext, stage_factor=2
+):
     """Smallest h in (0, 10/rho] with 1 + h Q_s(-rho; h, eps) = 0, or None.
 
     This is the critical-triplet equation solved for the step size at fixed
@@ -486,7 +489,9 @@ def linearized_critical_h(tableau: ButcherTableau, rho, eps, ctx: PrecisionConte
     1 at h = 0; its first sign change in (0, 10/rho] is isolated and
     polished as in critical_triplet_linearized, with no scan.  The cap
     10/rho is fixed; it is what leaves heun2 without a root in most cells
-    of the README grid.
+    of the README grid.  stage_factor is q_s's: 2 on the transcritical
+    diagonal, 1 on the pitchfork line (forward Euler's root is then
+    1/(c rho)).
     """
     rho, eps = ctx.mpf(rho), ctx.mpf(eps)
     if not (rho > 0 and ctx.isfinite(rho)):
@@ -494,7 +499,8 @@ def linearized_critical_h(tableau: ButcherTableau, rho, eps, ctx: PrecisionConte
     if not (eps >= 0 and ctx.isfinite(eps)):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
     h = [ctx.mpf(0), ctx.mpf(1)]
-    return _first_root(ctx, _stage_polynomial(tableau, ctx, [-rho], h, eps), h, _H_CAP / rho)
+    q = _stage_polynomial(tableau, ctx, [-rho], h, eps, stage_factor)
+    return _first_root(ctx, q, h, _H_CAP / rho)
 
 
 # ---------------------------------------------------------------------------
@@ -536,53 +542,56 @@ def _decide(dev, dev0, steps, point, last_sign_change=None) -> JumpResult:
     )
 
 
-def _iterate_deviation(ctx, step, u0, y0, heps, threshold, max_n, point):
-    """Deviation-coordinate orbit loop on raw ``_mpf_`` tuples.
+def _classify_deviation(kind, step, params, u0, y0, threshold, max_n, settle=None):
+    """Deviation-coordinate classification from the deviation u0 at slow position y0.
 
-    step(u, y) -> u advances the transversal deviation from the current
-    (deviation, slow) pair; the slow coordinate then advances by heps.  The
-    orbit is STUCK when u becomes exactly 0 or the budget runs out, and is
-    decided once |u| reaches the threshold.  point(u, y) gives the tuples
-    (x, y) of the reported PlanarPoint.  The step of the last sign change of
-    u (the tuple's sign word) is carried in the result.
+    step is the pair's SchemeMap.deviation_step: it advances the deviation u
+    (x - y on the transcritical diagonal, x itself on the pitchfork line)
+    from the current (deviation, slow) mantissa pairs, and the slow
+    coordinate then advances by eps h.  The pairs are split from u0 and y0
+    once and packed only for the result.  The orbit is STUCK when u becomes
+    exactly 0 or the budget runs out, and is decided once |u| reaches the
+    threshold.  The step of the last sign change of u is carried in the
+    result.
+
+    settle, when given, makes the run a prefix: it also stops at step n >=
+    2 x (its last sign change so far) + settle, or at max_n, and is then
+    decided by the sign of u against u0's.
     """
+    ctx = params.ctx
     prec = ctx.prec
     make = ctx.make_mpf
-    thr = threshold._mpf_
-    u, y = u0._mpf_, y0._mpf_
-    sign, flip = u[0], 0
-    n = max_n
+    heps = mul(split(params.h._mpf_), split(params.epsilon._mpf_), prec)
+    thr = split(threshold._mpf_)
+    u, y = split(u0._mpf_), split(y0._mpf_)
+    negative, flip = u[0] < 0, 0
+    # a full orbit never settles: n stays below max_n + 1
+    settled = max_n + 1 if settle is None else settle
+    stuck = settle is None
+    n = 0
     for n in range(1, max_n + 1):
         try:
             u = step(u, y)
         except PoleError as err:
             err.index = n
             raise
-        y = mpf_add(y, heps, prec, round_nearest)
-        if u == fzero:
+        y = add(y, heps, prec)
+        if not u[0]:
+            stuck = True
             break
-        if u[0] != sign:
-            sign, flip = u[0], n
-        if _abs_le(thr, u):
-            x, y = point(u, y)
-            return _decide(make(u), u0, n, PlanarPoint(make(x), make(y)), flip)
-    x, y = point(u, y)
-    return JumpResult(JumpClass.STUCK, n, PlanarPoint(make(x), make(y)), make(u), flip)
-
-
-def _classify_deviation(kind, step, params, u0, y0, threshold, max_n):
-    """Deviation-coordinate classification from the deviation u0 at slow position y0.
-
-    step is the pair's SchemeMap.deviation_step; u is x - y on the transcritical
-    diagonal and x itself on the pitchfork line.
-    """
-    prec = params.ctx.prec
-    heps = (params.h * params.epsilon)._mpf_
+        if (u[0] < 0) != negative:
+            negative, flip = not negative, n
+        if abs_le(thr, u) or n >= settled + 2 * flip:
+            stuck = False
+            break
     if kind is SingularityKind.TRANSCRITICAL:
-        point = lambda u, y: (mpf_add(y, u, prec, round_nearest), y)
+        point = PlanarPoint(make(pack(add(y, u, prec))), make(pack(y)))
     else:
-        point = lambda x, y: (x, y)
-    return _iterate_deviation(params.ctx, step, u0, y0, heps, threshold, max_n, point)
+        point = PlanarPoint(make(pack(u)), make(pack(y)))
+    deviation = make(pack(u))
+    if stuck:
+        return JumpResult(JumpClass.STUCK, n, point, deviation, flip)
+    return _decide(deviation, u0, n, point, flip)
 
 
 def _classify_raw(step, deviation, ctx, start, u0, threshold, max_n):
@@ -638,6 +647,29 @@ def classify_jump(
     (transcritical), immune to the collapse artifact; =False iterates the
     raw map at working precision and therefore reproduces the artifact.
     """
+    return _classify(kind, scheme, params, rho, delta, escape, max_n, track_deviation, start)
+
+
+def _deviation_step(kind, smap, track_deviation):
+    """The deviation map a classification iterates, or None for the raw loop.
+
+    The pitchfork's x is its own deviation, so its forward-Euler orbit takes
+    the deviation loop in either representation.
+    """
+    if track_deviation or kind is SingularityKind.PITCHFORK:
+        return smap.deviation_step
+    return None
+
+
+def _classify(
+    kind, scheme, params, rho, delta, escape=None, max_n=None, track_deviation=True,
+    start=None, settle=None,
+):
+    """classify_jump, or with settle given a prefix of its deviation orbit.
+
+    A prefix stops as _classify_deviation's settle rule says; the raw loop
+    has no sign-change record and ignores settle.
+    """
     ctx = params.ctx
     if not params.epsilon > 0:
         raise ValueError("jump classification requires epsilon > 0")
@@ -660,10 +692,9 @@ def classify_jump(
     u0 = ctx.make_mpf(deviation(start.x._mpf_, start.y._mpf_)[0])
     if u0 == 0 and kind is not SingularityKind.FOLD:
         raise ValueError("start lies exactly on the canard; nothing to classify")
-    # the pitchfork's x is its own deviation, so its forward-Euler orbit takes
-    # the deviation loop in either representation
-    if smap.deviation_step is not None and (track_deviation or kind is SingularityKind.PITCHFORK):
-        return _classify_deviation(kind, smap.deviation_step, params, u0, start.y, threshold, max_n)
+    step = _deviation_step(kind, smap, track_deviation)
+    if step is not None:
+        return _classify_deviation(kind, step, params, u0, start.y, threshold, max_n, settle)
     return _classify_raw(smap.step, deviation, ctx, start, u0, threshold, max_n)
 
 
@@ -678,44 +709,13 @@ def classify_jump(
 #: critical_h_bisection).
 _SCAN_BUDGET = 160
 
-#: Deviation steps a prefix label iterates beyond twice the latest sign change
-#: seen in the bisection's full classifications.
+#: Deviation steps a prefix orbit iterates beyond twice its own latest sign
+#: change.
 _PREFIX_MARGIN = 64
 
 
-def _prefix_bisection(classify_at, lo, hi, width_bar, entry_negative, budget):
-    """Narrow the verified RIGHT/LEFT bracket [lo, hi] by bisecting on prefix labels.
-
-    A midpoint's orbit is iterated for at most budget deviation steps.  If it
-    escapes, its label is exact; otherwise the label is read from the sign of
-    the deviation it reached, relative to the entry side.  Both endpoints of
-    the final bracket that are new are then fully classified, and every
-    RIGHT/LEFT label among them is folded into [lo, hi], which is returned.
-    A prefix whose deviation collapsed to exactly 0 stops the search with
-    [lo, hi] unchanged.
-    """
-    a, b = lo, hi
-    while (b - a) > width_bar * b:
-        mid = (a + b) / 2
-        res = classify_at(mid, budget)
-        if res.label is not JumpClass.STUCK:
-            right = res.label is JumpClass.RIGHT
-        elif res.deviation == 0:
-            return lo, hi
-        else:
-            right = (res.deviation < 0) == entry_negative
-        if right:
-            a = mid
-        else:
-            b = mid
-    for h in (a, b):
-        if lo < h < hi:
-            label = classify_at(h).label
-            if label is JumpClass.RIGHT:
-                lo = h
-            elif label is JumpClass.LEFT:
-                hi = h
-    return lo, hi
+class _NoPrefixLabel(Exception):
+    """A prefix deviation collapsed to exactly 0, so its sign gives no label."""
 
 
 def critical_h_bisection(
@@ -733,12 +733,13 @@ def critical_h_bisection(
     """Bracket the nonlinear critical step size h* by bisection on h.
 
     Below h* orbits jump in the correct direction (RIGHT); just above they
-    jump in the wrong direction (LEFT).  A caller-provided bracket, or else
-    the first neighbouring pair of a geometric scan (ratio 1 + 1/256) from
-    the linearized critical step whose points are labelled RIGHT and LEFT,
-    is fully classified and bisected until it is narrower than
-    10^(-digits_target) relative.  The returned triplet carries the bracket,
-    whose ends are fully classified RIGHT and LEFT; h_star is its midpoint.
+    jump in the wrong direction (LEFT).  A caller-provided bracket, which
+    is fully classified first, or else the first neighbouring pair of a
+    geometric scan (ratio 1 + 1/256) from the linearized critical step
+    (with the kind's stage factor, see q_s) whose points are labelled RIGHT
+    and LEFT, is bisected until it is narrower than 10^(-digits_target)
+    relative.  The returned triplet carries the bracket, whose ends are
+    fully classified RIGHT and LEFT; h_star is its midpoint.
 
     The label flips because entry multipliers 1 + h Q_s turn negative.
     While they are negative the deviation changes sign at every step, so it
@@ -753,15 +754,16 @@ def critical_h_bisection(
     16 -> 17 one at h = 0.0999618198.
 
     Where the orbits run in deviation coordinates (which record the last
-    sign change), midpoints are
-    therefore labelled from a prefix of the orbit: twice the latest sign
-    change seen in the full classifications plus _PREFIX_MARGIN steps
-    (capped at max_n).  Only the final bracket's new ends are fully
-    classified.  If one of them does not confirm its prefix label, or a
-    prefix deviation collapses to exactly 0, the full labels found so far
-    narrow the verified bracket and the bisection finishes with a full
-    classification at every midpoint, which is what raw-coordinate
-    bisection (track_deviation=False) always does.
+    sign change), the scan points and the midpoints are therefore labelled
+    from prefixes of their orbits.  Each prefix stops when it escapes, at
+    twice its own latest sign change plus _PREFIX_MARGIN steps, or at
+    max_n; one that did not escape is labelled by the sign of its deviation
+    against the entry side.  Only the final bracket's ends that are not the
+    caller's are fully classified.  If one of them does not confirm its
+    prefix label, or a prefix deviation collapses to exactly 0, the search
+    starts over with a full classification at every scan point and
+    midpoint, which is what raw-coordinate bisection (track_deviation=False)
+    always does, and returns the bracket that search finds.
 
     digits_target must lie in [1, ctx.digits) and max_n, when given, be at
     least 1.
@@ -775,65 +777,85 @@ def critical_h_bisection(
         raise ValueError(f"iteration budget must be >= 1, got {max_n}")
     rho = ctx.mpf(rho)
     delta = ctx.mpf(delta)
+    width_bar = ctx.mpf(10) ** (-digits_target)
 
-    def classify_at(h, budget=max_n):
+    def full_label(h):
         params = SystemParams.create(ctx, eps, h)
         return classify_jump(
-            kind, tableau, params, rho, delta,
-            max_n=budget, track_deviation=track_deviation,
-        )
+            kind, tableau, params, rho, delta, max_n=max_n, track_deviation=track_deviation,
+        ).label
+
+    def prefix_label(h):
+        params = SystemParams.create(ctx, eps, h)
+        res = _classify(kind, tableau, params, rho, delta, max_n=max_n, settle=_PREFIX_MARGIN)
+        if res.label is JumpClass.STUCK:
+            raise _NoPrefixLabel
+        return res.label
+
+    def scan(label):
+        """The first neighbouring RIGHT/LEFT pair of the scan, or None."""
+        ratio = 1 + ctx.mpf(1) / 256
+        h_prev = h0
+        c_prev = label(h_prev)
+        # scan up from a RIGHT seed, down from any other
+        up = c_prev is JumpClass.RIGHT
+        for _ in range(_SCAN_BUDGET):
+            h_cur = h_prev * ratio if up else h_prev / ratio
+            c_cur = label(h_cur)
+            pair = ((h_prev, c_prev), (h_cur, c_cur))
+            (h_lo, c_lo), (h_hi, c_hi) = pair if up else pair[::-1]
+            if c_lo is JumpClass.RIGHT and c_hi is JumpClass.LEFT:
+                return h_lo, h_hi
+            h_prev, c_prev = h_cur, c_cur
+        return None
+
+    def bisect(label, lo, hi):
+        while (hi - lo) > width_bar * hi:
+            mid = (lo + hi) / 2
+            c_mid = label(mid)
+            if c_mid is JumpClass.RIGHT:
+                lo = mid
+            elif c_mid is JumpClass.LEFT:
+                hi = mid
+            else:
+                raise Unresolved(
+                    max_n or -1, f"classification at h={ctx.nstr(mid, 12)} came back stuck"
+                )
+        return lo, hi
 
     if h_bracket is not None:
         lo, hi = ctx.mpf(h_bracket[0]), ctx.mpf(h_bracket[1])
-        r_lo, r_hi = classify_at(lo), classify_at(hi)
-        if r_lo.label is not JumpClass.RIGHT or r_hi.label is not JumpClass.LEFT:
+        c_lo, c_hi = full_label(lo), full_label(hi)
+        if c_lo is not JumpClass.RIGHT or c_hi is not JumpClass.LEFT:
             raise NoBracket(
-                "provided bracket does not classify RIGHT/LEFT: "
-                f"got {r_lo.label.value}/{r_hi.label.value}"
+                f"provided bracket does not classify RIGHT/LEFT: got {c_lo.value}/{c_hi.value}"
             )
-        full = [r_lo, r_hi]
+        bracket, h0 = (lo, hi), lo
     else:
-        seed = linearized_critical_h(tableau, rho, eps, ctx)
+        stage_factor = 1 if kind is SingularityKind.PITCHFORK else 2
+        seed = linearized_critical_h(tableau, rho, eps, ctx, stage_factor)
         if seed is None:
             raise NoBracket("no linearized critical step size exists to seed the scan")
-        ratio = 1 + ctx.mpf(1) / 256
-        h0 = seed * (1 - ctx.mpf(1) / 512)
-        # scan up from a RIGHT seed, down from any other, to the first RIGHT/LEFT pair
-        h_prev, r_prev = h0, classify_at(h0)
-        full = [r_prev]
-        up = r_prev.label is JumpClass.RIGHT
-        lo = hi = None
-        for _ in range(_SCAN_BUDGET):
-            h_cur = h_prev * ratio if up else h_prev / ratio
-            r_cur = classify_at(h_cur)
-            full.append(r_cur)
-            pair = ((h_prev, r_prev), (h_cur, r_cur))
-            (h_lo, r_lo), (h_hi, r_hi) = pair if up else pair[::-1]
-            if r_lo.label is JumpClass.RIGHT and r_hi.label is JumpClass.LEFT:
-                lo, hi = h_lo, h_hi
-                break
-            h_prev, r_prev = h_cur, r_cur
-        if lo is None:
-            raise NoBracket("no RIGHT/LEFT flip found within the scan budget")
+        bracket, h0 = None, seed * (1 - ctx.mpf(1) / 512)
 
-    width_bar = ctx.mpf(10) ** (-digits_target)
-    sign_changes = [r.last_sign_change for r in full]
-    if None not in sign_changes:
-        budget = 2 * max(sign_changes) + _PREFIX_MARGIN
-        if max_n is not None:
-            budget = min(budget, max_n)
-        lo, hi = _prefix_bisection(classify_at, lo, hi, width_bar, r_lo.deviation < 0, budget)
-    while (hi - lo) > width_bar * hi:
-        mid = (lo + hi) / 2
-        c_mid = classify_at(mid).label
-        if c_mid is JumpClass.RIGHT:
-            lo = mid
-        elif c_mid is JumpClass.LEFT:
-            hi = mid
-        else:
-            raise Unresolved(
-                max_n or -1, f"classification at h={ctx.nstr(mid, 12)} came back stuck"
-            )
+    found = None
+    smap = scheme_map(kind, tableau, SystemParams.create(ctx, eps, h0))
+    if _deviation_step(kind, smap, track_deviation) is not None:
+        try:
+            found = bracket or scan(prefix_label)
+            if found is not None:
+                found = bisect(prefix_label, *found)
+                ends = zip(found, (JumpClass.RIGHT, JumpClass.LEFT))
+                if not all(h in (bracket or ()) or full_label(h) is c for h, c in ends):
+                    found = None
+        except _NoPrefixLabel:
+            found = None
+    if found is None:
+        found = bracket or scan(full_label)
+        if found is None:
+            raise NoBracket("no RIGHT/LEFT flip found within the scan budget")
+        found = bisect(full_label, *found)
+    lo, hi = found
     return CriticalTriplet(rho, (lo + hi) / 2, ctx.mpf(eps), BisectionBracket(lo, hi))
 
 

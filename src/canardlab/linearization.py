@@ -72,7 +72,8 @@ class SchemeMap:
     step(x, y) advances raw ``_mpf_`` tuples by one step; factor(s) and
     matrix(s) are the transversal multiplier and the variational matrix at
     canard position s (None without a canard); deviation_step(u, y), where
-    the pair has one, advances the deviation u in deviation coordinates.
+    the pair has one, advances the deviation u in deviation coordinates, on
+    mantissa pairs (see rounding).
     """
 
     step: Callable

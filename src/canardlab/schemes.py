@@ -25,14 +25,16 @@ precision pays for the Fraction conversions once.
 
 Forward Euler and the implicit pitchfork family also run on raw mpmath
 ``_mpf_`` tuples (euler_kernel, afamily_kernel), for the long orbit loops of
-the analysis and the command line, and so do the transcritical
+the analysis and the command line.  Each step gives the tuples mpf
+arithmetic gives, bit for bit: it splits its input tuples into signed
+integer mantissa pairs once, rounds every operation on the pairs (see
+rounding; divisions included), and packs only its outputs, so no tuple is
+built or normalised between two operations.  The transcritical
 forward-Euler, explicit-RK and Kahan maps and the pitchfork's forward Euler
-in deviation coordinates, for the jump classification.  Each step gives the
-tuples mpf arithmetic gives, bit for bit: it splits its input tuples into
-signed integer mantissa pairs once, rounds every operation on the pairs
-(see rounding; divisions included), and packs only its outputs, so no tuple
-is built or normalised between two operations.  Only the implicit family's
-rare cubic fallback finds its root with mpmath's polyroots.
+in deviation coordinates, for the jump classification, step on the pairs
+themselves: the classification loop splits its start once and packs only
+what it reports.  Only the implicit family's rare cubic fallback finds its
+root with mpmath's polyroots.
 """
 
 from __future__ import annotations
@@ -267,11 +269,12 @@ def euler_kernel(kind: SingularityKind, params: SystemParams):
     return step
 
 
-# Deviation-coordinate steps u -> unew from the raw tuples (u, y), with u the
-# transversal deviation (x - y on the transcritical diagonal, x on the
-# pitchfork line); y then advances by eps*h.  Each rounds like mpf arithmetic,
-# on mantissa pairs between its split inputs and its packed output; 2 v is
-# the pair (m, e + 1), rounded in case v is longer than the precision.
+# Deviation-coordinate steps u -> unew on the mantissa pairs (u, y), with u
+# the transversal deviation (x - y on the transcritical diagonal, x on the
+# pitchfork line); y then advances by eps*h.  The classification loop carries
+# both as pairs from split to pack, so a step neither splits nor packs; each
+# rounds like the mpf expression it stands for.  2 v is the pair (m, e + 1),
+# rounded in case v is longer than the precision.
 
 _ZERO, _ONE = (0, 0), (1, 0)
 
@@ -287,16 +290,15 @@ def euler_deviation_kernel(kind: SingularityKind, params: SystemParams):
     if kind is SingularityKind.TRANSCRITICAL:
 
         def step(u, y):
-            u, (ym, ye) = split(u), split(y)
+            ym, ye = y
             s = add(rn(ym, ye + 1, prec), u, prec)
-            return pack(mul(u, add(mul(h, s, prec), _ONE, prec), prec))
+            return mul(u, add(mul(h, s, prec), _ONE, prec), prec)
 
     elif kind is SingularityKind.PITCHFORK:
 
         def step(x, y):
-            x, y = split(x), split(y)
             t = sub(y, mul(x, x, prec), prec)
-            return pack(add(x, mul(mul(h, x, prec), t, prec), prec))
+            return add(x, mul(mul(h, x, prec), t, prec), prec)
 
     else:
         raise ValueError(f"no deviation coordinates for {kind.value}")
@@ -318,7 +320,7 @@ def rk_deviation_kernel(tableau: ButcherTableau, params: SystemParams):
     two_eps = rn(em, ee + 1, prec)
 
     def step(u, y):
-        u, (ym, ye) = split(u), split(y)
+        ym, ye = y
         base_s = add(rn(ym, ye + 1, prec), u, prec)
         ds = []
         for hrow in hrows:
@@ -330,7 +332,7 @@ def rk_deviation_kernel(tableau: ButcherTableau, params: SystemParams):
         du = _ZERO
         for ai, di in zip(alpha, ds):
             du = add(du, mul(ai, di, prec), prec)
-        return pack(add(u, mul(h, du, prec), prec))
+        return add(u, mul(h, du, prec), prec)
 
     return step
 
@@ -342,12 +344,11 @@ def kahan_deviation_kernel(params: SystemParams):
     num_eps = mul(mul(eps, h, prec), h, prec)
 
     def step(u, y):
-        u, y = split(u), split(y)
         den = sub(_ONE, mul(h, add(y, u, prec), prec), prec)
         if not den[0]:
             raise PoleError("transcritical Kahan step hit its pole")
         num = add(add(mul(h, y, prec), _ONE, prec), num_eps, prec)
-        return pack(div(mul(u, num, prec), den, prec))
+        return div(mul(u, num, prec), den, prec)
 
     return step
 

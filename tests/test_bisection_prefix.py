@@ -1,11 +1,11 @@
 """Bisection on prefix labels against a bisection that fully classifies every midpoint.
 
-critical_h_bisection labels its midpoints from short prefixes of the
-deviation orbit and fully classifies only the final bracket.  The reference
-below is a copy of the loop it replaced, which fully classifies every
-midpoint; the brackets must agree bit for bit.  When a prefix label is
-wrong, the fallback must still return a bracket whose ends fully classify
-RIGHT and LEFT.
+critical_h_bisection labels its scan points and midpoints from short
+prefixes of the deviation orbit and fully classifies only the final
+bracket.  The reference below is a copy of the loop it replaced, which fully
+classifies every scan point and midpoint; the brackets must agree bit for
+bit.  When a prefix label is wrong, the fallback must still return a
+bracket whose ends fully classify RIGHT and LEFT.
 """
 
 import pytest
@@ -14,7 +14,10 @@ from hypothesis import strategies as st
 
 from canardlab import (
     EULER,
+    HEUN3,
     KUTTA3,
+    RALSTON3,
+    SSPRK3,
     JumpClass,
     JumpResult,
     NoBracket,
@@ -93,15 +96,15 @@ def _full_label(ctx, tableau, rho, eps, h):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Count classify_jump calls by budget: 'full' (none given) and 'prefix'."""
-    real = analysis.classify_jump
+    """Count classifications: 'full' (no settle rule given) and 'prefix'."""
+    real = analysis._classify
     calls = {"full": 0, "prefix": 0}
 
     def classify(*args, **kwargs):
-        calls["full" if kwargs.get("max_n") is None else "prefix"] += 1
+        calls["full" if kwargs.get("settle") is None else "prefix"] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(analysis, "classify_jump", classify)
+    monkeypatch.setattr(analysis, "_classify", classify)
     return calls
 
 
@@ -122,13 +125,17 @@ def test_brackets_bit_identical_to_full_bisection(tableau, rho, eps, bracket, ta
     assert got == _outcome(reference_bisection, *args, h_bracket=bracket)
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(
-    tableau=st.sampled_from([EULER, KUTTA3]),
-    rho=st.floats(2, 10).map(lambda v: round(v, 3)),
-    eps=st.floats(0.5, 1).map(lambda v: round(v, 3)),
+    tableau=st.sampled_from([EULER, KUTTA3, HEUN3, RALSTON3, SSPRK3]),
+    rho_eps=st.one_of(
+        st.tuples(st.floats(2, 10), st.floats(0.5, 1)),
+        # the prefixes' sign-change bands reach about 20 steps here (rho 5, eps 0.05)
+        st.tuples(st.floats(2, 6), st.floats(0.05, 0.2)),
+    ).map(lambda pair: tuple(round(v, 3) for v in pair)),
 )
-def test_property_brackets_bit_identical(tableau, rho, eps):
+def test_property_brackets_bit_identical(tableau, rho_eps):
+    rho, eps = rho_eps
     ctx = make_context(30)
     args = (T, tableau, str(rho), str(eps), DELTA, 3, ctx)
     assert _outcome(critical_h_bisection, *args) == _outcome(reference_bisection, *args)
@@ -142,6 +149,14 @@ def test_prefix_labels_replace_most_full_classifications(counted):
     assert counted["prefix"] > 0
 
 
+def test_scan_on_prefix_labels_fully_classifies_only_the_final_bracket(counted):
+    ctx = make_context(30)
+    critical_h_bisection(T, KUTTA3, 8, "0.1", DELTA, 3, ctx)
+    # a full-label scan spends 3 full classifications here, then verifies 2
+    assert counted["full"] == 2
+    assert counted["prefix"] > 0
+
+
 def test_raw_coordinate_bisection_classifies_every_midpoint_fully(counted):
     ctx = make_context(60)  # raw orbits at 30 digits collapse onto the diagonal here
     critical_h_bisection(
@@ -151,19 +166,26 @@ def test_raw_coordinate_bisection_classifies_every_midpoint_fully(counted):
 
 
 def _with_prefix_results(monkeypatch, rewrite):
-    """Route every prefix result (a budget given by the bisection) through rewrite."""
-    real = analysis.classify_jump
+    """Route every prefix result (a settle rule given by the bisection) through rewrite."""
+    real = analysis._classify
 
     def classify(*args, **kwargs):
         res = real(*args, **kwargs)
-        return res if kwargs.get("max_n") is None else rewrite(res)
+        return res if kwargs.get("settle") is None else rewrite(res)
 
-    monkeypatch.setattr(analysis, "classify_jump", classify)
+    monkeypatch.setattr(analysis, "_classify", classify)
 
 
 def _flipped(res):
     """The same prefix, read with the wrong sign: every prefix label is wrong."""
-    return JumpResult(JumpClass.STUCK, res.steps, res.point, -res.deviation, res.last_sign_change)
+    label = JumpClass.LEFT if res.label is JumpClass.RIGHT else JumpClass.RIGHT
+    return JumpResult(label, res.steps, res.point, -res.deviation, res.last_sign_change)
+
+
+def _collapsed(res):
+    """The same prefix with its deviation collapsed to exactly 0."""
+    zero = 0 * res.deviation
+    return JumpResult(JumpClass.STUCK, res.steps, res.point, zero, res.last_sign_change)
 
 
 @pytest.mark.parametrize("tableau, rho, eps, bracket, target, digits", CASES[:4])
@@ -180,17 +202,49 @@ def test_wrong_prefix_labels_fall_back_to_a_verified_bracket(
 
 
 def test_collapsed_prefix_falls_back_to_full_bisection(monkeypatch):
-    zero = make_context(50).mpf(0)
-    _with_prefix_results(
-        monkeypatch,
-        lambda res: JumpResult(JumpClass.STUCK, res.steps, res.point, zero, res.last_sign_change),
-    )
+    _with_prefix_results(monkeypatch, _collapsed)
     ctx = make_context(50)
     args = (T, EULER, "5", "1", DELTA, 4, ctx)
     bracket = ("0.103", "0.105")
     got = _outcome(critical_h_bisection, *args, h_bracket=bracket)
     monkeypatch.undo()
     assert got == _outcome(reference_bisection, *args, h_bracket=bracket)
+
+
+SCAN_CASES = [case for case in CASES[:4] if case.values[3] is None]
+
+
+@pytest.mark.parametrize("rewrite", [_flipped, _collapsed], ids=["flipped", "collapsed"])
+@pytest.mark.parametrize("tableau, rho, eps, bracket, target, digits", SCAN_CASES)
+def test_failed_prefix_scan_falls_back_to_the_full_scan(
+    monkeypatch, rewrite, tableau, rho, eps, bracket, target, digits
+):
+    _with_prefix_results(monkeypatch, rewrite)
+    ctx = make_context(digits)
+    args = (T, tableau, rho, eps, DELTA, target, ctx)
+    got = _outcome(critical_h_bisection, *args)
+    monkeypatch.undo()
+    assert got == _outcome(reference_bisection, *args)
+    lo, hi = (ctx.make_mpf(v) for v in got)
+    assert _full_label(ctx, tableau, rho, eps, lo) is JumpClass.RIGHT
+    assert _full_label(ctx, tableau, rho, eps, hi) is JumpClass.LEFT
+
+
+@pytest.mark.parametrize("tableau, rho, h", [(EULER, 5, "0.1045"), (KUTTA3, 8, "0.1004")])
+@pytest.mark.parametrize("max_n", [None, 40])
+def test_prefix_settles_at_twice_its_own_last_sign_change(tableau, rho, h, max_n):
+    ctx = make_context(30)
+    params = SystemParams.create(ctx, "1", h)
+    full = analysis.classify_jump(T, tableau, params, rho, DELTA, max_n=max_n)
+    prefix = analysis._classify(
+        T, tableau, params, rho, DELTA, max_n=max_n, settle=analysis._PREFIX_MARGIN
+    )
+    # the band of sign changes ends long before the prefix does
+    assert prefix.last_sign_change == full.last_sign_change > 0
+    assert prefix.steps == min(2 * full.last_sign_change + analysis._PREFIX_MARGIN, full.steps)
+    entry_negative = -ctx.mpf(DELTA) < 0  # the transcritical entry deviation is x - y = -delta
+    same_side = (prefix.deviation < 0) == entry_negative
+    assert prefix.label is (JumpClass.RIGHT if same_side else JumpClass.LEFT)
 
 
 @pytest.mark.parametrize("tableau, h", [(EULER, "0.1045"), (KUTTA3, "0.1004")])

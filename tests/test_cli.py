@@ -8,6 +8,7 @@ from canardlab import (
     KAHAN,
     KUTTA3,
     JumpClass,
+    JumpResult,
     PlanarPoint,
     SingularityKind,
     SystemParams,
@@ -203,6 +204,18 @@ def test_bisect_euler_table_row(tmp_path):
     assert rows[1][5].startswith("0.104")
 
 
+def test_bisect_pitchfork_scan_seeds_from_the_pitchfork_polynomial(tmp_path):
+    # the pitchfork's entry multiplier is 1 - h rho for Euler: the flip is at 1/rho
+    out = tmp_path / "bisect.csv"
+    code = main([
+        "bisect", "--kind", "pitchfork", "--tableau", "euler", "--rho", "2", "--eps", "1",
+        "--digits", "30", "--digits-target", "3", "--out", str(out),
+    ])
+    assert code == 0
+    rows, _ = _read_csv(out)
+    assert float(rows[1][4]) <= 0.5 <= float(rows[1][5])
+
+
 def test_bisect_no_bracket_exit_code(tmp_path, capsys):
     code = main([
         "bisect", "--tableau", "heun2", "--rho", "5", "--eps", "1",
@@ -339,6 +352,16 @@ def test_sweep_surfaces_preset(tmp_path):
 
 
 def test_sweep_writes_every_cell_past_a_stuck_one(tmp_path, monkeypatch):
+    real_classify = analysis._classify
+
+    def collapsed_prefix(*args, **kwargs):
+        res = real_classify(*args, **kwargs)
+        if args[3] == 6 and kwargs.get("settle") is not None:
+            # full classifications at every scan point and midpoint from here on
+            return JumpResult(JumpClass.STUCK, res.steps, res.point, 0 * res.deviation)
+        return res
+
+    monkeypatch.setattr(analysis, "_classify", collapsed_prefix)
     real = analysis.classify_jump
     labels = {}
 
