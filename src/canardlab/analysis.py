@@ -34,12 +34,13 @@ coordinates, where the transversal deviation carries its own exponent; this
 is what makes critical-step bisection feasible at a few hundred digits even
 where the raw orbit would need thousands.
 
-The raw loop runs on mpmath ``_mpf_`` tuples and checks each step with the
-exponent-prefiltered comparison schemes._abs_le; the deviation loop runs on
-signed mantissa pairs and checks with rounding.abs_le.  Every operation is
-rounded to nearest at the context's precision in the order of the mpf
-expression it stands for, so labels, step counts, points and deviations are
-bit-identical to mpf arithmetic.
+One loop classifies both.  It carries the orbit as signed integer mantissa
+pairs (see rounding) and runs step, stuck rule, sign-change record, then
+threshold or settle: on (x, y) with the raw one-step map and the kind's
+stuck rule, or on (deviation, slow) with the deviation map and the
+exact-zero rule.  Every operation is rounded to nearest at the context's
+precision in the order of the mpf expression it stands for, so labels, step
+counts, points and deviations are bit-identical to mpf arithmetic.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .linearization import CANARDS, SchemeSelector, q_s, scheme_map
+from .linearization import CANARDS, SchemeSelector, _entry_offset, _exact_zero, q_s, scheme_map
 from .precision import PrecisionContext
-from .rounding import abs_le, add, mul, pack, split
-from .schemes import ButcherTableau, PoleError, _abs_le
+from .rounding import abs_le, add, pack, split
+from .schemes import ButcherTableau, PoleError
 from .systems import PlanarPoint, SingularityKind, SystemParams
 
 
@@ -344,9 +345,7 @@ def wayout(
     ctx = params.ctx
     if not params.epsilon > 0:
         raise ValueError("way-in/way-out analysis requires epsilon > 0")
-    rho = ctx.mpf(rho)
-    if not rho > 0:
-        raise ValueError("entry offset rho must be > 0")
+    rho = _entry_offset(ctx, rho)
     factor = scheme_map(kind, scheme, params).factor
     canard = CANARDS[kind]
     spacing = canard.spacing(params)
@@ -493,9 +492,7 @@ def linearized_critical_h(
     diagonal, 1 on the pitchfork line (forward Euler's root is then
     1/(c rho)).
     """
-    rho, eps = ctx.mpf(rho), ctx.mpf(eps)
-    if not (rho > 0 and ctx.isfinite(rho)):
-        raise ValueError(f"rho must be finite and > 0, got {rho}")
+    rho, eps = _entry_offset(ctx, rho), ctx.mpf(eps)
     if not (eps >= 0 and ctx.isfinite(eps)):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
     h = [ctx.mpf(0), ctx.mpf(1)]
@@ -520,8 +517,8 @@ class JumpResult:
 
     steps is the step at which the orbit was decided (or stopped), point and
     deviation are the state there.  last_sign_change is the step at which the
-    deviation last changed sign (0 if it never did); deviation-coordinate
-    orbits record it, raw-coordinate orbits leave it None.
+    deviation last changed sign (0 if it never did); every orbit records it,
+    in raw and in deviation coordinates.
     """
 
     label: JumpClass
@@ -531,79 +528,26 @@ class JumpResult:
     last_sign_change: Optional[int] = None
 
 
-def _decide(dev, dev0, steps, point, last_sign_change=None) -> JumpResult:
-    same_side = (dev > 0) == (dev0 > 0)
-    return JumpResult(
-        label=JumpClass.RIGHT if same_side else JumpClass.LEFT,
-        steps=steps,
-        point=point,
-        deviation=dev,
-        last_sign_change=last_sign_change,
-    )
+def _iterate(step, deviation, x, y, u, thr, max_n, settle=None):
+    """The classification loop, on mantissa pairs: (label, steps, x, y, u, last sign change).
 
-
-def _classify_deviation(kind, step, params, u0, y0, threshold, max_n, settle=None):
-    """Deviation-coordinate classification from the deviation u0 at slow position y0.
-
-    step is the pair's SchemeMap.deviation_step: it advances the deviation u
-    (x - y on the transcritical diagonal, x itself on the pitchfork line)
-    from the current (deviation, slow) mantissa pairs, and the slow
-    coordinate then advances by eps h.  The pairs are split from u0 and y0
-    once and packed only for the result.  The orbit is STUCK when u becomes
-    exactly 0 or the budget runs out, and is decided once |u| reaches the
-    threshold.  The step of the last sign change of u is carried in the
-    result.
+    step(x, y) advances the orbit by one step: a one-step map on (x, y), or
+    a deviation map on (u, y).  deviation(x, y) -> (u, stuck) is then the
+    kind's deviation and stuck rule (see linearization.Canard), or the
+    exact-zero rule.  u is the deviation at the start.  The orbit is STUCK
+    when the rule says so or the budget runs out, and is decided once |u|
+    reaches the threshold thr, by the side it leaves on against u's.  The
+    step of the last sign change of u is recorded.
 
     settle, when given, makes the run a prefix: it also stops at step n >=
     2 x (its last sign change so far) + settle, or at max_n, and is then
-    decided by the sign of u against u0's.
+    decided by the sign of u against the start's.
     """
-    ctx = params.ctx
-    prec = ctx.prec
-    make = ctx.make_mpf
-    heps = mul(split(params.h._mpf_), split(params.epsilon._mpf_), prec)
-    thr = split(threshold._mpf_)
-    u, y = split(u0._mpf_), split(y0._mpf_)
+    entered_above = u[0] > 0
     negative, flip = u[0] < 0, 0
     # a full orbit never settles: n stays below max_n + 1
     settled = max_n + 1 if settle is None else settle
-    stuck = settle is None
     n = 0
-    for n in range(1, max_n + 1):
-        try:
-            u = step(u, y)
-        except PoleError as err:
-            err.index = n
-            raise
-        y = add(y, heps, prec)
-        if not u[0]:
-            stuck = True
-            break
-        if (u[0] < 0) != negative:
-            negative, flip = not negative, n
-        if abs_le(thr, u) or n >= settled + 2 * flip:
-            stuck = False
-            break
-    if kind is SingularityKind.TRANSCRITICAL:
-        point = PlanarPoint(make(pack(add(y, u, prec))), make(pack(y)))
-    else:
-        point = PlanarPoint(make(pack(u)), make(pack(y)))
-    deviation = make(pack(u))
-    if stuck:
-        return JumpResult(JumpClass.STUCK, n, point, deviation, flip)
-    return _decide(deviation, u0, n, point, flip)
-
-
-def _classify_raw(step, deviation, ctx, start, u0, threshold, max_n):
-    """Raw-coordinate classification on ``_mpf_`` tuples, for every (kind, scheme) pair.
-
-    u0 is the deviation at start.  Each step is followed by the kind's
-    deviation and stuck rule (see linearization.Canard), then by the escape
-    threshold.
-    """
-    make = ctx.make_mpf
-    thr = threshold._mpf_
-    x, y = start.x._mpf_, start.y._mpf_
     for n in range(1, max_n + 1):
         try:
             x, y = step(x, y)
@@ -612,11 +556,17 @@ def _classify_raw(step, deviation, ctx, start, u0, threshold, max_n):
             raise
         u, stuck = deviation(x, y)
         if stuck:
-            return JumpResult(JumpClass.STUCK, n, PlanarPoint(make(x), make(y)), make(u))
-        if _abs_le(thr, u):
-            return _decide(make(u), u0, n, PlanarPoint(make(x), make(y)))
-    u, _ = deviation(x, y)
-    return JumpResult(JumpClass.STUCK, max_n, PlanarPoint(make(x), make(y)), make(u))
+            break
+        if (u[0] < 0) != negative:
+            negative, flip = not negative, n
+        if abs_le(thr, u) or n >= settled + 2 * flip:
+            break
+    else:
+        stuck = settle is None
+    if stuck:
+        return JumpClass.STUCK, n, x, y, u, flip
+    label = JumpClass.RIGHT if (u[0] > 0) == entered_above else JumpClass.LEFT
+    return label, n, x, y, u, flip
 
 
 def classify_jump(
@@ -651,7 +601,7 @@ def classify_jump(
 
 
 def _deviation_step(kind, smap, track_deviation):
-    """The deviation map a classification iterates, or None for the raw loop.
+    """The deviation map a classification iterates, or None for a raw orbit.
 
     The pitchfork's x is its own deviation, so its forward-Euler orbit takes
     the deviation loop in either representation.
@@ -665,21 +615,23 @@ def _classify(
     kind, scheme, params, rho, delta, escape=None, max_n=None, track_deviation=True,
     start=None, settle=None,
 ):
-    """classify_jump, or with settle given a prefix of its deviation orbit.
+    """classify_jump, or with settle given a prefix of its orbit (see _iterate).
 
-    A prefix stops as _classify_deviation's settle rule says; the raw loop
-    has no sign-change record and ignores settle.
+    The start is split into mantissa pairs once.  A raw orbit iterates the
+    one-step map on (x, y) under the kind's stuck rule; a deviation orbit
+    iterates the deviation map on (u, y) under the exact-zero rule, and on
+    the transcritical diagonal rebuilds x = y + u for the result.
     """
     ctx = params.ctx
     if not params.epsilon > 0:
         raise ValueError("jump classification requires epsilon > 0")
-    rho = ctx.mpf(rho)
+    rho = _entry_offset(ctx, rho)
     delta = ctx.mpf(delta)
-    if not rho > 0:
-        raise ValueError("rho must be > 0")
     if not ctx.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta}")
     threshold = ctx.mpf(escape) if escape is not None else rho / 2
+    if not ctx.isfinite(threshold):
+        raise ValueError(f"escape threshold must be finite, got {threshold}")
     if not threshold > 0:
         raise ValueError("escape threshold must be > 0")
     canard = CANARDS[kind]
@@ -689,13 +641,21 @@ def _classify(
         start = canard.start(params, rho, delta)
     smap = scheme_map(kind, scheme, params)
     deviation = canard.deviation(params)
-    u0 = ctx.make_mpf(deviation(start.x._mpf_, start.y._mpf_)[0])
-    if u0 == 0 and kind is not SingularityKind.FOLD:
+    x, y = split(start.x._mpf_), split(start.y._mpf_)
+    u0, _ = deviation(x, y)
+    if not u0[0] and kind is not SingularityKind.FOLD:
         raise ValueError("start lies exactly on the canard; nothing to classify")
     step = _deviation_step(kind, smap, track_deviation)
-    if step is not None:
-        return _classify_deviation(kind, step, params, u0, start.y, threshold, max_n, settle)
-    return _classify_raw(smap.step, deviation, ctx, start, u0, threshold, max_n)
+    diagonal = step is not None and kind is SingularityKind.TRANSCRITICAL
+    if step is None:
+        step = smap.step
+    elif diagonal:
+        x, deviation = u0, _exact_zero
+    label, n, x, y, u, flip = _iterate(step, deviation, x, y, u0, split(threshold._mpf_), max_n, settle)
+    if diagonal:
+        x = add(y, u, ctx.prec)
+    make = ctx.make_mpf
+    return JumpResult(label, n, PlanarPoint(make(pack(x)), make(pack(y))), make(pack(u)), flip)
 
 
 # ---------------------------------------------------------------------------
@@ -753,12 +713,11 @@ def critical_h_bisection(
     (0.1001378-0.1001439), while the lowest edge in the bracket is the
     16 -> 17 one at h = 0.0999618198.
 
-    Where the orbits run in deviation coordinates (which record the last
-    sign change), the scan points and the midpoints are therefore labelled
-    from prefixes of their orbits.  Each prefix stops when it escapes, at
-    twice its own latest sign change plus _PREFIX_MARGIN steps, or at
-    max_n; one that did not escape is labelled by the sign of its deviation
-    against the entry side.  Only the final bracket's ends that are not the
+    Where the orbits run in deviation coordinates, the scan points and the
+    midpoints are therefore labelled from prefixes of their orbits.  Each
+    prefix stops when it escapes, at twice its own latest sign change plus
+    _PREFIX_MARGIN steps, or at max_n; one that did not escape is labelled
+    by the sign of its deviation against the entry side.  Only the final bracket's ends that are not the
     caller's are fully classified.  If one of them does not confirm its
     prefix label, or a prefix deviation collapses to exactly 0, the search
     starts over with a full classification at every scan point and

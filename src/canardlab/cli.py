@@ -51,6 +51,7 @@ from .linearization import (
     symmetry_defect,
 )
 from .precision import ANALYSIS_DIGITS, SIMULATE_DIGITS, InvalidPrecision, make_context
+from .rounding import abs_le, pack, split
 from .schemes import (
     EULER,
     KUTTA3,
@@ -60,7 +61,6 @@ from .schemes import (
     NoRealBranch,
     PoleError,
     QuadraticField,
-    _abs_le,
     a_family_step_pitchfork,
     kahan_step_fold,
     kahan_step_general,
@@ -148,7 +148,7 @@ def _scheme(args, params):
 
 
 def _row(ctx, n, x, y, nd):
-    return [n, ctx.nstr(ctx.make_mpf(x), nd), ctx.nstr(ctx.make_mpf(y), nd)]
+    return [n, ctx.nstr(ctx.make_mpf(pack(x)), nd), ctx.nstr(ctx.make_mpf(pack(y)), nd)]
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +178,16 @@ def cmd_simulate(args) -> int:
     deviation = canard.deviation(params)
     scale = max(abs(p.x), abs(p.y), ctx.mpf(1))
     threshold = ctx.mpf(args.escape) if args.escape else scale / 2
+    if not ctx.isfinite(threshold):
+        raise ValueError(f"escape threshold must be finite, got {threshold}")
     if not threshold > 0:
         raise ValueError("escape threshold must be > 0")
-    thr = threshold._mpf_
-    hard_stop = (4 * max(scale, threshold))._mpf_
+    thr = split(threshold._mpf_)
+    hard_stop = split((4 * max(scale, threshold))._mpf_)
 
-    x, y = p.x._mpf_, p.y._mpf_
-    dev0 = ctx.make_mpf(deviation(x, y)[0])
-    decidable = dev0 != 0
+    x, y = split(p.x._mpf_), split(p.y._mpf_)
+    dev0, _ = deviation(x, y)
+    decidable = dev0[0] != 0
     label = "undecided"
     nd = args.out_digits
     with _output(args.out) as out:
@@ -205,12 +207,12 @@ def cmd_simulate(args) -> int:
                 dev, stuck = deviation(x, y)
                 if stuck:
                     label = "stuck"
-                elif decidable and _abs_le(thr, dev):
-                    same = (ctx.make_mpf(dev) > 0) == (dev0 > 0)
+                elif decidable and abs_le(thr, dev):
+                    same = (dev[0] > 0) == (dev0[0] > 0)
                     label = "right" if same else "left"
             # stop at the box once the label is decided (or never can be), not before
             if (label != "undecided" or not decidable) and not (
-                _abs_le(x, hard_stop) and _abs_le(y, hard_stop)
+                abs_le(x, hard_stop) and abs_le(y, hard_stop)
             ):
                 if n % stride != 0 and n != n_max:
                     writer.writerow(_row(ctx, n, x, y, nd))

@@ -32,13 +32,11 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Union
 
-from mpmath.libmp import fzero, mpf_mul, mpf_sub, round_nearest
-
+from .rounding import abs_le, mul, pack, split, sub
 from .schemes import (
     ButcherTableau,
     PoleError,
-    _abs_le,
-    _on_tuples,
+    _on_pairs,
     afamily_kernel,
     euler_deviation_kernel,
     euler_kernel,
@@ -69,11 +67,11 @@ SchemeSelector = Union[ButcherTableau, str, AFamily]
 class SchemeMap:
     """The discrete map of one (kind, scheme) pair, as built by scheme_map.
 
-    step(x, y) advances raw ``_mpf_`` tuples by one step; factor(s) and
-    matrix(s) are the transversal multiplier and the variational matrix at
-    canard position s (None without a canard); deviation_step(u, y), where
-    the pair has one, advances the deviation u in deviation coordinates, on
-    mantissa pairs (see rounding).
+    step(x, y) advances the mantissa pairs (see rounding) of a point by one
+    step; factor(s) and matrix(s) are the transversal multiplier and the
+    variational matrix at canard position s (None without a canard);
+    deviation_step(u, y), where the pair has one, advances the pairs of the
+    deviation u and the slow coordinate y in deviation coordinates.
     """
 
     step: Callable
@@ -113,16 +111,16 @@ def scheme_map(
             step = euler_kernel(kind, params)
             deviation_step = euler_deviation_kernel(kind, params)
         else:
-            step = _on_tuples(ctx, lambda p: rk_step(scheme, kind, params, p))
+            step = _on_pairs(ctx, lambda p: rk_step(scheme, kind, params, p))
             deviation_step = rk_deviation_kernel(scheme, params) if diagonal else None
         return SchemeMap(step, factor, matrix, deviation_step)
     if scheme == KAHAN and diagonal:
         factor = partial(_kahan_transcritical_factor, params)
-        step = _on_tuples(ctx, lambda p: kahan_step_transcritical(params, p))
+        step = _on_pairs(ctx, lambda p: kahan_step_transcritical(params, p))
         matrix = lambda x: ((factor(x), (-2 * h * x - eps * h * h) / (1 - h * x)), (zero, one))
         return SchemeMap(step, factor, matrix, kahan_deviation_kernel(params))
     if scheme == KAHAN and kind is SingularityKind.FOLD:
-        step = _on_tuples(ctx, lambda p: kahan_step_fold(params, p))
+        step = _on_pairs(ctx, lambda p: kahan_step_fold(params, p))
         return SchemeMap(step, partial(_kahan_fold_factor, params), partial(_kahan_fold_matrix, params))
     if kind is SingularityKind.PITCHFORK and (scheme == KAHAN or isinstance(scheme, AFamily)):
         a = ctx.mpf(-1) / 2 if scheme == KAHAN else ctx.mpf(scheme.a)
@@ -161,11 +159,13 @@ class Canard:
     default entry beside the canard at slow position -rho, point(params, s)
     the canard point at slow position s, spacing(params) the slow advance
     per step and center(params) the centre of the pairing identity.
-    deviation(params) returns (x, y) -> (u, stuck) on raw ``_mpf_`` tuples:
-    the transversal deviation u, and whether the orbit is stuck on the
-    invariant set.  That is u == 0 on the pitchfork line; elsewhere u is a
-    difference a - b of stored values, and below |u| <= tol(3) max(|a|, |b|)
-    the raw map can no longer evolve it faithfully (the sticky-set artifact).
+    deviation(params) returns (x, y) -> (u, stuck) on mantissa pairs (see
+    rounding): the transversal deviation u, and whether the orbit is stuck
+    on the invariant set.  That is u == 0 on the pitchfork line (the
+    exact-zero rule, which deviation-coordinate orbits use too); elsewhere
+    u is a difference a - b of stored values, and below
+    |u| <= tol(3) max(|a|, |b|) the raw map can no longer evolve it
+    faithfully (the sticky-set artifact).
     """
 
     start: Callable
@@ -175,33 +175,54 @@ class Canard:
     deviation: Callable
 
 
+def _exact_zero(u, y):
+    """The deviation u itself, stuck only where it is exactly 0."""
+    return u, not u[0]
+
+
 def _glued(u, a, b, glue, prec) -> bool:
-    """The sticky-set rule |u| <= glue * max(|a|, |b|) on ``_mpf_`` tuples.
+    """The sticky-set rule |u| <= glue * max(|a|, |b|) on mantissa pairs.
 
     Rounding is monotone, so the rounded glue * max(|a|, |b|) is the larger
-    of the rounded glue * |a| and glue * |b|: two exponent-prefiltered
-    comparisons decide the rule exactly as mpf arithmetic would.
+    of the rounded glue * |a| and glue * |b|.  A nonzero value v lies in
+    [2**(m-1), 2**m) with m its bit length plus its exponent, and the
+    rounded product in [2**(mg+mv-2), 2**(mg+mv)], so magnitudes two or more
+    apart decide a comparison; only closer ones pay for the product and the
+    exact compare, which decide the rule exactly as mpf arithmetic would.
     """
-    return _abs_le(u, a, glue, prec) or _abs_le(u, b, glue, prec)
+    um, ue = u
+    if not um:
+        return True
+    mu = abs(um).bit_length() + ue - abs(glue[0]).bit_length() - glue[1]
+    for v in (a, b):
+        if v[0]:
+            d = mu - abs(v[0]).bit_length() - v[1]
+            if d <= -2:
+                return True
+            if d >= 2:
+                continue
+        if abs_le(u, mul(glue, v, prec)):
+            return True
+    return False
 
 
 def _diagonal_deviation(params: SystemParams):
-    prec, glue = params.ctx.prec, params.ctx.tol(3)._mpf_
+    prec, glue = params.ctx.prec, split(params.ctx.tol(3)._mpf_)
 
     def deviation(x, y):
-        u = mpf_sub(x, y, prec, round_nearest)
+        u = sub(x, y, prec)
         return u, _glued(u, x, y, glue, prec)
 
     return deviation
 
 
 def _parabola_deviation(params: SystemParams):
-    prec, glue = params.ctx.prec, params.ctx.tol(3)._mpf_
-    offset = fold_kahan_parabola_offset(params)._mpf_
+    prec, glue = params.ctx.prec, split(params.ctx.tol(3)._mpf_)
+    offset = split(fold_kahan_parabola_offset(params)._mpf_)
 
     def deviation(x, y):
-        xx = mpf_mul(x, x, prec, round_nearest)
-        w = mpf_sub(y, mpf_sub(xx, offset, prec, round_nearest), prec, round_nearest)
+        xx = mul(x, x, prec)
+        w = sub(y, sub(xx, offset, prec), prec)
         return w, _glued(w, y, xx, glue, prec)
 
     return deviation
@@ -220,7 +241,7 @@ CANARDS = {
         point=lambda params, s: PlanarPoint(params.ctx.mpf(0), s),
         spacing=lambda params: params.epsilon * params.h,
         center=lambda params: -params.epsilon * params.h / 2,
-        deviation=lambda params: lambda x, y: (x, x == fzero),
+        deviation=lambda params: _exact_zero,
     ),
     SingularityKind.FOLD: Canard(
         start=lambda params, rho, delta: PlanarPoint(
@@ -378,6 +399,14 @@ def symmetry_center(kind: SingularityKind, params: SystemParams):
     return CANARDS[kind].center(params)
 
 
+def _entry_offset(ctx, rho):
+    """rho as a scalar of ctx, or a ValueError naming it unless it is finite and > 0."""
+    rho = ctx.mpf(rho)
+    if not (rho > 0 and ctx.isfinite(rho)):
+        raise ValueError(f"rho must be finite and > 0, got {rho}")
+    return rho
+
+
 @dataclass
 class ContractionLedger:
     """Multipliers and running products along a canard entered at -rho.
@@ -413,9 +442,7 @@ def contraction_product(
 ) -> ContractionLedger:
     """Ledger of multipliers at canard positions -rho + k*spacing, k = 0..n."""
     ctx = params.ctx
-    rho = ctx.mpf(rho)
-    if not rho > 0:
-        raise ValueError("entry offset rho must be > 0")
+    rho = _entry_offset(ctx, rho)
     factor = scheme_map(kind, scheme, params).factor
     spacing = canard_spacing(kind, params)
     ledger = ContractionLedger(rho=rho, spacing=spacing)
@@ -468,6 +495,7 @@ def finite_difference_factor(
     delta = ctx.mpf(delta)
     step = scheme_map(kind, scheme, params).step
     p = CANARDS[kind].point(params, s_pos)
-    hi, _ = step((p.x + delta)._mpf_, p.y._mpf_)
-    lo, _ = step((p.x - delta)._mpf_, p.y._mpf_)
-    return (ctx.make_mpf(hi) - ctx.make_mpf(lo)) / (2 * delta)
+    y = split(p.y._mpf_)
+    hi, _ = step(split((p.x + delta)._mpf_), y)
+    lo, _ = step(split((p.x - delta)._mpf_), y)
+    return ctx.make_mpf(pack(sub(hi, lo, ctx.prec))) / (2 * delta)

@@ -23,18 +23,16 @@ without accumulating conversion error.  The bound coefficients are cached
 per tableau as raw ``_mpf_`` tuples keyed by the binary precision, so each
 precision pays for the Fraction conversions once.
 
-Forward Euler and the implicit pitchfork family also run on raw mpmath
-``_mpf_`` tuples (euler_kernel, afamily_kernel), for the long orbit loops of
-the analysis and the command line.  Each step gives the tuples mpf
-arithmetic gives, bit for bit: it splits its input tuples into signed
-integer mantissa pairs once, rounds every operation on the pairs (see
-rounding; divisions included), and packs only its outputs, so no tuple is
-built or normalised between two operations.  The transcritical
+Orbits are carried as signed integer mantissa pairs (see rounding) from
+start to end: the one-step maps of forward Euler and of the implicit
+pitchfork family (euler_kernel, afamily_kernel), and the transcritical
 forward-Euler, explicit-RK and Kahan maps and the pitchfork's forward Euler
-in deviation coordinates, for the jump classification, step on the pairs
-themselves: the classification loop splits its start once and packs only
-what it reports.  Only the implicit family's rare cubic fallback finds its
-root with mpmath's polyroots.
+in deviation coordinates, for the jump classification, take and return
+pairs, rounding every operation (divisions included) like the mpf
+expression it stands for, so the values are those of mpf arithmetic, bit
+for bit.  A loop splits its start once and packs only what it reports.
+Only the implicit family's rare cubic fallback finds its root with
+mpmath's polyroots.
 """
 
 from __future__ import annotations
@@ -42,8 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Union
-
-from mpmath.libmp import mpf_abs, mpf_le, mpf_mul, round_nearest
 
 from .precision import PrecisionContext
 from .rounding import abs_le, add, div, mul, pack, rn, split, sub
@@ -206,38 +202,13 @@ def load_tableau_file(path, name: Optional[str] = None) -> ButcherTableau:
 # ---------------------------------------------------------------------------
 
 
-def _abs_le(a, b, scale=None, prec=0) -> bool:
-    """|a| <= |b|, or |a| <= scale * |b| rounded to nearest at prec bits.
-
-    a, b and scale are raw ``_mpf_`` tuples; scale, when given, is positive.
-    The result equals the mpf comparison abs(a) <= scale * abs(b), NaN
-    included.  A nonzero finite value v satisfies 2**(m-1) <= |v| < 2**m
-    with m = exp + bc, and the rounded product lies in
-    [2**(ms+mb-2), 2**(ms+mb)], so magnitudes two or more apart decide the
-    comparison; only closer ones pay for the product and the exact compare.
-    """
-    if a[1] and b[1]:
-        d = a[2] + a[3] - b[2] - b[3]
-        if scale is not None:
-            d -= scale[2] + scale[3]
-        if d <= -2:
-            return True
-        if d >= 2:
-            return False
-    b = mpf_abs(b)
-    if scale is not None:
-        b = mpf_mul(scale, b, prec, round_nearest)
-    return mpf_le(mpf_abs(a), b)
-
-
 def euler_kernel(kind: SingularityKind, params: SystemParams):
-    """Forward-Euler step on raw mpmath ``_mpf_`` tuples.
+    """Forward-Euler step on mantissa pairs (see rounding).
 
     Returns step(x, y) -> (xnew, ynew), the update p + h * f(p) with every
     operation rounded to nearest at the context's precision, in the order
-    of the mpf expression, so the tuples are bit-identical to mpf
-    arithmetic on the same values.  The step works on mantissa pairs
-    (see rounding) and packs only its outputs; h * eps is formed once.
+    of the mpf expression, so the values are bit-identical to mpf
+    arithmetic on the same values; h * eps is formed once.
     """
     prec = params.ctx.prec
     h, eps = split(params.h._mpf_), split(params.epsilon._mpf_)
@@ -245,36 +216,32 @@ def euler_kernel(kind: SingularityKind, params: SystemParams):
     if kind is SingularityKind.TRANSCRITICAL:
 
         def step(x, y):
-            x, y = split(x), split(y)
             t = add(sub(mul(x, x, prec), mul(y, y, prec), prec), eps, prec)
-            return pack(add(x, mul(h, t, prec), prec)), pack(add(y, heps, prec))
+            return add(x, mul(h, t, prec), prec), add(y, heps, prec)
 
     elif kind is SingularityKind.PITCHFORK:
 
         def step(x, y):
-            x, y = split(x), split(y)
             t = mul(x, sub(y, mul(x, x, prec), prec), prec)
-            return pack(add(x, mul(h, t, prec), prec)), pack(add(y, heps, prec))
+            return add(x, mul(h, t, prec), prec), add(y, heps, prec)
 
     elif kind is SingularityKind.FOLD:
 
         def step(x, y):
-            x, y = split(x), split(y)
             t = sub(mul(x, x, prec), y, prec)
-            ny = add(y, mul(h, mul(eps, x, prec), prec), prec)
-            return pack(add(x, mul(h, t, prec), prec)), pack(ny)
+            return add(x, mul(h, t, prec), prec), add(y, mul(h, mul(eps, x, prec), prec), prec)
 
     else:
         raise ValueError(f"unknown singularity kind: {kind!r}")
     return step
 
 
-# Deviation-coordinate steps u -> unew on the mantissa pairs (u, y), with u
-# the transversal deviation (x - y on the transcritical diagonal, x on the
-# pitchfork line); y then advances by eps*h.  The classification loop carries
-# both as pairs from split to pack, so a step neither splits nor packs; each
-# rounds like the mpf expression it stands for.  2 v is the pair (m, e + 1),
-# rounded in case v is longer than the precision.
+# Deviation-coordinate steps (u, y) -> (unew, y + eps h) on mantissa pairs,
+# with u the transversal deviation (x - y on the transcritical diagonal, x on
+# the pitchfork line): the same shape as a one-step map, so the one
+# classification loop iterates either.  Each rounds like the mpf expression
+# it stands for.  2 v is the pair (m, e + 1), rounded in case v is longer
+# than the precision.
 
 _ZERO, _ONE = (0, 0), (1, 0)
 
@@ -287,18 +254,19 @@ def euler_deviation_kernel(kind: SingularityKind, params: SystemParams):
     """
     prec = params.ctx.prec
     h = split(params.h._mpf_)
+    heps = mul(h, split(params.epsilon._mpf_), prec)
     if kind is SingularityKind.TRANSCRITICAL:
 
         def step(u, y):
             ym, ye = y
             s = add(rn(ym, ye + 1, prec), u, prec)
-            return mul(u, add(mul(h, s, prec), _ONE, prec), prec)
+            return mul(u, add(mul(h, s, prec), _ONE, prec), prec), add(y, heps, prec)
 
     elif kind is SingularityKind.PITCHFORK:
 
         def step(x, y):
             t = sub(y, mul(x, x, prec), prec)
-            return add(x, mul(mul(h, x, prec), t, prec), prec)
+            return add(x, mul(mul(h, x, prec), t, prec), prec), add(y, heps, prec)
 
     else:
         raise ValueError(f"no deviation coordinates for {kind.value}")
@@ -314,6 +282,7 @@ def rk_deviation_kernel(tableau: ButcherTableau, params: SystemParams):
     """
     prec = params.ctx.prec
     h, (em, ee) = split(params.h._mpf_), split(params.epsilon._mpf_)
+    heps = mul(h, (em, ee), prec)
     alpha, rows, _ = tableau.bind_raw(params.ctx)
     alpha = tuple(split(ai) for ai in alpha)
     hrows = tuple(tuple(mul(h, split(aij), prec) for aij in row) for row in rows)
@@ -332,7 +301,7 @@ def rk_deviation_kernel(tableau: ButcherTableau, params: SystemParams):
         du = _ZERO
         for ai, di in zip(alpha, ds):
             du = add(du, mul(ai, di, prec), prec)
-        return add(u, mul(h, du, prec), prec)
+        return add(u, mul(h, du, prec), prec), add(y, heps, prec)
 
     return step
 
@@ -341,34 +310,35 @@ def kahan_deviation_kernel(params: SystemParams):
     """Transcritical Kahan: u (1 + h y + eps h h) / (1 - h (y + u))."""
     prec = params.ctx.prec
     h, eps = split(params.h._mpf_), split(params.epsilon._mpf_)
-    num_eps = mul(mul(eps, h, prec), h, prec)
+    heps = mul(h, eps, prec)
+    num_eps = mul(heps, h, prec)
 
     def step(u, y):
         den = sub(_ONE, mul(h, add(y, u, prec), prec), prec)
         if not den[0]:
             raise PoleError("transcritical Kahan step hit its pole")
         num = add(add(mul(h, y, prec), _ONE, prec), num_eps, prec)
-        return div(mul(u, num, prec), den, prec)
+        return div(mul(u, num, prec), den, prec), add(y, heps, prec)
 
     return step
 
 
-def _on_tuples(ctx: PrecisionContext, stepper):
-    """Adapt a stepper on PlanarPoints of ctx scalars to raw (x, y) tuples."""
+def _on_pairs(ctx: PrecisionContext, stepper):
+    """Adapt a stepper on PlanarPoints of ctx scalars to (x, y) mantissa pairs."""
     make = ctx.make_mpf
 
     def step(x, y):
-        q = stepper(PlanarPoint(make(x), make(y)))
-        return q.x._mpf_, q.y._mpf_
+        q = stepper(PlanarPoint(make(pack(x)), make(pack(y))))
+        return split(q.x._mpf_), split(q.y._mpf_)
 
     return step
 
 
 def euler_step(kind: SingularityKind, params: SystemParams, p: PlanarPoint) -> PlanarPoint:
     """Forward-Euler update p + h * f(p); p holds scalars of params.ctx."""
-    x, y = euler_kernel(kind, params)(p.x._mpf_, p.y._mpf_)
+    x, y = euler_kernel(kind, params)(split(p.x._mpf_), split(p.y._mpf_))
     make = params.ctx.make_mpf
-    return PlanarPoint(make(x), make(y))
+    return PlanarPoint(make(pack(x)), make(pack(y)))
 
 
 def rk_step(
@@ -603,12 +573,12 @@ def _afamily_cubic_coeffs(aparam, h, x, y, yn):
 def _afamily_solver(aparam, params: SystemParams, reverse: bool = False):
     """The implicit pitchfork step as solve(x, y) -> (xnew, ynew, method, residual).
 
-    x, y, xnew and ynew are ``_mpf_`` tuples, residual a mantissa pair and
-    method "newton", "cubic" or "canard" (see a_family_step_pitchfork).
+    x, y, xnew, ynew and residual are mantissa pairs and method "newton",
+    "cubic" or "canard" (see a_family_step_pitchfork).
     a, b = 1 - 2a, h (negated for reverse), eps h and the residual bars
     tol(2) and tol(10) are formed once; every operation but the cubic's
     polyroots and root choice rounds on pairs like the mpf expression it
-    replaces, so the tuples are those of mpf arithmetic, bit for bit.
+    replaces, so the values are those of mpf arithmetic, bit for bit.
     """
     ctx = params.ctx
     prec = ctx.prec
@@ -637,7 +607,7 @@ def _afamily_solver(aparam, params: SystemParams, reverse: bool = False):
     def cubic_root(x, y, yn, predictor):
         """The real root of the cleared polynomial nearest the predictor, as a pair."""
         make = ctx.make_mpf
-        coeffs = list(_afamily_cubic_coeffs(a_mpf, h_mpf, make(x), make(y), make(pack(yn))))
+        coeffs = list(_afamily_cubic_coeffs(a_mpf, h_mpf, *(make(pack(v)) for v in (x, y, yn))))
         coeffs.reverse()
         while coeffs and coeffs[0] == 0:
             coeffs = coeffs[1:]
@@ -651,16 +621,10 @@ def _afamily_solver(aparam, params: SystemParams, reverse: bool = False):
         predictor = make(pack(predictor))
         return split(min(real_roots, key=lambda r: abs(r - predictor))._mpf_)
 
-    def solve(x0, y0):
-        try:
-            x, y = split(x0), split(y0)
-        except ValueError:  # an infinity or NaN
-            raise NoRealBranch(
-                "implicit pitchfork update has no real branch at this point"
-            ) from None
+    def solve(x, y):
         yn = add(y, heps, prec)
         if not x[0]:
-            return x0, pack(yn), "canard", _ZERO
+            return x, yn, "canard", _ZERO
         my = _half_sum(y, yn, prec)
         af_old = mul(a, _pitchfork_f(x, y, prec), prec)
         xn = predictor = add(x, mul(mul(h, x, prec), sub(y, mul(x, x, prec), prec), prec), prec)
@@ -672,11 +636,11 @@ def _afamily_solver(aparam, params: SystemParams, reverse: bool = False):
             if within(step, tol2, xn):
                 r = residual(x, af_old, my, yn, xn)
                 if within(r, tol10, xn):
-                    return pack(xn), pack(yn), "newton", r
+                    return xn, yn, "newton", r
                 break
 
         # Newton failed: solve the cleared polynomial exactly, then polish.
-        xn = cubic_root(x0, y0, yn, predictor)
+        xn = cubic_root(x, y, yn, predictor)
         for _ in range(8):
             step = correction(x, af_old, my, yn, xn)
             if step is None:
@@ -685,13 +649,13 @@ def _afamily_solver(aparam, params: SystemParams, reverse: bool = False):
         r = residual(x, af_old, my, yn, xn)
         if not within(r, tol10, xn):
             raise NoRealBranch("implicit pitchfork update: no branch met the residual tolerance")
-        return pack(xn), pack(yn), "cubic", r
+        return xn, yn, "cubic", r
 
     return solve
 
 
 def afamily_kernel(aparam, params: SystemParams):
-    """The implicit pitchfork step on raw ``_mpf_`` tuples: step(x, y) -> (xnew, ynew).
+    """The implicit pitchfork step on mantissa pairs: step(x, y) -> (xnew, ynew).
 
     Bit-identical to a_family_step_pitchfork(aparam, params, p).point;
     everything that depends only on the orbit is formed once.
@@ -724,9 +688,13 @@ def a_family_step_pitchfork(
     The family is symmetric (time-reversible): reverse=True applies the step
     with h -> -h, which undoes the forward step.
     """
-    x, y, method, r = _afamily_solver(aparam, params, reverse)(p.x._mpf_, p.y._mpf_)
+    try:
+        x, y = split(p.x._mpf_), split(p.y._mpf_)
+    except ValueError:  # an infinity or NaN
+        raise NoRealBranch("implicit pitchfork update has no real branch at this point") from None
+    x, y, method, r = _afamily_solver(aparam, params, reverse)(x, y)
     make = params.ctx.make_mpf
-    return StepResult(PlanarPoint(make(x), make(y)), BranchInfo(method, make(pack(r))))
+    return StepResult(PlanarPoint(make(pack(x)), make(pack(y))), BranchInfo(method, make(pack(r))))
 
 
 def kahan_step_pitchfork(params: SystemParams, p: PlanarPoint) -> StepResult:

@@ -4,8 +4,9 @@ The reference below is a plain-mpf copy of the earlier
 a_family_step_pitchfork: Newton from the forward-Euler predictor, the
 cleared cubic solved with polyroots when Newton fails, and up to 8 polish
 steps.  The pair solve behind a_family_step_pitchfork, kahan_step_pitchfork
-and afamily_kernel must give the same point and residual tuples and the
-same BranchInfo.method, and raise NoRealBranch where the reference does.
+and afamily_kernel (packed from its pairs) must give the same point and
+residual tuples and the same BranchInfo.method, and raise NoRealBranch
+where the reference does.
 """
 
 import pytest
@@ -25,6 +26,7 @@ from canardlab import (
     make_context,
 )
 from canardlab.linearization import CANARDS, scheme_map
+from canardlab.rounding import pack, split
 from canardlab.schemes import BranchInfo, StepResult, afamily_kernel
 
 P = SingularityKind.PITCHFORK
@@ -154,7 +156,8 @@ def test_step_matches_mpf_reference(digits, a, h, eps, x, y, reverse):
     want = _outcome(ref_step, ctx.mpf(a), params, p, reverse=reverse)
     assert _outcome(a_family_step_pitchfork, ctx.mpf(a), params, p, reverse=reverse) == want
     if not reverse and want[0] != "no real branch":
-        assert afamily_kernel(ctx.mpf(a), params)(p.x._mpf_, p.y._mpf_) == want[:2]
+        x, y = afamily_kernel(ctx.mpf(a), params)(split(p.x._mpf_), split(p.y._mpf_))
+        assert (pack(x), pack(y)) == want[:2]
 
 
 @pytest.mark.parametrize("digits", sorted(CONTEXTS))
@@ -210,12 +213,12 @@ def test_benchmark_orbits_step_by_step(a):
     params = SystemParams.create(ctx, "0.01", "0.1")
     start = CANARDS[P].start(params, ctx.mpf("0.4995"), ctx.mpf("1e-4"))
     step = scheme_map(P, AFamily(ctx.mpf(a)), params).step
-    p, x, y = start, start.x._mpf_, start.y._mpf_
+    p, x, y = start, split(start.x._mpf_), split(start.y._mpf_)
     methods = set()
     for _ in range(1500):
         ref = ref_step(ctx.mpf(a), params, p)
         methods.add(ref.branch_info.method)
         x, y = step(x, y)
         p = ref.point
-        assert (x, y) == (p.x._mpf_, p.y._mpf_)
+        assert (pack(x), pack(y)) == (p.x._mpf_, p.y._mpf_)
     assert methods == {"newton"}

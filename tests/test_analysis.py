@@ -19,6 +19,7 @@ from canardlab import (
     SystemParams,
     Unresolved,
     classify_jump,
+    contraction_product,
     critical_h_bisection,
     critical_triplet_linearized,
     kstar_pitchfork_euler,
@@ -305,6 +306,25 @@ def test_wayout_requires_entry_past_center(ctx, params):
         wayout(T, KAHAN, params, params.epsilon * params.h / 4)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda p: classify_jump(T, EULER, p, "1", "1e-4", escape="inf"),
+     "escape threshold must be finite, got +inf"),
+    (lambda p: classify_jump(T, EULER, p, "1", "1e-4", escape="inf", track_deviation=False),
+     "escape threshold must be finite, got +inf"),
+    (lambda p: classify_jump(T, EULER, p, "1", "1e-4", escape="nan"),
+     "escape threshold must be finite, got nan"),
+    (lambda p: classify_jump(T, EULER, p, "inf", "1e-4"), "rho must be finite and > 0, got +inf"),
+    (lambda p: classify_jump(P, KAHAN, p, "nan", "1e-4"), "rho must be finite and > 0, got nan"),
+    (lambda p: wayout(T, KAHAN, p, "inf"), "rho must be finite and > 0, got +inf"),
+    (lambda p: contraction_product(T, KAHAN, p, "inf", 3), "rho must be finite and > 0, got +inf"),
+], ids=["classify-escape-inf", "classify-raw-escape-inf", "classify-escape-nan",
+        "classify-rho-inf", "classify-rho-nan", "wayout-rho-inf", "contraction-rho-inf"])
+def test_non_finite_rho_and_escape_are_named(params, call, message):
+    with pytest.raises(ValueError) as err:
+        call(params)
+    assert str(err.value) == message
+
+
 # -- linearized critical triplets ----------------------------------------------------
 
 
@@ -365,10 +385,16 @@ def test_classify_band_edges_near_critical_step(ctx):
 
 
 def test_classify_raw_matches_deviation_engine_when_benign(ctx):
-    params = SystemParams.create(ctx, "1", "0.05")
-    a = classify_jump(T, EULER, params, 1, "1e-4", track_deviation=True)
-    b = classify_jump(T, EULER, params, 1, "1e-4", track_deviation=False)
-    assert a.label is b.label is JumpClass.RIGHT
+    # at h = 0.15, rho = 8 the entry multipliers are negative: the deviation
+    # changes sign at every step of an early band
+    for scheme, h, rho, last_sign_change in (
+        (EULER, "0.05", 1, 0), (EULER, "0.15", 8, 32), (KUTTA3, "0.15", 8, 18),
+    ):
+        params = SystemParams.create(ctx, "1", h)
+        a = classify_jump(T, scheme, params, rho, "1e-4", track_deviation=True)
+        b = classify_jump(T, scheme, params, rho, "1e-4", track_deviation=False)
+        assert a.label is b.label is JumpClass.RIGHT, (scheme.name, h)
+        assert a.last_sign_change == b.last_sign_change == last_sign_change, (scheme.name, h)
 
 
 def test_classify_sticky_collapse_raw_only():

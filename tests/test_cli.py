@@ -86,6 +86,8 @@ def test_simulate_requires_start(tmp_path):
     (["--delta", "inf"], "start point must be finite"),
     (["--h", "inf"], "h must be finite"),
     (["--eps", "inf"], "eps must be finite"),
+    (["--escape", "inf"], "escape threshold must be finite, got +inf"),
+    (["--escape", "nan"], "escape threshold must be finite, got nan"),
 ])
 def test_simulate_rejects_bad_input(tmp_path, capsys, extra, message):
     out = tmp_path / "x.csv"
@@ -492,6 +494,17 @@ def test_wayout_rejects_non_finite_parameters(tmp_path, capsys, argv, flag):
     assert code == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {flag} must be finite"), lines
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rho", ["inf", "nan"])
+def test_wayout_rejects_non_finite_rho(tmp_path, capsys, rho):
+    out = tmp_path / "x.csv"
+    code = main(["wayout", "--kind", "transcritical", "--h", "0.1", "--eps", "0.01",
+                 "--rho", rho, "--n-max", "10", "--out", str(out)])
+    assert code == 2
+    value = "+inf" if rho == "inf" else rho
+    assert capsys.readouterr().err.splitlines() == [f"error: rho must be finite and > 0, got {value}"]
     assert not out.exists()
 
 

@@ -1,10 +1,11 @@
-"""Bit-identity of the deviation-coordinate classification on raw tuples.
+"""Bit-identity of the deviation-coordinate classification on mantissa pairs.
 
-The references below are plain-mpf copies of the loops the tuple code
+The references below are plain-mpf copies of the loops the pair code
 replaced: the transcritical deviation iteration (Kahan, forward Euler and
 the explicit RK stage recursion) and the pitchfork forward-Euler fast path.
-The deviation maps of scheme_map, iterated by the deviation classification
-loop (the pitchfork through classify_jump), must reproduce them exactly:
+The deviation maps of scheme_map, iterated by the one classification loop
+under the exact-zero rule (the pitchfork through classify_jump), must
+reproduce them exactly:
 same label, same step count, and the same ``_mpf_`` tuples for the point
 and the deviation, or the same pole at the same iterate.
 """
@@ -27,8 +28,9 @@ from canardlab import (
     classify_jump,
     make_context,
 )
-from canardlab.analysis import _classify_deviation
-from canardlab.linearization import scheme_map
+from canardlab.analysis import _iterate
+from canardlab.linearization import _exact_zero, scheme_map
+from canardlab.rounding import add, pack, split
 
 T = SingularityKind.TRANSCRITICAL
 P = SingularityKind.PITCHFORK
@@ -127,8 +129,13 @@ def _outcome(fn, *args):
 
 
 def merged_transcritical(scheme, params, u0, y0, threshold, max_n):
+    """The loop on the pairs of (u0, y0), packed into the references' result."""
     step = scheme_map(T, scheme, params).deviation_step
-    return _classify_deviation(T, step, params, u0, y0, threshold, max_n)
+    u0, thr = split(u0._mpf_), split(threshold._mpf_)
+    label, n, u, y, _, _ = _iterate(step, _exact_zero, u0, split(y0._mpf_), u0, thr, max_n)
+    make = params.ctx.make_mpf
+    point = PlanarPoint(make(pack(add(y, u, params.ctx.prec))), make(pack(y)))
+    return JumpResult(label, n, point, make(pack(u)))
 
 
 def merged_pitchfork_euler(params, start, threshold, max_n):

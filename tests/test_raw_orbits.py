@@ -1,17 +1,16 @@
-"""Bit-identity of the raw-tuple Euler kernel and the exponent-prefiltered checks.
+"""Bit-identity of the mantissa-pair Euler kernel and the exponent-prefiltered glue rule.
 
-The references below are plain-mpf copies of the loops the tuple code
+The references below are plain-mpf copies of the loops the pair code
 replaced: the mpf forward-Euler update p + h f(p), the raw transcritical
 classification (Kahan, Euler and RK branches), the Kahan fold
 classification, each with the glue rule written as
 abs(u) <= glue * max(abs(x), abs(y)), and the pitchfork classification of
-the explicit-RK and implicit-family maps.  The one raw classification loop,
+the explicit-RK and implicit-family maps.  The one classification loop,
 reached through classify_jump(..., track_deviation=False), must reproduce
 them exactly: same label, same step count, and the same ``_mpf_`` tuples
 for the point and the deviation.
 """
 
-from mpmath.libmp import fnan, finf, fninf, from_man_exp, fzero
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -37,7 +36,8 @@ from canardlab import (
     rk_step,
 )
 from canardlab.linearization import _glued
-from canardlab.schemes import _abs_le, euler_kernel
+from canardlab.rounding import pack, split
+from canardlab.schemes import euler_kernel
 from canardlab.systems import vector_field
 
 T = SingularityKind.TRANSCRITICAL
@@ -194,13 +194,13 @@ def test_euler_kernel_matches_mpf_update(digits, kind, h, eps, x0, y0):
     params = SystemParams.create(ctx, eps, h)
     step = euler_kernel(kind, params)
     p = PlanarPoint(ctx.mpf(x0), ctx.mpf(y0))
-    x, y = p.x._mpf_, p.y._mpf_
+    x, y = split(p.x._mpf_), split(p.y._mpf_)
     for _ in range(40):
         ref = ref_euler_step(kind, params, p)
         got = euler_step(kind, params, p)
         x, y = step(x, y)
         assert (got.x._mpf_, got.y._mpf_) == (ref.x._mpf_, ref.y._mpf_)
-        assert (x, y) == (ref.x._mpf_, ref.y._mpf_)
+        assert (pack(x), pack(y)) == (ref.x._mpf_, ref.y._mpf_)
         p = ref
 
 
@@ -245,71 +245,72 @@ def test_raw_pitchfork_classification_bit_identical(digits, h, eps, rho, delta, 
     assert _outcome(merged_raw(P), *args) == _outcome(ref_classify_pitchfork, *args)
 
 
-# -- the comparison helper at its decision boundaries ---------------------------
+# -- the glue rule at its decision boundaries ----------------------------------
 
 
 def _ref_glued(ctx, u, x, y):
-    u, x, y = ctx.make_mpf(u), ctx.make_mpf(x), ctx.make_mpf(y)
+    u, x, y = (ctx.make_mpf(pack(v)) for v in (u, x, y))
     return abs(u) <= ctx.tol(3) * max(abs(x), abs(y))
 
 
+def _pairs(*values):
+    return tuple(split(v._mpf_) for v in values)
+
+
 def _neighbours(bar):
-    """Tuples at the bar, one unit in the last place off it, and 1 or 2 binades off."""
-    _, man, exp, _ = bar
-    out = [from_man_exp(man + dm, exp + k) for k in (-2, -1, 0, 1, 2) for dm in (-1, 0, 1)]
-    return out + [(1,) + t[1:] for t in out]
+    """Pairs at the bar, one unit in the last place off it, and 1 or 2 binades off."""
+    man, exp = split(bar)
+    out = [(man + dm, exp + k) for k in (-2, -1, 0, 1, 2) for dm in (-1, 0, 1)]
+    return out + [(-m, e) for m, e in out]
 
 
 @pytest.mark.parametrize("digits", sorted(CONTEXTS))
 @pytest.mark.parametrize("m", ["1", "0.75", "-3.3", "2.5e-7", "-1e30"])
 def test_glue_rule_at_its_boundary(digits, m):
     ctx = CONTEXTS[digits]
-    prec, glue = ctx.prec, ctx.tol(3)._mpf_
+    prec, glue = ctx.prec, split(ctx.tol(3)._mpf_)
     big = ctx.mpf(m)
     bar = (ctx.tol(3) * abs(big))._mpf_
     for other in (ctx.mpf(0), big / 3, -big / 5):
         for u in _neighbours(bar):
-            for x, y in ((big._mpf_, other._mpf_), (other._mpf_, big._mpf_)):
+            for x, y in (_pairs(big, other), _pairs(other, big)):
                 assert _glued(u, x, y, glue, prec) == _ref_glued(ctx, u, x, y), (u, x, y)
     # the bar itself is glued, one unit above it is not
-    assert _glued(bar, big._mpf_, fzero, glue, prec)
-    assert not _glued(from_man_exp(bar[1] + 1, bar[2]), big._mpf_, fzero, glue, prec)
+    (big,), zero = _pairs(big), (0, 0)
+    assert _glued(split(bar), big, zero, glue, prec)
+    assert not _glued((bar[1] + 1, bar[2]), big, zero, glue, prec)
 
 
 def test_glue_rule_zero_operands(ctx):
-    prec, glue = ctx.prec, ctx.tol(3)._mpf_
-    one, tiny = ctx.mpf(1)._mpf_, ctx.mpf("1e-60")._mpf_
-    cases = [(fzero, one, one), (fzero, fzero, fzero), (tiny, fzero, fzero),
-             (tiny, one, fzero), (tiny, fzero, one), (one, fzero, one)]
+    prec, glue = ctx.prec, split(ctx.tol(3)._mpf_)
+    zero, one, tiny = (0, 0), (1, 0), split(ctx.mpf("1e-60")._mpf_)
+    cases = [(zero, one, one), (zero, zero, zero), (tiny, zero, zero),
+             (tiny, one, zero), (tiny, zero, one), (one, zero, one)]
     for u, x, y in cases:
         assert _glued(u, x, y, glue, prec) == _ref_glued(ctx, u, x, y), (u, x, y)
 
 
-def test_abs_le_special_values(ctx):
-    vals = [fzero, finf, fninf, fnan, ctx.mpf(-2)._mpf_, ctx.mpf("1e-70")._mpf_]
-    scale = ctx.mpf("0.3")
-    for a in vals:
-        for b in vals:
-            A, B = ctx.make_mpf(a), ctx.make_mpf(b)
-            assert _abs_le(a, b) == (abs(A) <= abs(B)), (a, b)
-            assert _abs_le(a, b, scale._mpf_, ctx.prec) == (abs(A) <= scale * abs(B)), (a, b)
+def _pair_st(magnitude, prec):
+    """0, or a pair of either sign and at most prec significant bits whose magnitude
+    lies within 3 binades of the given one, its mantissa shifted left by up to 8 bits
+    (rounding leaves trailing zeros in place)."""
+    return st.one_of(
+        st.just((0, 0)),
+        st.builds(
+            lambda man, k, shift, neg: ((-man if neg else man) << shift,
+                                        magnitude + k - man.bit_length() - shift),
+            st.integers(1, 2**prec - 1), st.integers(-3, 3), st.integers(0, 8), st.booleans(),
+        ),
+    )
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    digits=digits_st,
-    b_man=st.integers(1, 2**700), b_exp=st.integers(-900, 900),
-    s_man=st.integers(1, 2**60), s_exp=st.integers(-250, 10),
-    shift=st.integers(-3, 3), dm=st.integers(-2, 2), neg=st.booleans(),
-)
-def test_abs_le_matches_mpf_comparison(digits, b_man, b_exp, s_man, s_exp, shift, dm, neg):
+@given(data=st.data(), digits=digits_st, mag=st.integers(-900, 900), other=st.integers(-6, 6))
+def test_glue_rule_matches_mpf_on_pairs(data, digits, mag, other):
+    """_glued against |u| <= tol(3) max(|x|, |y|), with |u| near that bar."""
     ctx = CONTEXTS[digits]
-    prec = ctx.prec
-    b = ctx.mpf(from_man_exp(b_man, b_exp)) * (-1 if neg else 1)
-    scale = ctx.mpf(from_man_exp(s_man, s_exp))
-    for bar in (abs(b), scale * abs(b)):
-        _, man, exp, _ = bar._mpf_
-        a = ctx.mpf(from_man_exp(man + dm, exp + shift))
-        for aa in (a, -a):
-            assert _abs_le(aa._mpf_, b._mpf_) == (abs(aa) <= abs(b))
-            assert _abs_le(aa._mpf_, b._mpf_, scale._mpf_, prec) == (abs(aa) <= scale * abs(b))
+    prec, glue = ctx.prec, split(ctx.tol(3)._mpf_)
+    x = data.draw(_pair_st(mag, prec))
+    y = data.draw(_pair_st(mag + other, prec))
+    u = data.draw(_pair_st(mag + max(other, 0) + glue[0].bit_length() + glue[1], prec))
+    assert _glued(u, x, y, glue, prec) == _ref_glued(ctx, u, x, y), (u, x, y)

@@ -9,7 +9,9 @@ slow-start case) and with the second placed relative to the first, so sums
 overlap, cancel, or lie past libmp's far-operand cut-off.
 """
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -19,6 +21,7 @@ from mpmath.libmp import (
     mpf_sub, round_nearest,
 )
 
+import canardlab
 from canardlab import make_context
 from canardlab.rounding import abs_le, add, div, mul, pack, rn, split, sub
 
@@ -229,3 +232,30 @@ def test_div_and_abs_le_on_rounded_operands(case, shift):
 def test_abs_le_matches_libmp(case):
     _, a, b = case
     assert abs_le(split(a), split(b)) == mpf_le(mpf_abs(a), mpf_abs(b)), (a, b)
+
+
+# -- the number format stays behind rounding ------------------------------------
+
+
+def _imports_libmp(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name == "mpmath.libmp" or a.name.startswith("mpmath.libmp.") for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            if node.module == "mpmath.libmp" or node.module.startswith("mpmath.libmp."):
+                return True
+            if node.module == "mpmath" and any(a.name == "libmp" for a in node.names):
+                return True
+    return False
+
+
+def test_only_rounding_and_precision_import_libmp():
+    """Orbits are carried as mantissa pairs; libmp's tuple format stays in two modules."""
+    src = Path(canardlab.__file__).parent
+    offenders = [
+        path.name for path in sorted(src.glob("*.py"))
+        if path.name not in ("rounding.py", "precision.py")
+        and _imports_libmp(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert offenders == []
