@@ -591,7 +591,7 @@ def classify_jump(
     returned when the orbit collapses onto the invariant set (by the kind's
     stuck rule in raw coordinates, see linearization.Canard; when the
     deviation vanishes exactly in deviation coordinates) or the iteration
-    budget runs out.  delta must be finite.
+    budget runs out.  delta, and start when given, must be finite.
 
     track_deviation=True iterates the map in exact deviation coordinates
     (transcritical), immune to the collapse artifact; =False iterates the
@@ -639,6 +639,8 @@ def _classify(
         max_n = int(10 * ctx.floor(2 * rho / canard.spacing(params)) + 10)
     if start is None:
         start = canard.start(params, rho, delta)
+    elif not (ctx.isfinite(start.x) and ctx.isfinite(start.y)):
+        raise ValueError("start point must be finite")
     smap = scheme_map(kind, scheme, params)
     deviation = canard.deviation(params)
     x, y = split(start.x._mpf_), split(start.y._mpf_)

@@ -9,13 +9,17 @@ Subcommands:
   wayout     way-in/way-out indices of the linearization along the canard
   bisect     bracket the nonlinear critical step size by bisection
   kstar      closed-form exit-count lower bounds
-  verify     run the structural property suites and print a pass/fail table
+  verify     run the structural property checks of canardlab.checks (those of
+             acceptance criteria 4-7 and 9 among them) and print a pass/fail
+             table; exit 1 if any fails
 
 Every subcommand accepts --digits; decimal-valued flags are parsed exactly
 at that precision (no double round-trip through binary floats).  Plain
 simulation defaults to 50 digits; sweep and bisect default to 5000 digits,
-matching the precision the delicate experiments need.  Exit codes: 0 ok,
-2 usage or invalid parameters, 3 pole hit, 4 search/bracket failure.
+matching the precision the delicate experiments need; verify runs at 50
+digits and rejects fewer, since its bounds are stated there.  Exit codes:
+0 ok, 1 failed verify suite, 2 usage or invalid parameters, 3 pole hit,
+4 search/bracket failure.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from . import __version__
+from . import __version__, checks
 from .analysis import (
     NoBracket,
     Unresolved,
@@ -40,44 +44,19 @@ from .analysis import (
     sweep_surface,
     wayout,
 )
-from .linearization import (
-    CANARDS,
-    AFamily,
-    KAHAN,
-    finite_difference_factor,
-    jacobian_factor,
-    scheme_map,
-    symmetry_center,
-    symmetry_defect,
-)
+from .linearization import CANARDS, AFamily, KAHAN, scheme_map
 from .precision import ANALYSIS_DIGITS, SIMULATE_DIGITS, InvalidPrecision, make_context
 from .rounding import abs_le, pack, split
 from .schemes import (
     EULER,
-    KUTTA3,
     SHIPPED_TABLEAUX,
     SURFACE_TABLEAUX,
     ButcherTableau,
     NoRealBranch,
     PoleError,
-    QuadraticField,
-    a_family_step_pitchfork,
-    kahan_step_fold,
-    kahan_step_general,
-    kahan_step_transcritical,
     load_tableau_file,
-    rk_step,
 )
-from .systems import (
-    NoCanard,
-    PlanarPoint,
-    SingularityKind,
-    SystemParams,
-    fold_first_integral,
-    fold_kahan_parabola_offset,
-    fold_rk_reduced_gap,
-    fold_slow_solutions,
-)
+from .systems import NoCanard, PlanarPoint, SingularityKind, SystemParams
 
 _KINDS = {k.value: k for k in SingularityKind}
 
@@ -382,194 +361,19 @@ def cmd_kstar(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _suite_rk_diagonal(ctx, rng):
-    params = SystemParams.create(ctx, "0.01", "0.1")
-    tol = ctx.tol(5)
-    worst = ctx.mpf(0)
-    for tab in SHIPPED_TABLEAUX.values():
-        for xs in ("-2", "-1", "-0.3", "0", "0.7", "1.5"):
-            x = ctx.mpf(xs)
-            p = rk_step(tab, SingularityKind.TRANSCRITICAL, params, PlanarPoint(x, x))
-            if p.x != p.y:
-                return False, f"diagonal broken for {tab.name} at x={xs}"
-            worst = max(worst, abs(p.x - (x + params.epsilon * params.h)))
-    return worst <= tol, f"max slow-speed defect {ctx.nstr(worst, 3)}"
-
-
-def _suite_kahan_symmetry(ctx, rng):
-    worst = ctx.mpf(0)
-    cases = [
-        (SingularityKind.TRANSCRITICAL, KAHAN),
-        (SingularityKind.FOLD, KAHAN),
-        (SingularityKind.PITCHFORK, AFamily(ctx.mpf("-0.5"))),
-        (SingularityKind.PITCHFORK, AFamily(ctx.mpf(0))),
-        (SingularityKind.PITCHFORK, AFamily(ctx.mpf("0.5"))),
-    ]
-    params = SystemParams.create(ctx, "0.01", "0.1")
-    for kind, scheme in cases:
-        c = symmetry_center(kind, params)
-        for i in range(1, 201):
-            d = ctx.mpf(i) / 40  # up to 5, inside the pole radius ~10
-            worst = max(worst, symmetry_defect(kind, scheme, params, c + d))
-    return worst <= ctx.tol(10), f"max pairing defect {ctx.nstr(worst, 3)}"
-
-
-def _suite_kahan_birational(ctx, rng):
-    params = SystemParams.create(ctx, "0.01", "0.1")
-    worst = ctx.mpf(0)
-    for _ in range(40):
-        x = ctx.mpf(rng.uniform(-3, 3))
-        y = ctx.mpf(rng.uniform(-3, 3))
-        p = PlanarPoint(x, y)
-        q = kahan_step_fold(params, p)
-        back = kahan_step_fold(params, q, reverse=True)
-        worst = max(worst, abs(back.x - x), abs(back.y - y))
-        q = kahan_step_transcritical(params, p)
-        back = kahan_step_transcritical(params, q, reverse=True)
-        worst = max(worst, abs(back.x - x), abs(back.y - y))
-    return worst <= ctx.tol(10), f"max round-trip defect {ctx.nstr(worst, 3)}"
-
-
-def _suite_general_form(ctx, rng):
-    params = SystemParams.create(ctx, "0.01", "0.05")
-    f_tc = QuadraticField.transcritical(ctx, params.epsilon)
-    f_fold = QuadraticField.fold(ctx, params.epsilon)
-    worst = ctx.mpf(0)
-    for _ in range(40):
-        x = ctx.mpf(rng.uniform(-2, 2))
-        y = ctx.mpf(rng.uniform(-2, 2))
-        p = PlanarPoint(x, y)
-        a = kahan_step_transcritical(params, p)
-        b = kahan_step_general(f_tc, params.h, p)
-        worst = max(worst, abs(a.x - b.x), abs(a.y - b.y))
-        a = kahan_step_fold(params, p)
-        b = kahan_step_general(f_fold, params.h, p)
-        worst = max(worst, abs(a.x - b.x), abs(a.y - b.y))
-    return worst <= ctx.tol(10), f"max specialization defect {ctx.nstr(worst, 3)}"
-
-
-def _suite_afamily(ctx, rng):
-    params = SystemParams.create(ctx, "0.01", "0.1")
-    worst = ctx.mpf(0)
-    for a_txt in ("-0.5", "0", "0.5"):
-        a = ctx.mpf(a_txt)
-        for _ in range(20):
-            x = ctx.mpf(rng.uniform(-1, 1))
-            y = ctx.mpf(rng.uniform(-2, 1))
-            res = a_family_step_pitchfork(a, params, PlanarPoint(x, y))
-            worst = max(worst, abs(res.branch_info.residual))
-            back = a_family_step_pitchfork(a, params, res.point, reverse=True).point
-            worst = max(worst, abs(back.x - x), abs(back.y - y))
-    ok = worst <= ctx.tol(10)
-    return ok, f"max residual / round-trip defect {ctx.nstr(worst, 3)}"
-
-
-def _suite_fold_structure(ctx, rng):
-    params = SystemParams.create(ctx, "0.01", "0.1")
-    offset = fold_kahan_parabola_offset(params)
-    p = PlanarPoint(ctx.mpf(0), -offset)
-    worst = ctx.mpf(0)
-    for _ in range(500):
-        p = kahan_step_fold(params, p)
-        worst = max(worst, abs(p.y - (p.x * p.x - offset)))
-    if worst > ctx.tol(10):
-        return False, f"parabola residual {ctx.nstr(worst, 3)}"
-    h = params.h
-    gap_ok = (
-        fold_slow_solutions(-h / 2, h) is None
-        and fold_slow_solutions(ctx.mpf(0), h) is not None
-        and fold_slow_solutions(-h, h) is not None
-    )
-    if not gap_ok:
-        return False, "slow-solution gap mismatch"
-    h8 = ctx.mpf("0.125")
-    if fold_rk_reduced_gap(KUTTA3, -h8 / 4, h8) or not fold_rk_reduced_gap(KUTTA3, -h8, h8):
-        return False, "reduced-map gap mismatch"
-    for _ in range(20):
-        x = ctx.mpf(rng.uniform(-2, 2))
-        hval = fold_first_integral(PlanarPoint(x, x * x - params.epsilon / 2), params.epsilon)
-        worst = max(worst, abs(hval))
-    return worst <= ctx.tol(10), f"max invariant residual {ctx.nstr(worst, 3)}"
-
-
-def _suite_wayout_lattice(ctx, rng):
-    params = SystemParams.create(ctx, "0.01", "0.1")
-    for kind in SingularityKind:
-        canard = CANARDS[kind]
-        for n in range(1, 21):
-            rho = n * canard.spacing(params) - canard.center(params)
-            result = wayout(kind, KAHAN, params, rho, max_n=3 * n + 10)
-            if result.psi != n or result.n_in != n:
-                return False, f"{kind.value}: psi={result.psi} at lattice N={n}"
-    return True, "psi = N on the lattice for N = 1..20"
-
-
-def _suite_kstar_bounds(ctx, rng):
-    checked = 0
-    for _ in range(20):
-        h = ctx.mpf(rng.uniform(0.05, 0.4))
-        eps = ctx.mpf(rng.uniform(0.2, 1.0))
-        rho = ctx.mpf(rng.uniform(0.1, 0.9)) / (2 * h)
-        kstar = kstar_transcritical_euler(ctx, rho, h, eps)
-        prod = ctx.mpf(1)
-        k = 0
-        while k < 10_000:
-            prod = prod * (1 - 2 * h * (rho - k * h * eps))
-            k += 1
-            if prod >= 1:
-                break
-        else:
-            continue
-        if not ctx.mpf(k) >= kstar - ctx.tol(20):
-            return False, f"euler-transcritical bound violated: K={k} < K*={ctx.nstr(kstar, 8)}"
-        checked += 1
-    return checked > 0, f"{checked} random bound checks passed"
-
-
-def _suite_fd_jacobian(ctx, rng):
-    fd_ctx = ctx if ctx.digits >= 50 else make_context(50)
-    params = SystemParams.create(fd_ctx, "0.01", "0.1")
-    delta = fd_ctx.mpf(10) ** (-(fd_ctx.digits // 2))
-    bar = fd_ctx.mpf(10) ** (-(fd_ctx.digits // 2 - 5))
-    cases = [
-        (SingularityKind.TRANSCRITICAL, SHIPPED_TABLEAUX["euler"]),
-        (SingularityKind.TRANSCRITICAL, KUTTA3),
-        (SingularityKind.TRANSCRITICAL, KAHAN),
-        (SingularityKind.PITCHFORK, SHIPPED_TABLEAUX["euler"]),
-        (SingularityKind.PITCHFORK, AFamily(fd_ctx.mpf("0.5"))),
-        (SingularityKind.FOLD, KAHAN),
-    ]
-    worst = fd_ctx.mpf(0)
-    for kind, scheme in cases:
-        for s_txt in ("-0.8", "-0.2", "0.3", "0.9"):
-            s = fd_ctx.mpf(s_txt)
-            jac = jacobian_factor(kind, scheme, params, s)
-            fd = finite_difference_factor(kind, scheme, params, s, delta)
-            worst = max(worst, abs(fd - jac) / abs(jac))
-    return worst <= bar, f"max relative FD defect {fd_ctx.nstr(worst, 3)}"
-
-
-_SUITES = {
-    "rk-diagonal": _suite_rk_diagonal,
-    "kahan-symmetry": _suite_kahan_symmetry,
-    "kahan-birational": _suite_kahan_birational,
-    "general-form": _suite_general_form,
-    "a-family": _suite_afamily,
-    "fold-structure": _suite_fold_structure,
-    "wayout-lattice": _suite_wayout_lattice,
-    "kstar-bounds": _suite_kstar_bounds,
-    "fd-jacobian": _suite_fd_jacobian,
-}
-
-
 def cmd_verify(args) -> int:
+    if args.digits < checks.DIGITS:
+        raise ValueError(
+            f"verify needs --digits >= {checks.DIGITS}, the precision its bounds are"
+            f" stated at; got {args.digits}"
+        )
     ctx = make_context(args.digits)
     rng = random.Random(args.seed)
-    names = args.suite or list(_SUITES)
+    names = args.suite or list(checks.SUITES)
     failures = 0
     width = max(len(n) for n in names)
     for name in names:
-        ok, detail = _SUITES[name](ctx, rng)
+        ok, detail = checks.SUITES[name](ctx, rng)
         status = "PASS" if ok else "FAIL"
         print(f"{name:<{width}}  {status}  {detail}")
         if not ok:
@@ -653,10 +457,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kstar)
 
     p = sub.add_parser("verify", help="run the structural property suites")
-    p.add_argument("--suite", action="append", choices=sorted(_SUITES),
+    p.add_argument("--suite", action="append", choices=sorted(checks.SUITES),
                    help="suite to run (repeatable; default all)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--digits", type=int, default=SIMULATE_DIGITS)
+    p.add_argument("--digits", type=int, default=checks.DIGITS,
+                   help=f"working decimal digits (default and minimum {checks.DIGITS})")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -1,5 +1,7 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
+Criteria 4-7 and 9 run the shared checks of canardlab.checks, which
+`canardlab verify` runs too; criteria 1-3 and 8 are written out here.
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 """
 
@@ -10,37 +12,20 @@ import time
 from canardlab import (
     AFamily,
     EULER,
-    KAHAN,
-    KUTTA3,
     SHIPPED_TABLEAUX,
     JumpClass,
-    PlanarPoint,
     SingularityKind,
     SystemParams,
+    checks,
     classify_jump,
     critical_h_bisection,
     critical_triplet_linearized,
-    finite_difference_factor,
-    fold_first_integral,
-    fold_kahan_parabola_offset,
-    fold_rk_reduced_gap,
     jacobian_factor,
-    kahan_step_fold,
-    kstar_pitchfork_euler,
-    kstar_rk,
-    kstar_transcritical_euler,
     make_context,
-    q_s,
-    rk_cbar,
-    rk_theta0,
-    symmetry_center,
-    symmetry_defect,
-    wayout,
 )
 
 T = SingularityKind.TRANSCRITICAL
 P = SingularityKind.PITCHFORK
-F = SingularityKind.FOLD
 
 
 @contextlib.contextmanager
@@ -123,163 +108,27 @@ def test_criterion_3_sticky_diagonal():
 def test_criterion_4_kahan_wayout_symmetry():
     with criterion("4 Kahan way-in/way-out: psi=N on lattice, {N+1,N+2} off"):
         t0 = time.monotonic()
-        ctx = make_context(50)
-        combos = [("0.01", "0.01"), ("0.01", "1"), ("0.1", "0.01"), ("0.1", "1")]
-        for h_txt, eps_txt in combos:
-            params = SystemParams.create(ctx, eps_txt, h_txt)
-            eh = params.epsilon * params.h
-            for kind in (T, P, F):
-                spacing = eh / 2 if kind is F else eh
-                center_off = 0 if kind is F else eh / 2
-                for n in range(1, 101):
-                    rho = center_off + n * spacing
-                    res = wayout(kind, KAHAN, params, rho)
-                    assert res.n_in == n and res.psi == n, (kind, h_txt, eps_txt, n)
-        rng = random.Random(2024)
-        params = SystemParams.create(ctx, "0.01", "0.1")
-        eh = params.epsilon * params.h
-        for kind in (T, P, F):
-            spacing = eh / 2 if kind is F else eh
-            center_off = 0 if kind is F else eh / 2
-            for _ in range(100):
-                n = rng.randint(1, 60)
-                frac = ctx.mpf(rng.uniform(0.02, 0.98))
-                rho = center_off + (n + frac) * spacing
-                res = wayout(kind, KAHAN, params, rho)
-                assert res.n_in == n
-                assert res.psi in (n + 1, n + 2), (kind, n, res.psi)
+        ok, detail = checks.wayout_lattice(make_context(50), random.Random(2024))
+        assert ok, detail
         assert time.monotonic() - t0 < 60.0
 
 
 def test_criterion_5_pairing_identities():
     with criterion("5 multiplier pairing |J(c+d)J(c-d)-1| <= 1e-40 on 1e3 grids"):
-        ctx = make_context(50)
-        params = SystemParams.create(ctx, "0.01", "0.1")
-        tol = ctx.tol(10)
-        cases = [
-            (T, KAHAN),
-            (F, KAHAN),
-            (P, AFamily(ctx.mpf(-1) / 2)),
-            (P, AFamily(ctx.mpf(0))),
-            (P, AFamily(ctx.mpf(1) / 2)),
-        ]
-        for kind, scheme in cases:
-            c = symmetry_center(kind, params)
-            for i in range(1, 1001):
-                d = ctx.mpf(i) / 200  # up to 5, inside the pole radius ~10
-                assert symmetry_defect(kind, scheme, params, c + d) <= tol, (kind, i)
-
-
-def _exit_count(ctx, factor, cap=100_000):
-    prod = ctx.mpf(1)
-    k = 0
-    while k < cap:
-        prod *= factor(k)
-        k += 1
-        if prod >= 1:
-            return k
-    return None
+        ok, detail = checks.kahan_symmetry(make_context(50), None)
+        assert ok, detail
 
 
 def test_criterion_6_kstar_bound_soundness():
     with criterion("6 K* lower bounds sound on random parameters + divergence"):
-        ctx = make_context(50)
-        rng = random.Random(7)
-
-        checked = 0
-        while checked < 100:
-            h = ctx.mpf(rng.uniform(0.05, 0.4))
-            eps = ctx.mpf(rng.uniform(0.2, 1.0))
-            rho = ctx.mpf(rng.uniform(0.1, 0.9)) / (2 * h)
-            k_exit = _exit_count(ctx, lambda k: 1 - 2 * h * (rho - k * h * eps))
-            if k_exit is None:
-                continue
-            assert k_exit >= kstar_transcritical_euler(ctx, rho, h, eps) - ctx.tol(20)
-            checked += 1
-
-        checked = 0
-        while checked < 100:
-            h = ctx.mpf(rng.uniform(0.05, 0.4))
-            eps = ctx.mpf(rng.uniform(0.2, 1.0))
-            rho = ctx.mpf(rng.uniform(0.1, 0.9)) / h
-            k_exit = _exit_count(ctx, lambda k: 1 + h * (-rho + k * h * eps))
-            if k_exit is None:
-                continue
-            assert k_exit >= kstar_pitchfork_euler(ctx, rho, h, eps) - ctx.tol(20)
-            checked += 1
-
-        tabs = [SHIPPED_TABLEAUX[n] for n in ("heun2", "kutta3", "heun3", "ralston3", "ssprk3")]
-        checked = 0
-        while checked < 100:
-            tab = rng.choice(tabs)
-            h = ctx.mpf(rng.uniform(0.05, 0.3))
-            eps = ctx.mpf(rng.uniform(0.2, 1.0))
-            params = SystemParams.create(ctx, eps, h)
-            rho = ctx.mpf(rng.uniform(0.1, 0.8)) / (2 * h)
-            theta0 = rk_theta0(tab, params, rho)
-            if not (0 < theta0 < 1):
-                continue
-            heps = h * eps
-            k_exit = _exit_count(ctx, lambda k: 1 + h * q_s(tab, params, -rho + k * heps))
-            if k_exit is None or k_exit <= 2:
-                continue
-            kstar = kstar_rk(ctx, theta0, rk_cbar(tab, params, rho), tab.s)
-            assert k_exit >= kstar - ctx.tol(20)
-            checked += 1
-
-        # divergence claims as monotone growth toward the critical entry
-        h, eps = ctx.mpf("0.3"), ctx.mpf(1)
-        tc = []
-        pf = []
-        for j in range(1, 31):
-            scale = 1 - ctx.mpf(10) ** -j
-            k_t = kstar_transcritical_euler(ctx, scale / (2 * h), h, eps)
-            tc.append(-scale / (2 * h) + k_t * h * eps)
-            k_p = kstar_pitchfork_euler(ctx, scale / h, h, eps)
-            pf.append(-scale / h + k_p * h * eps)
-        assert all(b > a for a, b in zip(tc, tc[1:])) and tc[-1] > 10
-        assert all(b > a for a, b in zip(pf, pf[1:])) and pf[-1] > 10
+        ok, detail = checks.kstar_bounds(make_context(50), random.Random(7))
+        assert ok, detail
 
 
 def test_criterion_7_fold_structure():
     with criterion("7 fold: parabola invariance, reduced-map gap, first integral"):
-        ctx = make_context(50)
-        params = SystemParams.create(ctx, "0.01", "0.1")
-        offset = fold_kahan_parabola_offset(params)
-        tol = ctx.tol(10)
-
-        # canard passage: 10^4 iterates approaching along the attracting branch
-        # and crossing the fold point (ending just past it, where accumulated
-        # rounding is not yet re-amplified by the repelling branch)
-        x0 = ctx.mpf("0.1") - 10_000 * params.epsilon * params.h / 2
-        p = PlanarPoint(x0, x0 * x0 - offset)
-        worst = ctx.mpf(0)
-        for _ in range(10_000):
-            p = kahan_step_fold(params, p)
-            worst = max(worst, abs(p.y - (p.x * p.x - offset)))
-        assert worst <= tol
-        assert abs(p.x - ctx.mpf("0.1")) < ctx.tol(20)  # crossed the fold point
-
-        h = ctx.mpf("0.125")  # exactly representable step
-        for tab in SHIPPED_TABLEAUX.values():
-            if tab.s < 2:
-                continue
-            a21 = ctx.mpf(tab.a[1][0])
-            edge = h * a21
-            assert fold_rk_reduced_gap(tab, -edge, h)          # boundary included
-            assert fold_rk_reduced_gap(tab, ctx.mpf(0), h)     # boundary included
-            inside = (-edge / 2, -edge * ctx.mpf("0.999"), -edge * ctx.mpf("0.001"))
-            for x in inside:
-                assert not fold_rk_reduced_gap(tab, x, h), tab.name
-            outside = (-edge * ctx.mpf("1.001"), ctx.mpf("1e-30"), ctx.mpf(1))
-            for x in outside:
-                assert fold_rk_reduced_gap(tab, x, h), tab.name
-
-        for eps_txt in ("1", "0.01"):
-            eps = ctx.mpf(eps_txt)
-            for i in range(-20, 21):
-                x = ctx.mpf(i) / 10
-                assert abs(fold_first_integral(PlanarPoint(x, x * x - eps / 2), eps)) <= tol
+        ok, detail = checks.fold_structure(make_context(50), None)
+        assert ok, detail
 
 
 def test_criterion_8_stability_reversal():
@@ -303,26 +152,5 @@ def test_criterion_8_stability_reversal():
 
 def test_criterion_9_finite_difference_jacobians():
     with criterion("9 finite-difference multiplier agreement <= 1e-20 relative"):
-        ctx = make_context(50)
-        params = SystemParams.create(ctx, "0.01", "0.1")
-        delta = ctx.mpf("1e-25")
-        bar = ctx.mpf("1e-20")
-        cases = [
-            (T, EULER),
-            (T, SHIPPED_TABLEAUX["heun2"]),
-            (T, KUTTA3),
-            (T, SHIPPED_TABLEAUX["ssprk3"]),
-            (T, KAHAN),
-            (P, EULER),
-            (P, KUTTA3),
-            (P, AFamily(ctx.mpf(-1) / 2)),
-            (P, AFamily(ctx.mpf(0))),
-            (P, AFamily(ctx.mpf(1) / 2)),
-            (F, KAHAN),
-        ]
-        for kind, scheme in cases:
-            for s_txt in ("-0.9", "-0.4", "-0.05", "0.2", "0.8"):
-                s = ctx.mpf(s_txt)
-                jac = jacobian_factor(kind, scheme, params, s)
-                fd = finite_difference_factor(kind, scheme, params, s, delta)
-                assert abs(fd - jac) <= bar * abs(jac), (kind, scheme, s_txt)
+        ok, detail = checks.fd_jacobian(make_context(50), None)
+        assert ok, detail

@@ -458,6 +458,15 @@ def test_classify_explicit_start_override(ctx):
     assert res.deviation > 0  # entered below the diagonal, exits below
 
 
+@pytest.mark.parametrize("track_deviation", [True, False])
+@pytest.mark.parametrize("x, y", [("inf", "0"), ("nan", "0"), ("-1", "-inf"), ("-1", "nan")])
+def test_classify_rejects_non_finite_start(ctx, params, x, y, track_deviation):
+    with pytest.raises(ValueError) as err:
+        classify_jump(T, EULER, params, 1, "1e-4", track_deviation=track_deviation,
+                      start=PlanarPoint(ctx.mpf(x), ctx.mpf(y)))
+    assert str(err.value) == "start point must be finite"
+
+
 # -- bisection ---------------------------------------------------------------------
 
 

@@ -13,6 +13,7 @@ from canardlab import (
     SingularityKind,
     SystemParams,
     analysis,
+    checks,
     classify_jump,
     make_context,
 )
@@ -413,8 +414,24 @@ def test_sweep_heun2_empty_cells(tmp_path):
         assert row[2] == ""
 
 
-def test_verify_suite_exit_codes():
-    assert main(["verify", "--suite", "rk-diagonal", "--digits", "30"]) == 0
+def test_verify_suite_exit_codes(monkeypatch, capsys):
+    assert main(["verify", "--suite", "rk-diagonal", "--digits", "50"]) == 0
+    monkeypatch.setitem(checks.SUITES, "rk-diagonal", lambda ctx, rng: (False, "broken"))
+    names = ["rk-diagonal", "kahan-birational", "general-form", "a-family"]
+    capsys.readouterr()
+    assert main(["verify", *(arg for name in names for arg in ("--suite", name))]) == 1
+    rows = [row.split()[:2] for row in capsys.readouterr().out.splitlines()]
+    assert rows == [[names[0], "FAIL"]] + [[name, "PASS"] for name in names[1:]]
+
+
+@pytest.mark.parametrize("digits", ["49", "16"])
+def test_verify_rejects_digits_below_50(capsys, digits):
+    assert main(["verify", "--digits", digits]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: verify needs --digits >= 50, the precision its bounds are stated at; got {digits}"
+    ]
 
 
 def test_tableau_file_flag(tmp_path):

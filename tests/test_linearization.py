@@ -1,6 +1,8 @@
 import csv
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canardlab import (
     AFamily,
@@ -230,6 +232,31 @@ def test_symmetry_defect_grids(ctx, params):
 
 def test_symmetry_defect_zero_at_center(ctx, params):
     assert symmetry_defect(T, KAHAN, params, -params.epsilon * params.h / 2) < ctx.tol(5)
+
+
+def _pole_distance(kind, params, a):
+    """Distance from the symmetry center to the pole of the pair's multiplier."""
+    h, eps = params.h, params.epsilon
+    if kind is T:
+        return 1 / h + eps * h / 2  # pole at x = 1/h
+    if kind is F:
+        return (1 + h * h * eps / 4) / h
+    return 2 / h - h * a * eps  # implicit family, pole where 1 - hy/2 = h^2 (1+2a) eps/4
+
+
+def _milli(lo, hi):
+    return st.builds(lambda k: f"{k}e-3", st.integers(lo, hi))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from([T, F, P]), h=_milli(1, 500), eps=_milli(1, 1000),
+       a=_milli(-1000, 1000), frac=st.integers(-999, 999))
+def test_pairing_identity_property(ctx, kind, h, eps, a, frac):
+    params = SystemParams.create(ctx, eps, h)
+    a = ctx.mpf(a)
+    scheme = AFamily(a) if kind is P else KAHAN
+    d = ctx.mpf(frac) / 1000 * _pole_distance(kind, params, a) / 2
+    assert symmetry_defect(kind, scheme, params, symmetry_center(kind, params) + d) <= ctx.tol(10)
 
 
 # -- finite differences --------------------------------------------------------------

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canardlab import (
     EULER,
@@ -229,6 +231,20 @@ def test_kahan_transcritical_birational(ctx, params):
         back = kahan_step_transcritical(params, q, reverse=True)
         assert abs(back.x - p.x) < ctx.tol(10)
         assert abs(back.y - p.y) < ctx.tol(10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(step=st.sampled_from([kahan_step_transcritical, kahan_step_fold]),
+       h=st.integers(1, 500), eps=st.integers(1, 1000),
+       fx=st.integers(-999, 999), fy=st.integers(-999, 999))
+def test_kahan_round_trip_property(ctx, step, h, eps, fx, fy):
+    # h, eps in thousandths; |h x|, |h y| < 1/2 keeps both steps inside half the pole distance
+    params = SystemParams.create(ctx, ctx.mpf(eps) / 1000, ctx.mpf(h) / 1000)
+    half = 1 / (2 * params.h)
+    p = PlanarPoint(ctx.mpf(fx) / 1000 * half, ctx.mpf(fy) / 1000 * half)
+    back = step(params, step(params, p), reverse=True)
+    assert abs(back.x - p.x) <= ctx.tol(10)
+    assert abs(back.y - p.y) <= ctx.tol(10)
 
 
 def test_kahan_fold_pole(ctx):
