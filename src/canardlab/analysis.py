@@ -49,9 +49,10 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Union
 
-from .linearization import CANARDS, SchemeSelector, _entry_offset, _exact_zero, q_s, scheme_map
+from .linearization import CANARDS, SchemeSelector, _entry_offset, _exact_zero, _products, q_s, scheme_map
 from .precision import PrecisionContext
 from .rounding import abs_le, add, pack, split
 from .schemes import ButcherTableau, PoleError
@@ -300,7 +301,7 @@ def kstar_rk(ctx: PrecisionContext, theta0, cbar, s: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WayOutResult:
     """Entry index, exit offset, and the accumulated product at exit.
 
@@ -338,9 +339,10 @@ def wayout(
     Accumulates multipliers at canard positions -rho + k*spacing and returns
     the smallest psi with |v1(n_in + psi)| >= 1 - tol(10) (the context's
     residual tolerance, so pairs that cancel exactly in real arithmetic are
-    accepted).  The product is kept as it is: mpf exponents are unbounded,
-    so it neither overflows nor underflows.
-    Raises Unresolved if psi is not found within max_n steps past the center.
+    accepted).  The product runs on mantissa pairs and is packed at exit
+    only; its exponent is unbounded, so it neither overflows nor underflows.
+    Raises Unresolved, before any step, if n_in exceeds max_n, and if psi
+    is not found within max_n steps past the center.
     """
     ctx = params.ctx
     if not params.epsilon > 0:
@@ -350,18 +352,13 @@ def wayout(
     canard = CANARDS[kind]
     spacing = canard.spacing(params)
     n_in = _entry_index(ctx, rho, canard.center(params), spacing)
-    bar = 1 - ctx.tol(10)
-    prod = ctx.mpf(1)
-    for n in range(n_in + max_n + 1):
-        pos = -rho + n * spacing
-        try:
-            f = factor(pos)
-        except PoleError as err:
-            err.index = n
-            raise
-        prod = prod * f
-        if n >= n_in and abs(prod) >= bar:
-            return WayOutResult(n_in=n_in, psi=n - n_in, product_at_exit=prod)
+    if n_in > max_n:
+        raise Unresolved(max_n, f"way-in N = {n_in} exceeds the budget of {max_n} steps")
+    bar = split((1 - ctx.tol(10))._mpf_)
+    products = islice(_products(factor, rho, spacing, ctx.prec), n_in + max_n + 1)
+    for n, (_, _, prod) in enumerate(products):
+        if n >= n_in and abs_le(bar, prod):
+            return WayOutResult(n_in=n_in, psi=n - n_in, product_at_exit=ctx.make_mpf(pack(prod)))
     raise Unresolved(max_n, f"way-out not reached within {max_n} steps past the center")
 
 

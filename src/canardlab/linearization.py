@@ -23,6 +23,10 @@ toward and expansion away from the canard.  Closed forms:
 The Kahan/implicit factors satisfy the exact pairing J(c+d) J(c-d) = 1 about
 the symmetry center c (-eps h/2 on the lines, 0 on the fold parabola), which
 is what makes the delayed loss of stability symmetric for those schemes.
+
+The multipliers are kernels on mantissa pairs (see rounding), built once per
+orbit, that round every operation like the mpf expression they replace (the
+explicit RK one adapts the mpf q_s); the public functions take scalars.
 """
 
 from __future__ import annotations
@@ -30,12 +34,14 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import count, islice
 from typing import Callable, Optional, Union
 
-from .rounding import abs_le, mul, pack, split, sub
+from .rounding import abs_le, add, div, mul, pack, rn, split, sub
 from .schemes import (
     ButcherTableau,
     PoleError,
+    _ONE,
     _on_pairs,
     afamily_kernel,
     euler_deviation_kernel,
@@ -68,8 +74,9 @@ class SchemeMap:
     """The discrete map of one (kind, scheme) pair, as built by scheme_map.
 
     step(x, y) advances the mantissa pairs (see rounding) of a point by one
-    step; factor(s) and matrix(s) are the transversal multiplier and the
-    variational matrix at canard position s (None without a canard);
+    step; factor(s) is the transversal multiplier at the pair s of a canard
+    position, as a pair, and matrix(s) the variational matrix at the scalar
+    s (both None without a canard);
     deviation_step(u, y), where the pair has one, advances the pairs of the
     deviation u and the slow coordinate y in deviation coordinates.
     """
@@ -98,12 +105,16 @@ def scheme_map(
     diagonal = kind is SingularityKind.TRANSCRITICAL
     if isinstance(scheme, ButcherTableau) and kind is not SingularityKind.FOLD:
         stage_factor = 2 if diagonal else 1
+        make = ctx.make_mpf
 
-        def factor(s):
+        def multiplier(s):
             return 1 + h * q_s(scheme, params, s, stage_factor)
 
+        def factor(s):
+            return split(multiplier(make(pack(s)))._mpf_)
+
         def matrix(s):
-            j = factor(s)
+            j = multiplier(s)
             # on the diagonal the stage derivatives w.r.t. y are those w.r.t. x negated
             return ((j, one - j if diagonal else zero), (zero, one))
 
@@ -115,18 +126,21 @@ def scheme_map(
             deviation_step = rk_deviation_kernel(scheme, params) if diagonal else None
         return SchemeMap(step, factor, matrix, deviation_step)
     if scheme == KAHAN and diagonal:
-        factor = partial(_kahan_transcritical_factor, params)
+        factor = _kahan_transcritical_multiplier(params)
+        jf = _on_scalars(ctx, factor)
         step = _on_pairs(ctx, lambda p: kahan_step_transcritical(params, p))
-        matrix = lambda x: ((factor(x), (-2 * h * x - eps * h * h) / (1 - h * x)), (zero, one))
+        matrix = lambda x: ((jf(x), (-2 * h * x - eps * h * h) / (1 - h * x)), (zero, one))
         return SchemeMap(step, factor, matrix, kahan_deviation_kernel(params))
     if scheme == KAHAN and kind is SingularityKind.FOLD:
+        factor = _kahan_fold_multiplier(params)
         step = _on_pairs(ctx, lambda p: kahan_step_fold(params, p))
-        return SchemeMap(step, partial(_kahan_fold_factor, params), partial(_kahan_fold_matrix, params))
+        return SchemeMap(step, factor, partial(_kahan_fold_matrix, params, _on_scalars(ctx, factor)))
     if kind is SingularityKind.PITCHFORK and (scheme == KAHAN or isinstance(scheme, AFamily)):
         a = ctx.mpf(-1) / 2 if scheme == KAHAN else ctx.mpf(scheme.a)
-        factor = partial(_afamily_pitchfork_factor, a, params)
+        factor = _afamily_multiplier(a, params)
+        jf = _on_scalars(ctx, factor)
         step = afamily_kernel(a, params)
-        return SchemeMap(step, factor, lambda y: ((factor(y), zero), (zero, one)))
+        return SchemeMap(step, factor, lambda y: ((jf(y), zero), (zero, one)))
     if isinstance(scheme, ButcherTableau):  # on the fold
         if canard:
             raise NoCanard(
@@ -322,35 +336,70 @@ def q_s_pitchfork(tableau: ButcherTableau, params: SystemParams, y):
     return q_s(tableau, params, y, 1)
 
 
-def _kahan_transcritical_factor(params: SystemParams, x):
+def _kahan_transcritical_multiplier(params: SystemParams):
+    """(1 - h h x (x + eps h) + eps h h) / (1 - h x)^2; h h, eps h and (eps h) h once."""
+    prec = params.ctx.prec
+    h, eps = split(params.h._mpf_), split(params.epsilon._mpf_)
+    hh, eh = mul(h, h, prec), mul(eps, h, prec)
+    ehh = mul(eh, h, prec)
+
+    def factor(x):
+        den = sub(_ONE, mul(h, x, prec), prec)
+        if not den[0]:
+            raise PoleError("transcritical Kahan multiplier has a pole at x = 1/h")
+        num = add(sub(_ONE, mul(mul(hh, x, prec), add(x, eh, prec), prec), prec), ehh, prec)
+        return div(num, mul(den, den, prec), prec)
+
+    return factor
+
+
+def _afamily_multiplier(aparam, params: SystemParams):
+    """(1 + h y/2 + h h (1-2a) eps/4) / (1 - h y/2 - h h (1+2a) eps/4); both constants once."""
+    prec = params.ctx.prec
+    h, eps, (am, ae) = (split(v._mpf_) for v in (params.h, params.epsilon, aparam))
+    hh, two_a = mul(h, h, prec), rn(am, ae + 1, prec)
+    cm, ce = mul(mul(hh, sub(_ONE, two_a, prec), prec), eps, prec)
+    dm, de = mul(mul(hh, add(_ONE, two_a, prec), prec), eps, prec)
+    c_num, c_den = (cm, ce - 2), (dm, de - 2)
+
+    def factor(y):
+        m, e = mul(h, y, prec)
+        den = sub(sub(_ONE, (m, e - 1), prec), c_den, prec)
+        if not den[0]:
+            raise PoleError("implicit pitchfork multiplier has a pole at this y")
+        return div(add(add(_ONE, (m, e - 1), prec), c_num, prec), den, prec)
+
+    return factor
+
+
+def _kahan_fold_multiplier(params: SystemParams):
+    """(q q - h h x x) / (1 - h x + c)^2, c = h h eps/4, q = 1 + c; h h, c and q q once."""
+    prec = params.ctx.prec
+    h, eps = split(params.h._mpf_), split(params.epsilon._mpf_)
+    hh = mul(h, h, prec)
+    cm, ce = mul(hh, eps, prec)
+    c = (cm, ce - 2)
+    q = add(_ONE, c, prec)
+    qq = mul(q, q, prec)
+
+    def factor(x):
+        den = add(sub(_ONE, mul(h, x, prec), prec), c, prec)
+        if not den[0]:
+            raise PoleError("fold Kahan multiplier has a pole at x = (1 + h^2 eps/4)/h")
+        return div(sub(qq, mul(mul(hh, x, prec), x, prec), prec), mul(den, den, prec), prec)
+
+    return factor
+
+
+def _on_scalars(ctx, factor):
+    """Adapt a multiplier on mantissa pairs to scalars of ctx."""
+    make = ctx.make_mpf
+    return lambda s: make(pack(factor(split(ctx.mpf(s)._mpf_))))
+
+
+def _kahan_fold_matrix(params: SystemParams, factor, x):
     h, eps = params.h, params.epsilon
-    den = 1 - h * x
-    if den == 0:
-        raise PoleError("transcritical Kahan multiplier has a pole at x = 1/h")
-    return (1 - h * h * x * (x + eps * h) + eps * h * h) / (den * den)
-
-
-def _afamily_pitchfork_factor(aparam, params: SystemParams, y):
-    h, eps = params.h, params.epsilon
-    num = 1 + h * y / 2 + h * h * (1 - 2 * aparam) * eps / 4
-    den = 1 - h * y / 2 - h * h * (1 + 2 * aparam) * eps / 4
-    if den == 0:
-        raise PoleError("implicit pitchfork multiplier has a pole at this y")
-    return num / den
-
-
-def _kahan_fold_factor(params: SystemParams, x):
-    h, eps = params.h, params.epsilon
-    q = 1 + h * h * eps / 4
-    den = 1 - h * x + h * h * eps / 4
-    if den == 0:
-        raise PoleError("fold Kahan multiplier has a pole at x = (1 + h^2 eps/4)/h")
-    return (q * q - h * h * x * x) / (den * den)
-
-
-def _kahan_fold_matrix(params: SystemParams, x):
-    h, eps = params.h, params.epsilon
-    j = _kahan_fold_factor(params, x)
+    j = factor(x)
     y = x * x - fold_kahan_parabola_offset(params)
     q = h * h * eps / 4
     den = 1 - h * x + q
@@ -371,7 +420,7 @@ def jacobian_factor(
     s_pos is the canard coordinate: x (= y) on the transcritical diagonal,
     y on the pitchfork line, x on the fold parabola.
     """
-    return scheme_map(kind, scheme, params).factor(s_pos)
+    return _on_scalars(params.ctx, scheme_map(kind, scheme, params).factor)(s_pos)
 
 
 def variational_matrix(
@@ -433,6 +482,25 @@ class ContractionLedger:
                 writer.writerow([k] + [ctx.nstr(v, ndigits) for v in (pos, f, ctx.ln(abs(prod)))])
 
 
+def _products(factor, rho, spacing, prec):
+    """(position, multiplier, running product) as pairs at -rho + k*spacing, k = 0, 1, ...
+
+    k*spacing is formed afresh each step, not accumulated; a PoleError
+    carries the index k of the position that hit the pole.
+    """
+    (rm, re), step = split(rho._mpf_), split(spacing._mpf_)
+    prod = _ONE
+    for k in count():
+        pos = add((-rm, re), mul((k, 0), step, prec), prec)
+        try:
+            f = factor(pos)
+        except PoleError as err:
+            err.index = k
+            raise
+        prod = mul(prod, f, prec)
+        yield pos, f, prod
+
+
 def contraction_product(
     kind: SingularityKind,
     scheme: SchemeSelector,
@@ -442,22 +510,15 @@ def contraction_product(
 ) -> ContractionLedger:
     """Ledger of multipliers at canard positions -rho + k*spacing, k = 0..n."""
     ctx = params.ctx
+    make = ctx.make_mpf
     rho = _entry_offset(ctx, rho)
     factor = scheme_map(kind, scheme, params).factor
     spacing = canard_spacing(kind, params)
     ledger = ContractionLedger(rho=rho, spacing=spacing)
-    prod = ctx.mpf(1)
-    for k in range(n + 1):
-        pos = -rho + k * spacing
-        try:
-            f = factor(pos)
-        except PoleError as err:
-            err.index = k
-            raise
-        prod = prod * f
-        ledger.positions.append(pos)
-        ledger.factors.append(f)
-        ledger.running_product.append(prod)
+    for pos, f, prod in islice(_products(factor, rho, spacing, ctx.prec), n + 1):
+        ledger.positions.append(make(pack(pos)))
+        ledger.factors.append(make(pack(f)))
+        ledger.running_product.append(make(pack(prod)))
     return ledger
 
 
@@ -472,7 +533,7 @@ def symmetry_defect(
     Exactly zero (to context precision) for the Kahan and implicit-family
     multipliers; explicit schemes have no such pairing.
     """
-    factor = scheme_map(kind, scheme, params).factor
+    factor = _on_scalars(params.ctx, scheme_map(kind, scheme, params).factor)
     c = symmetry_center(kind, params)
     d = s_pos - c
     return abs(factor(c + d) * factor(c - d) - 1)

@@ -192,6 +192,20 @@ def test_wayout_fold_lattice(tmp_path):
     assert rows[1][5] == "20" and rows[1][6] == "20"
 
 
+def test_wayout_way_in_beyond_budget_exits_4(tmp_path, capsys):
+    out = tmp_path / "wayout.csv"
+    code = main([
+        "wayout", "--kind", "transcritical", "--scheme", "kahan",
+        "--h", "0.1", "--eps", "1e-30", "--rho", "1e-3", "--n-max", "5", "--out", str(out),
+    ])
+    assert code == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [
+        "unresolved: way-in N = 9999999999999999999999999999 exceeds the budget of 5 steps"
+    ], lines
+    assert not out.exists()
+
+
 def test_bisect_euler_table_row(tmp_path):
     out = tmp_path / "bisect.csv"
     code = main([

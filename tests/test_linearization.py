@@ -215,21 +215,6 @@ def test_ledger_csv_export(tmp_path, ctx, params):
 # -- pairing identity ---------------------------------------------------------------
 
 
-def test_symmetry_defect_grids(ctx, params):
-    cases = [
-        (T, KAHAN),
-        (F, KAHAN),
-        (P, AFamily(ctx.mpf("-0.5"))),
-        (P, AFamily(ctx.mpf(0))),
-        (P, AFamily(ctx.mpf("0.5"))),
-    ]
-    for kind, scheme in cases:
-        c = symmetry_center(kind, params)
-        for i in range(1, 101):
-            d = ctx.mpf(i) / 20  # up to 5, well inside the pole radius
-            assert symmetry_defect(kind, scheme, params, c + d) <= ctx.tol(10)
-
-
 def test_symmetry_defect_zero_at_center(ctx, params):
     assert symmetry_defect(T, KAHAN, params, -params.epsilon * params.h / 2) < ctx.tol(5)
 

@@ -1,0 +1,272 @@
+"""Multipliers on mantissa pairs against the mpf expressions they replace.
+
+The oracles below are the mpf closed forms of the transversal multipliers,
+kept here as the reference: every pair kernel of scheme_map must return
+their ``_mpf_`` tuples bit for bit, raise PoleError exactly where they
+divide by zero, and the way-out product and contraction ledgers built on
+the kernels must equal the same loops written in mpf arithmetic.
+"""
+
+import re
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from canardlab import (
+    EULER,
+    KAHAN,
+    KUTTA3,
+    AFamily,
+    PoleError,
+    SingularityKind,
+    SystemParams,
+    Unresolved,
+    contraction_product,
+    jacobian_factor,
+    make_context,
+    q_s,
+    wayout,
+)
+from canardlab.linearization import CANARDS, scheme_map
+from canardlab.rounding import pack, split
+
+T = SingularityKind.TRANSCRITICAL
+P = SingularityKind.PITCHFORK
+F = SingularityKind.FOLD
+
+CONTEXTS = {digits: make_context(digits) for digits in (16, 50, 200)}
+
+
+# -- mpf oracles ---------------------------------------------------------------------
+
+
+def _kahan_transcritical(params, x):
+    h, eps = params.h, params.epsilon
+    den = 1 - h * x
+    if den == 0:
+        raise PoleError("transcritical Kahan multiplier has a pole at x = 1/h")
+    return (1 - h * h * x * (x + eps * h) + eps * h * h) / (den * den)
+
+
+def _afamily_pitchfork(aparam, params, y):
+    h, eps = params.h, params.epsilon
+    num = 1 + h * y / 2 + h * h * (1 - 2 * aparam) * eps / 4
+    den = 1 - h * y / 2 - h * h * (1 + 2 * aparam) * eps / 4
+    if den == 0:
+        raise PoleError("implicit pitchfork multiplier has a pole at this y")
+    return num / den
+
+
+def _kahan_fold(params, x):
+    h, eps = params.h, params.epsilon
+    q = 1 + h * h * eps / 4
+    den = 1 - h * x + h * h * eps / 4
+    if den == 0:
+        raise PoleError("fold Kahan multiplier has a pole at x = (1 + h^2 eps/4)/h")
+    return (q * q - h * h * x * x) / (den * den)
+
+
+def _oracle(kind, scheme, params):
+    """The mpf multiplier of a (kind, scheme) pair, as a function of ctx scalars."""
+    if kind is T and scheme == KAHAN:
+        return lambda x: _kahan_transcritical(params, x)
+    if kind is F:
+        return lambda x: _kahan_fold(params, x)
+    if scheme == KAHAN or isinstance(scheme, AFamily):  # on the pitchfork
+        a = params.ctx.mpf(-1) / 2 if scheme == KAHAN else params.ctx.mpf(scheme.a)
+        return lambda y: _afamily_pitchfork(a, params, y)
+    stage_factor = 2 if kind is T else 1
+    return lambda s: 1 + params.h * q_s(scheme, params, s, stage_factor)
+
+
+def _same(kernel, oracle, x):
+    """kernel on the pair of x and oracle at x agree bit for bit, poles included."""
+    try:
+        want = oracle(x)._mpf_
+    except PoleError as err:
+        with pytest.raises(PoleError, match=re.escape(str(err))):
+            kernel(split(x._mpf_))
+        return
+    assert pack(kernel(split(x._mpf_))) == want, x
+
+
+# -- kernels, bit for bit ----------------------------------------------------------------
+
+
+def _milli(lo, hi):
+    return st.builds(lambda k: f"{k}e-3", st.integers(lo, hi))
+
+
+_POINTS = st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(digits=st.sampled_from(sorted(CONTEXTS)), kind=st.sampled_from([T, F, P]),
+       h=_milli(1, 2000), eps=_milli(1, 2000), a=st.fractions(-1, 1, max_denominator=1000),
+       points=st.lists(_POINTS, min_size=1, max_size=8))
+def test_pair_multipliers_match_mpf(digits, kind, h, eps, a, points):
+    ctx = CONTEXTS[digits]
+    params = SystemParams.create(ctx, eps, h)
+    scheme = AFamily(ctx.mpf(a)) if kind is P else KAHAN
+    kernel = scheme_map(kind, scheme, params).factor
+    oracle = _oracle(kind, scheme, params)
+    for point in points:
+        _same(kernel, oracle, ctx.mpf(point))
+
+
+@pytest.mark.parametrize("digits", sorted(CONTEXTS))
+def test_explicit_rk_multipliers_match_mpf(digits):
+    ctx = CONTEXTS[digits]
+    params = SystemParams.create(ctx, "0.3", "0.125")
+    for kind in (T, P):
+        for tableau in (EULER, KUTTA3):
+            kernel = scheme_map(kind, tableau, params).factor
+            oracle = _oracle(kind, tableau, params)
+            for i in range(-12, 13):
+                _same(kernel, oracle, ctx.mpf(i) / 7)
+
+
+# (kind, scheme, h, eps, rho, n, pole index): the canard positions -rho + k eps h
+# (k eps h / 2 on the fold) hit the pole of the multiplier exactly at that index.
+EXACT_POLES = [
+    (T, KAHAN, "2", "0.25", "0.5", 4, 2),  # 1 - h x = 0 at x = 1/2
+    (T, KAHAN, "0.25", "1", "1", 25, 20),  # x = 4
+    (F, KAHAN, "2", "1", "1", 4, 2),  # 1 - h x + h h eps/4 = 0 at x = 1
+    (P, KAHAN, "2", "0.25", "0.5", 5, 3),  # a = -1/2: 1 - h y/2 = 0 at y = 1
+    (P, AFamily("0.5"), "2", "0.25", "0.5", 5, 2),  # 1 - y - 1/2 = 0 at y = 1/2
+]
+
+
+@pytest.mark.parametrize("digits", sorted(CONTEXTS))
+@pytest.mark.parametrize("kind, scheme, h, eps, rho, n, index", EXACT_POLES,
+                         ids=["transcritical-h2", "transcritical-h0.25", "fold-h2",
+                              "kahan-pitchfork-h2", "afamily-0.5-h2"])
+def test_exact_poles_raise_with_index(digits, kind, scheme, h, eps, rho, n, index):
+    ctx = CONTEXTS[digits]
+    params = SystemParams.create(ctx, eps, h)
+    pole = -ctx.mpf(rho) + index * CANARDS[kind].spacing(params)
+    with pytest.raises(PoleError) as err:
+        _oracle(kind, scheme, params)(pole)
+    message = re.escape(str(err.value))
+    with pytest.raises(PoleError, match=message):
+        scheme_map(kind, scheme, params).factor(split(pole._mpf_))
+    with pytest.raises(PoleError, match=message):
+        jacobian_factor(kind, scheme, params, pole)
+    with pytest.raises(PoleError, match=message) as err:
+        contraction_product(kind, scheme, params, rho, n)
+    assert err.value.index == index
+
+
+# -- products, bit for bit -------------------------------------------------------------
+
+
+def _ledger_mpf(oracle, ctx, rho, spacing, n):
+    positions, factors, products = [], [], []
+    prod = ctx.mpf(1)
+    for k in range(n + 1):
+        pos = -rho + k * spacing
+        f = oracle(pos)
+        prod = prod * f
+        positions.append(pos._mpf_)
+        factors.append(f._mpf_)
+        products.append(prod._mpf_)
+    return positions, factors, products
+
+
+def _exit_mpf(oracle, ctx, rho, spacing, n_in):
+    """psi and the product at exit, by the mpf loop."""
+    bar = 1 - ctx.tol(10)
+    prod = ctx.mpf(1)
+    n = 0
+    while True:
+        prod = prod * oracle(-rho + n * spacing)
+        if n >= n_in and abs(prod) >= bar:
+            return n - n_in, prod._mpf_
+        n += 1
+
+
+PRODUCT_CASES = [
+    (T, KAHAN, "0.4321"),
+    (F, KAHAN, "0.1234"),
+    (P, KAHAN, "0.0987"),
+    (P, AFamily("0.3"), "0.2468"),
+    (T, EULER, "0.2"),
+    (P, EULER, "0.15"),
+    (T, KUTTA3, "0.35"),
+    (P, KUTTA3, "0.25"),
+]
+
+
+@pytest.mark.parametrize("digits", sorted(CONTEXTS))
+@pytest.mark.parametrize("kind, scheme, rho", PRODUCT_CASES,
+                         ids=lambda v: getattr(v, "value", getattr(v, "name", str(v))))
+def test_products_match_mpf_loops(digits, kind, scheme, rho):
+    ctx = CONTEXTS[digits]
+    params = SystemParams.create(ctx, "0.01", "0.1")
+    rho = ctx.mpf(rho)
+    oracle = _oracle(kind, scheme, params)
+    spacing = CANARDS[kind].spacing(params)
+
+    res = wayout(kind, scheme, params, rho)
+    assert (res.psi, res.product_at_exit._mpf_) == _exit_mpf(oracle, ctx, rho, spacing, res.n_in)
+
+    ledger = contraction_product(kind, scheme, params, rho, 40)
+    got = tuple([v._mpf_ for v in column]
+                for column in (ledger.positions, ledger.factors, ledger.running_product))
+    assert got == _ledger_mpf(oracle, ctx, rho, spacing, 40)
+
+
+# -- the symmetric lattice ---------------------------------------------------------------
+
+
+@st.composite
+def _lattice_entries(draw):
+    """Decimal h, eps and a lattice index N with N eps h h <= 1/4.
+
+    The entry then lies at most 1/(4h) from the canard's centre, well inside
+    every pole and sign change of the three Kahan multipliers.
+    """
+    h = draw(st.integers(1, 500))
+    eps = draw(st.integers(1, 1000))
+    n = draw(st.integers(1, min(60, 250_000_000 // (eps * h * h))))
+    return f"{h}e-3", f"{eps}e-3", n
+
+
+@settings(max_examples=60, deadline=None)
+@given(entry=_lattice_entries())
+def test_kahan_lattice_psi_equals_n(entry):
+    h, eps, n = entry
+    ctx = CONTEXTS[50]
+    params = SystemParams.create(ctx, eps, h)
+    for kind, canard in CANARDS.items():
+        rho = n * canard.spacing(params) - canard.center(params)
+        res = wayout(kind, KAHAN, params, rho)
+        assert res.n_in == res.psi == n, (kind, res)
+
+
+# -- the way-in budget -------------------------------------------------------------------
+
+
+def test_way_in_beyond_budget_raises_before_stepping():
+    ctx = CONTEXTS[50]
+    params = SystemParams.create(ctx, "1e-30", "0.1")  # N is about 1e28
+    with pytest.raises(Unresolved) as err:
+        wayout(T, KAHAN, params, "1e-3", max_n=5)
+    assert str(err.value) == (
+        "way-in N = 9999999999999999999999999999 exceeds the budget of 5 steps"
+    )
+    assert err.value.max_n == 5
+
+
+def test_budget_counts_way_in_and_way_out_alike():
+    ctx = CONTEXTS[50]
+    params = SystemParams.create(ctx, "0.01", "0.1")
+    rho = "0.0105"  # N = psi = 10
+    assert (wayout(T, KAHAN, params, rho, max_n=10).psi, wayout(T, KAHAN, params, rho).psi) == (10, 10)
+    with pytest.raises(Unresolved, match="way-in N = 10 exceeds the budget of 9 steps"):
+        wayout(T, KAHAN, params, rho, max_n=9)
+    off = "0.01055"  # N = 10 off the lattice, so psi > 10
+    with pytest.raises(Unresolved, match="way-out not reached within 10 steps past the center"):
+        wayout(T, KAHAN, params, off, max_n=10)
