@@ -52,10 +52,11 @@ from fractions import Fraction
 from itertools import islice
 from typing import Optional, Union
 
-from .linearization import CANARDS, SchemeSelector, _entry_offset, _exact_zero, _products, q_s, scheme_map
+from .linearization import (CANARDS, SchemeSelector, _entry_offset, _exact_zero, _poly_add,
+                            _poly_mul, _poly_scale, _products, _stage_polynomial, q_s, scheme_map)
 from .precision import PrecisionContext
-from .rounding import abs_le, add, pack, split
-from .schemes import ButcherTableau, PoleError
+from .rounding import abs_le, add, div, lt, mul, pack, split, sub
+from .schemes import _ONE, _ZERO, ButcherTableau, PoleError
 from .systems import PlanarPoint, SingularityKind, SystemParams
 
 
@@ -178,69 +179,19 @@ _BERNOULLI_PLUS = (
 )
 
 
-def _poly_add(p, q):
-    n = max(len(p), len(q))
-    out = []
-    for i in range(n):
-        a = p[i] if i < len(p) else 0
-        b = q[i] if i < len(q) else 0
-        out.append(a + b)
-    return out
-
-
-def _poly_scale(p, c):
-    return [c * v for v in p]
-
-
-def _poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
-def _poly_eval(p, x):
-    acc = 0 * x
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _stage_polynomial(tableau: ButcherTableau, ctx: PrecisionContext, x, h, eps, stage_factor=2):
-    """Coefficients (ascending) of Q_s in a variable t, given x and h as polynomials in t.
-
-    The stage recursion dk_i = c (x + h eps A_i) (1 + h sum_{j<i} a_ij dk_j),
-    Q_s = sum_i alpha_i dk_i, with q_s's stage factor c (2 on the
-    transcritical diagonal), over coefficient lists: x = [0, 1], h = [h]
-    gives Q_s in the canard position; x = [-rho], h = [0, 1] gives
-    Q_s(-rho) in the step size.
-    """
-    alpha, rows, sums = tableau.bind(ctx)
-    heps = _poly_scale(h, eps)
-    dk = []
-    for i in range(tableau.s):
-        acc = [ctx.mpf(0)]
-        for j, aij in enumerate(rows[i]):
-            acc = _poly_add(acc, _poly_scale(dk[j], aij))
-        base = _poly_scale(_poly_add(_poly_scale(heps, sums[i]), x), stage_factor)
-        dk.append(_poly_mul(base, _poly_add([ctx.mpf(1)], _poly_mul(h, acc))))
-    total = [ctx.mpf(0)]
-    for i in range(tableau.s):
-        total = _poly_add(total, _poly_scale(dk[i], alpha[i]))
-    return total
-
-
 def qs_polynomial(tableau: ButcherTableau, params: SystemParams):
     """Coefficients (ascending) of Q_s as a polynomial in the canard position."""
-    return _stage_polynomial(tableau, params.ctx, [0, 1], [params.h], params.epsilon)
+    ctx = params.ctx
+    h, eps = split(params.h._mpf_), split(params.epsilon._mpf_)
+    return [ctx.make_mpf(pack(c)) for c in _stage_polynomial(tableau, ctx, [_ZERO, _ONE], [h], eps)]
 
 
 def _theta_coefficients(tableau: ButcherTableau, params: SystemParams, rho):
     """Coefficients theta_i of 1 + h Q_s(-rho + h eps k) as a polynomial in k."""
-    h, eps = params.h, params.epsilon
-    qs = _stage_polynomial(tableau, params.ctx, [-rho, h * eps], [h], eps)
-    return _poly_add([params.ctx.mpf(1)], _poly_scale(qs, h))
+    ctx, prec = params.ctx, params.ctx.prec
+    h, eps, (rm, re) = (split(v._mpf_) for v in (params.h, params.epsilon, rho))
+    qs = _stage_polynomial(tableau, ctx, [(-rm, re), mul(h, eps, prec)], [h], eps)
+    return [ctx.make_mpf(pack(c)) for c in _poly_add([_ONE], _poly_scale(qs, h, prec), prec)]
 
 
 def rk_theta0(tableau: ButcherTableau, params: SystemParams, rho):
@@ -264,11 +215,8 @@ def rk_cbar(tableau: ButcherTableau, params: SystemParams, rho):
     cs = []
     for i in range(1, s + 1):
         acc = ctx.mpf(0)
-        for m in range(max(i, 1), s + 1):
-            b = _BERNOULLI_PLUS[m - i]
-            if b == 0:
-                continue
-            coeff = Fraction(math.comb(m + 1, m - i), m + 1) * b
+        for m in range(i, s + 1):
+            coeff = Fraction(math.comb(m + 1, m - i), m + 1) * _BERNOULLI_PLUS[m - i]
             acc = acc + theta[m] * ctx.mpf(coeff)
         cs.append(acc)
     max_c = max(abs(c) for c in cs)
@@ -392,34 +340,48 @@ _H_CAP = 10
 _RHO_CAP = 10
 
 
-def _newton_in_bracket(ctx, p, dp, a, b, fa):
+def _horner(p, x, prec):
+    """The polynomial p (ascending pairs) at the pair x, by Horner's rule."""
+    acc = _ZERO
+    for c in reversed(p):
+        acc = add(mul(acc, x, prec), c, prec)
+    return acc
+
+
+def _newton_in_bracket(p, dp, a, b, fa, tol, prec):
     """Root of p on [a, b], where p is monotone and changes sign, by safeguarded Newton.
 
-    Convergence (a Newton step below tol(8) relative) is tested before the
+    Convergence (a Newton step of at most tol relative) is tested before the
     bracket safeguard, so the converged iterate is returned; a step that
-    leaves the bracket is replaced by bisection.
+    leaves the bracket is replaced by bisection.  Comparisons are exact.
     """
-    tol = ctx.tol(8)
-    x = (a + b) / 2
+    t = None
     while True:
-        fx = _poly_eval(p, x)
-        if fx == 0:
+        if t is not None and lt(a, t) and lt(t, b):
+            x = t
+        else:
+            m, e = add(a, b, prec)
+            x = (m, e - 1)
+        fx = _horner(p, x, prec)
+        if not fx[0]:
             return x
-        if (fx < 0) == (fa < 0):
+        if (fx[0] < 0) == (fa[0] < 0):
             a = x
         else:
             b = x
-        d = _poly_eval(dp, x)
-        step = fx / d if d != 0 else None
-        if step is not None and abs(step) <= tol * x:
-            return x - step
-        if b - a <= tol * x:
+        d, t = _horner(dp, x, prec), None
+        bar = mul(tol, x, prec)
+        if d[0]:
+            step = div(fx, d, prec)
+            t = sub(x, step, prec)
+            if not lt(bar, (abs(step[0]), step[1])):
+                return t
+        if not lt(bar, sub(b, a, prec)):
             return x
-        x = x - step if step is not None and a < x - step < b else (a + b) / 2
 
 
-def _sign_changes(ctx, p, hi, first=False):
-    """Ascending roots in (0, hi] of the polynomial p at which it changes sign.
+def _sign_changes(p, hi, tol, prec, first=False):
+    """Ascending roots in (0, hi] of the polynomial p (pairs) at which it changes sign.
 
     The sign changes of p' (found the same way, down to a constant) cut
     (0, hi] into pieces on which p is monotone; a piece whose end values
@@ -427,28 +389,30 @@ def _sign_changes(ctx, p, hi, first=False):
     ending in an exact zero of p yields that end.  first=True stops at the
     first.
     """
-    while len(p) > 1 and p[-1] == 0:
+    while len(p) > 1 and not p[-1][0]:
         p = p[:-1]
     if len(p) < 2:
         return []
-    dp = [i * c for i, c in enumerate(p)][1:]
-    cuts = [ctx.mpf(0), *_sign_changes(ctx, dp, hi), hi]
-    roots = []
-    fa = _poly_eval(p, cuts[0])
+    dp = [mul((i, 0), c, prec) for i, c in enumerate(p) if i]
+    cuts = [_ZERO, *_sign_changes(dp, hi, tol, prec), hi]
+    roots, fa = [], _horner(p, cuts[0], prec)
     for a, b in zip(cuts, cuts[1:]):
-        fb = _poly_eval(p, b)
-        if fa != 0 and (fb == 0 or (fa < 0) != (fb < 0)):
-            roots.append(b if fb == 0 else _newton_in_bracket(ctx, p, dp, a, b, fa))
+        fb = _horner(p, b, prec)
+        if fa[0] and (not fb[0] or (fa[0] < 0) != (fb[0] < 0)):
+            roots.append(b if not fb[0] else _newton_in_bracket(p, dp, a, b, fa, tol, prec))
             if first:
                 break
         fa = fb
     return roots
 
 
-def _first_root(ctx, q, h, hi):
-    """Smallest sign change in (0, hi] of 1 + h q, for polynomials q and h, or None."""
-    roots = _sign_changes(ctx, _poly_add([ctx.mpf(1)], _poly_mul(h, q)), hi, first=True)
-    return roots[0] if roots else None
+def _first_root(tableau, ctx, x, h, eps, hi, stage_factor=2):
+    """First sign change in (0, hi] of 1 + h Q_s(x) (x, h polynomials of pairs), or None."""
+    prec = ctx.prec
+    q = _stage_polynomial(tableau, ctx, x, h, split(eps._mpf_), stage_factor)
+    p = _poly_add([_ONE], _poly_mul(h, q, prec), prec)
+    roots = _sign_changes(p, split(hi._mpf_), split(ctx.tol(8)._mpf_), prec, first=True)
+    return ctx.make_mpf(pack(roots[0])) if roots else None
 
 
 def critical_triplet_linearized(
@@ -459,19 +423,18 @@ def critical_triplet_linearized(
     At fixed (h, eps), 1 + h Q_s(-rho) is a polynomial of degree s in rho.
     Its first sign change in (0, 10/h] is isolated between the sign changes
     of its derivative (found the same way, down to a constant) and polished
-    by bracket-safeguarded Newton to the context's precision; nothing is
-    scanned.  The cap 10/h is fixed: larger entries fall outside the local
-    canonical-form regime.  Forward Euler gives rho* = 1/(2h) exactly; where
-    a scheme has no sign change below the cap (heun2 at h = 0.1,
-    eps = 0.01) the result is None.
+    by bracket-safeguarded Newton to the context's precision, on mantissa
+    pairs; nothing is scanned.  The cap 10/h is fixed: larger entries fall
+    outside the local canonical-form regime.  Forward Euler gives
+    rho* = 1/(2h) exactly; where a scheme has no sign change below the cap
+    (heun2 at h = 0.1, eps = 0.01) the result is None.
     """
     params = SystemParams.create(ctx, eps, h)
     if not params.epsilon > 0:
         raise ValueError("critical triplets require epsilon > 0")
-    h_s = params.h
-    q = _stage_polynomial(tableau, ctx, [0, -1], [h_s], params.epsilon)
-    rho = _first_root(ctx, q, [h_s], _RHO_CAP / h_s)
-    return None if rho is None else CriticalTriplet(rho, h_s, params.epsilon, "linearized")
+    x, h = [_ZERO, (-1, 0)], [split(params.h._mpf_)]
+    rho = _first_root(tableau, ctx, x, h, params.epsilon, _RHO_CAP / params.h)
+    return None if rho is None else CriticalTriplet(rho, params.h, params.epsilon, "linearized")
 
 
 def linearized_critical_h(
@@ -492,9 +455,8 @@ def linearized_critical_h(
     rho, eps = _entry_offset(ctx, rho), ctx.mpf(eps)
     if not (eps >= 0 and ctx.isfinite(eps)):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
-    h = [ctx.mpf(0), ctx.mpf(1)]
-    q = _stage_polynomial(tableau, ctx, [-rho], h, eps, stage_factor)
-    return _first_root(ctx, q, h, _H_CAP / rho)
+    x, h = [split((-rho)._mpf_)], [_ZERO, _ONE]
+    return _first_root(tableau, ctx, x, h, eps, _H_CAP / rho, stage_factor)
 
 
 # ---------------------------------------------------------------------------

@@ -264,23 +264,20 @@ def kstar_bounds(ctx, rng):
     def where(h, eps, rho):
         return f"h={ctx.nstr(h, 8)} eps={ctx.nstr(eps, 8)} rho={ctx.nstr(rho, 8)}"
 
-    def euler_transcritical():
-        h = ctx.mpf(rng.uniform(0.05, 0.4))
-        eps = ctx.mpf(rng.uniform(0.2, 1.0))
-        rho = ctx.mpf(rng.uniform(0.1, 0.9)) / (2 * h)
-        k_exit = _exit_count(ctx, lambda k: 1 - 2 * h * (rho - k * h * eps))
-        if k_exit is None:
-            return None
-        return k_exit, kstar_transcritical_euler(ctx, rho, h, eps), where(h, eps, rho)
+    eulers = (("euler-transcritical", 2, kstar_transcritical_euler),
+              ("euler-pitchfork", 1, kstar_pitchfork_euler))
 
-    def euler_pitchfork():
-        h = ctx.mpf(rng.uniform(0.05, 0.4))
-        eps = ctx.mpf(rng.uniform(0.2, 1.0))
-        rho = ctx.mpf(rng.uniform(0.1, 0.9)) / h
-        k_exit = _exit_count(ctx, lambda k: 1 + h * (-rho + k * h * eps))
-        if k_exit is None:
-            return None
-        return k_exit, kstar_pitchfork_euler(ctx, rho, h, eps), where(h, eps, rho)
+    def euler(c, kstar):
+        """Draws for forward Euler, whose entry multiplier is 1 - c h rho."""
+        def draw():
+            h = ctx.mpf(rng.uniform(0.05, 0.4))
+            eps = ctx.mpf(rng.uniform(0.2, 1.0))
+            rho = ctx.mpf(rng.uniform(0.1, 0.9)) / (c * h)
+            k_exit = _exit_count(ctx, lambda k: 1 - c * h * (rho - k * h * eps))
+            if k_exit is None:
+                return None
+            return k_exit, kstar(ctx, rho, h, eps), where(h, eps, rho)
+        return draw
 
     tabs = [SHIPPED_TABLEAUX[n] for n in ("heun2", "kutta3", "heun3", "ralston3", "ssprk3")]
 
@@ -300,23 +297,16 @@ def kstar_bounds(ctx, rng):
         kstar = kstar_rk(ctx, theta0, rk_cbar(tab, params, rho), tab.s)
         return k_exit, kstar, f"{tab.name} {where(h, eps, rho)}"
 
-    for label, draw in (("euler-transcritical", euler_transcritical),
-                        ("euler-pitchfork", euler_pitchfork), ("rk", rk)):
+    for label, draw in [(label, euler(c, kstar)) for label, c, kstar in eulers] + [("rk", rk)]:
         violation = _bound_violation(ctx, label, draw)
         if violation:
             return False, violation
 
     # divergence claims as monotone growth toward the critical entry
     h, eps = ctx.mpf("0.3"), ctx.mpf(1)
-    tc = []
-    pf = []
-    for j in range(1, 31):
-        scale = 1 - ctx.mpf(10) ** -j
-        k_t = kstar_transcritical_euler(ctx, scale / (2 * h), h, eps)
-        tc.append(-scale / (2 * h) + k_t * h * eps)
-        k_p = kstar_pitchfork_euler(ctx, scale / h, h, eps)
-        pf.append(-scale / h + k_p * h * eps)
-    for label, exits in (("euler-transcritical", tc), ("euler-pitchfork", pf)):
+    for label, c, kstar in eulers:
+        rhos = [(1 - ctx.mpf(10) ** -j) / (c * h) for j in range(1, 31)]
+        exits = [-rho + kstar(ctx, rho, h, eps) * h * eps for rho in rhos]
         if not (all(b > a for a, b in zip(exits, exits[1:])) and exits[-1] > 10):
             return False, f"{label} K* exit position does not diverge toward the critical entry"
     return True, "300 random bound checks and 2 divergence checks passed"

@@ -211,14 +211,17 @@ def cmd_simulate(args) -> int:
 
 
 def _grid(ctx, args, axis):
-    """The --{axis}-min/-max/-steps grid of the sweep."""
+    """The --{axis}-min/-max/-steps grid; its ends finite, and > 0 (eps >= 0 if linearized)."""
     lo, hi, steps = (getattr(args, f"{axis}_{end}") for end in ("min", "max", "steps"))
+    bound = ">= 0" if axis == "eps" and args.mode == "linearized" else "> 0"
+    for end, text in (("min", lo), ("max", hi)):
+        v = ctx.mpf(text)
+        if not (ctx.isfinite(v) and (v > 0 or (v == 0 and bound == ">= 0"))):
+            raise ValueError(f"--{axis}-{end} must be finite and {bound}, got {text}")
     lo, hi = ctx.mpf(lo), ctx.mpf(hi)
     if steps < 1:
         raise ValueError("grid needs at least one point")
-    if steps == 1:
-        return [lo]
-    d = (hi - lo) / (steps - 1)
+    d = (hi - lo) / max(steps - 1, 1)
     return [lo + i * d for i in range(steps)]
 
 

@@ -26,7 +26,8 @@ is what makes the delayed loss of stability symmetric for those schemes.
 
 The multipliers are kernels on mantissa pairs (see rounding), built once per
 orbit, that round every operation like the mpf expression they replace (the
-explicit RK one adapts the mpf q_s); the public functions take scalars.
+explicit RK one runs the stage recursion _stage_polynomial, which q_s and the
+linearized critical-step solves share); the public functions take scalars.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .schemes import (
     ButcherTableau,
     PoleError,
     _ONE,
+    _ZERO,
     _on_pairs,
     afamily_kernel,
     euler_deviation_kernel,
@@ -105,16 +107,16 @@ def scheme_map(
     diagonal = kind is SingularityKind.TRANSCRITICAL
     if isinstance(scheme, ButcherTableau) and kind is not SingularityKind.FOLD:
         stage_factor = 2 if diagonal else 1
-        make = ctx.make_mpf
-
-        def multiplier(s):
-            return 1 + h * q_s(scheme, params, s, stage_factor)
+        prec, hp, ep = ctx.prec, split(h._mpf_), split(eps._mpf_)
 
         def factor(s):
-            return split(multiplier(make(pack(s)))._mpf_)
+            q = _stage_polynomial(scheme, ctx, [s], [hp], ep, stage_factor)[0]
+            return add(mul(hp, q, prec), _ONE, prec)
+
+        jf = _on_scalars(ctx, factor)
 
         def matrix(s):
-            j = multiplier(s)
+            j = jf(s)
             # on the diagonal the stage derivatives w.r.t. y are those w.r.t. x negated
             return ((j, one - j if diagonal else zero), (zero, one))
 
@@ -308,27 +310,62 @@ def canard_trajectory(
 # ---------------------------------------------------------------------------
 
 
+def _poly_add(p, q, prec):
+    """p + q on ascending coefficient lists of pairs; the longer list's tail is kept."""
+    if len(p) < len(q):
+        p, q = q, p
+    return [add(a, b, prec) for a, b in zip(p, q)] + p[len(q):]
+
+
+def _poly_mul(p, q, prec):
+    """p q on ascending coefficient lists of pairs, each coefficient summed in index order."""
+    out = [_ZERO] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = add(out[i + j], mul(a, b, prec), prec)
+    return out
+
+
+def _poly_scale(p, c, prec):
+    return [mul(c, v, prec) for v in p]
+
+
+def _stage_polynomial(tableau: ButcherTableau, ctx, x, h, eps, stage_factor=2):
+    """Coefficients (ascending) of Q_s in a variable t, given x and h as polynomials in t.
+
+    The one RK stage recursion, q_s's with stage factor c (an int), on
+    coefficient lists of mantissa pairs at ctx's precision (eps is a pair),
+    each operation rounded as in mpf arithmetic.  x = [x], h = [h] gives
+    q_s; x = [0, 1], h = [h] gives Q_s in the canard position; x = [-rho],
+    h = [0, 1] gives Q_s(-rho) in the step size.
+    """
+    prec, c, dk = ctx.prec, (stage_factor, 0), []
+    alpha, rows, sums = tableau.bind_raw(ctx)
+    heps = _poly_scale(h, eps, prec)
+    for row, a_i in zip(rows, sums):
+        acc = [_ZERO]
+        for aij, dk_j in zip(row, dk):
+            acc = _poly_add(acc, _poly_scale(dk_j, split(aij), prec), prec)
+        base = _poly_scale(_poly_add(_poly_scale(heps, split(a_i), prec), x, prec), c, prec)
+        dk.append(_poly_mul(base, _poly_add([_ONE], _poly_mul(h, acc, prec), prec), prec))
+    total = [_ZERO]
+    for alpha_i, dk_i in zip(alpha, dk):
+        total = _poly_add(total, _poly_scale(dk_i, split(alpha_i), prec), prec)
+    return total
+
+
 def q_s(tableau: ButcherTableau, params: SystemParams, x, stage_factor=2):
     """Weighted stage-derivative sum Q_s(x) along the canard.
 
     dk_i/dx = c (x + h eps A_i) (1 + h sum_{j<i} a_ij dk_j/dx), A_i = sum_j a_ij;
     Q_s(x) = sum_i alpha_i dk_i/dx.  The stage factor c is 2 on the
     transcritical diagonal and 1 on the pitchfork line {x = 0}, whose slow
-    position is y.  For s = 1 this is c x.
+    position is y.  For s = 1 this is c x.  This is _stage_polynomial of
+    degree 0, with x = [x] and h = [h], packed once.
     """
     ctx = params.ctx
-    h, eps = params.h, params.epsilon
-    alpha, rows, sums = tableau.bind(ctx)
-    dk: list = []
-    for i in range(tableau.s):
-        acc = ctx.mpf(0)
-        for j, aij in enumerate(rows[i]):
-            acc = acc + aij * dk[j]
-        dk.append(stage_factor * (x + h * eps * sums[i]) * (1 + h * acc))
-    total = ctx.mpf(0)
-    for i in range(tableau.s):
-        total = total + alpha[i] * dk[i]
-    return total
+    x, h, eps = (split(ctx.mpf(v)._mpf_) for v in (x, params.h, params.epsilon))
+    return ctx.make_mpf(pack(_stage_polynomial(tableau, ctx, [x], [h], eps, stage_factor)[0]))
 
 
 def q_s_pitchfork(tableau: ButcherTableau, params: SystemParams, y):

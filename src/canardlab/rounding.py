@@ -5,10 +5,10 @@ and need not be odd.  rn, add, sub, mul and div round to nearest, ties to
 even, at prec bits, exactly as mpmath's libmp does with round_nearest (add
 keeps libmp's rule for a far smaller operand): pack(add(split(s), split(t),
 prec)) equals mpf_add(s, t, prec, round_nearest), and likewise for sub, mul
-and div.  abs_le compares magnitudes exactly.  Results are neither packed
-nor stripped of trailing zeros, so a chain of operations builds and
-normalises no ``_mpf_`` tuple between two roundings; pack makes the
-canonical tuple once, at the end.  Pairs hold finite values only.
+and div.  abs_le compares magnitudes and lt signed values exactly.  Results
+are neither packed nor stripped of trailing zeros, so a chain of operations
+builds and normalises no ``_mpf_`` tuple between two roundings; pack makes
+the canonical tuple once, at the end.  Pairs hold finite values only.
 """
 
 from mpmath.libmp import fzero
@@ -135,3 +135,11 @@ def abs_le(a, b):
     if ae >= be:
         return am << (ae - be) <= bm
     return am <= bm << (be - ae)
+
+
+def lt(a, b):
+    """a < b, exactly: by sign, then by magnitude as abs_le decides it."""
+    sa, sb = (a[0] > 0) - (a[0] < 0), (b[0] > 0) - (b[0] < 0)
+    if sa != sb or not sa:
+        return sa < sb
+    return not (abs_le(b, a) if sa > 0 else abs_le(a, b))

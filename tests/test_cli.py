@@ -304,6 +304,43 @@ def test_sweep_bisection_rejects_bad_inputs(tmp_path, capsys, extra, message):
     assert not (tmp_path / "surface_euler.csv").exists()
 
 
+@pytest.mark.parametrize("mode, flag, value, bound", [
+    ("linearized", "eps-min", "inf", ">= 0"),
+    ("linearized", "eps-max", "-0.5", ">= 0"),
+    ("linearized", "rho-min", "0", "> 0"),
+    ("linearized", "rho-max", "-3", "> 0"),
+    ("linearized", "rho-min", "nan", "> 0"),
+    ("linearized", "rho-max", "-inf", "> 0"),
+    ("bisection", "eps-min", "0", "> 0"),
+], ids=["eps-inf", "eps-negative", "rho-zero", "rho-negative", "rho-nan", "rho-minus-inf",
+        "bisection-eps-zero"])
+def test_sweep_rejects_bad_grid_ends_before_any_output(tmp_path, capsys, mode, flag, value, bound):
+    out_dir = tmp_path / "out"
+    code = main([
+        "sweep", "--tableau", "euler", "--mode", mode,
+        "--rho-min", "2", "--rho-max", "5", "--rho-steps", "2",
+        "--eps-min", "0.5", "--eps-max", "1", "--eps-steps", "2",
+        "--digits", "20", "--out-dir", str(out_dir), f"--{flag}={value}",
+    ])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: --{flag} must be finite and {bound}, got {value}"], lines
+    assert not out_dir.exists()
+
+
+def test_sweep_linearized_accepts_eps_zero(tmp_path):
+    code = main([
+        "sweep", "--tableau", "euler", "--mode", "linearized",
+        "--rho-min", "5", "--rho-max", "5", "--rho-steps", "1",
+        "--eps-min", "0", "--eps-max", "0", "--eps-steps", "1",
+        "--digits", "20", "--out-dir", str(tmp_path),
+    ])
+    assert code == 0
+    rows, _ = _read_csv(tmp_path / "surface_euler.csv")
+    assert rows[1][:2] == ["5.0", "0.0"] and rows[1][-1] == "ok"
+    assert abs(float(rows[1][2]) - 0.1) < 1e-15
+
+
 def test_kstar_csv(tmp_path):
     out = tmp_path / "kstar.csv"
     code = main([

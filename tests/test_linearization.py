@@ -1,4 +1,5 @@
 import csv
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +22,11 @@ from canardlab import (
     q_s_pitchfork,
     symmetry_center,
     symmetry_defect,
+    make_context,
     variational_matrix,
 )
-from canardlab.linearization import canard_spacing
+from canardlab.linearization import _stage_polynomial, canard_spacing, scheme_map
+from canardlab.rounding import pack, split
 
 T = SingularityKind.TRANSCRITICAL
 P = SingularityKind.PITCHFORK
@@ -56,6 +59,49 @@ def test_qs_pitchfork_euler(ctx, params):
     y = ctx.mpf("-3")
     assert q_s_pitchfork(EULER, params, y) == y
     assert q_s(EULER, params, y, 1) == y
+
+
+def ref_q_s(tableau, params, x, stage_factor):
+    """The scalar stage loop q_s ran in plain mpf before it became the degree-0 recursion."""
+    ctx, h, eps = params.ctx, params.h, params.epsilon
+    alpha, rows, sums = tableau.bind(ctx)
+    dk = []
+    for i in range(tableau.s):
+        acc = ctx.mpf(0)
+        for j, aij in enumerate(rows[i]):
+            acc = acc + aij * dk[j]
+        dk.append(stage_factor * (x + h * eps * sums[i]) * (1 + h * acc))
+    total = ctx.mpf(0)
+    for i in range(tableau.s):
+        total = total + alpha[i] * dk[i]
+    return total
+
+
+QS_CONTEXTS = {d: make_context(d) for d in (16, 50, 200, 5000)}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    tab=st.sampled_from(sorted(SHIPPED_TABLEAUX.values(), key=lambda t: t.name)),
+    x=st.fractions(-40, 40, max_denominator=10**6),
+    h=st.fractions(Fraction(1, 1000), 1, max_denominator=1000).filter(lambda v: v > 0),
+    eps=st.fractions(0, 2, max_denominator=1000),
+    stage_factor=st.sampled_from([2, 1]),
+    digits=st.sampled_from(sorted(QS_CONTEXTS)),
+)
+def test_qs_is_the_degree_zero_stage_polynomial(tab, x, h, eps, stage_factor, digits):
+    """q_s equals _stage_polynomial with x = [x], h = [h] and the mpf stage loop, bit for bit;
+    the explicit-RK multiplier of scheme_map is 1 + h q_s on pairs."""
+    ctx = QS_CONTEXTS[digits]
+    params = SystemParams.create(ctx, ctx.mpf(eps), ctx.mpf(h))
+    x = ctx.mpf(x)
+    hp, ep, xp = (split(v._mpf_) for v in (params.h, params.epsilon, x))
+    q = q_s(tab, params, x, stage_factor)
+    assert q._mpf_ == pack(_stage_polynomial(tab, ctx, [xp], [hp], ep, stage_factor)[0])
+    assert q._mpf_ == ref_q_s(tab, params, x, stage_factor)._mpf_
+    kind = T if stage_factor == 2 else P
+    factor = scheme_map(kind, tab, params).factor(xp)
+    assert pack(factor) == (1 + params.h * ref_q_s(tab, params, x, stage_factor))._mpf_
 
 
 # -- multipliers ------------------------------------------------------------------

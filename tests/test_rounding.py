@@ -17,13 +17,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import (
-    finf, fnan, fninf, fzero, from_man_exp, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_mul, mpf_neg,
-    mpf_sub, round_nearest,
+    finf, fnan, fninf, fzero, from_man_exp, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_lt, mpf_mul,
+    mpf_neg, mpf_sub, round_nearest,
 )
 
 import canardlab
 from canardlab import make_context
-from canardlab.rounding import abs_le, add, div, mul, pack, rn, split, sub
+from canardlab.rounding import abs_le, add, div, lt, mul, pack, rn, split, sub
 
 PRECS = [make_context(d).prec for d in (16, 50, 200, 5000)]
 OPS = ((add, mpf_add), (sub, mpf_sub), (mul, mpf_mul))
@@ -232,6 +232,39 @@ def test_div_and_abs_le_on_rounded_operands(case, shift):
 def test_abs_le_matches_libmp(case):
     _, a, b = case
     assert abs_le(split(a), split(b)) == mpf_le(mpf_abs(a), mpf_abs(b)), (a, b)
+
+
+def _shifted(value, shift):
+    """The pair of value with its mantissa shifted left by shift bits: not canonical."""
+    m, e = split(value)
+    return m << shift, e - shift
+
+
+@settings(max_examples=300, deadline=None)
+@given(operand_pairs(), st.integers(0, 80), st.integers(0, 80),
+       st.sampled_from(["drawn", "equal", "negated"]))
+@example((P, fzero, fzero), 0, 5, "drawn")
+@example((P, fzero, v(-1)), 0, 0, "drawn")
+@example((P, v(-1), fzero), 3, 0, "drawn")
+@example((P, v(5), v(5)), 0, 0, "drawn")
+@example((P, v(-5), v(-5)), 7, 0, "drawn")
+@example((P, v(5, -1), v(3)), 0, 0, "drawn")  # same binary magnitude, either order
+@example((P, v(3), v(5, -1)), 0, 4, "drawn")
+@example((P, v(-3), v(-5, -1)), 0, 0, "drawn")
+@example((P, v(-5), v(5)), 0, 0, "drawn")
+@example((P, S, v(2**W - 1, 1)), 0, 0, "drawn")
+@example((PRECS[3], v(-(2**(2 * PRECS[3])) - 1, -9), v(1)), 30, 0, "equal")
+def test_lt_matches_libmp(case, sa, sb, relation):
+    """lt on canonical and shifted pairs, with b drawn, equal to a, or its negation."""
+    _, a, b = case
+    if relation == "equal":
+        b = a
+    elif relation == "negated":
+        b = mpf_neg(a)
+    pa, pb = _shifted(a, sa), _shifted(b, sb)
+    assert lt(pa, pb) == mpf_lt(a, b), (a, b)
+    assert lt(pb, pa) == mpf_lt(b, a), (a, b)
+    assert (not lt(pb, pa)) == mpf_le(a, b), (a, b)
 
 
 # -- the number format stays behind rounding ------------------------------------
