@@ -26,13 +26,17 @@ for step sizes just above the critical value, where the entry multiplier
 turns negative); STUCK means it never left within the iteration budget, the
 finite-precision artifact of orbits collapsing onto the invariant set.
 
-Classification can run in two representations.  The raw representation
-iterates the map in plain (x, y) coordinates and exhibits the sticky-set
-artifact whenever the deviation falls below the working precision.  The
-deviation representation rewrites the same map exactly in (deviation, slow)
-coordinates, where the transversal deviation carries its own exponent; this
-is what makes critical-step bisection feasible at a few hundred digits even
-where the raw orbit would need thousands.
+Classification can run in two representations on the transcritical
+diagonal.  The raw representation iterates the map in plain (x, y)
+coordinates and exhibits the sticky-set artifact whenever the deviation
+x - y falls below the working precision.  The deviation representation
+rewrites the same map exactly in (deviation, slow) coordinates, where the
+transversal deviation carries its own exponent; this is what makes
+critical-step bisection feasible at a few hundred digits even where the raw
+orbit would need thousands.  The pitchfork needs no rewrite: on its line
+{x = 0} the deviation is x itself, which already carries its own exponent,
+and its stuck rule is the exact-zero rule, so its raw orbit is its
+deviation orbit.  The fold has only its raw representation.
 
 One loop classifies both.  It carries the orbit as signed integer mantissa
 pairs (see rounding) and runs step, stuck rule, sign-change record, then
@@ -52,8 +56,9 @@ from fractions import Fraction
 from itertools import islice
 from typing import Optional, Union
 
-from .linearization import (CANARDS, SchemeSelector, _entry_offset, _exact_zero, _poly_add,
-                            _poly_mul, _poly_scale, _products, _stage_polynomial, q_s, scheme_map)
+from .linearization import (CANARDS, SchemeSelector, _entry_offset, _escape_threshold,
+                            _exact_zero, _poly_add, _poly_mul, _poly_scale, _products,
+                            _stage_polynomial, q_s, scheme_map)
 from .precision import PrecisionContext
 from .rounding import abs_le, add, div, lt, mul, pack, split, sub
 from .schemes import _ONE, _ZERO, ButcherTableau, PoleError
@@ -127,12 +132,13 @@ def lambert_w0(ctx: PrecisionContext, x):
 def _kstar_euler(ctx: PrecisionContext, c, rho, h, eps):
     """K* = (1/(h^2 eps)) (-1 + c h rho + exp(W(-h^2 eps ln(1 - c h rho)))).
 
-    h and eps are checked by SystemParams.create (a non-finite one is named).
+    h and eps are checked by SystemParams.create and rho by _entry_offset
+    (a non-finite one is named).
     """
     params = SystemParams.create(ctx, eps, h)
-    rho, h, eps = ctx.mpf(rho), params.h, params.epsilon
-    if not (eps > 0 and rho > 0 and ctx.isfinite(rho)):
-        raise ValueError("need finite rho > 0, h > 0, eps > 0")
+    rho, h, eps = _entry_offset(ctx, rho), params.h, params.epsilon
+    if not eps > 0:
+        raise ValueError(f"eps must be > 0, got {eps}")
     a = 1 - c * h * rho
     if a <= 0:
         raise PastCriticality(
@@ -195,8 +201,8 @@ def _theta_coefficients(tableau: ButcherTableau, params: SystemParams, rho):
 
 
 def rk_theta0(tableau: ButcherTableau, params: SystemParams, rho):
-    """Entry multiplier theta_0 = 1 + h Q_s(-rho)."""
-    return 1 + params.h * q_s(tableau, params, -rho)
+    """Entry multiplier theta_0 = 1 + h Q_s(-rho); rho must be finite and > 0."""
+    return 1 + params.h * q_s(tableau, params, -_entry_offset(params.ctx, rho))
 
 
 def rk_cbar(tableau: ButcherTableau, params: SystemParams, rho):
@@ -205,13 +211,14 @@ def rk_cbar(tableau: ButcherTableau, params: SystemParams, rho):
     The accumulated product's log-sum is bounded through the Faulhaber
     expansion sum_i theta_i sum_k k^i = sum_i C_i (K-1)^i; then
     C-bar = |ln(max_i |C_i|)| / ln 2 + 1.  The C_i depend on (h, eps, rho)
-    through the theta_i, so C-bar is computed per call.
+    through the theta_i, so C-bar is computed per call; rho must be finite
+    and > 0.
     """
     ctx = params.ctx
     s = tableau.s
     if s - 1 >= len(_BERNOULLI_PLUS):
         raise ValueError("stage count beyond the hard-coded Bernoulli table")
-    theta = _theta_coefficients(tableau, params, ctx.mpf(rho))
+    theta = _theta_coefficients(tableau, params, _entry_offset(ctx, rho))
     cs = []
     for i in range(1, s + 1):
         acc = ctx.mpf(0)
@@ -552,22 +559,13 @@ def classify_jump(
     deviation vanishes exactly in deviation coordinates) or the iteration
     budget runs out.  delta, and start when given, must be finite.
 
-    track_deviation=True iterates the map in exact deviation coordinates
-    (transcritical), immune to the collapse artifact; =False iterates the
-    raw map at working precision and therefore reproduces the artifact.
+    On the transcritical diagonal, track_deviation=True iterates the map in
+    exact deviation coordinates, immune to the collapse artifact; =False
+    iterates the raw map at working precision and therefore reproduces the
+    artifact.  The pitchfork and the fold always iterate the raw map (the
+    pitchfork's x is its own deviation), so there the flag changes nothing.
     """
     return _classify(kind, scheme, params, rho, delta, escape, max_n, track_deviation, start)
-
-
-def _deviation_step(kind, smap, track_deviation):
-    """The deviation map a classification iterates, or None for a raw orbit.
-
-    The pitchfork's x is its own deviation, so its forward-Euler orbit takes
-    the deviation loop in either representation.
-    """
-    if track_deviation or kind is SingularityKind.PITCHFORK:
-        return smap.deviation_step
-    return None
 
 
 def _classify(
@@ -578,8 +576,9 @@ def _classify(
 
     The start is split into mantissa pairs once.  A raw orbit iterates the
     one-step map on (x, y) under the kind's stuck rule; a deviation orbit
-    iterates the deviation map on (u, y) under the exact-zero rule, and on
-    the transcritical diagonal rebuilds x = y + u for the result.
+    (track_deviation on the transcritical diagonal) iterates the deviation
+    map on (u, y) under the exact-zero rule and rebuilds x = y + u for the
+    result.
     """
     ctx = params.ctx
     if not params.epsilon > 0:
@@ -588,11 +587,7 @@ def _classify(
     delta = ctx.mpf(delta)
     if not ctx.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta}")
-    threshold = ctx.mpf(escape) if escape is not None else rho / 2
-    if not ctx.isfinite(threshold):
-        raise ValueError(f"escape threshold must be finite, got {threshold}")
-    if not threshold > 0:
-        raise ValueError("escape threshold must be > 0")
+    threshold = _escape_threshold(ctx, escape, rho / 2)
     canard = CANARDS[kind]
     if max_n is None:
         max_n = int(10 * ctx.floor(2 * rho / canard.spacing(params)) + 10)
@@ -606,12 +601,11 @@ def _classify(
     u0, _ = deviation(x, y)
     if not u0[0] and kind is not SingularityKind.FOLD:
         raise ValueError("start lies exactly on the canard; nothing to classify")
-    step = _deviation_step(kind, smap, track_deviation)
-    diagonal = step is not None and kind is SingularityKind.TRANSCRITICAL
-    if step is None:
+    diagonal = track_deviation and smap.deviation_step is not None
+    if diagonal:
+        step, x, deviation = smap.deviation_step, u0, _exact_zero
+    else:
         step = smap.step
-    elif diagonal:
-        x, deviation = u0, _exact_zero
     label, n, x, y, u, flip = _iterate(step, deviation, x, y, u0, split(threshold._mpf_), max_n, settle)
     if diagonal:
         x = add(y, u, ctx.prec)
@@ -674,16 +668,19 @@ def critical_h_bisection(
     (0.1001378-0.1001439), while the lowest edge in the bracket is the
     16 -> 17 one at h = 0.0999618198.
 
-    Where the orbits run in deviation coordinates, the scan points and the
-    midpoints are therefore labelled from prefixes of their orbits.  Each
+    With track_deviation (the default), the scan points and the midpoints
+    are therefore labelled from prefixes of their orbits, in deviation
+    coordinates on the transcritical diagonal and in raw coordinates, where
+    x is the deviation, on the pitchfork line, for every tableau.  Each
     prefix stops when it escapes, at twice its own latest sign change plus
     _PREFIX_MARGIN steps, or at max_n; one that did not escape is labelled
-    by the sign of its deviation against the entry side.  Only the final bracket's ends that are not the
-    caller's are fully classified.  If one of them does not confirm its
-    prefix label, or a prefix deviation collapses to exactly 0, the search
-    starts over with a full classification at every scan point and
-    midpoint, which is what raw-coordinate bisection (track_deviation=False)
-    always does, and returns the bracket that search finds.
+    by the sign of its deviation against the entry side.  Only the final
+    bracket's ends that are not the caller's are fully classified.  If one
+    of them does not confirm its prefix label, or a prefix deviation
+    collapses to exactly 0, the search starts over with a full
+    classification at every scan point and midpoint, which is what
+    track_deviation=False always does, and returns the bracket that search
+    finds.
 
     digits_target must lie in [1, ctx.digits) and max_n, when given, be at
     least 1.
@@ -759,8 +756,7 @@ def critical_h_bisection(
         bracket, h0 = None, seed * (1 - ctx.mpf(1) / 512)
 
     found = None
-    smap = scheme_map(kind, tableau, SystemParams.create(ctx, eps, h0))
-    if _deviation_step(kind, smap, track_deviation) is not None:
+    if track_deviation:
         try:
             found = bracket or scan(prefix_label)
             if found is not None:

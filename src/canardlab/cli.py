@@ -44,7 +44,7 @@ from .analysis import (
     sweep_surface,
     wayout,
 )
-from .linearization import CANARDS, AFamily, KAHAN, scheme_map
+from .linearization import CANARDS, AFamily, KAHAN, _escape_threshold, scheme_map
 from .precision import ANALYSIS_DIGITS, SIMULATE_DIGITS, InvalidPrecision, make_context
 from .rounding import abs_le, pack, split
 from .schemes import (
@@ -156,11 +156,7 @@ def cmd_simulate(args) -> int:
     step = scheme_map(kind, _scheme(args, params), params, canard=False).step
     deviation = canard.deviation(params)
     scale = max(abs(p.x), abs(p.y), ctx.mpf(1))
-    threshold = ctx.mpf(args.escape) if args.escape else scale / 2
-    if not ctx.isfinite(threshold):
-        raise ValueError(f"escape threshold must be finite, got {threshold}")
-    if not threshold > 0:
-        raise ValueError("escape threshold must be > 0")
+    threshold = _escape_threshold(ctx, args.escape or None, scale / 2)
     thr = split(threshold._mpf_)
     hard_stop = split((4 * max(scale, threshold))._mpf_)
 

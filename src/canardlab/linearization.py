@@ -79,8 +79,10 @@ class SchemeMap:
     step; factor(s) is the transversal multiplier at the pair s of a canard
     position, as a pair, and matrix(s) the variational matrix at the scalar
     s (both None without a canard);
-    deviation_step(u, y), where the pair has one, advances the pairs of the
-    deviation u and the slow coordinate y in deviation coordinates.
+    deviation_step(u, y), on the transcritical diagonal only, advances the
+    pairs of the deviation u = x - y and the slow coordinate y in deviation
+    coordinates (on the pitchfork line the deviation is x itself, so step
+    already is its deviation map).
     """
 
     step: Callable
@@ -122,7 +124,7 @@ def scheme_map(
 
         if scheme.s == 1:
             step = euler_kernel(kind, params)
-            deviation_step = euler_deviation_kernel(kind, params)
+            deviation_step = euler_deviation_kernel(params) if diagonal else None
         else:
             step = _on_pairs(ctx, lambda p: rk_step(scheme, kind, params, p))
             deviation_step = rk_deviation_kernel(scheme, params) if diagonal else None
@@ -491,6 +493,16 @@ def _entry_offset(ctx, rho):
     if not (rho > 0 and ctx.isfinite(rho)):
         raise ValueError(f"rho must be finite and > 0, got {rho}")
     return rho
+
+
+def _escape_threshold(ctx, escape, default):
+    """escape (default when None) as a scalar of ctx, or a ValueError unless finite and > 0."""
+    threshold = default if escape is None else ctx.mpf(escape)
+    if not ctx.isfinite(threshold):
+        raise ValueError(f"escape threshold must be finite, got {threshold}")
+    if not threshold > 0:
+        raise ValueError("escape threshold must be > 0")
+    return threshold
 
 
 @dataclass

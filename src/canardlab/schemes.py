@@ -26,11 +26,12 @@ precision pays for the Fraction conversions once.
 Orbits are carried as signed integer mantissa pairs (see rounding) from
 start to end: the one-step maps of forward Euler and of the implicit
 pitchfork family (euler_kernel, afamily_kernel), and the transcritical
-forward-Euler, explicit-RK and Kahan maps and the pitchfork's forward Euler
-in deviation coordinates, for the jump classification, take and return
-pairs, rounding every operation (divisions included) like the mpf
-expression it stands for, so the values are those of mpf arithmetic, bit
-for bit.  A loop splits its start once and packs only what it reports.
+forward-Euler, explicit-RK and Kahan maps in deviation coordinates, for the
+jump classification, take and return pairs, rounding every operation
+(divisions included) like the mpf expression it stands for, so the values
+are those of mpf arithmetic, bit for bit.  The pitchfork has no deviation
+map: on its line {x = 0} the deviation is x itself.  A loop splits its
+start once and packs only what it reports.
 Only the implicit family's rare cubic fallback finds its root with
 mpmath's polyroots.
 """
@@ -237,39 +238,26 @@ def euler_kernel(kind: SingularityKind, params: SystemParams):
 
 
 # Deviation-coordinate steps (u, y) -> (unew, y + eps h) on mantissa pairs,
-# with u the transversal deviation (x - y on the transcritical diagonal, x on
-# the pitchfork line): the same shape as a one-step map, so the one
-# classification loop iterates either.  Each rounds like the mpf expression
-# it stands for.  2 v is the pair (m, e + 1), rounded in case v is longer
-# than the precision.
+# with u = x - y the deviation from the transcritical diagonal: the same shape
+# as a one-step map, so the one classification loop iterates either.  Each
+# rounds like the mpf expression it stands for.  2 v is the pair (m, e + 1),
+# rounded in case v is longer than the precision.  The pitchfork needs none:
+# on the line {x = 0} the deviation is x itself.
 
 _ZERO, _ONE = (0, 0), (1, 0)
 
 
-def euler_deviation_kernel(kind: SingularityKind, params: SystemParams):
-    """Forward Euler in deviation coordinates.
-
-    Transcritical u (1 + h (2y + u)); pitchfork x + (h x)(y - x x), which
-    rounds differently from euler_kernel's x + h (x (y - x x)).
-    """
+def euler_deviation_kernel(params: SystemParams):
+    """Transcritical forward Euler: u (1 + h (2y + u))."""
     prec = params.ctx.prec
     h = split(params.h._mpf_)
     heps = mul(h, split(params.epsilon._mpf_), prec)
-    if kind is SingularityKind.TRANSCRITICAL:
 
-        def step(u, y):
-            ym, ye = y
-            s = add(rn(ym, ye + 1, prec), u, prec)
-            return mul(u, add(mul(h, s, prec), _ONE, prec), prec), add(y, heps, prec)
+    def step(u, y):
+        ym, ye = y
+        s = add(rn(ym, ye + 1, prec), u, prec)
+        return mul(u, add(mul(h, s, prec), _ONE, prec), prec), add(y, heps, prec)
 
-    elif kind is SingularityKind.PITCHFORK:
-
-        def step(x, y):
-            t = sub(y, mul(x, x, prec), prec)
-            return add(x, mul(mul(h, x, prec), t, prec), prec), add(y, heps, prec)
-
-    else:
-        raise ValueError(f"no deviation coordinates for {kind.value}")
     return step
 
 
@@ -544,19 +532,6 @@ def _afamily_slope_pair(a, b, h, my, yn, xn, mx, prec):
 def _half_sum(u, v, prec):
     m, e = add(u, v, prec)
     return m, e - 1
-
-
-def _afamily_residual(aparam, h, x, y, yn, xn):
-    """Residual of the implicit pitchfork relation at candidate xnew (mpf scalars)."""
-    mp = xn.context
-    prec = mp.prec
-    a, h, x, y, yn, xn = (split(mp.mpf(v)._mpf_) for v in (aparam, h, x, y, yn, xn))
-    b = sub(_ONE, rn(a[0], a[1] + 1, prec), prec)
-    af_old = mul(a, _pitchfork_f(x, y, prec), prec)
-    r = _afamily_residual_pair(
-        a, b, h, x, af_old, _half_sum(y, yn, prec), yn, xn, _half_sum(x, xn, prec), prec
-    )
-    return mp.make_mpf(pack(r))
 
 
 def _afamily_cubic_coeffs(aparam, h, x, y, yn):

@@ -1,7 +1,8 @@
 """Bisection on prefix labels against a bisection that fully classifies every midpoint.
 
 critical_h_bisection labels its scan points and midpoints from short
-prefixes of the deviation orbit and fully classifies only the final
+prefixes of the deviation orbit (on the pitchfork line, of the raw orbit,
+whose x is its own deviation) and fully classifies only the final
 bracket.  The reference below is a copy of the loop it replaced, which fully
 classifies every scan point and midpoint; the brackets must agree bit for
 bit.  When a prefix label is wrong, the fallback must still return a
@@ -31,6 +32,7 @@ from canardlab import (
 )
 
 T = SingularityKind.TRANSCRITICAL
+P = SingularityKind.PITCHFORK
 DELTA = "1e-4"
 
 
@@ -47,7 +49,8 @@ def reference_bisection(kind, tableau, rho, eps, delta, digits_target, ctx, h_br
         if classify_at(lo) is not JumpClass.RIGHT or classify_at(hi) is not JumpClass.LEFT:
             raise NoBracket("provided bracket does not classify RIGHT/LEFT")
     else:
-        seed = linearized_critical_h(tableau, rho, eps, ctx)
+        stage_factor = 1 if kind is P else 2
+        seed = linearized_critical_h(tableau, rho, eps, ctx, stage_factor)
         if seed is None:
             raise NoBracket("no seed")
         ratio = 1 + ctx.mpf(1) / 256
@@ -117,10 +120,19 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("tableau, rho, eps, bracket, target, digits", CASES)
-def test_brackets_bit_identical_to_full_bisection(tableau, rho, eps, bracket, target, digits):
+PITCHFORK_CASES = [
+    pytest.param(P, KUTTA3, "4", "0.01", None, 3, 50, id="pitchfork-kutta3-4-0.01-scan"),
+    pytest.param(P, HEUN3, "4", "0.1", None, 3, 50, id="pitchfork-heun3-4-0.1-scan"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, tableau, rho, eps, bracket, target, digits",
+    [pytest.param(T, *case.values, id=case.id) for case in CASES] + PITCHFORK_CASES,
+)
+def test_brackets_bit_identical_to_full_bisection(kind, tableau, rho, eps, bracket, target, digits):
     ctx = make_context(digits)
-    args = (T, tableau, rho, eps, DELTA, target, ctx)
+    args = (kind, tableau, rho, eps, DELTA, target, ctx)
     got = _outcome(critical_h_bisection, *args, h_bracket=bracket)
     assert got == _outcome(reference_bisection, *args, h_bracket=bracket)
 
@@ -153,6 +165,14 @@ def test_scan_on_prefix_labels_fully_classifies_only_the_final_bracket(counted):
     ctx = make_context(30)
     critical_h_bisection(T, KUTTA3, 8, "0.1", DELTA, 3, ctx)
     # a full-label scan spends 3 full classifications here, then verifies 2
+    assert counted["full"] == 2
+    assert counted["prefix"] > 0
+
+
+def test_pitchfork_scan_fully_classifies_only_the_final_bracket(counted):
+    ctx = make_context(50)
+    critical_h_bisection(P, KUTTA3, 4, "0.01", DELTA, 3, ctx)
+    # the pitchfork's x is its own deviation, so its raw orbits give prefix labels
     assert counted["full"] == 2
     assert counted["prefix"] > 0
 

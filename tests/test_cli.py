@@ -357,6 +357,8 @@ def test_kstar_csv(tmp_path):
 @pytest.mark.parametrize("variant, flag, value", [
     ("euler-transcritical", "eps", "inf"),
     ("euler-pitchfork", "h", "nan"),
+    ("rk", "rho", "inf"),
+    ("euler-transcritical", "rho", "nan"),
 ])
 def test_kstar_rejects_non_finite_parameters(tmp_path, capsys, variant, flag, value):
     out = tmp_path / "kstar.csv"

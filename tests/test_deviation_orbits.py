@@ -2,12 +2,13 @@
 
 The references below are plain-mpf copies of the loops the pair code
 replaced: the transcritical deviation iteration (Kahan, forward Euler and
-the explicit RK stage recursion) and the pitchfork forward-Euler fast path.
-The deviation maps of scheme_map, iterated by the one classification loop
-under the exact-zero rule (the pitchfork through classify_jump), must
-reproduce them exactly:
-same label, same step count, and the same ``_mpf_`` tuples for the point
-and the deviation, or the same pole at the same iterate.
+the explicit RK stage recursion), and the pitchfork forward-Euler orbit,
+whose x is its own deviation.  The deviation maps of scheme_map, iterated by
+the one classification loop under the exact-zero rule, and the pitchfork's
+forward-Euler map through classify_jump, must reproduce them exactly at
+their decision boundaries: same label, same step count, and the same
+``_mpf_`` tuples for the point and the deviation, or the same pole at the
+same iterate.  The pitchfork has no deviation map of its own.
 """
 
 from mpmath.libmp import from_man_exp
@@ -19,6 +20,7 @@ from canardlab import (
     EULER,
     KAHAN,
     SHIPPED_TABLEAUX,
+    AFamily,
     JumpClass,
     JumpResult,
     PlanarPoint,
@@ -109,7 +111,7 @@ def ref_pitchfork_euler(params, start, threshold, max_n):
     x0 = start.x
     x, y = start.x, start.y
     for n in range(1, max_n + 1):
-        x, y = x + h * x * (y - x * x), y + heps
+        x, y = x + h * (x * (y - x * x)), y + heps
         if x == 0:
             return JumpResult(JumpClass.STUCK, n, PlanarPoint(x, y), x)
         if abs(x) >= threshold:
@@ -184,13 +186,12 @@ def test_transcritical_deviation_bit_identical(digits, scheme, h, eps, rho, delt
     _both_transcritical(scheme, params, ctx.mpf(delta), -rho, rho / 2, 400)
 
 
-@settings(max_examples=60, deadline=None)
-@given(digits=digits_st, h=step_st, eps=eps_st, rho=rho_st, delta=delta_st)
-def test_pitchfork_euler_bit_identical(digits, h, eps, rho, delta):
-    ctx = CONTEXTS[digits]
-    params = SystemParams.create(ctx, eps, h)
-    rho = ctx.mpf(rho)
-    _both_pitchfork(params, PlanarPoint(ctx.mpf(delta), -rho), rho / 2, 1500)
+@pytest.mark.parametrize("scheme", SCHEMES + [pytest.param(AFamily("0.5"), id="afamily")], ids=_name)
+def test_only_the_transcritical_diagonal_has_a_deviation_map(scheme):
+    params = SystemParams.create(CONTEXTS[16], "0.1", "0.05")
+    assert scheme_map(P, scheme, params).deviation_step is None
+    if not isinstance(scheme, AFamily):
+        assert scheme_map(T, scheme, params).deviation_step is not None
 
 
 # -- hand-built cases -----------------------------------------------------------

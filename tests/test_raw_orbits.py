@@ -5,10 +5,10 @@ replaced: the mpf forward-Euler update p + h f(p), the raw transcritical
 classification (Kahan, Euler and RK branches), the Kahan fold
 classification, each with the glue rule written as
 abs(u) <= glue * max(abs(x), abs(y)), and the pitchfork classification of
-the explicit-RK and implicit-family maps.  The one classification loop,
-reached through classify_jump(..., track_deviation=False), must reproduce
-them exactly: same label, same step count, and the same ``_mpf_`` tuples
-for the point and the deviation.
+the forward-Euler, explicit-RK and implicit-family maps.  The one
+classification loop, reached through classify_jump(..., track_deviation=False),
+must reproduce them exactly: same label, same step count, and the same
+``_mpf_`` tuples for the point and the deviation.
 """
 
 import pytest
@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 
 from canardlab import (
     EULER,
+    HEUN3,
     KAHAN,
     KUTTA3,
     AFamily,
+    ButcherTableau,
     JumpClass,
     JumpResult,
     NoRealBranch,
@@ -123,7 +125,9 @@ def ref_classify_fold(params, start, threshold, max_n):
 
 
 def ref_classify_pitchfork(scheme, params, start, threshold, max_n):
-    if scheme is KUTTA3:
+    if scheme is EULER:
+        stepper = lambda p: euler_step(P, params, p)
+    elif isinstance(scheme, ButcherTableau):
         stepper = lambda p: rk_step(scheme, P, params, p)
     else:
         a = params.ctx.mpf(-1) / 2 if scheme == KAHAN else params.ctx.mpf(scheme.a)
@@ -234,9 +238,9 @@ def test_raw_fold_classification_bit_identical(digits, h, eps, rho, delta):
     assert got == _outcome(ref_classify_fold, *args)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(digits=digits_st, h=step_st, eps=eps_st, rho=rho_st, delta=delta_st,
-       scheme=st.sampled_from([KUTTA3, KAHAN, AFamily("0.5"), AFamily("0")]))
+       scheme=st.sampled_from([EULER, KUTTA3, HEUN3, KAHAN, AFamily("0.5"), AFamily("0")]))
 def test_raw_pitchfork_classification_bit_identical(digits, h, eps, rho, delta, scheme):
     ctx = CONTEXTS[digits]
     params = SystemParams.create(ctx, eps, h)

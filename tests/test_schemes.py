@@ -331,14 +331,19 @@ def test_afamily_kahan_off_axis_branches(ctx, params):
     val = (4 - 2 * params.h * y) / params.h
     root = ctx.sqrt(val)
     # the returned branch is the canard, but the off-axis roots solve the relation
-    from canardlab.schemes import _afamily_residual
+    from canardlab.rounding import pack, split
+    from canardlab.schemes import _afamily_residual_pair, _half_sum
 
-    a = ctx.mpf("-0.5")
+    prec = ctx.prec
     yn = y + params.epsilon * params.h
+    a, b, h, x, y, yn = (split(ctx.mpf(v)._mpf_) for v in ("-0.5", 2, params.h, 0, y, yn))
+    my = _half_sum(y, yn, prec)
     for sign in (-1, 1):
-        r = _afamily_residual(a, params.h, ctx.mpf(0), y, yn, sign * root)
+        xn = split((sign * root)._mpf_)
+        # a f(x, y) = 0 at x = 0
+        r = _afamily_residual_pair(a, b, h, x, (0, 0), my, yn, xn, _half_sum(x, xn, prec), prec)
         # roots of the eps-free relation; residual is O(eps h^2)
-        assert abs(r) < ctx.mpf("1e-3")
+        assert abs(ctx.make_mpf(pack(r))) < ctx.mpf("1e-3")
 
 
 # -- iteration -------------------------------------------------------------------
