@@ -13,16 +13,13 @@ from .precision import (
     MIN_DIGITS,
     PrecisionContext,
     SIMULATE_DIGITS,
-    approx_eq,
     make_context,
 )
 from .systems import (
     NoCanard,
-    Orbit,
     PlanarPoint,
     SingularityKind,
     SystemParams,
-    critical_set_residual,
     fold_first_integral,
     fold_kahan_parabola_offset,
     fold_rk_reduced_gap,
@@ -46,10 +43,8 @@ from .schemes import (
     StepResult,
     a_family_step_pitchfork,
     euler_step,
-    iterate,
     kahan_step_fold,
     kahan_step_general,
-    kahan_step_pitchfork,
     kahan_step_transcritical,
     load_tableau_file,
     rk_step,
@@ -59,15 +54,12 @@ from .linearization import (
     ContractionLedger,
     KAHAN,
     canard_spacing,
-    canard_trajectory,
     contraction_product,
     finite_difference_factor,
     jacobian_factor,
     q_s,
-    q_s_pitchfork,
     symmetry_center,
     symmetry_defect,
-    variational_matrix,
 )
 from .analysis import (
     BisectionBracket,

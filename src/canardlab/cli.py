@@ -18,8 +18,8 @@ at that precision (no double round-trip through binary floats).  Plain
 simulation defaults to 50 digits; sweep and bisect default to 5000 digits,
 matching the precision the delicate experiments need; verify runs at 50
 digits and rejects fewer, since its bounds are stated there.  Exit codes:
-0 ok, 1 failed verify suite, 2 usage or invalid parameters, 3 pole hit,
-4 search/bracket failure.
+0 ok, 1 failed verify suite, 2 usage, invalid parameters or a file that
+cannot be read or written, 3 pole hit, 4 search/bracket failure.
 """
 
 from __future__ import annotations
@@ -90,16 +90,19 @@ def _add_pair(p: argparse.ArgumentParser, scheme_default: str):
     p.add_argument("--a", help="implicit-family parameter (pitchfork)")
 
 
-def _resolve_tableau(args) -> ButcherTableau:
-    if getattr(args, "tableau_file", None):
-        return load_tableau_file(args.tableau_file, name=Path(args.tableau_file).stem)
-    name = getattr(args, "tableau", None) or "euler"
+def _shipped(name) -> ButcherTableau:
     try:
         return SHIPPED_TABLEAUX[name]
     except KeyError:
         raise ValueError(
             f"unknown tableau {name!r}; shipped: {', '.join(sorted(SHIPPED_TABLEAUX))}"
         ) from None
+
+
+def _resolve_tableau(args) -> ButcherTableau:
+    if getattr(args, "tableau_file", None):
+        return load_tableau_file(args.tableau_file, name=Path(args.tableau_file).stem)
+    return _shipped(getattr(args, "tableau", None) or "euler")
 
 
 @contextmanager
@@ -243,12 +246,17 @@ def cmd_sweep(args) -> int:
         names = list(SURFACE_TABLEAUX)
     else:
         names = [args.tableau]
+    # a name is a shipped tableau, else a tableau file; all resolved before any output
+    tabs = [
+        load_tableau_file(name) if name not in SHIPPED_TABLEAUX and Path(name).is_file()
+        else _shipped(name)
+        for name in names
+    ]
     rho_grid, eps_grid = _grid(ctx, args, "rho"), _grid(ctx, args, "eps")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     nd = args.out_digits
-    for name in names:
-        tab = SHIPPED_TABLEAUX[name] if name in SHIPPED_TABLEAUX else load_tableau_file(name)
+    for tab in tabs:
         cells = sweep_surface(
             tab, rho_grid, eps_grid, args.mode, ctx,
             delta=args.delta, digits_target=args.digits_target,
@@ -477,7 +485,7 @@ def main(argv=None) -> int:
     except (Unresolved, NoBracket) as err:
         print(f"unresolved: {err}", file=sys.stderr)
         return 4
-    except (ValueError, NoCanard, NoRealBranch, InvalidPrecision) as err:
+    except (ValueError, NoCanard, NoRealBranch, InvalidPrecision, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

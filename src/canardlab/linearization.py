@@ -1,14 +1,14 @@
 """Linearization along canard trajectories, and the table of discrete maps.
 
 scheme_map is the one place a scheme selector is dispatched on: it turns a
-(kind, scheme) pair into the pair's one-step map, transversal multiplier and
-variational matrix.  CANARDS holds, per singularity kind, where the canard
-lies and how far an orbit is from it.
+(kind, scheme) pair into the pair's one-step map, transversal multiplier and,
+on the transcritical diagonal, deviation-coordinate step.  CANARDS holds, per
+singularity kind, where the canard lies and how far an orbit is from it.
 
 For each scheme/singularity pair the one-step map, linearized along the
-canard, is upper (or lower) triangular with a unit eigenvalue in the canard
-direction; the transversal multiplier J = d(xnew)/dx governs contraction
-toward and expansion away from the canard.  Closed forms:
+canard, has a unit eigenvalue in the canard direction; the other, the
+transversal multiplier J = d(xnew)/dx, governs contraction toward and
+expansion away from the canard.  Closed forms:
 
   transcritical, explicit RK:  J(x) = 1 + h Q_s(x), with the stage recursion
       dk_i = 2 (x + h eps A_i) (1 + h sum_{j<i} a_ij dk_j),  Q_s = sum alpha_i dk_i
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import count, islice
 from typing import Callable, Optional, Union
 
@@ -77,8 +76,7 @@ class SchemeMap:
 
     step(x, y) advances the mantissa pairs (see rounding) of a point by one
     step; factor(s) is the transversal multiplier at the pair s of a canard
-    position, as a pair, and matrix(s) the variational matrix at the scalar
-    s (both None without a canard);
+    position, as a pair (None without a canard);
     deviation_step(u, y), on the transcritical diagonal only, advances the
     pairs of the deviation u = x - y and the slow coordinate y in deviation
     coordinates (on the pitchfork line the deviation is x itself, so step
@@ -87,7 +85,6 @@ class SchemeMap:
 
     step: Callable
     factor: Optional[Callable] = None
-    matrix: Optional[Callable] = None
     deviation_step: Optional[Callable] = None
 
 
@@ -97,30 +94,21 @@ def scheme_map(
     params: SystemParams,
     canard: bool = True,
 ) -> SchemeMap:
-    """Resolve a (kind, scheme) pair into its map, once, outside any loop.
+    """Resolve a (kind, scheme) pair into its SchemeMap, once, outside any loop.
 
     Forward Euler on the fold has a one-step map but no canard: it raises
     NoCanard unless canard=False, which asks for the one-step map only.
     Every other pair without a map raises ValueError.
     """
     ctx = params.ctx
-    h, eps = params.h, params.epsilon
-    zero, one = ctx.mpf(0), ctx.mpf(1)
     diagonal = kind is SingularityKind.TRANSCRITICAL
     if isinstance(scheme, ButcherTableau) and kind is not SingularityKind.FOLD:
         stage_factor = 2 if diagonal else 1
-        prec, hp, ep = ctx.prec, split(h._mpf_), split(eps._mpf_)
+        prec, hp, ep = ctx.prec, split(params.h._mpf_), split(params.epsilon._mpf_)
 
         def factor(s):
             q = _stage_polynomial(scheme, ctx, [s], [hp], ep, stage_factor)[0]
             return add(mul(hp, q, prec), _ONE, prec)
-
-        jf = _on_scalars(ctx, factor)
-
-        def matrix(s):
-            j = jf(s)
-            # on the diagonal the stage derivatives w.r.t. y are those w.r.t. x negated
-            return ((j, one - j if diagonal else zero), (zero, one))
 
         if scheme.s == 1:
             step = euler_kernel(kind, params)
@@ -128,23 +116,17 @@ def scheme_map(
         else:
             step = _on_pairs(ctx, lambda p: rk_step(scheme, kind, params, p))
             deviation_step = rk_deviation_kernel(scheme, params) if diagonal else None
-        return SchemeMap(step, factor, matrix, deviation_step)
+        return SchemeMap(step, factor, deviation_step)
     if scheme == KAHAN and diagonal:
         factor = _kahan_transcritical_multiplier(params)
-        jf = _on_scalars(ctx, factor)
         step = _on_pairs(ctx, lambda p: kahan_step_transcritical(params, p))
-        matrix = lambda x: ((jf(x), (-2 * h * x - eps * h * h) / (1 - h * x)), (zero, one))
-        return SchemeMap(step, factor, matrix, kahan_deviation_kernel(params))
+        return SchemeMap(step, factor, kahan_deviation_kernel(params))
     if scheme == KAHAN and kind is SingularityKind.FOLD:
-        factor = _kahan_fold_multiplier(params)
         step = _on_pairs(ctx, lambda p: kahan_step_fold(params, p))
-        return SchemeMap(step, factor, partial(_kahan_fold_matrix, params, _on_scalars(ctx, factor)))
+        return SchemeMap(step, _kahan_fold_multiplier(params))
     if kind is SingularityKind.PITCHFORK and (scheme == KAHAN or isinstance(scheme, AFamily)):
         a = ctx.mpf(-1) / 2 if scheme == KAHAN else ctx.mpf(scheme.a)
-        factor = _afamily_multiplier(a, params)
-        jf = _on_scalars(ctx, factor)
-        step = afamily_kernel(a, params)
-        return SchemeMap(step, factor, lambda y: ((jf(y), zero), (zero, one)))
+        return SchemeMap(afamily_kernel(a, params), _afamily_multiplier(a, params))
     if isinstance(scheme, ButcherTableau):  # on the fold
         if canard:
             raise NoCanard(
@@ -273,40 +255,6 @@ CANARDS = {
 }
 
 
-def canard_trajectory(
-    kind: SingularityKind,
-    scheme_tag: str,
-    params: SystemParams,
-    start,
-    n: int,
-) -> PlanarPoint:
-    """Closed-form canard point after n steps of the given scheme family.
-
-    scheme_tag is one of "euler", "rk", "kahan" (for the pitchfork, "kahan"
-    covers the whole symmetric implicit family, whose canard does not depend
-    on a).  The transcritical canard lives on the diagonal with slow speed
-    eps*h per step for every scheme; the pitchfork canard on {x = 0}; the
-    fold canard (Kahan only) on the invariant parabola with speed eps*h/2.
-    Explicit schemes admit no fold canard: the reduced slow map has a gap.
-
-    n may be negative for the birational Kahan maps; explicit schemes
-    require n >= 0.
-    """
-    tag = scheme_tag.lower()
-    if tag not in ("euler", "rk", "kahan", "afamily"):
-        raise ValueError(f"unknown scheme tag: {scheme_tag!r}")
-    explicit = tag in ("euler", "rk")
-    if explicit and n < 0:
-        raise ValueError("explicit schemes cannot be iterated backwards")
-    if explicit and kind is SingularityKind.FOLD:
-        raise NoCanard(
-            "explicit one-step maps of the fold have no singular canard: "
-            "the reduced slow map is undefined on a gap left of the origin"
-        )
-    canard = CANARDS[kind]
-    return canard.point(params, params.ctx.mpf(start) + n * canard.spacing(params))
-
-
 # ---------------------------------------------------------------------------
 # Multipliers
 # ---------------------------------------------------------------------------
@@ -370,11 +318,6 @@ def q_s(tableau: ButcherTableau, params: SystemParams, x, stage_factor=2):
     return ctx.make_mpf(pack(_stage_polynomial(tableau, ctx, [x], [h], eps, stage_factor)[0]))
 
 
-def q_s_pitchfork(tableau: ButcherTableau, params: SystemParams, y):
-    """Pitchfork analogue of q_s: stage factor 1, evaluated on {x=0}."""
-    return q_s(tableau, params, y, 1)
-
-
 def _kahan_transcritical_multiplier(params: SystemParams):
     """(1 - h h x (x + eps h) + eps h h) / (1 - h x)^2; h h, eps h and (eps h) h once."""
     prec = params.ctx.prec
@@ -436,18 +379,6 @@ def _on_scalars(ctx, factor):
     return lambda s: make(pack(factor(split(ctx.mpf(s)._mpf_))))
 
 
-def _kahan_fold_matrix(params: SystemParams, factor, x):
-    h, eps = params.h, params.epsilon
-    j = factor(x)
-    y = x * x - fold_kahan_parabola_offset(params)
-    q = h * h * eps / 4
-    den = 1 - h * x + q
-    m12 = -h / den
-    m21 = (h * eps - h * h * eps * x + (h * h * h * eps / 4) * (2 * x * x - 2 * y + eps) - q * h * eps * x) / (den * den)
-    m22 = (1 - h * x - q) / den
-    return ((j, m12), (m21, m22))
-
-
 def jacobian_factor(
     kind: SingularityKind,
     scheme: SchemeSelector,
@@ -460,21 +391,6 @@ def jacobian_factor(
     y on the pitchfork line, x on the fold parabola.
     """
     return _on_scalars(params.ctx, scheme_map(kind, scheme, params).factor)(s_pos)
-
-
-def variational_matrix(
-    kind: SingularityKind,
-    scheme: SchemeSelector,
-    params: SystemParams,
-    s_pos,
-):
-    """Full 2x2 variational matrix along the canard at position s_pos.
-
-    The unit eigenvalue carries eigenvector (1, 1) on the transcritical
-    diagonal and (0, 1) on the pitchfork line; the transversal multiplier is
-    the (1,1) entry.
-    """
-    return scheme_map(kind, scheme, params).matrix(s_pos)
 
 
 def canard_spacing(kind: SingularityKind, params: SystemParams):

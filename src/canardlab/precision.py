@@ -128,9 +128,3 @@ def make_context(digits: int = SIMULATE_DIGITS) -> PrecisionContext:
     """
     return PrecisionContext(digits)
 
-
-def approx_eq(a, b, tol) -> bool:
-    """True iff |a - b| <= tol.  Requires tol > 0."""
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
-    return abs(a - b) <= tol

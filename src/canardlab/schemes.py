@@ -40,11 +40,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Optional
 
 from .precision import PrecisionContext
 from .rounding import abs_le, add, div, mul, pack, rn, split, sub
-from .systems import Orbit, PlanarPoint, SingularityKind, SystemParams, vector_field
+from .systems import PlanarPoint, SingularityKind, SystemParams, vector_field
 
 
 class PoleError(ArithmeticError):
@@ -169,8 +169,16 @@ def load_tableau_file(path, name: Optional[str] = None) -> ButcherTableau:
     Format: first non-comment line is the stage count s, the next line the s
     weights, then s-1 rows of the strictly lower triangle (row for stage i
     has i-1 entries).  Entries are decimal strings or exact rationals like
-    "1/6"; '#' starts a comment.
+    "1/6"; '#' starts a comment.  An entry with a zero denominator raises
+    ValueError naming the file and the entry.
     """
+
+    def entry(tok) -> Fraction:
+        try:
+            return Fraction(tok)
+        except ZeroDivisionError:
+            raise ValueError(f"{path}: entry {tok!r} has a zero denominator") from None
+
     with open(path, "r", encoding="utf-8") as fh:
         lines = []
         for raw in fh:
@@ -184,7 +192,7 @@ def load_tableau_file(path, name: Optional[str] = None) -> ButcherTableau:
         raise ValueError(f"{path}: stage count must be >= 1, got {s}")
     if len(lines) != 1 + 1 + (s - 1):
         raise ValueError(f"{path}: expected {1 + s} content lines for s={s}, got {len(lines)}")
-    alpha = tuple(Fraction(tok) for tok in lines[1].split())
+    alpha = tuple(entry(tok) for tok in lines[1].split())
     if len(alpha) != s:
         raise ValueError(f"{path}: weight row must have {s} entries")
     rows = [()]
@@ -192,7 +200,7 @@ def load_tableau_file(path, name: Optional[str] = None) -> ButcherTableau:
         toks = lines[i].split()
         if len(toks) != i - 1:
             raise ValueError(f"{path}: row for stage {i} must have {i - 1} entries")
-        rows.append(tuple(Fraction(tok) for tok in toks))
+        rows.append(tuple(entry(tok) for tok in toks))
     if name is None:
         name = str(path)
     return ButcherTableau(name, alpha, tuple(rows))
@@ -670,48 +678,3 @@ def a_family_step_pitchfork(
     x, y, method, r = _afamily_solver(aparam, params, reverse)(x, y)
     make = params.ctx.make_mpf
     return StepResult(PlanarPoint(make(pack(x)), make(pack(y))), BranchInfo(method, make(pack(r))))
-
-
-def kahan_step_pitchfork(params: SystemParams, p: PlanarPoint) -> StepResult:
-    """Kahan member (a = -1/2) of the implicit pitchfork family."""
-    return a_family_step_pitchfork(params.ctx.mpf(-1) / 2, params, p)
-
-
-# ---------------------------------------------------------------------------
-# Orbit iteration
-# ---------------------------------------------------------------------------
-
-Stepper = Callable[[PlanarPoint], Union[PlanarPoint, StepResult]]
-
-
-def iterate(
-    stepper: Stepper,
-    p0: PlanarPoint,
-    n: int,
-    stop_rule: Optional[Callable[[PlanarPoint], bool]] = None,
-) -> Orbit:
-    """Iterate a one-step map n times from p0.
-
-    Returns an orbit of length n+1, shorter if stop_rule fires (the firing
-    point is kept and its index recorded).  A PoleError raised by the
-    stepper propagates with the offending iterate index attached.
-    """
-    if n < 0:
-        raise ValueError("iteration count must be >= 0")
-    orbit = Orbit(points=[p0])
-    if stop_rule is not None and stop_rule(p0):
-        orbit.stop_index = 0
-        return orbit
-    p = p0
-    for k in range(1, n + 1):
-        try:
-            nxt = stepper(p)
-        except PoleError as err:
-            err.index = k
-            raise
-        p = nxt.point if isinstance(nxt, StepResult) else nxt
-        orbit.points.append(p)
-        if stop_rule is not None and stop_rule(p):
-            orbit.stop_index = k
-            break
-    return orbit

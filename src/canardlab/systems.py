@@ -24,7 +24,7 @@ exists) and the conserved quantity of the fold flow.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .precision import PrecisionContext
@@ -85,24 +85,6 @@ class PlanarPoint:
         yield self.y
 
 
-@dataclass
-class Orbit:
-    """Indexed sequence of planar points produced by iterating a one-step map.
-
-    points[0] is the initial condition.  If a stop rule fired, stop_index is
-    the index of the first point for which it fired (that point is included).
-    """
-
-    points: list = field(default_factory=list)
-    stop_index: Optional[int] = None
-
-    def __len__(self):
-        return len(self.points)
-
-    def __getitem__(self, i):
-        return self.points[i]
-
-
 def vector_field(kind: SingularityKind, params: SystemParams, p: PlanarPoint) -> PlanarPoint:
     """Velocity (x', y') of the canonical system at p."""
     x, y = p.x, p.y
@@ -113,23 +95,6 @@ def vector_field(kind: SingularityKind, params: SystemParams, p: PlanarPoint) ->
         return PlanarPoint(x * (y - x * x), eps)
     if kind is SingularityKind.FOLD:
         return PlanarPoint(x * x - y, eps * x)
-    raise ValueError(f"unknown singularity kind: {kind!r}")
-
-
-def critical_set_residual(kind: SingularityKind, p: PlanarPoint):
-    """Residual of the invariant/critical set relevant to the canard analysis.
-
-    transcritical: x^2 - y^2 (zero on the cone |x| = |y|, which contains the
-    invariant diagonal); pitchfork: x (the canard line is {x = 0}); fold:
-    y - x^2 (the critical parabola).
-    """
-    x, y = p.x, p.y
-    if kind is SingularityKind.TRANSCRITICAL:
-        return x * x - y * y
-    if kind is SingularityKind.PITCHFORK:
-        return x
-    if kind is SingularityKind.FOLD:
-        return y - x * x
     raise ValueError(f"unknown singularity kind: {kind!r}")
 
 

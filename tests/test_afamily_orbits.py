@@ -3,8 +3,8 @@
 The reference below is a plain-mpf copy of the earlier
 a_family_step_pitchfork: Newton from the forward-Euler predictor, the
 cleared cubic solved with polyroots when Newton fails, and up to 8 polish
-steps.  The pair solve behind a_family_step_pitchfork, kahan_step_pitchfork
-and afamily_kernel (packed from its pairs) must give the same point and
+steps.  The pair solve behind a_family_step_pitchfork (its Kahan member
+a = -1/2 included) and afamily_kernel (packed from its pairs) must give the same point and
 residual tuples and the same BranchInfo.method, and raise NoRealBranch
 where the reference does.
 """
@@ -22,7 +22,6 @@ from canardlab import (
     SingularityKind,
     SystemParams,
     a_family_step_pitchfork,
-    kahan_step_pitchfork,
     make_context,
 )
 from canardlab.linearization import CANARDS, scheme_map
@@ -166,7 +165,7 @@ def test_kahan_member_matches_reference(digits):
     params = SystemParams.create(ctx, "0.01", "0.1")
     p = PlanarPoint(ctx.mpf("0.3"), ctx.mpf("-0.7"))
     want = _raw(ref_step(ctx.mpf(-1) / 2, params, p))
-    assert _raw(kahan_step_pitchfork(params, p)) == want
+    assert _raw(a_family_step_pitchfork(ctx.mpf(-1) / 2, params, p)) == want
     assert want[2] == "newton"
 
 

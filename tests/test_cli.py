@@ -500,6 +500,72 @@ def test_tableau_file_flag(tmp_path):
     assert code == 0
 
 
+# every command that reads --tableau-file, with a pair that reads it
+TABLEAU_FILE_ARGV = {
+    "simulate": ["simulate", "--kind", "transcritical", "--scheme", "rk", "--h", "0.1",
+                 "--eps", "1", "--rho", "5", "--n-max", "2"],
+    "wayout": ["wayout", "--kind", "transcritical", "--scheme", "rk", "--h", "0.1",
+               "--eps", "0.1", "--rho", "0.5"],
+    "bisect": BISECT_ARGV + BRACKET,
+    "kstar": ["kstar", "--variant", "rk", "--rho", "4", "--h", "0.1", "--eps", "0.01"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(TABLEAU_FILE_ARGV))
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unreadable_tableau_file_exits_2_with_one_line(tmp_path, capsys, command, target):
+    path = tmp_path / "nosuch.tab" if target == "missing" else tmp_path
+    out = tmp_path / "x.csv"
+    code = main(TABLEAU_FILE_ARGV[command] + ["--tableau-file", str(path), "--out", str(out)])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(path) in lines[0], lines
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "bisect"])
+@pytest.mark.parametrize("content", ["2\n1/2 1/2\n1/0\n", "2\n1/0 1\n1\n"],
+                         ids=["row", "weights"])
+def test_tableau_entry_with_zero_denominator_exits_2(tmp_path, capsys, command, content):
+    tab = tmp_path / "bad.tab"
+    tab.write_text(content, encoding="utf-8")
+    out = tmp_path / "x.csv"
+    code = main(TABLEAU_FILE_ARGV[command] + ["--tableau-file", str(tab), "--out", str(out)])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: {tab}: entry '1/0' has a zero denominator"], lines
+    assert not out.exists()
+
+
+def test_simulate_out_in_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "nosuch" / "x.csv"
+    assert main(OUT_DIGITS_ARGV["simulate"] + ["--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(out) in lines[0], lines
+
+
+def test_sweep_unknown_tableau_exits_2_before_out_dir(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # "nosuch" is looked up as a file relative to here
+    out_dir = tmp_path / "out"
+    code = main(["sweep", "--tableau", "nosuch", "--rho-steps", "1", "--eps-steps", "1",
+                 "--digits", "20", "--out-dir", str(out_dir)])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("error: unknown tableau 'nosuch'; shipped: "), lines
+    assert not out_dir.exists()
+
+
+def test_sweep_reads_a_tableau_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "myrk.tab").write_text("2\n1/2 1/2\n1\n", encoding="utf-8")
+    code = main(["sweep", "--tableau", "myrk.tab", "--rho-steps", "1", "--eps-steps", "1",
+                 "--digits", "20", "--out-dir", "out"])
+    assert code == 0
+    rows, _ = _read_csv(tmp_path / "out" / "surface_myrk.tab.csv")
+    assert rows[1][4] == "myrk.tab"
+
+
 def test_outputs_deterministic(tmp_path):
     args = [
         "simulate", "--kind", "transcritical", "--scheme", "kahan",

@@ -19,13 +19,11 @@ from canardlab import (
     finite_difference_factor,
     jacobian_factor,
     q_s,
-    q_s_pitchfork,
     symmetry_center,
     symmetry_defect,
     make_context,
-    variational_matrix,
 )
-from canardlab.linearization import _stage_polynomial, canard_spacing, scheme_map
+from canardlab.linearization import CANARDS, _stage_polynomial, canard_spacing, scheme_map
 from canardlab.rounding import pack, split
 
 T = SingularityKind.TRANSCRITICAL
@@ -57,7 +55,6 @@ def test_qs_vanishes_at_origin_for_layer_problem(ctx):
 
 def test_qs_pitchfork_euler(ctx, params):
     y = ctx.mpf("-3")
-    assert q_s_pitchfork(EULER, params, y) == y
     assert q_s(EULER, params, y, 1) == y
 
 
@@ -163,29 +160,50 @@ def test_afamily_stability_reversal(ctx, params):
     assert all(b < a for a, b in zip(above, above[1:]))
 
 
-# -- variational structure ---------------------------------------------------------
+# -- variational structure, by central differences of the one-step map -------------
+
+
+def _step_at(ctx, step, x, y):
+    """step, on mantissa pairs, applied to the scalars (x, y) of ctx."""
+    xn, yn = step(split(ctx.mpf(x)._mpf_), split(ctx.mpf(y)._mpf_))
+    return ctx.make_mpf(pack(xn)), ctx.make_mpf(pack(yn))
 
 
 def test_transcritical_eigenvector(ctx, params):
+    # the step moves the diagonal rigidly, so its linearization fixes (1, 1)
+    s, d = ctx.mpf("-0.6"), ctx.mpf("1e-20")
     for scheme in (EULER, KUTTA3, KAHAN):
-        m = variational_matrix(T, scheme, params, ctx.mpf("-0.6"))
-        # (1, 1) is fixed
-        vx = m[0][0] + m[0][1]
-        vy = m[1][0] + m[1][1]
-        assert abs(vx - 1) < ctx.tol(8)
-        assert abs(vy - 1) < ctx.tol(8)
+        step = scheme_map(T, scheme, params).step
+        hi, lo = _step_at(ctx, step, s + d, s + d), _step_at(ctx, step, s - d, s - d)
+        for a, b in zip(hi, lo):
+            assert abs((a - b) / (2 * d) - 1) < ctx.mpf("1e-25"), scheme
 
 
 def test_pitchfork_eigenvector(ctx, params):
+    # {x = 0} is invariant and the slow step does not depend on x, so the
+    # linearization on the line fixes (0, 1)
+    y, d = ctx.mpf("-0.6"), ctx.mpf("1e-20")
     for scheme in (EULER, AFamily(ctx.mpf("0.5"))):
-        m = variational_matrix(P, scheme, params, ctx.mpf("-0.6"))
-        assert m[0][1] == 0 and m[1][0] == 0 and m[1][1] == 1
+        step = scheme_map(P, scheme, params).step
+        (x_hi, y_hi), (x_lo, y_lo) = _step_at(ctx, step, 0, y + d), _step_at(ctx, step, 0, y - d)
+        assert x_hi == 0 and x_lo == 0
+        assert _step_at(ctx, step, d, y)[1] == _step_at(ctx, step, -d, y)[1]
+        assert abs((y_hi - y_lo) / (2 * d) - 1) < ctx.mpf("1e-25"), scheme
 
 
 def test_fold_variational_transversal_entry(ctx, params):
-    s = ctx.mpf("0.4")
-    m = variational_matrix(F, KAHAN, params, s)
-    assert m[0][0] == jacobian_factor(F, KAHAN, params, s)
+    # the x column of the Kahan fold step's derivative on the parabola:
+    # d xnew/dx is the transversal multiplier, d ynew/dx = eps h (1 + q)/(1 - h x + q)
+    # with q = h^2 eps/4
+    s, d = ctx.mpf("0.4"), ctx.mpf("1e-25")
+    h, eps = params.h, params.epsilon
+    step = scheme_map(F, KAHAN, params).step
+    y = CANARDS[F].point(params, s).y
+    hi, lo = _step_at(ctx, step, s + d, y), _step_at(ctx, step, s - d, y)
+    m11, m21 = ((a - b) / (2 * d) for a, b in zip(hi, lo))
+    q = h * h * eps / 4
+    assert abs(m11 - jacobian_factor(F, KAHAN, params, s)) < ctx.mpf("1e-20")
+    assert abs(m21 - eps * h * (1 + q) / (1 - h * s + q)) < ctx.mpf("1e-20")
 
 
 # -- accumulated products ----------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from canardlab import InvalidPrecision, approx_eq, make_context
+from canardlab import InvalidPrecision, make_context
 
 
 def test_minimum_digits_accepted():
@@ -38,26 +38,6 @@ def test_contexts_are_independent():
     # both are thirds, but at very different precision
     assert abs(a - b) > c2.mpf(10) ** -35
     assert abs(a - b) < c2.mpf(10) ** -28
-
-
-def test_approx_eq_identity(ctx):
-    one = ctx.mpf(1)
-    assert approx_eq(one, one, ctx.mpf("1e-30"))
-
-
-def test_approx_eq_outside_tolerance(ctx):
-    assert not approx_eq(ctx.mpf(1), ctx.mpf(1) + ctx.mpf("1e-20"), ctx.mpf("1e-30"))
-
-
-def test_approx_eq_across_precisions():
-    a = make_context(50).mpf("0.1")
-    b = make_context(100).mpf("0.1")
-    assert approx_eq(a, b, make_context(50).mpf("1e-45"))
-
-
-def test_approx_eq_requires_positive_tolerance(ctx):
-    with pytest.raises(ValueError):
-        approx_eq(ctx.mpf(1), ctx.mpf(1), ctx.mpf(0))
 
 
 def test_exact_decimal_parsing(ctx):

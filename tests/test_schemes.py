@@ -13,13 +13,14 @@ from canardlab import (
     SSPRK3,
     ButcherTableau,
     PlanarPoint,
+    KAHAN,
     PoleError,
     QuadraticField,
     SingularityKind,
     SystemParams,
     a_family_step_pitchfork,
+    classify_jump,
     euler_step,
-    iterate,
     kahan_step_fold,
     kahan_step_general,
     kahan_step_transcritical,
@@ -350,29 +351,19 @@ def test_afamily_kahan_off_axis_branches(ctx, params):
 
 
 def test_iterate_diagonal(ctx, params):
-    stepper = lambda p: euler_step(T, params, p)
-    orbit = iterate(stepper, PlanarPoint(ctx.mpf(-1), ctx.mpf(-1)), 3)
-    assert len(orbit) == 4
-    for k, p in enumerate(orbit.points):
+    p = PlanarPoint(ctx.mpf(-1), ctx.mpf(-1))
+    for k in range(1, 4):
+        p = euler_step(T, params, p)
         assert abs(p.x - (-1 + k * ctx.mpf("0.001"))) < ctx.tol(5)
-    assert orbit.stop_index is None
-
-
-def test_iterate_stop_rule_records_index(ctx):
-    params = SystemParams.create(ctx, "1e-2", "1e-1")
-    stepper = lambda p: euler_step(T, params, p)
-    start = PlanarPoint(ctx.mpf("1.2"), ctx.mpf(0))  # blows up rightward
-    orbit = iterate(stepper, start, 500, stop_rule=lambda p: abs(p.x) > 3)
-    assert orbit.stop_index is not None
-    assert abs(orbit.points[orbit.stop_index].x) > 3
-    assert len(orbit) == orbit.stop_index + 1
+        assert p.x == p.y
 
 
 def test_iterate_pole_index(ctx):
+    # the classification loop attaches the index of the step that hit the pole
     params = SystemParams.create(ctx, "0.01", "0.125")
-    stepper = lambda p: kahan_step_transcritical(params, p)
+    start = PlanarPoint(ctx.mpf(8), ctx.mpf(0))
     with pytest.raises(PoleError) as err:
-        iterate(stepper, PlanarPoint(ctx.mpf(8), ctx.mpf(0)), 5)
+        classify_jump(T, KAHAN, params, "1", "1e-4", max_n=5, track_deviation=False, start=start)
     assert err.value.index == 1
 
 
@@ -380,8 +371,7 @@ def test_iterate_kahan_fold_stays_on_parabola(ctx, params):
     from canardlab import fold_kahan_parabola_offset
 
     off = fold_kahan_parabola_offset(params)
-    start = PlanarPoint(ctx.mpf("-0.2"), ctx.mpf("0.04") - off)
-    stepper = lambda p: kahan_step_fold(params, p)
-    orbit = iterate(stepper, start, 100)
-    for p in orbit.points:
+    p = PlanarPoint(ctx.mpf("-0.2"), ctx.mpf("0.04") - off)
+    for _ in range(100):
+        p = kahan_step_fold(params, p)
         assert abs(p.y - (p.x * p.x - off)) < ctx.tol(10)

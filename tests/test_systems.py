@@ -1,20 +1,22 @@
 import pytest
 
 from canardlab import (
+    EULER,
     HEUN2,
     KUTTA3,
     NoCanard,
     PlanarPoint,
     SingularityKind,
     SystemParams,
-    canard_trajectory,
-    critical_set_residual,
     fold_first_integral,
     fold_kahan_parabola_offset,
     fold_rk_reduced_gap,
     fold_slow_solutions,
+    kahan_step_transcritical,
     vector_field,
 )
+from canardlab.linearization import CANARDS, scheme_map
+from canardlab.rounding import pack, split
 
 T = SingularityKind.TRANSCRITICAL
 P = SingularityKind.PITCHFORK
@@ -36,21 +38,34 @@ def test_vector_field_fold_origin(ctx, params):
     assert v.x == 0 and v.y == 0
 
 
-def test_critical_residuals(ctx):
-    assert critical_set_residual(T, PlanarPoint(ctx.mpf(2), ctx.mpf(2))) == 0
-    assert critical_set_residual(F, PlanarPoint(ctx.mpf(3), ctx.mpf(9))) == 0
-    assert critical_set_residual(F, PlanarPoint(ctx.mpf(1), ctx.mpf(0))) == -1
-    assert critical_set_residual(P, PlanarPoint(ctx.mpf("0.25"), ctx.mpf(7))) == ctx.mpf("0.25")
+def test_critical_residuals(ctx, params):
+    # each kind's deviation vanishes on its canard set: the diagonal, the
+    # Kahan-invariant parabola, the line {x = 0} (where it is x itself)
+    def residual(kind, x, y):
+        u, _ = CANARDS[kind].deviation(params)(split(ctx.mpf(x)._mpf_), split(ctx.mpf(y)._mpf_))
+        return ctx.make_mpf(pack(u))
+
+    off = fold_kahan_parabola_offset(params)
+    assert residual(T, 2, 2) == 0
+    assert residual(F, 3, 9 - off) == 0
+    assert residual(F, 1, 0) == off - 1
+    assert residual(P, "0.25", 7) == ctx.mpf("0.25")
+
+
+def _canard_after(kind, params, start, n):
+    """The canard point n steps of the canard's spacing past slow position start."""
+    canard = CANARDS[kind]
+    return canard.point(params, params.ctx.mpf(start) + n * canard.spacing(params))
 
 
 def test_transcritical_canard_closed_form(ctx, params):
-    p = canard_trajectory(T, "euler", params, "-1", 10)
+    p = _canard_after(T, params, "-1", 10)
     assert abs(p.x - ctx.mpf("-0.99")) < ctx.tol(5)
     assert p.x == p.y
 
 
 def test_fold_kahan_canard_offset(ctx, params):
-    p = canard_trajectory(F, "kahan", params, "0", 0)
+    p = _canard_after(F, params, "0", 0)
     assert p.x == 0
     expected = -ctx.mpf("0.005") - ctx.mpf("1.25e-7")
     assert abs(p.y - expected) < ctx.tol(5)
@@ -58,23 +73,23 @@ def test_fold_kahan_canard_offset(ctx, params):
 
 def test_pitchfork_special_canard_symmetry(ctx, params):
     # one step from -eps*h/2 lands at +eps*h/2
-    p = canard_trajectory(P, "afamily", params, "-0.0005", 1)
+    p = _canard_after(P, params, "-0.0005", 1)
     assert p.x == 0
     assert abs(p.y - ctx.mpf("0.0005")) < ctx.tol(5)
 
 
 def test_fold_explicit_schemes_have_no_canard(params):
-    with pytest.raises(NoCanard):
-        canard_trajectory(F, "euler", params, "0", 1)
-    with pytest.raises(NoCanard):
-        canard_trajectory(F, "rk", params, "0", 1)
+    for tableau in (EULER, KUTTA3):
+        with pytest.raises(NoCanard):
+            scheme_map(F, tableau, params)
 
 
 def test_kahan_canard_runs_backwards(ctx, params):
-    p = canard_trajectory(T, "kahan", params, "-1", -3)
+    p = PlanarPoint(ctx.mpf(-1), ctx.mpf(-1))
+    for _ in range(3):
+        p = kahan_step_transcritical(params, p, reverse=True)
     assert abs(p.x - (-1 - 3 * params.epsilon * params.h)) < ctx.tol(5)
-    with pytest.raises(ValueError):
-        canard_trajectory(T, "euler", params, "-1", -1)
+    assert abs(p.y - p.x) < ctx.tol(5)
 
 
 def test_fold_slow_solutions_fixed_point(ctx):
