@@ -246,9 +246,9 @@ def cmd_sweep(args) -> int:
         names = list(SURFACE_TABLEAUX)
     else:
         names = [args.tableau]
-    # a name is a shipped tableau, else a tableau file; all resolved before any output
+    # a shipped name, else a tableau file named by its stem; all resolved before output
     tabs = [
-        load_tableau_file(name) if name not in SHIPPED_TABLEAUX and Path(name).is_file()
+        load_tableau_file(name, name=Path(name).stem) if name not in SHIPPED_TABLEAUX and Path(name).is_file()
         else _shipped(name)
         for name in names
     ]

@@ -5,7 +5,8 @@ and need not be odd.  rn, add, sub, mul and div round to nearest, ties to
 even, at prec bits, exactly as mpmath's libmp does with round_nearest (add
 keeps libmp's rule for a far smaller operand): pack(add(split(s), split(t),
 prec)) equals mpf_add(s, t, prec, round_nearest), and likewise for sub, mul
-and div.  abs_le compares magnitudes and lt signed values exactly.  Results
+and div.  abs_le compares magnitudes and lt signed values exactly;
+negligible tells from bit lengths that a sum rounds to one operand.  Results
 are neither packed nor stripped of trailing zeros, so a chain of operations
 builds and normalises no ``_mpf_`` tuple between two roundings; pack makes
 the canonical tuple once, at the end.  Pairs hold finite values only.
@@ -90,6 +91,21 @@ def add(a, b, prec):
         ):
             return rn((am << k) + (1 if bm > 0 else -1), ae - k, prec)
     return rn((am << off) + bm, be, prec)
+
+
+def negligible(s, b, prec):
+    """Whether add(b, s) and sub(b, s) are b, from bit lengths and exponents alone.
+
+    True only for a nonzero b that fits prec bits, as every rounded result
+    does (its mantissa may then have prec + 1 bits).  With mag = bit length
+    plus exponent, mag(s) <= mag(b) - prec - 3 puts |s| below a quarter ulp
+    of b on either side, and add rounds correctly when the larger operand is
+    that short.
+    """
+    bm, be = b
+    n = bm.bit_length()
+    fits = 0 < n <= prec or n == prec + 1 and not bm & 1
+    return fits and s[0].bit_length() + s[1] <= n + be - prec - 3
 
 
 def sub(a, b, prec):

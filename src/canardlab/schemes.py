@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .precision import PrecisionContext
-from .rounding import abs_le, add, div, mul, pack, rn, split, sub
+from .rounding import abs_le, add, div, mul, negligible, pack, rn, split, sub
 from .systems import PlanarPoint, SingularityKind, SystemParams, vector_field
 
 
@@ -169,8 +169,8 @@ def load_tableau_file(path, name: Optional[str] = None) -> ButcherTableau:
     Format: first non-comment line is the stage count s, the next line the s
     weights, then s-1 rows of the strictly lower triangle (row for stage i
     has i-1 entries).  Entries are decimal strings or exact rationals like
-    "1/6"; '#' starts a comment.  An entry with a zero denominator raises
-    ValueError naming the file and the entry.
+    "1/6"; '#' starts a comment.  A malformed stage count or entry, or one
+    with a zero denominator, raises ValueError naming the file and the token.
     """
 
     def entry(tok) -> Fraction:
@@ -178,6 +178,8 @@ def load_tableau_file(path, name: Optional[str] = None) -> ButcherTableau:
             return Fraction(tok)
         except ZeroDivisionError:
             raise ValueError(f"{path}: entry {tok!r} has a zero denominator") from None
+        except ValueError:
+            raise ValueError(f"{path}: entry {tok!r} is not a number") from None
 
     with open(path, "r", encoding="utf-8") as fh:
         lines = []
@@ -187,7 +189,10 @@ def load_tableau_file(path, name: Optional[str] = None) -> ButcherTableau:
                 lines.append(stripped)
     if not lines:
         raise ValueError(f"{path}: empty tableau file")
-    s = int(lines[0])
+    try:
+        s = int(lines[0])
+    except ValueError:
+        raise ValueError(f"{path}: stage count {lines[0]!r} is not an integer") from None
     if s < 1:
         raise ValueError(f"{path}: stage count must be >= 1, got {s}")
     if len(lines) != 1 + 1 + (s - 1):
@@ -248,22 +253,26 @@ def euler_kernel(kind: SingularityKind, params: SystemParams):
 # Deviation-coordinate steps (u, y) -> (unew, y + eps h) on mantissa pairs,
 # with u = x - y the deviation from the transcritical diagonal: the same shape
 # as a one-step map, so the one classification loop iterates either.  Each
-# rounds like the mpf expression it stands for.  2 v is the pair (m, e + 1),
-# rounded in case v is longer than the precision.  The pitchfork needs none:
-# on the line {x = 0} the deviation is x itself.
+# returns the values of the mpf expression it stands for.  2 v is the pair
+# (m, e + 1), rounded in case v is longer than the precision.  Along the
+# canard u is exponentially small, so on most steps a sum with u, or with a
+# stage slope d_j, rounds to its other operand: the kernels skip such sums
+# (see rounding.negligible) and keep that operand.  The pitchfork needs
+# none: on the line {x = 0} the deviation is x itself.
 
 _ZERO, _ONE = (0, 0), (1, 0)
 
 
 def euler_deviation_kernel(params: SystemParams):
-    """Transcritical forward Euler: u (1 + h (2y + u))."""
+    """Transcritical forward Euler: u (1 + h (2y + u)); 2y + u = 2y while u is negligible."""
     prec = params.ctx.prec
     h = split(params.h._mpf_)
     heps = mul(h, split(params.epsilon._mpf_), prec)
 
     def step(u, y):
-        ym, ye = y
-        s = add(rn(ym, ye + 1, prec), u, prec)
+        s = rn(y[0], y[1] + 1, prec)
+        if not negligible(u, s, prec):
+            s = add(s, u, prec)
         return mul(u, add(mul(h, s, prec), _ONE, prec), prec), add(y, heps, prec)
 
     return step
@@ -273,44 +282,56 @@ def rk_deviation_kernel(tableau: ButcherTableau, params: SystemParams):
     """Transcritical explicit RK: u + h sum_i alpha_i d_i.
 
     d_i = u_i s_i with u_i = u + sum_j (h a_ij) d_j and
-    s_i = (2y + u) + sum_j (h a_ij) (d_j + 2 eps); h a_ij, alpha_i and
-    2 eps are formed as pairs once.
+    s_i = (2y + u) + sum_j (h a_ij) (d_j + 2 eps).  A stage plan formed once
+    keeps the nonzero a_ij, as pairs h a_ij and h a_ij (2 eps), and the
+    nonzero alpha_i, whose sum starts at its first term.  Each step forms
+    d_j + 2 eps once per stage, or takes h a_ij (2 eps) while d_j is
+    negligible against 2 eps.  A row whose first entry is 0 rounds u, as
+    adding the zero product did.
     """
     prec = params.ctx.prec
     h, (em, ee) = split(params.h._mpf_), split(params.epsilon._mpf_)
     heps = mul(h, (em, ee), prec)
     alpha, rows, _ = tableau.bind_raw(params.ctx)
-    alpha = tuple(split(ai) for ai in alpha)
-    hrows = tuple(tuple(mul(h, split(aij), prec) for aij in row) for row in rows)
     two_eps = rn(em, ee + 1, prec)
+    plan = []
+    for row in rows:
+        hrow = [(j, mul(h, split(aij), prec)) for j, aij in enumerate(row) if aij[1]]
+        plan.append((bool(row) and not row[0][1], [(j, ha, mul(ha, two_eps, prec)) for j, ha in hrow]))
+    (i0, a0), *weights = [(i, split(ai)) for i, ai in enumerate(alpha) if ai[1]]
 
     def step(u, y):
-        ym, ye = y
-        base_s = add(rn(ym, ye + 1, prec), u, prec)
-        ds = []
-        for hrow in hrows:
-            ui, si = u, base_s
-            for haij, dj in zip(hrow, ds):
-                ui = add(ui, mul(haij, dj, prec), prec)
-                si = add(si, mul(haij, add(dj, two_eps, prec), prec), prec)
-            ds.append(mul(ui, si, prec))
-        du = _ZERO
-        for ai, di in zip(alpha, ds):
-            du = add(du, mul(ai, di, prec), prec)
+        s = rn(y[0], y[1] + 1, prec)
+        if not negligible(u, s, prec):
+            s = add(s, u, prec)
+        ds, es = [], []
+        for round_u, entries in plan:
+            ui, si = rn(*u, prec) if round_u else u, s
+            for j, ha, ha_two_eps in entries:
+                ui = add(ui, mul(ha, ds[j], prec), prec)
+                e = es[j]
+                si = add(si, ha_two_eps if e is None else mul(ha, e, prec), prec)
+            d = mul(ui, si, prec)
+            ds.append(d)
+            es.append(None if negligible(d, two_eps, prec) else add(d, two_eps, prec))
+        du = mul(a0, ds[i0], prec)
+        for i, ai in weights:
+            du = add(du, mul(ai, ds[i], prec), prec)
         return add(u, mul(h, du, prec), prec), add(y, heps, prec)
 
     return step
 
 
 def kahan_deviation_kernel(params: SystemParams):
-    """Transcritical Kahan: u (1 + h y + eps h h) / (1 - h (y + u))."""
+    """Transcritical Kahan: u (1 + h y + eps h h) / (1 - h (y + u)); y + u = y while u is negligible."""
     prec = params.ctx.prec
     h, eps = split(params.h._mpf_), split(params.epsilon._mpf_)
     heps = mul(h, eps, prec)
     num_eps = mul(heps, h, prec)
 
     def step(u, y):
-        den = sub(_ONE, mul(h, add(y, u, prec), prec), prec)
+        yu = y if negligible(u, y, prec) else add(y, u, prec)
+        den = sub(_ONE, mul(h, yu, prec), prec)
         if not den[0]:
             raise PoleError("transcritical Kahan step hit its pole")
         num = add(add(mul(h, y, prec), _ONE, prec), num_eps, prec)

@@ -562,8 +562,38 @@ def test_sweep_reads_a_tableau_file(tmp_path, monkeypatch):
     code = main(["sweep", "--tableau", "myrk.tab", "--rho-steps", "1", "--eps-steps", "1",
                  "--digits", "20", "--out-dir", "out"])
     assert code == 0
-    rows, _ = _read_csv(tmp_path / "out" / "surface_myrk.tab.csv")
-    assert rows[1][4] == "myrk.tab"
+    rows, _ = _read_csv(tmp_path / "out" / "surface_myrk.csv")
+    assert rows[1][4] == "myrk"
+    assert (tmp_path / "out" / "surface_myrk.gp").is_file()
+
+
+def test_sweep_reads_a_tableau_file_by_path(tmp_path, monkeypatch):
+    # the outputs and the tableau column take the file's stem, not its path
+    monkeypatch.chdir(tmp_path)
+    tab = tmp_path / "tabs" / "myrk.tab"
+    tab.parent.mkdir()
+    tab.write_text("2\n1/2 1/2\n1\n", encoding="utf-8")
+    code = main(["sweep", "--tableau", str(tab), "--rho-steps", "1", "--eps-steps", "1",
+                 "--digits", "20", "--out-dir", "out"])
+    assert code == 0
+    rows, _ = _read_csv(tmp_path / "out" / "surface_myrk.csv")
+    assert rows[1][4] == "myrk"
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["surface_myrk.csv", "surface_myrk.gp"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "bisect"])
+@pytest.mark.parametrize("content, token", [
+    ("2\n1/2 1/2\nabc\n", "entry 'abc' is not a number"),
+    ("two\n1/2 1/2\n1\n", "stage count 'two' is not an integer"),
+], ids=["entry", "stage-count"])
+def test_malformed_tableau_file_names_file_and_token(tmp_path, capsys, command, content, token):
+    tab = tmp_path / "bad.tab"
+    tab.write_text(content, encoding="utf-8")
+    out = tmp_path / "x.csv"
+    code = main(TABLEAU_FILE_ARGV[command] + ["--tableau-file", str(tab), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {tab}: {token}"]
+    assert not out.exists()
 
 
 def test_outputs_deterministic(tmp_path):

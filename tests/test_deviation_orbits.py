@@ -11,6 +11,8 @@ their decision boundaries: same label, same step count, and the same
 same iterate.  The pitchfork has no deviation map of its own.
 """
 
+import random
+
 from mpmath.libmp import from_man_exp
 import pytest
 from hypothesis import example, given, settings
@@ -263,10 +265,10 @@ def test_budget_exhausted_is_stuck(digits, scheme):
 
 
 @pytest.mark.parametrize("digits", sorted(CONTEXTS))
-@pytest.mark.parametrize("scheme", [EULER, SHIPPED_TABLEAUX["kutta3"]], ids=_name)
+@pytest.mark.parametrize("scheme", [EULER, SHIPPED_TABLEAUX["kutta3"], KAHAN], ids=_name)
 def test_slow_start_longer_than_the_precision(digits, scheme):
     # y0 = 1/2 + 2^-(prec+1) has prec+1 bits: 2 y0 is a tie that mpf
-    # arithmetic rounds to 1 before adding the deviation
+    # arithmetic rounds to 1 before adding the deviation (Kahan rounds y0 + u)
     ctx = CONTEXTS[digits]
     prec = ctx.prec
     y0 = ctx.make_mpf(from_man_exp(2**prec + 1, -prec - 1))
@@ -274,3 +276,43 @@ def test_slow_start_longer_than_the_precision(digits, scheme):
         params = SystemParams.create(ctx, "1", h)
         u0 = ctx.mpf(2) ** (-prec - 10)
         _both_transcritical(scheme, params, u0, y0, ctx.mpf(1), 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(digits=digits_st, scheme=st.sampled_from(SCHEMES), h=st.sampled_from(["0.1", "0.25", "0.5"]),
+       seed=st.integers(0, 2**32), negative=st.booleans())
+@example(digits=16, scheme=SHIPPED_TABLEAUX["heun3"], h="0.5", seed=0, negative=False)
+@example(digits=200, scheme=SHIPPED_TABLEAUX["ralston3"], h="0.5", seed=0, negative=False)
+def test_deviation_start_longer_than_the_precision(digits, scheme, h, seed, negative):
+    # u0 has prec+1 bits and is a tie: the zero a31 of Heun3 and Ralston3
+    # adds a zero product to it in the third stage, which rounds it there
+    ctx = CONTEXTS[digits]
+    prec = ctx.prec
+    m = 1 << prec | random.Random(seed).getrandbits(prec) | 1
+    u0 = ctx.make_mpf(from_man_exp(-m if negative else m, -prec - 7))
+    params = SystemParams.create(ctx, "0.01", h)
+    _both_transcritical(scheme, params, u0, ctx.mpf(-1), ctx.mpf(1), 3)
+
+
+@pytest.mark.parametrize("digits", sorted(CONTEXTS))
+@pytest.mark.parametrize("scheme", SCHEMES, ids=_name)
+def test_orbit_leaving_the_negligible_regime(digits, scheme):
+    # above the diagonal's turning point u grows from 2^-(prec+10), far below
+    # a quarter ulp of 2y (and of y for Kahan), until the sums with u and with
+    # the stage slopes round like any other
+    ctx = CONTEXTS[digits]
+    params = SystemParams.create(ctx, "0.01", "0.1")
+    u0 = ctx.mpf(2) ** (-ctx.prec - 10)
+    got = _both_transcritical(scheme, params, u0, ctx.mpf(1), ctx.mpf("0.5"), 20 * ctx.prec)
+    assert got[0] is JumpClass.RIGHT
+
+
+@pytest.mark.parametrize("digits", sorted(CONTEXTS))
+@pytest.mark.parametrize("scheme", SCHEMES, ids=_name)
+def test_orbit_through_y_exactly_zero(digits, scheme):
+    # eps h = 1/8 exactly, so y = -1 + n/8 is 0 at step 8: 2y + u and y + u
+    # are then u itself, which no operand rule may drop
+    ctx = CONTEXTS[digits]
+    params = SystemParams.create(ctx, "0.25", "0.5")
+    got = _both_transcritical(scheme, params, ctx.mpf("1e-3"), ctx.mpf(-1), ctx.mpf("0.5"), 4000)
+    assert got[0] is JumpClass.RIGHT and got[1] > 8

@@ -23,7 +23,7 @@ from mpmath.libmp import (
 
 import canardlab
 from canardlab import make_context
-from canardlab.rounding import abs_le, add, div, lt, mul, pack, rn, split, sub
+from canardlab.rounding import abs_le, add, div, lt, mul, negligible, pack, rn, split, sub
 
 PRECS = [make_context(d).prec for d in (16, 50, 200, 5000)]
 OPS = ((add, mpf_add), (sub, mpf_sub), (mul, mpf_mul))
@@ -265,6 +265,71 @@ def test_lt_matches_libmp(case, sa, sb, relation):
     assert lt(pa, pb) == mpf_lt(a, b), (a, b)
     assert lt(pb, pa) == mpf_lt(b, a), (a, b)
     assert (not lt(pb, pa)) == mpf_le(a, b), (a, b)
+
+
+# -- negligible operands ---------------------------------------------------------
+
+
+def _mag(p):
+    return p[0].bit_length() + p[1]
+
+
+@st.composite
+def negligible_cases(draw):
+    """(prec, b, s): b nonzero and fitting prec bits, s the helper's gap or more below it.
+
+    b is a rounded result (up to prec + 1 bits, 2^prec among them), a signed
+    power of two, or an even mantissa of exactly prec + 1 bits; s is any
+    signed mantissa, placed gap >= 0 magnitudes under the helper's limit.
+    """
+    prec = draw(st.sampled_from(PRECS))
+    e = draw(st.integers(-3 * prec, 3 * prec))
+    shape = draw(st.sampled_from(["rounded", "power", "even-wide"]))
+    if shape == "rounded":
+        b = rn(draw(mantissas(prec)), e, prec)
+    elif shape == "power":
+        b = (draw(st.sampled_from([1, -1])) << draw(st.integers(0, prec)), e)
+    else:
+        m = random.Random(draw(st.integers(0, 2**32))).getrandbits(prec) | 1 << (prec - 1) | 1
+        b = (-2 * m if draw(st.booleans()) else 2 * m, e)
+    assume(b[0])
+    sm = draw(mantissas(prec))
+    gap = draw(st.one_of(st.integers(0, 3), st.integers(0, 20 * prec)))
+    return prec, b, (sm, _mag(b) - prec - 3 - gap - sm.bit_length())
+
+
+@settings(max_examples=400, deadline=None)
+@given(negligible_cases())
+# b = 1 (a power of two) and b = 2^P, rn's prec + 1-bit round-up, with s of
+# either sign right at the limit: below b the ulp halves
+@example((P, (1, 0), (-(2**W) + 1, -P - 2 - W)))
+@example((P, (1, 0), (2**W - 1, -P - 2 - W)))
+@example((P, (2**P, 0), (-(2**W) + 1, -2 - W)))
+@example((P, (-(2**P), 5), (2**W - 1, 3 - W)))
+@example((P, rn(2**(P + 1) - 1, 0, P), (-1, -2)))
+def test_negligible_operand_leaves_the_sum_unchanged(case):
+    prec, b, s = case
+    assert negligible(s, b, prec)
+    want = pack(b)
+    assert pack(rn(*b, prec)) == want  # b fits prec bits
+    for got in (add(b, s, prec), add(s, b, prec), sub(b, s, prec)):
+        assert pack(got) == want, (b, s)
+    assert mpf_add(want, pack(s), prec, round_nearest) == want
+    assert mpf_sub(want, pack(s), prec, round_nearest) == want
+
+
+@pytest.mark.parametrize("prec", PRECS)
+def test_negligible_refuses_what_can_move_the_sum(prec):
+    s = (1, -3 * prec)
+    # next to 0, s is the whole sum
+    assert not negligible(s, (0, 0), prec)
+    # 2^prec + 1 has prec + 1 bits and is a tie at prec bits: s breaks it
+    tie = (2**prec + 1, 0)
+    assert not negligible(s, tie, prec)
+    assert pack(add(tie, s, prec)) != pack(rn(*tie, prec))
+    # the limit itself: mag(s) = mag(b) - prec - 3 is negligible, one more is not
+    assert negligible((1, -prec - 3), (1, 0), prec)
+    assert not negligible((1, -prec - 2), (1, 0), prec)
 
 
 # -- the number format stays behind rounding ------------------------------------
