@@ -57,8 +57,8 @@ from itertools import islice
 from typing import Optional, Union
 
 from .linearization import (CANARDS, SchemeSelector, _entry_offset, _escape_threshold,
-                            _exact_zero, _poly_add, _poly_mul, _poly_scale, _products,
-                            _stage_polynomial, q_s, scheme_map)
+                            _exact_zero, _iadd, _imul, _out, _poly_add, _poly_mul, _poly_scale,
+                            _products, _stage_polynomial, enclose, q_s, scheme_map)
 from .precision import PrecisionContext
 from .rounding import abs_le, add, div, lt, mul, pack, split, sub
 from .schemes import _ONE, _ZERO, ButcherTableau, PoleError
@@ -494,7 +494,7 @@ class JumpResult:
     last_sign_change: Optional[int] = None
 
 
-def _iterate(step, deviation, x, y, u, thr, max_n, settle=None):
+def _iterate(step, deviation, x, y, u, thr, max_n, settle=None, n=0):
     """The classification loop, on mantissa pairs: (label, steps, x, y, u, last sign change).
 
     step(x, y) advances the orbit by one step: a one-step map on (x, y), or
@@ -507,14 +507,13 @@ def _iterate(step, deviation, x, y, u, thr, max_n, settle=None):
 
     settle, when given, makes the run a prefix: it also stops at step n >=
     2 x (its last sign change so far) + settle, or at max_n, and is then
-    decided by the sign of u against the start's.
+    decided by the sign of u against the start's.  The orbit starts at step n.
     """
     entered_above = u[0] > 0
     negative, flip = u[0] < 0, 0
     # a full orbit never settles: n stays below max_n + 1
     settled = max_n + 1 if settle is None else settle
-    n = 0
-    for n in range(1, max_n + 1):
+    for n in range(n + 1, max_n + 1):
         try:
             x, y = step(x, y)
         except PoleError as err:
@@ -568,9 +567,64 @@ def classify_jump(
     return _classify(kind, scheme, params, rho, delta, escape, max_n, track_deviation, start)
 
 
+#: _sign_lock splits u's interval up to thr in _PARTS and lets a chunk lose _LOSS bits of
+#: growth; _classify tries it from step _LOCK_FIRST on.
+_PARTS, _LOSS, _LOCK_FIRST = 8, 16, 16
+
+
+def _sign_lock(ratio, params, u, y, thr, steps):
+    """None once the deviation orbit from (u, y) surely escapes within steps with u's sign.
+
+    ratio() encloses the deviation step's ratio u'/u (see linearization), here
+    over steps a..b ahead: y in y + [a, b] eps h plus the 2**-prec |y| each step
+    may round y by, u in sigma [0, e].  Where lo > 0 these steps keep u's sign
+    and scale |u| by lo to hi.  Bounds on log2 |u| grow over chunks that double,
+    or halve where lo <= 0 or they lose _LOSS bits; e is the upper bound's reach
+    until that meets thr.  Else the steps got through are returned.
+    """
+    heps = mul(split(params.h._mpf_), split(params.epsilon._mpf_), params.ctx.prec)
+    try:
+        ratio, y0, dy, top = ratio(), enclose(y), enclose(heps), enclose(thr)[1]
+        reach = (abs(y0[0]) + abs(y0[1]) + (steps + 1) * dy[1] + 1) * steps
+        drift, goal = _out(0.0, math.ldexp(reach, 1 - params.ctx.prec))[1], math.log2(top) + 1e-9
+    except ArithmeticError:  # no proof beyond the float range, or below 53 bits
+        return steps
+    if params.ctx.prec < 53 or drift > 1:
+        return steps
+    sigma, k, n, rate = u[0], 0, 1, 0.0
+    low = float(abs(u[0]).bit_length() - 1 + u[1])  # low <= log2 |u| < high
+    high = low + 1
+    while low < goal:
+        n = min(n, int((goal - high - 2) / rate)) if rate and high + rate + 2 < goal else n
+        b, room = min(k + n, steps), high + n * rate + 2
+        if k == b:
+            return k
+        e = math.nextafter(math.ldexp(2.0, math.ceil(room)), math.inf) if room < goal else top
+        ys = _iadd(_iadd(y0, _imul((float(k), float(b)), dy)), (-drift, drift))
+        m = 1 if e < top else _PARTS  # u enters the RK stages several times
+        try:
+            parts = [ratio(ys, (a, c) if sigma > 0 else (-c, -a))
+                     for a, c in ((e * i / m, e * (i + 1) / m) for i in range(m))]
+            lo, hi = min(p[0] for p in parts), max(p[1] for p in parts)
+        except ArithmeticError:
+            lo, hi = -math.inf, math.inf
+        loss = (b - k) * math.log2(hi / lo) if lo > 0 else math.inf
+        # halve where lo <= 0, u may leave a tight interval or a chunk loses much
+        if lo <= 0 or e < top and high + (b - k) * math.log2(hi) > room or n > 1 and (
+                loss > _LOSS if e < top else lo < 1):
+            if n == 1:
+                return k
+            n //= 2
+            continue
+        low = math.nextafter(low + (b - k) * math.log2(lo) - 1e-6, -math.inf)
+        high = math.nextafter(high + (b - k) * math.log2(hi) + 1e-6, math.inf)
+        k, n, rate = b, n if e < top and loss > _LOSS / 4 else 2 * n, 2 * max(math.log2(hi), 0.0)
+    return None
+
+
 def _classify(
     kind, scheme, params, rho, delta, escape=None, max_n=None, track_deviation=True,
-    start=None, settle=None,
+    start=None, settle=None, lock=False,
 ):
     """classify_jump, or with settle given a prefix of its orbit (see _iterate).
 
@@ -579,6 +633,9 @@ def _classify(
     (track_deviation on the transcritical diagonal) iterates the deviation
     map on (u, y) under the exact-zero rule and rebuilds x = y + u for the
     result.
+
+    With lock, a full deviation orbit undecided at step k = 16, 32, ... stops
+    there once _sign_lock proves its label, or runs on if it fails past k.
     """
     ctx = params.ctx
     if not params.epsilon > 0:
@@ -606,7 +663,18 @@ def _classify(
         step, x, deviation = smap.deviation_step, u0, _exact_zero
     else:
         step = smap.step
-    label, n, x, y, u, flip = _iterate(step, deviation, x, y, u0, split(threshold._mpf_), max_n, settle)
+    thr, k = split(threshold._mpf_), min(_LOCK_FIRST, max_n) if lock and diagonal else max_n
+    label, n, x, y, u, flip = _iterate(step, deviation, x, y, u0, thr, k, settle)
+    while n == k < max_n and u[0] and not abs_le(thr, u):  # undecided at step k
+        stop = _sign_lock(smap.deviation_ratio, params, u, y, thr, max_n - k)
+        if stop is None:
+            label = None
+            break
+        k, at = min(2 * k, max_n) if stop == 0 else max_n, k  # stop 0: the band may go on
+        label, n, x, y, u, later = _iterate(step, deviation, x, y, u, thr, k, None, at)
+        flip = later or flip
+    if label is not JumpClass.STUCK:  # against the sign of u at the start
+        label = JumpClass.RIGHT if (u[0] > 0) == (u0[0] > 0) else JumpClass.LEFT
     if diagonal:
         x = add(y, u, ctx.prec)
     make = ctx.make_mpf
@@ -675,7 +743,8 @@ def critical_h_bisection(
     prefix stops when it escapes, at twice its own latest sign change plus
     _PREFIX_MARGIN steps, or at max_n; one that did not escape is labelled
     by the sign of its deviation against the entry side.  Only the final
-    bracket's ends that are not the caller's are fully classified.  If one
+    bracket's ends that are not the caller's are fully classified, each
+    orbit stopped once _sign_lock proves its label (see _classify).  If one
     of them does not confirm its prefix label, or a prefix deviation
     collapses to exactly 0, the search starts over with a full
     classification at every scan point and midpoint, which is what
@@ -698,8 +767,9 @@ def critical_h_bisection(
 
     def full_label(h):
         params = SystemParams.create(ctx, eps, h)
-        return classify_jump(
+        return _classify(
             kind, tableau, params, rho, delta, max_n=max_n, track_deviation=track_deviation,
+            lock=True,
         ).label
 
     def prefix_label(h):

@@ -34,7 +34,9 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import partial, reduce
 from itertools import count, islice
+from math import inf, ldexp, nextafter
 from typing import Callable, Optional, Union
 
 from .rounding import abs_le, add, div, mul, pack, rn, split, sub
@@ -80,12 +82,13 @@ class SchemeMap:
     deviation_step(u, y), on the transcritical diagonal only, advances the
     pairs of the deviation u = x - y and the slow coordinate y in deviation
     coordinates (on the pitchfork line the deviation is x itself, so step
-    already is its deviation map).
+    already is its deviation map); deviation_ratio() encloses its u'/u (see _out).
     """
 
     step: Callable
     factor: Optional[Callable] = None
     deviation_step: Optional[Callable] = None
+    deviation_ratio: Optional[Callable] = None
 
 
 def scheme_map(
@@ -116,11 +119,11 @@ def scheme_map(
         else:
             step = _on_pairs(ctx, lambda p: rk_step(scheme, kind, params, p))
             deviation_step = rk_deviation_kernel(scheme, params) if diagonal else None
-        return SchemeMap(step, factor, deviation_step)
+        return SchemeMap(step, factor, deviation_step, partial(_rk_ratio, scheme, params) if diagonal else None)
     if scheme == KAHAN and diagonal:
         factor = _kahan_transcritical_multiplier(params)
         step = _on_pairs(ctx, lambda p: kahan_step_transcritical(params, p))
-        return SchemeMap(step, factor, kahan_deviation_kernel(params))
+        return SchemeMap(step, factor, kahan_deviation_kernel(params), partial(_kahan_ratio, params))
     if scheme == KAHAN and kind is SingularityKind.FOLD:
         step = _on_pairs(ctx, lambda p: kahan_step_fold(params, p))
         return SchemeMap(step, _kahan_fold_multiplier(params))
@@ -144,6 +147,78 @@ def scheme_map(
             f"the afamily scheme is defined for the pitchfork system only, not for the {kind.value}"
         )
     raise ValueError(f"unknown scheme {scheme!r}")
+
+
+# ---------------------------------------------------------------------------
+# Enclosures of the deviation step ratio
+# ---------------------------------------------------------------------------
+
+
+def _out(lo, hi):
+    """(lo, hi) widened by an ulp for a float operation and one for its mpf rounding.
+
+    A deviation kernel's enclosure ratio(y, u) bounds its computed u'/u by
+    running its mpf expression on float intervals, each operation widened
+    here (prec >= 53 bits round within an ulp).  Bounds that are not finite,
+    or a divisor holding 0, raise an ArithmeticError.
+    """
+    lo, hi = nextafter(nextafter(lo, -inf), -inf), nextafter(nextafter(hi, inf), inf)
+    if not -inf < lo <= hi < inf:
+        raise OverflowError("enclosure is not finite")
+    return lo, hi
+
+
+def _iadd(a, b):
+    return _out(a[0] + b[0], a[1] + b[1])
+
+
+def _imul(a, b):
+    ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return _out(min(ps), max(ps))
+
+
+def enclose(p):
+    """A float interval holding the pair p; OverflowError beyond the float range."""
+    n = max(abs(p[0]).bit_length() - 53, 0)  # p[0] >> n floors it
+    return _out(ldexp(p[0] >> n, p[1] + n), ldexp((p[0] >> n) + (n > 0), p[1] + n))
+
+
+def _rk_ratio(tableau: ButcherTableau, params: SystemParams):
+    """1 + h sum_i alpha_i r_i s_i: rk_deviation_kernel's stage slopes d_i = u r_i s_i.
+
+    r_i = 1 + sum_j (h a_ij) r_j s_j, s_i = 2y + u + sum_j (h a_ij) (d_j + 2 eps); the
+    last widening covers the product with u of the Euler kernel u (1 + h (2y + u)).
+    """
+    alpha, rows, _ = tableau.bind_raw(params.ctx)
+    h, eps = (enclose(split(v._mpf_)) for v in (params.h, params.epsilon))
+    plan = [[(j, _imul(h, enclose(split(a)))) for j, a in enumerate(row) if a[1]] for row in rows]
+    weights = [(i, enclose(split(a))) for i, a in enumerate(alpha) if a[1]]
+
+    def ratio(y, u):
+        s0, ds = _iadd((2 * y[0], 2 * y[1]), u), []
+        for entries in plan:
+            r, s = (1.0, 1.0), s0
+            for j, ha in entries:
+                r = _iadd(r, _imul(ha, ds[j]))
+                s = _iadd(s, _imul(ha, _iadd(_imul(u, ds[j]), (2 * eps[0], 2 * eps[1]))))
+            ds.append(_imul(r, s))
+        du = reduce(_iadd, (_imul(a, ds[i]) for i, a in weights))
+        return _out(*_iadd((1.0, 1.0), _imul(h, du)))
+
+    return ratio
+
+
+def _kahan_ratio(params: SystemParams):
+    """(1 + h y + (h eps) h) / (1 - h (y + u)); the product with u rounds once more."""
+    h, eps = (enclose(split(v._mpf_)) for v in (params.h, params.epsilon))
+    num_eps = _imul(_imul(h, eps), h)
+
+    def ratio(y, u):
+        den = _iadd((1.0, 1.0), _imul((-h[1], -h[0]), _iadd(y, u)))
+        num = _iadd(_iadd(_imul(h, y), (1.0, 1.0)), num_eps)
+        return _out(*_imul(num, _out(1 / den[1], 1 / den[0])))  # den holding 0: lo > hi
+
+    return ratio
 
 
 # ---------------------------------------------------------------------------

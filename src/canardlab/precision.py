@@ -42,7 +42,7 @@ class PrecisionContext:
     ``digits`` decimal digits.  Rounding mode is round-to-nearest.
     """
 
-    __slots__ = ("digits", "_mp")
+    __slots__ = ("digits", "_mp", "_tols")
 
     def __init__(self, digits: int):
         if not isinstance(digits, int) or isinstance(digits, bool) or digits < MIN_DIGITS:
@@ -52,6 +52,7 @@ class PrecisionContext:
         self.digits = digits
         self._mp = MPContext()
         self._mp.dps = digits
+        self._tols = {}
 
     def __repr__(self):
         return f"PrecisionContext(digits={self.digits})"
@@ -79,8 +80,10 @@ class PrecisionContext:
         return self._mp.make_mpf(raw)
 
     def tol(self, offset: int = 10):
-        """Tolerance scalar 10**(-digits + offset), the package-wide residual bar."""
-        return self._mp.mpf(10) ** (offset - self.digits)
+        """Tolerance scalar 10**(-digits + offset), the package-wide residual bar, formed once."""
+        if offset not in self._tols:
+            self._tols[offset] = self._mp.mpf(10) ** (offset - self.digits)
+        return self._tols[offset]
 
     # -- elementary functions -------------------------------------------------
 

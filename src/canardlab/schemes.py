@@ -169,8 +169,8 @@ def load_tableau_file(path, name: Optional[str] = None) -> ButcherTableau:
     Format: first non-comment line is the stage count s, the next line the s
     weights, then s-1 rows of the strictly lower triangle (row for stage i
     has i-1 entries).  Entries are decimal strings or exact rationals like
-    "1/6"; '#' starts a comment.  A malformed stage count or entry, or one
-    with a zero denominator, raises ValueError naming the file and the token.
+    "1/6"; '#' starts a comment.  A malformed stage count or entry, one with
+    a zero denominator, or weights not summing to 1 raise a ValueError naming the file.
     """
 
     def entry(tok) -> Fraction:
@@ -200,6 +200,8 @@ def load_tableau_file(path, name: Optional[str] = None) -> ButcherTableau:
     alpha = tuple(entry(tok) for tok in lines[1].split())
     if len(alpha) != s:
         raise ValueError(f"{path}: weight row must have {s} entries")
+    if sum(alpha) != 1:
+        raise ValueError(f"{path}: weights must sum to 1, got {sum(alpha)}")
     rows = [()]
     for i in range(2, s + 1):
         toks = lines[i].split()

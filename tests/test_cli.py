@@ -409,27 +409,24 @@ def test_sweep_surfaces_preset(tmp_path):
 
 def test_sweep_writes_every_cell_past_a_stuck_one(tmp_path, monkeypatch):
     real_classify = analysis._classify
-
-    def collapsed_prefix(*args, **kwargs):
-        res = real_classify(*args, **kwargs)
-        if args[3] == 6 and kwargs.get("settle") is not None:
-            # full classifications at every scan point and midpoint from here on
-            return JumpResult(JumpClass.STUCK, res.steps, res.point, 0 * res.deviation)
-        return res
-
-    monkeypatch.setattr(analysis, "_classify", collapsed_prefix)
-    real = analysis.classify_jump
     labels = {}
 
     def classify(kind, scheme, params, rho, delta, **kwargs):
+        if kwargs.get("settle") is not None:
+            res = real_classify(kind, scheme, params, rho, delta, **kwargs)
+            if rho == 6:
+                # full classifications at every scan point and midpoint from here on
+                return JumpResult(JumpClass.STUCK, res.steps, res.point, 0 * res.deviation)
+            return res
         seen = labels.setdefault(str(rho), set())
         if rho == 6 and {JumpClass.RIGHT, JumpClass.LEFT} <= seen:
             kwargs["max_n"] = 1  # bracket found: no bisection midpoint can detach
-        res = real(kind, scheme, params, rho, delta, **kwargs)
+        res = real_classify(kind, scheme, params, rho, delta, **kwargs)
         seen.add(res.label)
         return res
 
-    monkeypatch.setattr(analysis, "classify_jump", classify)
+    # the bisection's full labels and prefixes both run through _classify
+    monkeypatch.setattr(analysis, "_classify", classify)
     code = main([
         "sweep", "--tableau", "euler", "--mode", "bisection",
         "--rho-min", "5", "--rho-max", "7", "--rho-steps", "3",
@@ -585,7 +582,8 @@ def test_sweep_reads_a_tableau_file_by_path(tmp_path, monkeypatch):
 @pytest.mark.parametrize("content, token", [
     ("2\n1/2 1/2\nabc\n", "entry 'abc' is not a number"),
     ("two\n1/2 1/2\n1\n", "stage count 'two' is not an integer"),
-], ids=["entry", "stage-count"])
+    ("2\n1/2 1/4\n1\n", "weights must sum to 1, got 3/4"),
+], ids=["entry", "stage-count", "weight-sum"])
 def test_malformed_tableau_file_names_file_and_token(tmp_path, capsys, command, content, token):
     tab = tmp_path / "bad.tab"
     tab.write_text(content, encoding="utf-8")
@@ -594,6 +592,17 @@ def test_malformed_tableau_file_names_file_and_token(tmp_path, capsys, command, 
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {tab}: {token}"]
     assert not out.exists()
+
+
+def test_sweep_names_a_tableau_file_whose_weights_do_not_sum_to_1(tmp_path, capsys):
+    tab = tmp_path / "w.tab"
+    tab.write_text("2\n1/2 1/4\n1\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code = main(["sweep", "--tableau", str(tab), "--rho-steps", "1", "--eps-steps", "1",
+                 "--digits", "20", "--out-dir", str(out_dir)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {tab}: weights must sum to 1, got 3/4"]
+    assert not out_dir.exists()
 
 
 def test_outputs_deterministic(tmp_path):
