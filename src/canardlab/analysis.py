@@ -751,8 +751,8 @@ def critical_h_bisection(
     track_deviation=False always does, and returns the bracket that search
     finds.
 
-    digits_target must lie in [1, ctx.digits) and max_n, when given, be at
-    least 1.
+    digits_target must lie in [1, ctx.digits), max_n, when given, be at
+    least 1, and a bracket's ends satisfy 0 < h_lo < h_hi < inf.
     """
     if not 1 <= digits_target < ctx.digits:
         raise ValueError(
@@ -761,8 +761,14 @@ def critical_h_bisection(
         )
     if max_n is not None and max_n < 1:
         raise ValueError(f"iteration budget must be >= 1, got {max_n}")
-    rho = ctx.mpf(rho)
-    delta = ctx.mpf(delta)
+    if h_bracket is not None:
+        lo, hi = (ctx.mpf(v) for v in h_bracket)
+        for name, v, text in zip(("h_lo", "h_hi"), (lo, hi), h_bracket):
+            if not (v > 0 and ctx.isfinite(v)):
+                raise ValueError(f"bracket end {name} must be finite and > 0, got {text}")
+        if not lo < hi:
+            raise ValueError(f"bracket needs h_lo < h_hi, got h_lo = {h_bracket[0]}, h_hi = {h_bracket[1]}")
+    rho, delta = ctx.mpf(rho), ctx.mpf(delta)
     width_bar = ctx.mpf(10) ** (-digits_target)
 
     def full_label(h):
@@ -811,7 +817,6 @@ def critical_h_bisection(
         return lo, hi
 
     if h_bracket is not None:
-        lo, hi = ctx.mpf(h_bracket[0]), ctx.mpf(h_bracket[1])
         c_lo, c_hi = full_label(lo), full_label(hi)
         if c_lo is not JumpClass.RIGHT or c_hi is not JumpClass.LEFT:
             raise NoBracket(

@@ -39,7 +39,7 @@ from itertools import count, islice
 from math import inf, ldexp, nextafter
 from typing import Callable, Optional, Union
 
-from .rounding import abs_le, add, div, mul, pack, rn, split, sub
+from .rounding import abs_le, add, div, mul, pack, rn, scaler, split, sub
 from .schemes import (
     ButcherTableau,
     PoleError,
@@ -394,33 +394,33 @@ def q_s(tableau: ButcherTableau, params: SystemParams, x, stage_factor=2):
 
 
 def _kahan_transcritical_multiplier(params: SystemParams):
-    """(1 - h h x (x + eps h) + eps h h) / (1 - h x)^2; h h, eps h and (eps h) h once."""
+    """(1 - h h x (x + eps h) + eps h h) / (1 - h x)^2; h h, eps h, (eps h) h and scalers once."""
     prec = params.ctx.prec
     h, eps = split(params.h._mpf_), split(params.epsilon._mpf_)
     hh, eh = mul(h, h, prec), mul(eps, h, prec)
-    ehh = mul(eh, h, prec)
+    ehh, by_h, by_hh = mul(eh, h, prec), scaler(h, prec), scaler(hh, prec)
 
     def factor(x):
-        den = sub(_ONE, mul(h, x, prec), prec)
+        den = sub(_ONE, by_h(x), prec)
         if not den[0]:
             raise PoleError("transcritical Kahan multiplier has a pole at x = 1/h")
-        num = add(sub(_ONE, mul(mul(hh, x, prec), add(x, eh, prec), prec), prec), ehh, prec)
+        num = add(sub(_ONE, mul(by_hh(x), add(x, eh, prec), prec), prec), ehh, prec)
         return div(num, mul(den, den, prec), prec)
 
     return factor
 
 
 def _afamily_multiplier(aparam, params: SystemParams):
-    """(1 + h y/2 + h h (1-2a) eps/4) / (1 - h y/2 - h h (1+2a) eps/4); both constants once."""
+    """(1 + h y/2 + h h (1-2a) eps/4) / (1 - h y/2 - h h (1+2a) eps/4); both constants and h's scaler once."""
     prec = params.ctx.prec
     h, eps, (am, ae) = (split(v._mpf_) for v in (params.h, params.epsilon, aparam))
     hh, two_a = mul(h, h, prec), rn(am, ae + 1, prec)
     cm, ce = mul(mul(hh, sub(_ONE, two_a, prec), prec), eps, prec)
     dm, de = mul(mul(hh, add(_ONE, two_a, prec), prec), eps, prec)
-    c_num, c_den = (cm, ce - 2), (dm, de - 2)
+    c_num, c_den, by_h = (cm, ce - 2), (dm, de - 2), scaler(h, prec)
 
     def factor(y):
-        m, e = mul(h, y, prec)
+        m, e = by_h(y)
         den = sub(sub(_ONE, (m, e - 1), prec), c_den, prec)
         if not den[0]:
             raise PoleError("implicit pitchfork multiplier has a pole at this y")
@@ -430,20 +430,20 @@ def _afamily_multiplier(aparam, params: SystemParams):
 
 
 def _kahan_fold_multiplier(params: SystemParams):
-    """(q q - h h x x) / (1 - h x + c)^2, c = h h eps/4, q = 1 + c; h h, c and q q once."""
+    """(q q - h h x x) / (1 - h x + c)^2, c = h h eps/4, q = 1 + c; h h, c, q q and scalers once."""
     prec = params.ctx.prec
     h, eps = split(params.h._mpf_), split(params.epsilon._mpf_)
     hh = mul(h, h, prec)
     cm, ce = mul(hh, eps, prec)
     c = (cm, ce - 2)
     q = add(_ONE, c, prec)
-    qq = mul(q, q, prec)
+    qq, by_h, by_hh = mul(q, q, prec), scaler(h, prec), scaler(hh, prec)
 
     def factor(x):
-        den = add(sub(_ONE, mul(h, x, prec), prec), c, prec)
+        den = add(sub(_ONE, by_h(x), prec), c, prec)
         if not den[0]:
             raise PoleError("fold Kahan multiplier has a pole at x = (1 + h^2 eps/4)/h")
-        return div(sub(qq, mul(mul(hh, x, prec), x, prec), prec), mul(den, den, prec), prec)
+        return div(sub(qq, mul(by_hh(x), x, prec), prec), mul(den, den, prec), prec)
 
     return factor
 

@@ -12,7 +12,12 @@ builds and normalises no ``_mpf_`` tuple between two roundings; pack makes
 the canonical tuple once, at the end.  Pairs hold finite values only.
 """
 
+from fractions import Fraction
+
 from mpmath.libmp import fzero
+
+#: Mantissa bits past which scaler takes the identity (measured: BENCH_smallrational.json).
+SCALER_MIN_BITS = 1000
 
 
 def split(v):
@@ -106,6 +111,34 @@ def negligible(s, b, prec):
     n = bm.bit_length()
     fits = 0 < n <= prec or n == prec + 1 and not bm & 1
     return fits and s[0].bit_length() + s[1] <= n + be - prec - 3
+
+
+def scaler(a, prec):
+    """t -> mul(a, t, prec), the same pair bit for bit.
+
+    A decimal a = m 2**-k has q m = p 2**k + r with small p, q and r, so
+    m t = ((p t) << k + r t) // q exactly, linear in the size of t (Brent and
+    Zimmermann, Modern Computer Arithmetic, 2010).  Past SCALER_MIN_BITS the
+    closure takes it when p/q, the best fraction with q <= 2**20 to m's top
+    128 bits, leaves an r of at most 32 bits (r is computed, so any a that
+    passes is exact); otherwise it is the plain product.
+    """
+    am, ae = a
+    k, cut = -ae, am.bit_length() - 128
+    if am.bit_length() > SCALER_MIN_BITS and k >= cut:
+        p, q = Fraction(am >> cut, 1 << (k - cut)).limit_denominator(1 << 20).as_integer_ratio()
+        r = q * am - (p << k)
+        if r.bit_length() <= 32:
+
+            def rational_product(t):
+                return rn((((p * t[0]) << k) + r * t[0]) // q, ae + t[1], prec)
+
+            return rational_product
+
+    def plain_product(t):
+        return rn(am * t[0], ae + t[1], prec)
+
+    return plain_product
 
 
 def sub(a, b, prec):

@@ -29,11 +29,13 @@ pitchfork family (euler_kernel, afamily_kernel), and the transcritical
 forward-Euler, explicit-RK and Kahan maps in deviation coordinates, for the
 jump classification, take and return pairs, rounding every operation
 (divisions included) like the mpf expression it stands for, so the values
-are those of mpf arithmetic, bit for bit.  The pitchfork has no deviation
-map: on its line {x = 0} the deviation is x itself.  A loop splits its
-start once and packs only what it reports.
-Only the implicit family's rare cubic fallback finds its root with
-mpmath's polyroots.
+are those of mpf arithmetic, bit for bit.  Products by h and the other
+per-orbit constants (eps on the fold, h a_ij, alpha_i, a and 1 - 2a) use a
+rounding.scaler built once per orbit, linear-time for decimal constants at
+high precision.  The pitchfork has no deviation map: on its line {x = 0}
+the deviation is x itself.  A loop splits its start once and packs only
+what it reports.  Only the implicit family's rare cubic fallback finds its
+root with mpmath's polyroots.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .precision import PrecisionContext
-from .rounding import abs_le, add, div, mul, negligible, pack, rn, split, sub
+from .rounding import abs_le, add, div, mul, negligible, pack, rn, scaler, split, sub
 from .systems import PlanarPoint, SingularityKind, SystemParams, vector_field
 
 
@@ -228,24 +230,25 @@ def euler_kernel(kind: SingularityKind, params: SystemParams):
     """
     prec = params.ctx.prec
     h, eps = split(params.h._mpf_), split(params.epsilon._mpf_)
-    heps = mul(h, eps, prec)
+    heps, by_h = mul(h, eps, prec), scaler(h, prec)
     if kind is SingularityKind.TRANSCRITICAL:
 
         def step(x, y):
             t = add(sub(mul(x, x, prec), mul(y, y, prec), prec), eps, prec)
-            return add(x, mul(h, t, prec), prec), add(y, heps, prec)
+            return add(x, by_h(t), prec), add(y, heps, prec)
 
     elif kind is SingularityKind.PITCHFORK:
 
         def step(x, y):
             t = mul(x, sub(y, mul(x, x, prec), prec), prec)
-            return add(x, mul(h, t, prec), prec), add(y, heps, prec)
+            return add(x, by_h(t), prec), add(y, heps, prec)
 
     elif kind is SingularityKind.FOLD:
+        by_eps = scaler(eps, prec)
 
         def step(x, y):
             t = sub(mul(x, x, prec), y, prec)
-            return add(x, mul(h, t, prec), prec), add(y, mul(h, mul(eps, x, prec), prec), prec)
+            return add(x, by_h(t), prec), add(y, by_h(by_eps(x)), prec)
 
     else:
         raise ValueError(f"unknown singularity kind: {kind!r}")
@@ -269,13 +272,13 @@ def euler_deviation_kernel(params: SystemParams):
     """Transcritical forward Euler: u (1 + h (2y + u)); 2y + u = 2y while u is negligible."""
     prec = params.ctx.prec
     h = split(params.h._mpf_)
-    heps = mul(h, split(params.epsilon._mpf_), prec)
+    heps, by_h = mul(h, split(params.epsilon._mpf_), prec), scaler(h, prec)
 
     def step(u, y):
         s = rn(y[0], y[1] + 1, prec)
         if not negligible(u, s, prec):
             s = add(s, u, prec)
-        return mul(u, add(mul(h, s, prec), _ONE, prec), prec), add(y, heps, prec)
+        return mul(u, add(by_h(s), _ONE, prec), prec), add(y, heps, prec)
 
     return step
 
@@ -285,22 +288,23 @@ def rk_deviation_kernel(tableau: ButcherTableau, params: SystemParams):
 
     d_i = u_i s_i with u_i = u + sum_j (h a_ij) d_j and
     s_i = (2y + u) + sum_j (h a_ij) (d_j + 2 eps).  A stage plan formed once
-    keeps the nonzero a_ij, as pairs h a_ij and h a_ij (2 eps), and the
-    nonzero alpha_i, whose sum starts at its first term.  Each step forms
-    d_j + 2 eps once per stage, or takes h a_ij (2 eps) while d_j is
-    negligible against 2 eps.  A row whose first entry is 0 rounds u, as
+    keeps the nonzero a_ij, as scalers by h a_ij and pairs h a_ij (2 eps),
+    and scalers by the nonzero alpha_i, whose sum starts at its first term.
+    Each step forms d_j + 2 eps once per stage, or takes h a_ij (2 eps) while
+    d_j is negligible against 2 eps.  A row whose first entry is 0 rounds u, as
     adding the zero product did.
     """
     prec = params.ctx.prec
     h, (em, ee) = split(params.h._mpf_), split(params.epsilon._mpf_)
-    heps = mul(h, (em, ee), prec)
+    heps, by_h = mul(h, (em, ee), prec), scaler(h, prec)
     alpha, rows, _ = tableau.bind_raw(params.ctx)
     two_eps = rn(em, ee + 1, prec)
     plan = []
     for row in rows:
         hrow = [(j, mul(h, split(aij), prec)) for j, aij in enumerate(row) if aij[1]]
-        plan.append((bool(row) and not row[0][1], [(j, ha, mul(ha, two_eps, prec)) for j, ha in hrow]))
-    (i0, a0), *weights = [(i, split(ai)) for i, ai in enumerate(alpha) if ai[1]]
+        plan.append((bool(row) and not row[0][1],
+                     [(j, scaler(ha, prec), mul(ha, two_eps, prec)) for j, ha in hrow]))
+    (i0, by_a0), *weights = [(i, scaler(split(ai), prec)) for i, ai in enumerate(alpha) if ai[1]]
 
     def step(u, y):
         s = rn(y[0], y[1] + 1, prec)
@@ -309,17 +313,17 @@ def rk_deviation_kernel(tableau: ButcherTableau, params: SystemParams):
         ds, es = [], []
         for round_u, entries in plan:
             ui, si = rn(*u, prec) if round_u else u, s
-            for j, ha, ha_two_eps in entries:
-                ui = add(ui, mul(ha, ds[j], prec), prec)
+            for j, by_ha, ha_two_eps in entries:
+                ui = add(ui, by_ha(ds[j]), prec)
                 e = es[j]
-                si = add(si, ha_two_eps if e is None else mul(ha, e, prec), prec)
+                si = add(si, ha_two_eps if e is None else by_ha(e), prec)
             d = mul(ui, si, prec)
             ds.append(d)
             es.append(None if negligible(d, two_eps, prec) else add(d, two_eps, prec))
-        du = mul(a0, ds[i0], prec)
-        for i, ai in weights:
-            du = add(du, mul(ai, ds[i], prec), prec)
-        return add(u, mul(h, du, prec), prec), add(y, heps, prec)
+        du = by_a0(ds[i0])
+        for i, by_ai in weights:
+            du = add(du, by_ai(ds[i]), prec)
+        return add(u, by_h(du), prec), add(y, heps, prec)
 
     return step
 
@@ -328,15 +332,15 @@ def kahan_deviation_kernel(params: SystemParams):
     """Transcritical Kahan: u (1 + h y + eps h h) / (1 - h (y + u)); y + u = y while u is negligible."""
     prec = params.ctx.prec
     h, eps = split(params.h._mpf_), split(params.epsilon._mpf_)
-    heps = mul(h, eps, prec)
+    heps, by_h = mul(h, eps, prec), scaler(h, prec)
     num_eps = mul(heps, h, prec)
 
     def step(u, y):
         yu = y if negligible(u, y, prec) else add(y, u, prec)
-        den = sub(_ONE, mul(h, yu, prec), prec)
+        den = sub(_ONE, by_h(yu), prec)
         if not den[0]:
             raise PoleError("transcritical Kahan step hit its pole")
-        num = add(add(mul(h, y, prec), _ONE, prec), num_eps, prec)
+        num = add(add(by_h(y), _ONE, prec), num_eps, prec)
         return div(mul(u, num, prec), den, prec), add(y, heps, prec)
 
     return step
@@ -539,9 +543,9 @@ _THREE = (3, 0)
 # The implicit relation and its slope on mantissa pairs, rounded like the mpf
 # expressions x + h (a f(x, y) + b f(mx, my) + a f(xn, yn)) - xn and
 # h (b (my - 3 mx mx)/2 + a (yn - 3 xn xn)) - 1, with f(x, y) = x y - x x x,
-# b = 1 - 2a, mx = (x + xn)/2 and my = (y + yn)/2.  af_old = a f(x, y) is
-# formed once per step and mx once per candidate xn; halving is exact, so it
-# is an exponent shift.
+# b = 1 - 2a, mx = (x + xn)/2 and my = (y + yn)/2; a, b and h are scalers.
+# af_old = a f(x, y) is formed once per step and mx once per candidate xn;
+# halving is exact, so it is an exponent shift.
 
 
 def _pitchfork_f(x, y, prec):
@@ -549,15 +553,14 @@ def _pitchfork_f(x, y, prec):
 
 
 def _afamily_residual_pair(a, b, h, x, af_old, my, yn, xn, mx, prec):
-    f = add(add(af_old, mul(b, _pitchfork_f(mx, my, prec), prec), prec),
-            mul(a, _pitchfork_f(xn, yn, prec), prec), prec)
-    return sub(add(x, mul(h, f, prec), prec), xn, prec)
+    f = add(add(af_old, b(_pitchfork_f(mx, my, prec)), prec), a(_pitchfork_f(xn, yn, prec)), prec)
+    return sub(add(x, h(f), prec), xn, prec)
 
 
 def _afamily_slope_pair(a, b, h, my, yn, xn, mx, prec):
     m, e = sub(my, mul(mul(_THREE, mx, prec), mx, prec), prec)
     d_new = sub(yn, mul(mul(_THREE, xn, prec), xn, prec), prec)
-    return sub(mul(h, add(mul(b, (m, e - 1), prec), mul(a, d_new, prec), prec), prec), _ONE, prec)
+    return sub(h(add(b((m, e - 1)), a(d_new), prec)), _ONE, prec)
 
 
 def _half_sum(u, v, prec):
@@ -581,18 +584,17 @@ def _afamily_solver(aparam, params: SystemParams, reverse: bool = False):
 
     x, y, xnew, ynew and residual are mantissa pairs and method "newton",
     "cubic" or "canard" (see a_family_step_pitchfork).
-    a, b = 1 - 2a, h (negated for reverse), eps h and the residual bars
-    tol(2) and tol(10) are formed once; every operation but the cubic's
-    polyroots and root choice rounds on pairs like the mpf expression it
-    replaces, so the values are those of mpf arithmetic, bit for bit.
+    Scalers by a, b = 1 - 2a and h (negated for reverse), eps h and the
+    residual bars tol(2) and tol(10) are formed once; every operation but the
+    cubic's polyroots and root choice rounds on pairs like the mpf expression
+    it replaces, so the values are those of mpf arithmetic, bit for bit.
     """
     ctx = params.ctx
     prec = ctx.prec
-    a_mpf = ctx.mpf(aparam)
-    h_mpf = -params.h if reverse else params.h
-    a, h = split(a_mpf._mpf_), split(h_mpf._mpf_)
-    b = sub(_ONE, rn(a[0], a[1] + 1, prec), prec)
-    heps = mul(split(params.epsilon._mpf_), h, prec)
+    a_mpf, h_mpf = ctx.mpf(aparam), (-params.h if reverse else params.h)
+    (am, ae), h_pair = split(a_mpf._mpf_), split(h_mpf._mpf_)
+    heps = mul(split(params.epsilon._mpf_), h_pair, prec)
+    a, b, h = (scaler(v, prec) for v in ((am, ae), sub(_ONE, rn(am, ae + 1, prec), prec), h_pair))
     tol2, tol10 = split(ctx.tol(2)._mpf_), split(ctx.tol(10)._mpf_)
 
     def within(v, tol, xn):
@@ -632,8 +634,8 @@ def _afamily_solver(aparam, params: SystemParams, reverse: bool = False):
         if not x[0]:
             return x, yn, "canard", _ZERO
         my = _half_sum(y, yn, prec)
-        af_old = mul(a, _pitchfork_f(x, y, prec), prec)
-        xn = predictor = add(x, mul(mul(h, x, prec), sub(y, mul(x, x, prec), prec), prec), prec)
+        af_old = a(_pitchfork_f(x, y, prec))
+        xn = predictor = add(x, mul(h(x), sub(y, mul(x, x, prec), prec), prec), prec)
         for _ in range(_AFAMILY_MAX_NEWTON):
             step = correction(x, af_old, my, yn, xn)
             if step is None:

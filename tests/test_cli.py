@@ -265,6 +265,28 @@ def test_bisect_rejects_bad_inputs(tmp_path, capsys, extra, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lo, hi, message", [
+    ("0.104", "0.104", "bracket needs h_lo < h_hi, got h_lo = 0.104, h_hi = 0.104"),
+    ("0.105", "0.103", "bracket needs h_lo < h_hi, got h_lo = 0.105, h_hi = 0.103"),
+    ("-1", "0.105", "bracket end h_lo must be finite and > 0, got -1"),
+    ("0", "0.105", "bracket end h_lo must be finite and > 0, got 0"),
+    ("nan", "0.105", "bracket end h_lo must be finite and > 0, got nan"),
+    ("0.103", "inf", "bracket end h_hi must be finite and > 0, got inf"),
+    ("0.103", "-0.105", "bracket end h_hi must be finite and > 0, got -0.105"),
+], ids=["empty", "reversed", "lo-negative", "lo-zero", "lo-nan", "hi-inf", "hi-negative"])
+def test_bisect_rejects_a_bad_bracket_before_classifying(tmp_path, capsys, monkeypatch, lo, hi, message):
+    def no_classification(*args, **kwargs):
+        raise AssertionError("classified before the bracket was checked")
+
+    monkeypatch.setattr(analysis, "_classify", no_classification)
+    out = tmp_path / "bisect.csv"
+    code = main(BISECT_ARGV + [f"--h-lo={lo}", f"--h-hi={hi}", "--out", str(out)])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: {message}"]
+    assert not out.exists()
+
+
 OUT_DIGITS_ARGV = {
     "simulate": ["simulate", "--kind", "transcritical", "--h", "0.1", "--eps", "1", "--rho", "5",
                  "--n-max", "2"],

@@ -107,6 +107,27 @@ def ref_transcritical_deviation(scheme, params, u0, y0, threshold, max_n):
     return JumpResult(JumpClass.STUCK, max_n, PlanarPoint(y + u, y), u)
 
 
+def ref_deviation_step(scheme, params, u, y):
+    """One transcritical deviation step (u, y) -> (unew, y + h eps) as its plain mpf expression."""
+    h, eps = params.h, params.epsilon
+    if scheme == KAHAN:
+        return u * (1 + h * y + eps * h * h) / (1 - h * (y + u)), y + h * eps
+    if scheme.s == 1:
+        return u * (1 + h * (2 * y + u)), y + h * eps
+    ctx = params.ctx
+    ds = []
+    for row in scheme.a:
+        ui, si = u, 2 * y + u
+        for j, aij in enumerate(row):
+            ui = ui + h * ctx.mpf(aij) * ds[j]
+            si = si + h * ctx.mpf(aij) * (ds[j] + 2 * eps)
+        ds.append(ui * si)
+    du = ctx.mpf(0)
+    for ai, d in zip(scheme.alpha, ds):
+        du = du + ctx.mpf(ai) * d
+    return u + h * du, y + h * eps
+
+
 def ref_pitchfork_euler(params, start, threshold, max_n):
     h, eps = params.h, params.epsilon
     heps = h * eps
@@ -186,6 +207,25 @@ def test_transcritical_deviation_bit_identical(digits, scheme, h, eps, rho, delt
     params = SystemParams.create(ctx, eps, h)
     rho = ctx.mpf(rho)
     _both_transcritical(scheme, params, ctx.mpf(delta), -rho, rho / 2, 400)
+
+
+DEEP = make_context(5000)
+
+
+@pytest.mark.parametrize("h", ["0.1", "1e-3", "0.00125", "0.103"])
+@pytest.mark.parametrize("u0", ["1e-3", "-1e-5010"])  # the second is negligible against 2y
+@pytest.mark.parametrize("scheme", [EULER, KAHAN, SHIPPED_TABLEAUX["kutta3"], SHIPPED_TABLEAUX["ralston3"]],
+                         ids=_name)
+def test_deviation_kernels_match_mpf_at_5000_digits(scheme, u0, h):
+    """Past the scaler crossover, where the products by h, h a_ij and alpha_i take the identity."""
+    params = SystemParams.create(DEEP, "0.00125", h)
+    step = scheme_map(T, scheme, params).deviation_step
+    u, y = DEEP.mpf(u0), DEEP.mpf(-1)
+    pu, py = split(u._mpf_), split(y._mpf_)
+    for _ in range(40):
+        u, y = ref_deviation_step(scheme, params, u, y)
+        pu, py = step(pu, py)
+        assert (pack(pu), pack(py)) == (u._mpf_, y._mpf_)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES + [pytest.param(AFamily("0.5"), id="afamily")], ids=_name)

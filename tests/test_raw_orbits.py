@@ -38,7 +38,7 @@ from canardlab import (
     rk_step,
 )
 from canardlab.linearization import _glued
-from canardlab.rounding import pack, split
+from canardlab.rounding import pack, scaler, split
 from canardlab.schemes import euler_kernel
 from canardlab.systems import vector_field
 
@@ -206,6 +206,25 @@ def test_euler_kernel_matches_mpf_update(digits, kind, h, eps, x0, y0):
         assert (got.x._mpf_, got.y._mpf_) == (ref.x._mpf_, ref.y._mpf_)
         assert (pack(x), pack(y)) == (ref.x._mpf_, ref.y._mpf_)
         p = ref
+
+
+DEEP = make_context(5000)
+
+
+@pytest.mark.parametrize("h", ["0.1", "1e-3", "0.00125", "0.103"])
+@pytest.mark.parametrize("kind", [T, P, F], ids=lambda k: k.value)
+def test_euler_kernel_matches_mpf_update_at_5000_digits(kind, h):
+    """Past the scaler crossover the products by h and eps take the small-rational identity."""
+    params = SystemParams.create(DEEP, "0.00125", h)
+    assert scaler(split(params.h._mpf_), DEEP.prec).__name__ == "rational_product"
+    start = {T: ("-0.7", "-0.9"), P: ("1e-4", "-5"), F: ("0.3", "-0.5")}[kind]
+    p = PlanarPoint(*(DEEP.mpf(v) for v in start))
+    step = euler_kernel(kind, params)
+    x, y = split(p.x._mpf_), split(p.y._mpf_)
+    for _ in range(40):
+        p = ref_euler_step(kind, params, p)
+        x, y = step(x, y)
+        assert (pack(x), pack(y)) == (p.x._mpf_, p.y._mpf_)
 
 
 # -- raw classification ---------------------------------------------------------

@@ -11,6 +11,7 @@ overlap, cancel, or lie past libmp's far-operand cut-off.
 
 import ast
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,9 +24,12 @@ from mpmath.libmp import (
 
 import canardlab
 from canardlab import make_context
-from canardlab.rounding import abs_le, add, div, lt, mul, negligible, pack, rn, split, sub
+from canardlab.rounding import (
+    SCALER_MIN_BITS, abs_le, add, div, lt, mul, negligible, pack, rn, scaler, split, sub,
+)
 
-PRECS = [make_context(d).prec for d in (16, 50, 200, 5000)]
+CONTEXTS = [make_context(d) for d in (16, 50, 200, 5000)]
+PRECS = [c.prec for c in CONTEXTS]
 OPS = ((add, mpf_add), (sub, mpf_sub), (mul, mpf_mul))
 
 
@@ -330,6 +334,68 @@ def test_negligible_refuses_what_can_move_the_sum(prec):
     # the limit itself: mag(s) = mag(b) - prec - 3 is negligible, one more is not
     assert negligible((1, -prec - 3), (1, 0), prec)
     assert not negligible((1, -prec - 2), (1, 0), prec)
+
+
+# -- products by a constant ------------------------------------------------------
+
+
+@st.composite
+def decimal_constants(draw, ctx):
+    """p/q 10^-k of either sign as ctx parses it, or the mul of two such values."""
+
+    def one():
+        p = draw(st.integers(-10**6, 10**6).filter(bool))
+        return split(ctx.mpf(Fraction(p, draw(st.integers(1, 1000)) * 10 ** draw(st.integers(0, 12))))._mpf_)
+
+    a = one()
+    return mul(a, one(), ctx.prec) if draw(st.booleans()) else a
+
+
+@st.composite
+def scaled_operands(draw, prec):
+    """Zero, a short mantissa, a full one, or a full one left even (not canonical), either sign."""
+    shape = draw(st.sampled_from(["full", "even", "short", "zero"]))
+    m = 0
+    if shape == "short":
+        m = draw(st.integers(1, 2**20))
+    elif shape != "zero":
+        m = random.Random(draw(st.integers(0, 2**32))).getrandbits(prec) | 1 << (prec - 1)
+        if shape == "even":
+            m <<= draw(st.integers(1, 40))
+    return (-m if draw(st.booleans()) else m), draw(st.integers(-2 * prec, prec))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_scaler_is_mul(data):
+    ctx = data.draw(st.sampled_from(CONTEXTS + CONTEXTS[-1:] * 3))  # mostly past the crossover
+    a = data.draw(decimal_constants(ctx))
+    t = data.draw(scaled_operands(ctx.prec))
+    assert scaler(a, ctx.prec)(t) == mul(a, t, ctx.prec)
+
+
+def test_scaler_takes_the_identity_for_short_decimals_only():
+    ctx = CONTEXTS[-1]
+    prec = ctx.prec
+    assert scaler(split(ctx.mpf("0.1")._mpf_), prec).__name__ == "rational_product"
+    assert scaler(split((ctx.sqrt(2) / 10)._mpf_), prec).__name__ == "plain_product"
+    for low in CONTEXTS[:-1]:  # 200 digits and fewer: mantissas below the crossover
+        assert low.prec < SCALER_MIN_BITS
+        assert scaler(split(low.mpf("0.1")._mpf_), low.prec).__name__ == "plain_product"
+
+
+@pytest.mark.parametrize("r, path", [(2**32 - 1, "rational_product"), (-(2**32) + 1, "rational_product"),
+                                     (2**32, "plain_product")])
+def test_scaler_residual_bound(r, path):
+    """m = 5 2**k + r: the identity holds while r has at most 32 bits, the plain product past that."""
+    prec = PRECS[-1]
+    k = prec - 3
+    a = ((5 << k) + r, -k)
+    f = scaler(a, prec)
+    assert f.__name__ == path
+    rng = random.Random(7)
+    for t in ((rng.getrandbits(prec) | 1, -prec), (-(rng.getrandbits(prec) | 1), 3), (0, 0)):
+        assert f(t) == mul(a, t, prec)
 
 
 # -- the number format stays behind rounding ------------------------------------

@@ -332,12 +332,13 @@ def test_afamily_kahan_off_axis_branches(ctx, params):
     val = (4 - 2 * params.h * y) / params.h
     root = ctx.sqrt(val)
     # the returned branch is the canard, but the off-axis roots solve the relation
-    from canardlab.rounding import pack, split
+    from canardlab.rounding import pack, scaler, split
     from canardlab.schemes import _afamily_residual_pair, _half_sum
 
     prec = ctx.prec
     yn = y + params.epsilon * params.h
     a, b, h, x, y, yn = (split(ctx.mpf(v)._mpf_) for v in ("-0.5", 2, params.h, 0, y, yn))
+    a, b, h = (scaler(v, prec) for v in (a, b, h))
     my = _half_sum(y, yn, prec)
     for sign in (-1, 1):
         xn = split((sign * root)._mpf_)
