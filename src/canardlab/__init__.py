@@ -42,7 +42,6 @@ from .schemes import (
     QuadraticField,
     StepResult,
     a_family_step_pitchfork,
-    euler_step,
     kahan_step_fold,
     kahan_step_general,
     kahan_step_transcritical,
@@ -81,7 +80,6 @@ from .analysis import (
     kstar_transcritical_euler,
     lambert_w0,
     linearized_critical_h,
-    qs_polynomial,
     rk_cbar,
     rk_theta0,
     sweep_surface,

@@ -185,13 +185,6 @@ _BERNOULLI_PLUS = (
 )
 
 
-def qs_polynomial(tableau: ButcherTableau, params: SystemParams):
-    """Coefficients (ascending) of Q_s as a polynomial in the canard position."""
-    ctx = params.ctx
-    h, eps = split(params.h._mpf_), split(params.epsilon._mpf_)
-    return [ctx.make_mpf(pack(c)) for c in _stage_polynomial(tableau, ctx, [_ZERO, _ONE], [h], eps)]
-
-
 def _theta_coefficients(tableau: ButcherTableau, params: SystemParams, rho):
     """Coefficients theta_i of 1 + h Q_s(-rho + h eps k) as a polynomial in k."""
     ctx, prec = params.ctx, params.ctx.prec

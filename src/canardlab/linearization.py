@@ -24,10 +24,10 @@ The Kahan/implicit factors satisfy the exact pairing J(c+d) J(c-d) = 1 about
 the symmetry center c (-eps h/2 on the lines, 0 on the fold parabola), which
 is what makes the delayed loss of stability symmetric for those schemes.
 
-The multipliers are kernels on mantissa pairs (see rounding), built once per
-orbit, that round every operation like the mpf expression they replace (the
-explicit RK one runs the stage recursion _stage_polynomial, which q_s and the
-linearized critical-step solves share); the public functions take scalars.
+The one-step maps and the multipliers are kernels on mantissa pairs (see
+rounding), built once per orbit, rounding every operation like the mpf
+expression they replace; the RK multiplier, q_s and the linearized solves
+share one stage recursion, _stage_polynomial, on cached tableau pairs.
 """
 
 from __future__ import annotations
@@ -45,15 +45,14 @@ from .schemes import (
     PoleError,
     _ONE,
     _ZERO,
-    _on_pairs,
     afamily_kernel,
     euler_deviation_kernel,
     euler_kernel,
     kahan_deviation_kernel,
-    kahan_step_fold,
-    kahan_step_transcritical,
+    kahan_fold_kernel,
+    kahan_transcritical_kernel,
     rk_deviation_kernel,
-    rk_step,
+    rk_kernel,
 )
 from .systems import NoCanard, PlanarPoint, SingularityKind, SystemParams, fold_kahan_parabola_offset
 
@@ -117,16 +116,14 @@ def scheme_map(
             step = euler_kernel(kind, params)
             deviation_step = euler_deviation_kernel(params) if diagonal else None
         else:
-            step = _on_pairs(ctx, lambda p: rk_step(scheme, kind, params, p))
+            step = rk_kernel(scheme, kind, params)
             deviation_step = rk_deviation_kernel(scheme, params) if diagonal else None
         return SchemeMap(step, factor, deviation_step, partial(_rk_ratio, scheme, params) if diagonal else None)
     if scheme == KAHAN and diagonal:
-        factor = _kahan_transcritical_multiplier(params)
-        step = _on_pairs(ctx, lambda p: kahan_step_transcritical(params, p))
-        return SchemeMap(step, factor, kahan_deviation_kernel(params), partial(_kahan_ratio, params))
+        return SchemeMap(kahan_transcritical_kernel(params), _kahan_transcritical_multiplier(params),
+                         kahan_deviation_kernel(params), partial(_kahan_ratio, params))
     if scheme == KAHAN and kind is SingularityKind.FOLD:
-        step = _on_pairs(ctx, lambda p: kahan_step_fold(params, p))
-        return SchemeMap(step, _kahan_fold_multiplier(params))
+        return SchemeMap(kahan_fold_kernel(params), _kahan_fold_multiplier(params))
     if kind is SingularityKind.PITCHFORK and (scheme == KAHAN or isinstance(scheme, AFamily)):
         a = ctx.mpf(-1) / 2 if scheme == KAHAN else ctx.mpf(scheme.a)
         return SchemeMap(afamily_kernel(a, params), _afamily_multiplier(a, params))
@@ -189,10 +186,10 @@ def _rk_ratio(tableau: ButcherTableau, params: SystemParams):
     r_i = 1 + sum_j (h a_ij) r_j s_j, s_i = 2y + u + sum_j (h a_ij) (d_j + 2 eps); the
     last widening covers the product with u of the Euler kernel u (1 + h (2y + u)).
     """
-    alpha, rows, _ = tableau.bind_raw(params.ctx)
+    alpha, rows, _ = tableau.pairs(params.ctx)
     h, eps = (enclose(split(v._mpf_)) for v in (params.h, params.epsilon))
-    plan = [[(j, _imul(h, enclose(split(a)))) for j, a in enumerate(row) if a[1]] for row in rows]
-    weights = [(i, enclose(split(a))) for i, a in enumerate(alpha) if a[1]]
+    plan = [[(j, _imul(h, enclose(a))) for j, a in enumerate(row) if a[0]] for row in rows]
+    weights = [(i, enclose(a)) for i, a in enumerate(alpha) if a[0]]
 
     def ratio(y, u):
         s0, ds = _iadd((2 * y[0], 2 * y[1]), u), []
@@ -365,17 +362,17 @@ def _stage_polynomial(tableau: ButcherTableau, ctx, x, h, eps, stage_factor=2):
     h = [0, 1] gives Q_s(-rho) in the step size.
     """
     prec, c, dk = ctx.prec, (stage_factor, 0), []
-    alpha, rows, sums = tableau.bind_raw(ctx)
+    alpha, rows, sums = tableau.pairs(ctx)
     heps = _poly_scale(h, eps, prec)
     for row, a_i in zip(rows, sums):
         acc = [_ZERO]
         for aij, dk_j in zip(row, dk):
-            acc = _poly_add(acc, _poly_scale(dk_j, split(aij), prec), prec)
-        base = _poly_scale(_poly_add(_poly_scale(heps, split(a_i), prec), x, prec), c, prec)
+            acc = _poly_add(acc, _poly_scale(dk_j, aij, prec), prec)
+        base = _poly_scale(_poly_add(_poly_scale(heps, a_i, prec), x, prec), c, prec)
         dk.append(_poly_mul(base, _poly_add([_ONE], _poly_mul(h, acc, prec), prec), prec))
     total = [_ZERO]
     for alpha_i, dk_i in zip(alpha, dk):
-        total = _poly_add(total, _poly_scale(dk_i, split(alpha_i), prec), prec)
+        total = _poly_add(total, _poly_scale(dk_i, alpha_i, prec), prec)
     return total
 
 

@@ -20,33 +20,33 @@ Four families:
 Tableau coefficients are stored as exact Fractions and bound to a precision
 context at evaluation time, so a tableau can serve contexts of any precision
 without accumulating conversion error.  The bound coefficients are cached
-per tableau as raw ``_mpf_`` tuples keyed by the binary precision, so each
+per tableau as mantissa pairs keyed by the binary precision, so each
 precision pays for the Fraction conversions once.
 
-Orbits are carried as signed integer mantissa pairs (see rounding) from
-start to end: the one-step maps of forward Euler and of the implicit
-pitchfork family (euler_kernel, afamily_kernel), and the transcritical
-forward-Euler, explicit-RK and Kahan maps in deviation coordinates, for the
-jump classification, take and return pairs, rounding every operation
-(divisions included) like the mpf expression it stands for, so the values
-are those of mpf arithmetic, bit for bit.  Products by h and the other
-per-orbit constants (eps on the fold, h a_ij, alpha_i, a and 1 - 2a) use a
-rounding.scaler built once per orbit, linear-time for decimal constants at
-high precision.  The pitchfork has no deviation map: on its line {x = 0}
-the deviation is x itself.  A loop splits its start once and packs only
-what it reports.  Only the implicit family's rare cubic fallback finds its
-root with mpmath's polyroots.
+Every one-step map is a kernel on signed integer mantissa pairs (see
+rounding), built once per orbit: forward Euler, explicit RK, both Kahan
+maps and the implicit pitchfork family, and for the jump classification the
+transcritical Euler, RK and Kahan maps in deviation coordinates.  Each
+rounds every operation (divisions included) like the mpf expression it
+stands for, so the values are those of mpf arithmetic, bit for bit.
+Products by h and the other per-orbit constants (h a_ij, alpha_i, eps, q, a
+and 1 - 2a) use a rounding.scaler, linear-time for decimal constants at high
+precision.  The pitchfork has no deviation map: on its line {x = 0} the
+deviation is x itself.  A loop splits its start once and packs only what it
+reports; the public steppers split and pack one point.  Only the implicit
+family's rare cubic fallback finds its root with mpmath's polyroots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial, reduce
 from typing import Optional
 
 from .precision import PrecisionContext
 from .rounding import abs_le, add, div, mul, negligible, pack, rn, scaler, split, sub
-from .systems import PlanarPoint, SingularityKind, SystemParams, vector_field
+from .systems import PlanarPoint, SingularityKind, SystemParams
 
 
 class PoleError(ArithmeticError):
@@ -86,9 +86,9 @@ class ButcherTableau:
     name: str
     alpha: tuple
     a: tuple
-    # precision in bits -> (alpha, a-rows, row sums) as raw _mpf_ tuples;
+    # precision in bits -> (alpha, a-rows, row sums) as mantissa pairs;
     # plain tuples only, so contexts still share no mutable state
-    _bound: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         alpha = tuple(_frac(v) for v in self.alpha)
@@ -111,25 +111,14 @@ class ButcherTableau:
         """A_i = sum_j a_ij as exact Fractions (A_1 = 0)."""
         return tuple(sum(row, Fraction(0)) for row in self.a)
 
-    def bind_raw(self, ctx: PrecisionContext):
-        """Coefficients at ctx's precision as ``_mpf_`` tuples: (alpha, a-rows, row sums)."""
-        raw = self._bound.get(ctx.prec)
-        if raw is None:
-            alpha = tuple(ctx.mpf(v)._mpf_ for v in self.alpha)
-            rows = tuple(tuple(ctx.mpf(v)._mpf_ for v in row) for row in self.a)
-            sums = tuple(ctx.mpf(v)._mpf_ for v in self.row_sums())
-            raw = self._bound[ctx.prec] = (alpha, rows, sums)
-        return raw
+    def pairs(self, ctx: PrecisionContext):
+        """Coefficients at ctx's precision as mantissa pairs: (alpha, a-rows, row sums)."""
+        if ctx.prec not in self._pairs:
+            def bind(values):
+                return tuple(split(ctx.mpf(v)._mpf_) for v in values)
 
-    def bind(self, ctx: PrecisionContext):
-        """Coefficients as scalars of ctx: (alpha, a-rows, row sums)."""
-        alpha, rows, sums = self.bind_raw(ctx)
-        make = ctx.make_mpf
-        return (
-            tuple(make(v) for v in alpha),
-            tuple(tuple(make(v) for v in row) for row in rows),
-            tuple(make(v) for v in sums),
-        )
+            self._pairs[ctx.prec] = (bind(self.alpha), tuple(map(bind, self.a)), bind(self.row_sums()))
+        return self._pairs[ctx.prec]
 
 
 EULER = ButcherTableau("euler", (1,), ((),))
@@ -255,6 +244,62 @@ def euler_kernel(kind: SingularityKind, params: SystemParams):
     return step
 
 
+def _stage_plan(tableau: ButcherTableau, params: SystemParams, slow):
+    """(rows, weights): an RK stage recursion's per-orbit constants, for slow slope slow.
+
+    Per stage, rows holds whether its first a_ij is 0 (the stage point is then
+    rounded, as adding the zero product did) and (j, scaler by h a_ij,
+    (h a_ij) slow) for each nonzero a_ij; weights holds (i, scaler by alpha_i)
+    for each nonzero alpha_i.  Other zero products would leave a sum as it is.
+    """
+    prec = params.ctx.prec
+    h = split(params.h._mpf_)
+    alpha, rows, _ = tableau.pairs(params.ctx)
+    plan = []
+    for row in rows:
+        hrow = [(j, mul(h, aij, prec)) for j, aij in enumerate(row) if aij[0]]
+        plan.append((bool(row) and not row[0][0],
+                     [(j, scaler(ha, prec), mul(ha, slow, prec)) for j, ha in hrow]))
+    return plan, [(i, scaler(ai, prec)) for i, ai in enumerate(alpha) if ai[0]]
+
+
+def rk_kernel(tableau: ButcherTableau, kind: SingularityKind, params: SystemParams):
+    """Explicit Runge-Kutta step on mantissa pairs, for the transcritical or pitchfork system.
+
+    (x + h sum_i alpha_i k_i, y + h sum_i alpha_i eps), k_i the fast slope at
+    (x + sum_j (h a_ij) k_j, y + sum_j (h a_ij) eps): the slow slope is always
+    eps, so (h a_ij) eps and h sum_i alpha_i eps are formed once.  At s = 1
+    this is euler_kernel; on the transcritical diagonal every k_i is eps, so
+    the canard set stays invariant.
+    """
+    prec = params.ctx.prec
+    h, eps = split(params.h._mpf_), split(params.epsilon._mpf_)
+    field = {
+        SingularityKind.TRANSCRITICAL: lambda x, y: add(sub(mul(x, x, prec), mul(y, y, prec), prec), eps, prec),
+        SingularityKind.PITCHFORK: lambda x, y: mul(x, sub(y, mul(x, x, prec), prec), prec),
+    }.get(kind)
+    if field is None:
+        raise ValueError("explicit RK steps are provided for the transcritical and pitchfork systems")
+    plan, ((i0, by_a0), *weights) = _stage_plan(tableau, params, eps)
+    dy = reduce(partial(add, prec=prec), (by_ai(eps) for _, by_ai in weights), by_a0(eps))
+    h_dy, by_h = mul(h, dy, prec), scaler(h, prec)
+
+    def step(x, y):
+        ks = []
+        for round_first, entries in plan:
+            sx, sy = (rn(*x, prec), rn(*y, prec)) if round_first else (x, y)
+            for j, by_ha, ha_eps in entries:
+                sx = add(sx, by_ha(ks[j]), prec)
+                sy = add(sy, ha_eps, prec)
+            ks.append(field(sx, sy))
+        dx = by_a0(ks[i0])
+        for i, by_ai in weights:
+            dx = add(dx, by_ai(ks[i]), prec)
+        return add(x, by_h(dx), prec), add(y, h_dy, prec)
+
+    return step
+
+
 # Deviation-coordinate steps (u, y) -> (unew, y + eps h) on mantissa pairs,
 # with u = x - y the deviation from the transcritical diagonal: the same shape
 # as a one-step map, so the one classification loop iterates either.  Each
@@ -287,24 +332,15 @@ def rk_deviation_kernel(tableau: ButcherTableau, params: SystemParams):
     """Transcritical explicit RK: u + h sum_i alpha_i d_i.
 
     d_i = u_i s_i with u_i = u + sum_j (h a_ij) d_j and
-    s_i = (2y + u) + sum_j (h a_ij) (d_j + 2 eps).  A stage plan formed once
-    keeps the nonzero a_ij, as scalers by h a_ij and pairs h a_ij (2 eps),
-    and scalers by the nonzero alpha_i, whose sum starts at its first term.
-    Each step forms d_j + 2 eps once per stage, or takes h a_ij (2 eps) while
-    d_j is negligible against 2 eps.  A row whose first entry is 0 rounds u, as
-    adding the zero product did.
+    s_i = (2y + u) + sum_j (h a_ij) (d_j + 2 eps), with the stage plan for
+    slow slope 2 eps.  Each step forms d_j + 2 eps once per stage, or takes
+    h a_ij (2 eps) while d_j is negligible against 2 eps.
     """
     prec = params.ctx.prec
     h, (em, ee) = split(params.h._mpf_), split(params.epsilon._mpf_)
     heps, by_h = mul(h, (em, ee), prec), scaler(h, prec)
-    alpha, rows, _ = tableau.bind_raw(params.ctx)
     two_eps = rn(em, ee + 1, prec)
-    plan = []
-    for row in rows:
-        hrow = [(j, mul(h, split(aij), prec)) for j, aij in enumerate(row) if aij[1]]
-        plan.append((bool(row) and not row[0][1],
-                     [(j, scaler(ha, prec), mul(ha, two_eps, prec)) for j, ha in hrow]))
-    (i0, by_a0), *weights = [(i, scaler(split(ai), prec)) for i, ai in enumerate(alpha) if ai[1]]
+    plan, ((i0, by_a0), *weights) = _stage_plan(tableau, params, two_eps)
 
     def step(u, y):
         s = rn(y[0], y[1] + 1, prec)
@@ -346,60 +382,15 @@ def kahan_deviation_kernel(params: SystemParams):
     return step
 
 
-def _on_pairs(ctx: PrecisionContext, stepper):
-    """Adapt a stepper on PlanarPoints of ctx scalars to (x, y) mantissa pairs."""
-    make = ctx.make_mpf
-
-    def step(x, y):
-        q = stepper(PlanarPoint(make(pack(x)), make(pack(y))))
-        return split(q.x._mpf_), split(q.y._mpf_)
-
-    return step
-
-
-def euler_step(kind: SingularityKind, params: SystemParams, p: PlanarPoint) -> PlanarPoint:
-    """Forward-Euler update p + h * f(p); p holds scalars of params.ctx."""
-    x, y = euler_kernel(kind, params)(split(p.x._mpf_), split(p.y._mpf_))
+def _on_point(step, params: SystemParams, p: PlanarPoint) -> PlanarPoint:
+    """A pair kernel's step at p, packed into scalars of params.ctx; ValueError at an inf or NaN."""
     make = params.ctx.make_mpf
-    return PlanarPoint(make(pack(x)), make(pack(y)))
+    return PlanarPoint(*(make(pack(v)) for v in step(split(p.x._mpf_), split(p.y._mpf_))))
 
 
-def rk_step(
-    tableau: ButcherTableau,
-    kind: SingularityKind,
-    params: SystemParams,
-    p: PlanarPoint,
-) -> PlanarPoint:
-    """Explicit Runge-Kutta update for the transcritical or pitchfork system.
-
-    Stage slopes (kappa_i, ell_i) follow the usual explicit recursion; for
-    these systems the slow slope is constant, ell_i = eps.  With weights
-    summing to 1 this reproduces euler_step at s = 1, and it keeps the
-    canard set invariant: on the transcritical diagonal every kappa_i
-    collapses to eps, so the step is (x + eps h, x + eps h).
-    """
-    if kind not in (SingularityKind.TRANSCRITICAL, SingularityKind.PITCHFORK):
-        raise ValueError("explicit RK steps are provided for the transcritical and pitchfork systems")
-    ctx = params.ctx
-    h = params.h
-    alpha, rows, _ = tableau.bind(ctx)
-    kappas: list = []
-    ells: list = []
-    for i in range(tableau.s):
-        sx = p.x
-        sy = p.y
-        for j, aij in enumerate(rows[i]):
-            sx = sx + h * aij * kappas[j]
-            sy = sy + h * aij * ells[j]
-        v = vector_field(kind, params, PlanarPoint(sx, sy))
-        kappas.append(v.x)
-        ells.append(v.y)
-    dx = ctx.mpf(0)
-    dy = ctx.mpf(0)
-    for i in range(tableau.s):
-        dx = dx + alpha[i] * kappas[i]
-        dy = dy + alpha[i] * ells[i]
-    return PlanarPoint(p.x + h * dx, p.y + h * dy)
+def rk_step(tableau: ButcherTableau, kind: SingularityKind, params: SystemParams, p: PlanarPoint) -> PlanarPoint:
+    """Explicit Runge-Kutta update of the transcritical or pitchfork system (see rk_kernel)."""
+    return _on_point(rk_kernel(tableau, kind, params), params, p)
 
 
 # ---------------------------------------------------------------------------
@@ -407,40 +398,60 @@ def rk_step(
 # ---------------------------------------------------------------------------
 
 
-def kahan_step_transcritical(params: SystemParams, p: PlanarPoint, reverse: bool = False) -> PlanarPoint:
-    """Kahan update of the transcritical system (birational; reverse applies h -> -h).
+def kahan_transcritical_kernel(params: SystemParams):
+    """Kahan update of the transcritical system on mantissa pairs (birational).
 
-    xnew = (x + eps h - h y (y + eps h)) / (1 - h x),  ynew = y + eps h.
-    Pole at x = 1/h.
+    xnew = (x + eps h - (h y) ynew) / (1 - h x),  ynew = y + eps h; the
+    inverse step is the step with -h.  Pole at x = 1/h.
     """
-    x, y = p.x, p.y
-    h, eps = params.h, params.epsilon
-    if reverse:
-        h = -h
-    den = 1 - h * x
-    if den == 0:
-        raise PoleError("transcritical Kahan step evaluated at its pole x = 1/h")
-    yn = y + eps * h
-    return PlanarPoint((x + eps * h - h * y * yn) / den, yn)
+    prec = params.ctx.prec
+    h, eps = split(params.h._mpf_), split(params.epsilon._mpf_)
+    eh, by_h = mul(eps, h, prec), scaler(h, prec)
+
+    def step(x, y):
+        den = sub(_ONE, by_h(x), prec)
+        if not den[0]:
+            raise PoleError("transcritical Kahan step evaluated at its pole x = 1/h")
+        yn = add(y, eh, prec)
+        return div(sub(add(x, eh, prec), mul(by_h(y), yn, prec), prec), den, prec), yn
+
+    return step
+
+
+def kahan_fold_kernel(params: SystemParams):
+    """Kahan update of the fold system on mantissa pairs (birational), q = h^2 eps/4.
+
+    xnew = (x - h y - q x) / (1 - h x + q)
+    ynew = (y - h x y - 2 q x x + h eps x - q y) / (same)
+    The inverse is the step with -h; q and the scalers by h, q, 2q and h eps are formed once.
+    """
+    prec = params.ctx.prec
+    h, eps = split(params.h._mpf_), split(params.epsilon._mpf_)
+    qm, qe = mul(mul(h, h, prec), eps, prec)
+    q = (qm, qe - 2)
+    by_h, by_q, by_2q, by_heps = (scaler(v, prec) for v in (h, q, (qm, qe - 1), mul(h, eps, prec)))
+
+    def step(x, y):
+        hx = by_h(x)
+        den = add(sub(_ONE, hx, prec), q, prec)
+        if not den[0]:
+            raise PoleError("fold Kahan step evaluated at its pole x = (1 + h^2 eps/4)/h")
+        xn = sub(sub(x, by_h(y), prec), by_q(x), prec)
+        yn = sub(sub(y, mul(hx, y, prec), prec), mul(by_2q(x), x, prec), prec)
+        yn = sub(add(yn, by_heps(x), prec), by_q(y), prec)
+        return div(xn, den, prec), div(yn, den, prec)
+
+    return step
+
+
+def kahan_step_transcritical(params: SystemParams, p: PlanarPoint, reverse: bool = False) -> PlanarPoint:
+    """Kahan update of the transcritical system (see kahan_transcritical_kernel); reverse applies h -> -h."""
+    return _on_point(kahan_transcritical_kernel(replace(params, h=-params.h) if reverse else params), params, p)
 
 
 def kahan_step_fold(params: SystemParams, p: PlanarPoint, reverse: bool = False) -> PlanarPoint:
-    """Kahan update of the fold system (birational; reverse=True applies h -> -h).
-
-    xnew = (x - h y - (h^2/4) eps x) / (1 - h x + (h^2/4) eps)
-    ynew = (y - h x y - (h^2/2) eps x^2 + h eps x - (h^2/4) eps y) / (same)
-    """
-    x, y = p.x, p.y
-    h, eps = params.h, params.epsilon
-    if reverse:
-        h = -h
-    q = h * h * eps / 4
-    den = 1 - h * x + q
-    if den == 0:
-        raise PoleError("fold Kahan step evaluated at its pole x = (1 + h^2 eps/4)/h")
-    xn = (x - h * y - q * x) / den
-    yn = (y - h * x * y - 2 * q * x * x + h * eps * x - q * y) / den
-    return PlanarPoint(xn, yn)
+    """Kahan update of the fold system (see kahan_fold_kernel); reverse applies h -> -h."""
+    return _on_point(kahan_fold_kernel(replace(params, h=-params.h) if reverse else params), params, p)
 
 
 @dataclass(frozen=True)
@@ -579,19 +590,19 @@ def _afamily_cubic_coeffs(aparam, h, x, y, yn):
     return c0, c1, c2, c3
 
 
-def _afamily_solver(aparam, params: SystemParams, reverse: bool = False):
+def _afamily_solver(aparam, params: SystemParams):
     """The implicit pitchfork step as solve(x, y) -> (xnew, ynew, method, residual).
 
     x, y, xnew, ynew and residual are mantissa pairs and method "newton",
     "cubic" or "canard" (see a_family_step_pitchfork).
-    Scalers by a, b = 1 - 2a and h (negated for reverse), eps h and the
-    residual bars tol(2) and tol(10) are formed once; every operation but the
-    cubic's polyroots and root choice rounds on pairs like the mpf expression
-    it replaces, so the values are those of mpf arithmetic, bit for bit.
+    Scalers by a, b = 1 - 2a and h, eps h and the residual bars tol(2) and
+    tol(10) are formed once; every operation but the cubic's polyroots and
+    root choice rounds on pairs like the mpf expression it replaces, so the
+    values are those of mpf arithmetic, bit for bit.
     """
     ctx = params.ctx
     prec = ctx.prec
-    a_mpf, h_mpf = ctx.mpf(aparam), (-params.h if reverse else params.h)
+    a_mpf, h_mpf = ctx.mpf(aparam), params.h
     (am, ae), h_pair = split(a_mpf._mpf_), split(h_mpf._mpf_)
     heps = mul(split(params.epsilon._mpf_), h_pair, prec)
     a, b, h = (scaler(v, prec) for v in ((am, ae), sub(_ONE, rn(am, ae + 1, prec), prec), h_pair))
@@ -700,6 +711,6 @@ def a_family_step_pitchfork(
         x, y = split(p.x._mpf_), split(p.y._mpf_)
     except ValueError:  # an infinity or NaN
         raise NoRealBranch("implicit pitchfork update has no real branch at this point") from None
-    x, y, method, r = _afamily_solver(aparam, params, reverse)(x, y)
+    x, y, method, r = _afamily_solver(aparam, replace(params, h=-params.h) if reverse else params)(x, y)
     make = params.ctx.make_mpf
     return StepResult(PlanarPoint(make(pack(x)), make(pack(y))), BranchInfo(method, make(pack(r))))

@@ -29,13 +29,14 @@ from canardlab import (
     linearized_critical_h,
     make_context,
     q_s,
-    qs_polynomial,
     rk_cbar,
     rk_theta0,
     sweep_surface,
     wayout,
 )
 from canardlab.analysis import _theta_coefficients
+from canardlab.linearization import _stage_polynomial
+from canardlab.rounding import pack, split
 from canardlab.systems import NoCanard
 
 T = SingularityKind.TRANSCRITICAL
@@ -227,8 +228,10 @@ def _horner(coeffs, x):
 
 
 def test_qs_polynomial_matches_scalar_recursion(ctx, params):
+    """The stage polynomial in the canard position, x = [0, 1], evaluates to q_s."""
+    h, eps = split(params.h._mpf_), split(params.epsilon._mpf_)
     for tab in SHIPPED_TABLEAUX.values():
-        poly = qs_polynomial(tab, params)
+        poly = [ctx.make_mpf(pack(c)) for c in _stage_polynomial(tab, ctx, [(0, 0), (1, 0)], [h], eps)]
         assert len(poly) == tab.s + 1
         for x_txt in ("-1.5", "-0.2", "0.8"):
             x = ctx.mpf(x_txt)

@@ -31,10 +31,12 @@ from canardlab import (
     critical_triplet_linearized,
     linearized_critical_h,
     make_context,
-    qs_polynomial,
     rk_cbar,
 )
 from canardlab.analysis import _BERNOULLI_PLUS
+from canardlab.linearization import _stage_polynomial
+from canardlab.rounding import pack, split
+from mpf_oracles import bind
 
 CONTEXTS = {d: make_context(d) for d in (16, 50, 120)}
 
@@ -200,7 +202,7 @@ def ref_poly_eval(p, x):
 
 
 def ref_stage_polynomial(tableau, ctx, x, h, eps, stage_factor=2):
-    alpha, rows, sums = tableau.bind(ctx)
+    alpha, rows, sums = bind(tableau, ctx)
     heps = ref_poly_scale(h, eps)
     dk = []
     for i in range(tableau.s):
@@ -319,8 +321,9 @@ positive = st.fractions(Fraction(1, 100), 40, max_denominator=1000).filter(lambd
 @example(tab=KUTTA3, rho=Fraction(3, 2), eps=Fraction(101, 200), h=Fraction(1, 10),
          stage_factor=1, digits=16)
 def test_pair_solvers_match_mpf_oracle(tab, rho, eps, h, stage_factor, digits):
-    """linearized_critical_h, critical_triplet_linearized, qs_polynomial and rk_cbar
-    give the oracle's ``_mpf_`` tuples, or None where it finds no root."""
+    """linearized_critical_h, critical_triplet_linearized, the stage polynomial in the
+    canard position and rk_cbar give the oracle's ``_mpf_`` tuples, or None where it
+    finds no root."""
     ctx = ORACLE_CONTEXTS[digits]
     rho_s, eps_s = ctx.mpf(rho), ctx.mpf(eps)
     got = linearized_critical_h(tab, rho_s, eps_s, ctx, stage_factor)
@@ -330,7 +333,9 @@ def test_pair_solvers_match_mpf_oracle(tab, rho, eps, h, stage_factor, digits):
         trip = critical_triplet_linearized(tab, params.h, params.epsilon, ctx)
         assert _raw(None if trip is None else trip.rho_star) == _raw(ref_critical_rho(tab, params))
     ref_q = ref_stage_polynomial(tab, ctx, [0, 1], [params.h], params.epsilon)
-    assert [c._mpf_ for c in qs_polynomial(tab, params)] == [ctx.mpf(c)._mpf_ for c in ref_q]
+    h_p, eps_p = split(params.h._mpf_), split(params.epsilon._mpf_)
+    got_q = _stage_polynomial(tab, ctx, [(0, 0), (1, 0)], [h_p], eps_p)
+    assert [pack(c) for c in got_q] == [ctx.mpf(c)._mpf_ for c in ref_q]
     try:
         ref_cbar = ref_rk_cbar(tab, params, rho_s)
     except ValueError:  # every C_i vanishes

@@ -9,16 +9,21 @@ keep the run under .benchmarks/:
 
 A product by h = 0.1 against a full-width operand, through rounding.scaler
 and through the plain mul, at 200, 1000 and 5000 digits (the scaler takes
-the small-rational identity from about 1000 bits, SCALER_MIN_BITS); and one
+the small-rational identity from about 1000 bits, SCALER_MIN_BITS); one
 forward-Euler pitchfork step at 5000 digits, the step of the deep simulate
-orbit whose deviation falls below 1e-1054.
+orbit whose deviation falls below 1e-1054; and one step of every
+SchemeMap.step the command line builds (mpf_oracles.STEP_MAPS) at 16, 50
+and 200 digits, from beside the canard at rho = 1, checked against its mpf
+oracle.
 """
 
 import pytest
 
-from canardlab import PlanarPoint, SingularityKind, SystemParams, euler_step, make_context
+from canardlab import PlanarPoint, SingularityKind, SystemParams, make_context
+from canardlab.linearization import CANARDS, scheme_map
 from canardlab.rounding import mul, pack, scaler, split
 from canardlab.schemes import euler_kernel
+from mpf_oracles import STEP_MAPS, euler_step, oracle, selector
 
 
 @pytest.mark.parametrize("how", ["scaler", "mul"])
@@ -39,4 +44,16 @@ def test_pitchfork_euler_step_at_5000_digits(benchmark):
     p = PlanarPoint(ctx.mpf("1e-4") / 3, ctx.mpf(-5))
     xn, yn = benchmark(euler_kernel(kind, params), split(p.x._mpf_), split(p.y._mpf_))
     ref = euler_step(kind, params, p)
+    assert (pack(xn), pack(yn)) == (ref.x._mpf_, ref.y._mpf_)
+
+
+@pytest.mark.parametrize("digits", [16, 50, 200])
+@pytest.mark.parametrize("kind, scheme", [m[1:] for m in STEP_MAPS], ids=[m[0] for m in STEP_MAPS])
+def test_scheme_map_step(benchmark, kind, scheme, digits):
+    ctx = make_context(digits)
+    params = SystemParams.create(ctx, "0.01", "0.1")
+    step = scheme_map(kind, selector(scheme, ctx), params, canard=False).step
+    p = CANARDS[kind].start(params, ctx.mpf(1), ctx.mpf("1e-3"))
+    xn, yn = benchmark(step, split(p.x._mpf_), split(p.y._mpf_))
+    ref = oracle(kind, scheme, params, p)
     assert (pack(xn), pack(yn)) == (ref.x._mpf_, ref.y._mpf_)

@@ -25,6 +25,7 @@ from canardlab import (
 )
 from canardlab.linearization import CANARDS, _stage_polynomial, canard_spacing, scheme_map
 from canardlab.rounding import pack, split
+from mpf_oracles import bind
 
 T = SingularityKind.TRANSCRITICAL
 P = SingularityKind.PITCHFORK
@@ -61,7 +62,7 @@ def test_qs_pitchfork_euler(ctx, params):
 def ref_q_s(tableau, params, x, stage_factor):
     """The scalar stage loop q_s ran in plain mpf before it became the degree-0 recursion."""
     ctx, h, eps = params.ctx, params.h, params.epsilon
-    alpha, rows, sums = tableau.bind(ctx)
+    alpha, rows, sums = bind(tableau, ctx)
     dk = []
     for i in range(tableau.s):
         acc = ctx.mpf(0)

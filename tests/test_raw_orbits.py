@@ -1,7 +1,8 @@
 """Bit-identity of the mantissa-pair Euler kernel and the exponent-prefiltered glue rule.
 
 The references below are plain-mpf copies of the loops the pair code
-replaced: the mpf forward-Euler update p + h f(p), the raw transcritical
+replaced, stepping with the mpf oracles of mpf_oracles: the mpf
+forward-Euler update p + h f(p), the raw transcritical
 classification (Kahan, Euler and RK branches), the Kahan fold
 classification, each with the glue rule written as
 abs(u) <= glue * max(abs(x), abs(y)), and the pitchfork classification of
@@ -12,6 +13,7 @@ must reproduce them exactly: same label, same step count, and the same
 """
 
 import pytest
+import mpf_oracles as oracle
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -31,16 +33,13 @@ from canardlab import (
     SystemParams,
     a_family_step_pitchfork,
     classify_jump,
-    euler_step,
     fold_kahan_parabola_offset,
-    kahan_step_fold,
     make_context,
     rk_step,
 )
 from canardlab.linearization import _glued
 from canardlab.rounding import pack, scaler, split
 from canardlab.schemes import euler_kernel
-from canardlab.systems import vector_field
 
 T = SingularityKind.TRANSCRITICAL
 P = SingularityKind.PITCHFORK
@@ -50,12 +49,6 @@ CONTEXTS = {d: make_context(d) for d in (16, 50, 200)}
 
 
 # -- plain-mpf references -------------------------------------------------------
-
-
-def ref_euler_step(kind, params, p):
-    v = vector_field(kind, params, p)
-    h = params.h
-    return PlanarPoint(p.x + h * v.x, p.y + h * v.y)
 
 
 def _ref_decide(dev, dev0, steps, point):
@@ -95,7 +88,7 @@ def ref_classify_transcritical_raw(scheme, params, start, threshold, max_n):
         return JumpResult(JumpClass.STUCK, max_n, PlanarPoint(x, y), x - y)
     p = PlanarPoint(x, y)
     for n in range(1, max_n + 1):
-        p = rk_step(scheme, T, params, p)
+        p = oracle.rk_step(scheme, T, params, p)
         u = p.x - p.y
         if abs(u) <= glue * max(abs(p.x), abs(p.y)):
             return JumpResult(JumpClass.STUCK, n, p, u)
@@ -111,7 +104,7 @@ def ref_classify_fold(params, start, threshold, max_n):
     w0 = p.y - (p.x * p.x - offset)
     for n in range(1, max_n + 1):
         try:
-            p = kahan_step_fold(params, p)
+            p = oracle.kahan_step_fold(params, p)
         except PoleError as err:
             err.index = n
             raise
@@ -126,9 +119,9 @@ def ref_classify_fold(params, start, threshold, max_n):
 
 def ref_classify_pitchfork(scheme, params, start, threshold, max_n):
     if scheme is EULER:
-        stepper = lambda p: euler_step(P, params, p)
+        stepper = lambda p: oracle.euler_step(P, params, p)
     elif isinstance(scheme, ButcherTableau):
-        stepper = lambda p: rk_step(scheme, P, params, p)
+        stepper = lambda p: oracle.rk_step(scheme, P, params, p)
     else:
         a = params.ctx.mpf(-1) / 2 if scheme == KAHAN else params.ctx.mpf(scheme.a)
         stepper = lambda p: a_family_step_pitchfork(a, params, p).point
@@ -200,11 +193,12 @@ def test_euler_kernel_matches_mpf_update(digits, kind, h, eps, x0, y0):
     p = PlanarPoint(ctx.mpf(x0), ctx.mpf(y0))
     x, y = split(p.x._mpf_), split(p.y._mpf_)
     for _ in range(40):
-        ref = ref_euler_step(kind, params, p)
-        got = euler_step(kind, params, p)
+        ref = oracle.euler_step(kind, params, p)
         x, y = step(x, y)
-        assert (got.x._mpf_, got.y._mpf_) == (ref.x._mpf_, ref.y._mpf_)
         assert (pack(x), pack(y)) == (ref.x._mpf_, ref.y._mpf_)
+        if kind is not F:  # forward Euler's public stepper is rk_step at s = 1
+            got = rk_step(EULER, kind, params, p)
+            assert (got.x._mpf_, got.y._mpf_) == (ref.x._mpf_, ref.y._mpf_)
         p = ref
 
 
@@ -222,7 +216,7 @@ def test_euler_kernel_matches_mpf_update_at_5000_digits(kind, h):
     step = euler_kernel(kind, params)
     x, y = split(p.x._mpf_), split(p.y._mpf_)
     for _ in range(40):
-        p = ref_euler_step(kind, params, p)
+        p = oracle.euler_step(kind, params, p)
         x, y = step(x, y)
         assert (pack(x), pack(y)) == (p.x._mpf_, p.y._mpf_)
 

@@ -20,7 +20,6 @@ from canardlab import (
     SystemParams,
     a_family_step_pitchfork,
     classify_jump,
-    euler_step,
     kahan_step_fold,
     kahan_step_general,
     kahan_step_transcritical,
@@ -28,6 +27,8 @@ from canardlab import (
     make_context,
     rk_step,
 )
+from canardlab.rounding import pack, split
+from canardlab.schemes import euler_kernel
 
 T = SingularityKind.TRANSCRITICAL
 P = SingularityKind.PITCHFORK
@@ -60,18 +61,19 @@ def test_row_sums():
 
 @pytest.mark.parametrize("tab", list(SHIPPED_TABLEAUX.values()), ids=lambda t: t.name)
 def test_bind_is_cached_per_precision_as_plain_tuples(tab):
+    """tab.pairs(ctx) holds the coefficients as mantissa pairs, one cache entry per precision."""
     digit_counts = (16, 50, 200)
     for digits in digit_counts:
         ctx = make_context(digits)
         for _ in range(2):  # the second call reads the cache
-            alpha, rows, sums = tab.bind(ctx)
-            assert [v._mpf_ for v in alpha] == [ctx.mpf(v)._mpf_ for v in tab.alpha]
-            assert [[v._mpf_ for v in r] for r in rows] == [[ctx.mpf(v)._mpf_ for v in r] for r in tab.a]
-            assert [v._mpf_ for v in sums] == [ctx.mpf(v)._mpf_ for v in tab.row_sums()]
-        assert tab.bind_raw(ctx) is tab.bind_raw(ctx)
-    # one entry per precision, holding raw tuples of ints only
-    assert {make_context(d).prec for d in digit_counts} <= set(tab._bound)
-    for alpha, rows, sums in tab._bound.values():
+            alpha, rows, sums = tab.pairs(ctx)
+            assert [pack(v) for v in alpha] == [ctx.mpf(v)._mpf_ for v in tab.alpha]
+            assert [[pack(v) for v in r] for r in rows] == [[ctx.mpf(v)._mpf_ for v in r] for r in tab.a]
+            assert [pack(v) for v in sums] == [ctx.mpf(v)._mpf_ for v in tab.row_sums()]
+        assert tab.pairs(ctx) is tab.pairs(ctx)
+    # one entry per precision, holding pairs of ints only
+    assert {make_context(d).prec for d in digit_counts} <= set(tab._pairs)
+    for alpha, rows, sums in tab._pairs.values():
         for v in alpha + sums + sum(rows, ()):
             assert type(v) is tuple and all(type(c) is int for c in v)
 
@@ -104,13 +106,13 @@ def test_tableau_file_errors(tmp_path):
 
 
 def test_euler_step_diagonal(ctx, params):
-    p = euler_step(T, params, PlanarPoint(ctx.mpf(-1), ctx.mpf(-1)))
+    p = rk_step(EULER, T, params, PlanarPoint(ctx.mpf(-1), ctx.mpf(-1)))
     assert abs(p.x - ctx.mpf("-0.999")) < ctx.tol(5)
     assert p.x == p.y
 
 
 def test_euler_step_pitchfork_axis(ctx, params):
-    p = euler_step(P, params, PlanarPoint(ctx.mpf(0), ctx.mpf(-1)))
+    p = rk_step(EULER, P, params, PlanarPoint(ctx.mpf(0), ctx.mpf(-1)))
     assert p.x == 0
     assert abs(p.y - ctx.mpf("-0.999")) < ctx.tol(5)
 
@@ -118,16 +120,16 @@ def test_euler_step_pitchfork_axis(ctx, params):
 def test_euler_step_layer_problem(ctx):
     # eps = 0 admitted by the steppers
     params = SystemParams.create(ctx, "0", "0.1")
-    p = euler_step(T, params, PlanarPoint(ctx.mpf(1), ctx.mpf(0)))
+    p = rk_step(EULER, T, params, PlanarPoint(ctx.mpf(1), ctx.mpf(0)))
     assert abs(p.x - ctx.mpf("1.1")) < ctx.tol(5)
     assert p.y == 0
 
 
 def test_rk_single_stage_reduces_to_euler(ctx, params):
     p0 = PlanarPoint(ctx.mpf("-1"), ctx.mpf("-0.3"))
-    a = euler_step(T, params, p0)
+    x, y = euler_kernel(T, params)(split(p0.x._mpf_), split(p0.y._mpf_))
     b = rk_step(EULER, T, params, p0)
-    assert a.x == b.x and a.y == b.y
+    assert (pack(x), pack(y)) == (b.x._mpf_, b.y._mpf_)
 
 
 def test_rk_diagonal_invariance_all_tableaux(ctx, params):
@@ -332,7 +334,7 @@ def test_afamily_kahan_off_axis_branches(ctx, params):
     val = (4 - 2 * params.h * y) / params.h
     root = ctx.sqrt(val)
     # the returned branch is the canard, but the off-axis roots solve the relation
-    from canardlab.rounding import pack, scaler, split
+    from canardlab.rounding import scaler
     from canardlab.schemes import _afamily_residual_pair, _half_sum
 
     prec = ctx.prec
@@ -354,7 +356,7 @@ def test_afamily_kahan_off_axis_branches(ctx, params):
 def test_iterate_diagonal(ctx, params):
     p = PlanarPoint(ctx.mpf(-1), ctx.mpf(-1))
     for k in range(1, 4):
-        p = euler_step(T, params, p)
+        p = rk_step(EULER, T, params, p)
         assert abs(p.x - (-1 + k * ctx.mpf("0.001"))) < ctx.tol(5)
         assert p.x == p.y
 
