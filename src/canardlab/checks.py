@@ -14,6 +14,8 @@ the `verify` suite names to the checks, in the order `verify` runs them.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .analysis import (
     kstar_pitchfork_euler,
     kstar_rk,
@@ -32,16 +34,18 @@ from .linearization import (
     symmetry_center,
     symmetry_defect,
 )
+from .rounding import abs_le, mul, pack, split, sub
 from .schemes import (
     EULER,
     KUTTA3,
     SHIPPED_TABLEAUX,
     QuadraticField,
+    _on_point,
     a_family_step_pitchfork,
-    kahan_step_fold,
+    kahan_fold_kernel,
     kahan_step_general,
-    kahan_step_transcritical,
-    rk_step,
+    kahan_transcritical_kernel,
+    rk_kernel,
 )
 from .systems import (
     PlanarPoint,
@@ -70,9 +74,10 @@ def rk_diagonal(ctx, rng):
     tol = ctx.tol(5)
     worst = ctx.mpf(0)
     for tab in SHIPPED_TABLEAUX.values():
+        step = rk_kernel(tab, T, params)
         for xs in ("-2", "-1", "-0.3", "0", "0.7", "1.5"):
             x = ctx.mpf(xs)
-            p = rk_step(tab, T, params, PlanarPoint(x, x))
+            p = _on_point(step, params, PlanarPoint(x, x))
             if p.x != p.y:
                 return False, f"diagonal broken for {tab.name} at x={xs}"
             worst = max(worst, abs(p.x - (x + params.epsilon * params.h)))
@@ -105,17 +110,15 @@ def kahan_symmetry(ctx, rng):
 
 def kahan_birational(ctx, rng):
     params = SystemParams.create(ctx, "0.01", "0.1")
+    rev = replace(params, h=-params.h)
+    trips = [(k(params), k(rev)) for k in (kahan_fold_kernel, kahan_transcritical_kernel)]
     worst = ctx.mpf(0)
     for _ in range(40):
         x = ctx.mpf(rng.uniform(-3, 3))
         y = ctx.mpf(rng.uniform(-3, 3))
-        p = PlanarPoint(x, y)
-        q = kahan_step_fold(params, p)
-        back = kahan_step_fold(params, q, reverse=True)
-        worst = max(worst, abs(back.x - x), abs(back.y - y))
-        q = kahan_step_transcritical(params, p)
-        back = kahan_step_transcritical(params, q, reverse=True)
-        worst = max(worst, abs(back.x - x), abs(back.y - y))
+        for step, back in trips:
+            bx, by = (ctx.make_mpf(pack(v)) for v in back(*step(split(x._mpf_), split(y._mpf_))))
+            worst = max(worst, abs(bx - x), abs(by - y))
     return worst <= ctx.tol(10), f"max round-trip defect {ctx.nstr(worst, 3)}"
 
 
@@ -123,17 +126,15 @@ def general_form(ctx, rng):
     params = SystemParams.create(ctx, "0.01", "0.05")
     f_tc = QuadraticField.transcritical(ctx, params.epsilon)
     f_fold = QuadraticField.fold(ctx, params.epsilon)
+    fold, tc = kahan_fold_kernel(params), kahan_transcritical_kernel(params)
     worst = ctx.mpf(0)
     for _ in range(40):
         x = ctx.mpf(rng.uniform(-2, 2))
         y = ctx.mpf(rng.uniform(-2, 2))
         p = PlanarPoint(x, y)
-        a = kahan_step_transcritical(params, p)
-        b = kahan_step_general(f_tc, params.h, p)
-        worst = max(worst, abs(a.x - b.x), abs(a.y - b.y))
-        a = kahan_step_fold(params, p)
-        b = kahan_step_general(f_fold, params.h, p)
-        worst = max(worst, abs(a.x - b.x), abs(a.y - b.y))
+        for step, field in ((tc, f_tc), (fold, f_fold)):
+            a, b = _on_point(step, params, p), kahan_step_general(field, params.h, p)
+            worst = max(worst, abs(a.x - b.x), abs(a.y - b.y))
     return worst <= ctx.tol(10), f"max specialization defect {ctx.nstr(worst, 3)}"
 
 
@@ -162,16 +163,20 @@ def fold_structure(ctx, rng):
     # canard passage: 10^4 iterates approaching along the attracting branch
     # and crossing the fold point (ending just past it, where accumulated
     # rounding is not yet re-amplified by the repelling branch)
+    prec, off = ctx.prec, split(offset._mpf_)
     x0 = ctx.mpf("0.1") - 10_000 * params.epsilon * params.h / 2
-    p = PlanarPoint(x0, x0 * x0 - offset)
-    worst = ctx.mpf(0)
+    x, y = split(x0._mpf_), split((x0 * x0 - offset)._mpf_)
+    step, worst = kahan_fold_kernel(params), (0, 0)
     for _ in range(10_000):
-        p = kahan_step_fold(params, p)
-        worst = max(worst, abs(p.y - (p.x * p.x - offset)))
+        x, y = step(x, y)
+        d = sub(y, sub(mul(x, x, prec), off, prec), prec)
+        if not abs_le(d, worst):
+            worst = d
+    worst, x = (ctx.make_mpf(pack(v)) for v in ((abs(worst[0]), worst[1]), x))
     if not worst <= tol:
         return False, f"parabola residual {ctx.nstr(worst, 3)}"
-    if not abs(p.x - ctx.mpf("0.1")) < ctx.tol(20):
-        return False, f"passage ends at x={ctx.nstr(p.x, 8)}, not past the fold point"
+    if not abs(x - ctx.mpf("0.1")) < ctx.tol(20):
+        return False, f"passage ends at x={ctx.nstr(x, 8)}, not past the fold point"
 
     h = params.h
     if not (

@@ -39,7 +39,7 @@ from itertools import count, islice
 from math import inf, ldexp, nextafter
 from typing import Callable, Optional, Union
 
-from .rounding import abs_le, add, div, mul, pack, rn, scaler, split, sub
+from .rounding import add, div, le_product, mul, pack, rn, scaler, split, sub
 from .schemes import (
     ButcherTableau,
     PoleError,
@@ -256,26 +256,11 @@ def _glued(u, a, b, glue, prec) -> bool:
     """The sticky-set rule |u| <= glue * max(|a|, |b|) on mantissa pairs.
 
     Rounding is monotone, so the rounded glue * max(|a|, |b|) is the larger
-    of the rounded glue * |a| and glue * |b|.  A nonzero value v lies in
-    [2**(m-1), 2**m) with m its bit length plus its exponent, and the
-    rounded product in [2**(mg+mv-2), 2**(mg+mv)], so magnitudes two or more
-    apart decide a comparison; only closer ones pay for the product and the
-    exact compare, which decide the rule exactly as mpf arithmetic would.
+    of the rounded glue * |a| and glue * |b|; rounding.le_product decides each
+    from magnitudes where they lie two or more binades apart, and otherwise
+    forms the product and compares exactly, as mpf arithmetic would.
     """
-    um, ue = u
-    if not um:
-        return True
-    mu = abs(um).bit_length() + ue - abs(glue[0]).bit_length() - glue[1]
-    for v in (a, b):
-        if v[0]:
-            d = mu - abs(v[0]).bit_length() - v[1]
-            if d <= -2:
-                return True
-            if d >= 2:
-                continue
-        if abs_le(u, mul(glue, v, prec)):
-            return True
-    return False
+    return le_product(u, glue, a, prec) or le_product(u, glue, b, prec)
 
 
 def _diagonal_deviation(params: SystemParams):

@@ -5,11 +5,12 @@ and need not be odd.  rn, add, sub, mul and div round to nearest, ties to
 even, at prec bits, exactly as mpmath's libmp does with round_nearest (add
 keeps libmp's rule for a far smaller operand): pack(add(split(s), split(t),
 prec)) equals mpf_add(s, t, prec, round_nearest), and likewise for sub, mul
-and div.  abs_le compares magnitudes and lt signed values exactly;
-negligible tells from bit lengths that a sum rounds to one operand.  Results
-are neither packed nor stripped of trailing zeros, so a chain of operations
-builds and normalises no ``_mpf_`` tuple between two roundings; pack makes
-the canonical tuple once, at the end.  Pairs hold finite values only.
+and div.  abs_le, lt and le_product compare magnitudes, signed values and
+a magnitude with a rounded product's exactly; negligible tells that a sum
+rounds to one operand.  Results are neither packed nor stripped of trailing
+zeros, so a chain of operations builds and normalises no ``_mpf_`` tuple
+between two roundings; pack makes the canonical tuple once, at the end.
+Pairs hold finite values only.
 """
 
 from fractions import Fraction
@@ -170,10 +171,9 @@ def div(a, b, prec):
 
 
 def abs_le(a, b):
-    """|a| <= |b|, exactly; magnitudes a bit or more apart decide it unshifted."""
+    """|a| <= |b|, exactly; bit lengths (which ignore the sign) decide unequal magnitudes."""
     am, ae = a
     bm, be = b
-    am, bm = abs(am), abs(bm)
     if not am:
         return True
     if not bm:
@@ -181,9 +181,24 @@ def abs_le(a, b):
     d = am.bit_length() + ae - bm.bit_length() - be
     if d:
         return d < 0
+    am, bm = abs(am), abs(bm)
     if ae >= be:
         return am << (ae - be) <= bm
     return am <= bm << (be - ae)
+
+
+def le_product(v, t, w, prec):
+    """|v| <= |mul(t, w, prec)|; magnitudes two or more binades apart decide it unmultiplied.
+
+    A nonzero value lies in [2**(g-1), 2**g), g its bit length plus exponent,
+    so the rounded product lies in [2**(gt+gw-2), 2**(gt+gw)]; one binade
+    would not do, as a product rounded up to 2**(gt+gw) may equal |v|.
+    """
+    vm, tm, wm = v[0], t[0], w[0]
+    if not (vm and tm and wm):
+        return not vm
+    d = vm.bit_length() + v[1] - tm.bit_length() - t[1] - wm.bit_length() - w[1]
+    return abs_le(v, mul(t, w, prec)) if -2 < d < 2 else d < 0
 
 
 def lt(a, b):

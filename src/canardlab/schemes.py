@@ -45,7 +45,7 @@ from functools import partial, reduce
 from typing import Optional
 
 from .precision import PrecisionContext
-from .rounding import abs_le, add, div, mul, negligible, pack, rn, scaler, split, sub
+from .rounding import add, div, le_product, mul, negligible, pack, rn, scaler, split, sub
 from .systems import PlanarPoint, SingularityKind, SystemParams
 
 
@@ -556,7 +556,10 @@ _THREE = (3, 0)
 # h (b (my - 3 mx mx)/2 + a (yn - 3 xn xn)) - 1, with f(x, y) = x y - x x x,
 # b = 1 - 2a, mx = (x + xn)/2 and my = (y + yn)/2; a, b and h are scalers.
 # af_old = a f(x, y) is formed once per step and mx once per candidate xn;
-# halving is exact, so it is an exponent shift.
+# halving is exact, so it is an exponent shift.  The term plan: b (a = 1/2)
+# or a (a = 0) is None where it is exactly 0, its terms are not formed, and
+# the rn that adding their zero applied is kept (at a = 1/2, af_old comes so
+# rounded, and mx and my go unused).
 
 
 def _pitchfork_f(x, y, prec):
@@ -564,14 +567,21 @@ def _pitchfork_f(x, y, prec):
 
 
 def _afamily_residual_pair(a, b, h, x, af_old, my, yn, xn, mx, prec):
-    f = add(add(af_old, b(_pitchfork_f(mx, my, prec)), prec), a(_pitchfork_f(xn, yn, prec)), prec)
+    if a is None:
+        f = rn(*b(_pitchfork_f(mx, my, prec)), prec)
+    else:
+        f = af_old if b is None else add(af_old, b(_pitchfork_f(mx, my, prec)), prec)
+        f = add(f, a(_pitchfork_f(xn, yn, prec)), prec)
     return sub(add(x, h(f), prec), xn, prec)
 
 
 def _afamily_slope_pair(a, b, h, my, yn, xn, mx, prec):
+    d_new = a(sub(yn, mul(mul(_THREE, xn, prec), xn, prec), prec)) if a else None
+    if b is None:
+        return sub(h(rn(*d_new, prec)), _ONE, prec)
     m, e = sub(my, mul(mul(_THREE, mx, prec), mx, prec), prec)
-    d_new = sub(yn, mul(mul(_THREE, xn, prec), xn, prec), prec)
-    return sub(h(add(b((m, e - 1)), a(d_new), prec)), _ONE, prec)
+    d = rn(*b((m, e - 1)), prec) if a is None else add(b((m, e - 1)), d_new, prec)
+    return sub(h(d), _ONE, prec)
 
 
 def _half_sum(u, v, prec):
@@ -595,29 +605,31 @@ def _afamily_solver(aparam, params: SystemParams):
 
     x, y, xnew, ynew and residual are mantissa pairs and method "newton",
     "cubic" or "canard" (see a_family_step_pitchfork).
-    Scalers by a, b = 1 - 2a and h, eps h and the residual bars tol(2) and
-    tol(10) are formed once; every operation but the cubic's polyroots and
-    root choice rounds on pairs like the mpf expression it replaces, so the
-    values are those of mpf arithmetic, bit for bit.
+    Scalers by a and b = 1 - 2a (None where exactly 0: the term plan) and by
+    h, eps h and the bars tol(2) and tol(10) are formed once; every operation
+    but the cubic's polyroots and root choice rounds on pairs like the mpf
+    expression it replaces, so the values are those of mpf arithmetic, bit for bit.
     """
     ctx = params.ctx
     prec = ctx.prec
     a_mpf, h_mpf = ctx.mpf(aparam), params.h
     (am, ae), h_pair = split(a_mpf._mpf_), split(h_mpf._mpf_)
     heps = mul(split(params.epsilon._mpf_), h_pair, prec)
-    a, b, h = (scaler(v, prec) for v in ((am, ae), sub(_ONE, rn(am, ae + 1, prec), prec), h_pair))
+    a, b = (scaler(v, prec) if v[0] else None for v in ((am, ae), sub(_ONE, rn(am, ae + 1, prec), prec)))
+    h = scaler(h_pair, prec)
     tol2, tol10 = split(ctx.tol(2)._mpf_), split(ctx.tol(10)._mpf_)
 
     def within(v, tol, xn):
         """|v| <= tol (1 + |xn|)."""
-        return abs_le(v, mul(tol, add(_ONE, (abs(xn[0]), xn[1]), prec), prec))
+        return le_product(v, tol, add(_ONE, (abs(xn[0]), xn[1]), prec), prec)
 
     def residual(x, af_old, my, yn, xn):
-        return _afamily_residual_pair(a, b, h, x, af_old, my, yn, xn, _half_sum(x, xn, prec), prec)
+        mx = _half_sum(x, xn, prec) if b else None
+        return _afamily_residual_pair(a, b, h, x, af_old, my, yn, xn, mx, prec)
 
     def correction(x, af_old, my, yn, xn):
         """Newton's residual / slope at xn, or None where the slope is 0."""
-        mx = _half_sum(x, xn, prec)
+        mx = _half_sum(x, xn, prec) if b else None
         dr = _afamily_slope_pair(a, b, h, my, yn, xn, mx, prec)
         if not dr[0]:
             return None
@@ -644,8 +656,10 @@ def _afamily_solver(aparam, params: SystemParams):
         yn = add(y, heps, prec)
         if not x[0]:
             return x, yn, "canard", _ZERO
-        my = _half_sum(y, yn, prec)
-        af_old = a(_pitchfork_f(x, y, prec))
+        my = _half_sum(y, yn, prec) if b else None
+        af_old = a(_pitchfork_f(x, y, prec)) if a else None
+        if b is None:
+            af_old = rn(*af_old, prec)
         xn = predictor = add(x, mul(h(x), sub(y, mul(x, x, prec), prec), prec), prec)
         for _ in range(_AFAMILY_MAX_NEWTON):
             step = correction(x, af_old, my, yn, xn)
@@ -701,8 +715,9 @@ def a_family_step_pitchfork(
     steps.  The line {x = 0} is invariant: from x = 0 the canard branch
     xnew = 0 is returned unconditionally (other real branches may coexist
     there).  Newton and polish round on mantissa pairs (see rounding), as
-    afamily_kernel does for whole orbits, giving the values mpf arithmetic
-    gives; a non-finite x or y raises NoRealBranch.
+    afamily_kernel does for whole orbits; at a = 1/2 and a = 0 they skip the
+    terms that are exactly 0 but keep the rounding that adding them applied,
+    so the values are mpf arithmetic's.  A non-finite x or y raises NoRealBranch.
 
     The family is symmetric (time-reversible): reverse=True applies the step
     with h -> -h, which undoes the forward step.

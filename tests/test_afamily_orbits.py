@@ -128,6 +128,11 @@ def _outcome(fn, *args, **kwargs):
         return "no real branch", str(err)
 
 
+# 1/2 + 2^-169, exactly: one ulp above 1/2 at 50 digits (169 bits), where
+# b = 1 - 2a is -2^-168, tiny but not 0, so the full term plan runs
+NEAR_HALF = f"{(2**168 + 1) * 5**169}e-169"
+
+
 # -- strategies -----------------------------------------------------------------
 
 digits_st = st.sampled_from(sorted(CONTEXTS))
@@ -148,6 +153,15 @@ eps_st = st.sampled_from(["0.01", "0.1", "1"])
 @example(digits=200, a="0", h="1", eps="1", x="-7e-1", y="9e0", reverse=True)
 # Newton fails its residual bar, and so does the polished cubic root
 @example(digits=200, a="-166e-3", h="10", eps="0.01", x="798e1", y="318e-2", reverse=False)
+# exactly a = 1/2 and a = 0, whose term plans drop the zero terms
+@example(digits=16, a="0.5", h="0.1", eps="0.01", x="3e-1", y="-7e-1", reverse=False)
+@example(digits=50, a="0.5", h="1", eps="0.1", x="-15e-1", y="2e0", reverse=True)
+@example(digits=200, a="0.5", h="0.01", eps="1", x="1e-20", y="4e-1", reverse=False)
+@example(digits=16, a="0", h="0.5", eps="0.1", x="-7e-1", y="9e0", reverse=True)
+@example(digits=50, a="0", h="0.1", eps="0.01", x="1e-4", y="-4995e-4", reverse=False)
+@example(digits=200, a="0", h="3", eps="0.01", x="42e-2", y="-3e0", reverse=False)
+# one ulp off 1/2: the full plan
+@example(digits=50, a=NEAR_HALF, h="0.1", eps="0.01", x="3e-1", y="-7e-1", reverse=False)
 def test_step_matches_mpf_reference(digits, a, h, eps, x, y, reverse):
     ctx = CONTEXTS[digits]
     params = SystemParams.create(ctx, eps, h)
@@ -195,6 +209,38 @@ def test_forced_cubic_fallback(monkeypatch, max_newton, digits, a):
             assert _outcome(a_family_step_pitchfork, ctx.mpf(a), params, p, reverse=reverse) == want
     # one Newton step can already meet the bar from a start near the canard
     assert (methods == {"cubic"}) if max_newton == 0 else ("cubic" in methods)
+
+
+def test_near_half_is_one_ulp_above_half():
+    a = split(CONTEXTS[50].mpf(NEAR_HALF)._mpf_)
+    assert a == (2**168 + 1, -169)
+
+
+@pytest.mark.parametrize("max_newton", [200, 0], ids=["newton", "polish"])
+@pytest.mark.parametrize("a, plan", [("0.5", "no b"), ("0", "no a"), (NEAR_HALF, "full"), ("-0.5", "full")],
+                         ids=["a=1/2", "a=0", "a=1/2+ulp", "a=-1/2"])
+def test_term_plan(monkeypatch, max_newton, a, plan):
+    """Exact a = 1/2 and a = 0 drop their zero terms in Newton and in the cubic's polish.
+
+    Every slope evaluation is recorded; with Newton cut to 0 steps only the
+    polish after the cubic root evaluates it.  The step matches the reference.
+    """
+    seen = set()
+    slope = schemes._afamily_slope_pair
+
+    def spy(a_, b_, *args):
+        seen.add("no a" if a_ is None else "no b" if b_ is None else "full")
+        return slope(a_, b_, *args)
+
+    monkeypatch.setattr(schemes, "_afamily_slope_pair", spy)
+    monkeypatch.setattr(schemes, "_AFAMILY_MAX_NEWTON", max_newton)
+    ctx = CONTEXTS[50]
+    params = SystemParams.create(ctx, "0.01", "0.1")
+    p = PlanarPoint(ctx.mpf("0.3"), ctx.mpf("-0.7"))
+    got = _outcome(a_family_step_pitchfork, ctx.mpf(a), params, p)
+    assert got == _outcome(ref_step, ctx.mpf(a), params, p, max_newton=max_newton)
+    assert got[2] == ("cubic" if max_newton == 0 else "newton")
+    assert seen == {plan}
 
 
 @pytest.mark.parametrize("special", [finf, fnan], ids=["inf", "nan"])

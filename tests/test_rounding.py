@@ -3,7 +3,8 @@
 pack(op(split(s), split(t), prec)) must equal libmp's op(s, t, prec,
 round_nearest) tuple for tuple, for add, sub, mul and div, at the binary
 precisions of the 16, 50, 200 and 5000-digit contexts (56, 169, 668 and
-16613 bits); abs_le must agree with mpf_le on the magnitudes.  Operands are drawn
+16613 bits); abs_le must agree with mpf_le on the magnitudes and with exact
+Fraction comparison, and le_product with abs_le of the rounded product.  Operands are drawn
 with mantissas up to about twice the precision (wider than prec: the
 slow-start case) and with the second placed relative to the first, so sums
 overlap, cancel, or lie past libmp's far-operand cut-off.
@@ -25,7 +26,7 @@ from mpmath.libmp import (
 import canardlab
 from canardlab import make_context
 from canardlab.rounding import (
-    SCALER_MIN_BITS, abs_le, add, div, lt, mul, negligible, pack, rn, scaler, split, sub,
+    SCALER_MIN_BITS, abs_le, add, div, le_product, lt, mul, negligible, pack, rn, scaler, split, sub,
 )
 
 CONTEXTS = [make_context(d) for d in (16, 50, 200, 5000)]
@@ -238,6 +239,101 @@ def test_abs_le_matches_libmp(case):
     assert abs_le(split(a), split(b)) == mpf_le(mpf_abs(a), mpf_abs(b)), (a, b)
 
 
+def _exact(p):
+    return Fraction(p[0]) * Fraction(2) ** p[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(operand_pairs(), st.integers(0, 80), st.integers(0, 80),
+       st.sampled_from(["drawn", "equal", "negated", "next"]))
+@example((P, fzero, fzero), 0, 9, "drawn")
+@example((P, fzero, v(-1)), 0, 0, "drawn")
+@example((P, v(-1), fzero), 5, 0, "drawn")
+@example((P, v(-5), v(5)), 0, 3, "drawn")
+@example((P, v(5, -1), v(-3)), 2, 0, "drawn")  # same binary magnitude, either order
+@example((P, v(-3), v(5, -1)), 0, 0, "drawn")
+@example((P, v(3), v(3)), 0, 40, "negated")
+def test_abs_le_matches_fractions(case, sa, sb, relation):
+    """abs_le on pairs of either sign, zeros among them, against exact Fractions.
+
+    b is drawn, equal to a, its negation, or a's mantissa plus one; either
+    pair may carry its value with trailing zeros at a lower exponent.
+    """
+    _, a, b = case
+    if relation == "equal":
+        b = a
+    elif relation == "negated":
+        b = mpf_neg(a)
+    pa, pb = _shifted(a, sa), _shifted(b, sb)
+    if relation == "next":
+        pb = (pa[0] + 1, pa[1])
+    assert abs_le(pa, pb) == (abs(_exact(pa)) <= abs(_exact(pb))), (pa, pb)
+    assert abs_le(pb, pa) == (abs(_exact(pb)) <= abs(_exact(pa))), (pa, pb)
+
+
+def _mag(p):
+    return p[0].bit_length() + p[1]
+
+
+def _power_edge(prec):
+    """(v, t, w): t w rounds up to the power of two 2**(mag t + mag w) = |v|, one binade above."""
+    t = w = ((1 << (prec + 3)) - 1, -prec)  # 8 (1 - 2**-(prec + 3)), 3 bits past prec
+    return (-1, _mag(t) + _mag(w)), t, w
+
+
+@st.composite
+def product_cases(draw):
+    """(prec, v, t, w): |v| 0 to 3 binades from |t w| either way, at the product, or next to it.
+
+    t and w are drawn as the operand mantissas are (wider than prec among
+    them), either may be 0, and v is drawn, the rounded product (negated or
+    with trailing zeros), or the product's mantissa plus or minus one.
+    """
+    prec = draw(st.sampled_from(PRECS))
+    t, w = ((draw(mantissas(prec)), draw(st.integers(-3 * prec, 3 * prec))) for _ in "tw")
+    shape = draw(st.sampled_from(["gap", "gap", "product", "next"]))
+    if shape == "gap":
+        vm = draw(st.one_of(mantissas(prec), st.sampled_from([1, -1])))
+        v = (vm, _mag(t) + _mag(w) + draw(st.integers(-3, 3)) - vm.bit_length())
+    else:
+        m, e = mul(t, w, prec)
+        shift = draw(st.integers(0, 40))
+        m = (m if draw(st.booleans()) else -m) << shift
+        v = (m + draw(st.sampled_from([-1, 1])) if shape == "next" else m, e - shift)
+    zero = draw(st.sampled_from([None, None, None, None, "v", "t", "w"]))
+    if zero == "v":
+        v = (0, v[1])
+    elif zero == "t":
+        t = (0, t[1])
+    elif zero == "w":
+        w = (0, w[1])
+    return prec, v, t, w
+
+
+@settings(max_examples=500, deadline=None)
+@given(product_cases())
+@example((P, (0, 0), (3, 0), (0, 5)))
+@example((P, (1, 0), (0, 0), (3, 0)))
+@example((P, (-1, 0), (3, 0), (0, 7)))
+@example((P, *_power_edge(P)))
+@example((PRECS[1], *_power_edge(PRECS[1])))
+@example((PRECS[2], *_power_edge(PRECS[2])))
+@example((PRECS[3], *_power_edge(PRECS[3])))
+def test_le_product_matches_abs_le_of_the_product(case):
+    prec, v, t, w = case
+    assert le_product(v, t, w, prec) == abs_le(v, mul(t, w, prec)), case
+
+
+@pytest.mark.parametrize("prec", PRECS)
+def test_le_product_needs_two_binades(prec):
+    """A product rounded up to a power of two equals a |v| one binade above its operands'."""
+    v, t, w = _power_edge(prec)
+    assert _mag(v) == _mag(t) + _mag(w) + 1
+    assert _exact(mul(t, w, prec)) == -_exact(v) == 2 ** (_mag(t) + _mag(w))
+    assert le_product(v, t, w, prec)
+    assert not le_product((v[0], v[1] + 1), t, w, prec)
+
+
 def _shifted(value, shift):
     """The pair of value with its mantissa shifted left by shift bits: not canonical."""
     m, e = split(value)
@@ -272,10 +368,6 @@ def test_lt_matches_libmp(case, sa, sb, relation):
 
 
 # -- negligible operands ---------------------------------------------------------
-
-
-def _mag(p):
-    return p[0].bit_length() + p[1]
 
 
 @st.composite
