@@ -53,14 +53,14 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from typing import Optional, Union
 
 from .linearization import (CANARDS, SchemeSelector, _entry_offset, _escape_threshold,
                             _exact_zero, _iadd, _imul, _out, _poly_add, _poly_mul, _poly_scale,
                             _products, _stage_polynomial, enclose, q_s, scheme_map)
 from .precision import PrecisionContext
-from .rounding import abs_le, add, div, lt, mul, pack, split, sub
+from .rounding import abs_le, add, div, lt, mul, pack, rn, split, sub
 from .schemes import _ONE, _ZERO, ButcherTableau, PoleError
 from .systems import PlanarPoint, SingularityKind, SystemParams
 
@@ -205,9 +205,11 @@ def rk_cbar(tableau: ButcherTableau, params: SystemParams, rho):
     expansion sum_i theta_i sum_k k^i = sum_i C_i (K-1)^i; then
     C-bar = |ln(max_i |C_i|)| / ln 2 + 1.  The C_i depend on (h, eps, rho)
     through the theta_i, so C-bar is computed per call; rho must be finite
-    and > 0.
+    and > 0, and so must eps (at eps = 0 every C_i vanishes).
     """
     ctx = params.ctx
+    if not params.epsilon > 0:
+        raise ValueError(f"eps must be > 0, got {params.epsilon}")
     s = tableau.s
     if s - 1 >= len(_BERNOULLI_PLUS):
         raise ValueError("stage count beyond the hard-coded Bernoulli table")
@@ -341,21 +343,84 @@ _RHO_CAP = 10
 
 
 def _horner(p, x, prec):
-    """The polynomial p (ascending pairs) at the pair x, by Horner's rule."""
-    acc = _ZERO
-    for c in reversed(p):
+    """The polynomial p (ascending pairs) at the pair x, by Horner's rule from its leading coefficient."""
+    acc = p[-1]
+    for c in p[-2::-1]:
         acc = add(mul(acc, x, prec), c, prec)
     return acc
+
+
+def _float(v):
+    """The pair v as a float (its top 64 bits, truncated), or None where that overflows."""
+    m, e = v
+    n = m.bit_length() - 64
+    if n > 0:
+        m, e = m >> n, e + n
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        return None
+
+
+def _float_horner(p, x):
+    """The polynomial p (ascending floats) at the float x."""
+    acc = p[-1]
+    for c in p[-2::-1]:
+        acc = acc * x + c
+    return acc
+
+
+def _float_seed(p, dp, a, b, fa):
+    """A root of p in (a, b) by safeguarded Newton in double precision, as a pair, or None.
+
+    It runs on the float images of p, p' and the bracket, with the sign and
+    bracket tests of _newton_in_bracket, for at most 40 iterations, and
+    stops after a step of at most 2**-40 relative.  None where a value has
+    no finite float image or p's is not finite at an iterate.  The result is
+    only a start for _newton_in_bracket, which checks that it lies inside
+    (a, b); it never decides a sign.
+    """
+    images = [_float(v) for v in (a, b, *p, *dp)]
+    if None in images:
+        return None
+    lo, hi, pf, dpf = images[0], images[1], images[2:len(p) + 2], images[len(p) + 2:]
+    neg, x = fa[0] < 0, 0.5 * lo + 0.5 * hi
+    for _ in range(40):
+        fx = _float_horner(pf, x)
+        if not math.isfinite(fx):
+            return None
+        if not fx:
+            break
+        if (fx < 0) == neg:
+            lo = x
+        else:
+            hi = x
+        d = _float_horner(dpf, x)
+        t = x - fx / d if d else math.nan
+        if lo < t < hi:
+            x, last = t, abs(t - x) <= 2.0 ** -40 * t
+            if last:
+                break
+        else:
+            x = 0.5 * lo + 0.5 * hi
+            if not lo < x < hi:
+                break
+    m, q = x.as_integer_ratio()
+    return m, 1 - q.bit_length()
 
 
 def _newton_in_bracket(p, dp, a, b, fa, tol, prec):
     """Root of p on [a, b], where p is monotone and changes sign, by safeguarded Newton.
 
-    Convergence (a Newton step of at most tol relative) is tested before the
-    bracket safeguard, so the converged iterate is returned; a step that
-    leaves the bracket is replaced by bisection.  Comparisons are exact.
+    The first iterate is _float_seed's root where it lies inside (a, b),
+    else the midpoint; the seed only saves iterations.  Convergence (a
+    Newton step of at most tol relative) is tested before the bracket
+    safeguard, so the converged iterate is returned; a step that leaves the
+    bracket is replaced by bisection.  Comparisons are exact.
     """
-    t = None
+    t = _float_seed(p, dp, a, b, fa)
+    if t is not None:
+        t = rn(*t, prec)
     while True:
         if t is not None and lt(a, t) and lt(t, b):
             x = t
@@ -380,39 +445,107 @@ def _newton_in_bracket(p, dp, a, b, fa, tol, prec):
             return x
 
 
-def _sign_changes(p, hi, tol, prec, first=False):
-    """Ascending roots in (0, hi] of the polynomial p (pairs) at which it changes sign.
+def _sign_changes(p, hi, tol, prec):
+    """Yield, ascending and lazily, each sign change in (0, hi] of the polynomial p (pairs).
 
     The sign changes of p' (found the same way, down to a constant) cut
     (0, hi] into pieces on which p is monotone; a piece whose end values
     differ in sign holds one, polished by _newton_in_bracket, and a piece
-    ending in an exact zero of p yields that end.  first=True stops at the
-    first.
+    ending in an exact zero of p yields that end.  Each is yielded with the
+    value of p at its piece's left end, whose sign p has below it.  A cut is
+    found only when the piece it closes is examined, so taking the first
+    sign change finds no cut past it.  Signs are decided at working
+    precision.
     """
     while len(p) > 1 and not p[-1][0]:
         p = p[:-1]
     if len(p) < 2:
-        return []
+        return
     dp = [mul((i, 0), c, prec) for i, c in enumerate(p) if i]
-    cuts = [_ZERO, *_sign_changes(dp, hi, tol, prec), hi]
-    roots, fa = [], _horner(p, cuts[0], prec)
-    for a, b in zip(cuts, cuts[1:]):
+    a, fa = _ZERO, p[0]
+    for b in chain((x for x, _ in _sign_changes(dp, hi, tol, prec)), (hi,)):
         fb = _horner(p, b, prec)
         if fa[0] and (not fb[0] or (fa[0] < 0) != (fb[0] < 0)):
-            roots.append(b if not fb[0] else _newton_in_bracket(p, dp, a, b, fa, tol, prec))
-            if first:
-                break
-        fa = fb
-    return roots
+            yield (b if not fb[0] else _newton_in_bracket(p, dp, a, b, fa, tol, prec)), fa
+        a, fa = b, fb
+
+
+def _exact_sign(p, x):
+    """Sign of the polynomial p (ascending pairs) at the pair x, in exact integer arithmetic."""
+    xm, xe = x
+    am, ae = p[-1]
+    for cm, ce in p[-2::-1]:
+        am, ae = am * xm, ae + xe
+        if ae > ce:
+            am, ae = (am << (ae - ce)) + cm, ce
+        else:
+            am += cm << (ce - ae)
+    return (am > 0) - (am < 0)
+
+
+def _nearest_root(p, x, below, prec):
+    """The root of p next to the positive pair x, rounded to nearest-even at prec bits.
+
+    below is p's value on the left of the root (only its sign is used).
+    Positive prec-bit floats are indexed so that neighbours differ by 1,
+    across binades too, with x at 0.  The root is rounded to float k when
+    it lies between the midpoints of k with its neighbours, that is when k
+    is the first index whose upper midpoint is not below the root; that k
+    is found by galloping from 0 (steps 1, 2, 4, ...) and then bisecting,
+    each midpoint decided from the exact sign of p there, and a root
+    exactly on a midpoint goes to the float with the even mantissa.  Where
+    the gallop finds no such k within 2**64 floats of x (p does not change
+    sign near x), x itself is returned.
+    """
+    m, e = rn(*x, prec)
+    shift = prec - m.bit_length()
+    m, e = (m << shift, e - shift) if shift >= 0 else (m >> -shift, e - shift)
+    half, sign = 1 << (prec - 1), (below[0] > 0) - (below[0] < 0)
+
+    def value(k):
+        q, r = divmod(m - half + k, half)
+        return half + r, e + q
+
+    def side(k):  # > 0: the midpoint of floats k and k + 1 lies below the root
+        (m1, e1), (m2, e2) = value(k), value(k + 1)
+        return sign * _exact_sign(p, (m1 + (m2 << (e2 - e1)), e1 - 1))
+
+    s = side(0)
+    lo, hi = (0, None) if s > 0 else (None, 0)
+    step = 1
+    while lo is None or hi is None or hi - lo > 1:
+        if step > 1 << 64:
+            return x
+        if lo is None:
+            k, step = -step, 2 * step
+        elif hi is None:
+            k, step = step, 2 * step
+        else:
+            k = (lo + hi) // 2
+        t = side(k)
+        if t > 0:
+            lo = k
+        else:
+            hi, s = k, t
+    if s == 0 and value(hi)[0] & 1:
+        hi += 1
+    return value(hi)
 
 
 def _first_root(tableau, ctx, x, h, eps, hi, stage_factor=2):
-    """First sign change in (0, hi] of 1 + h Q_s(x) (x, h polynomials of pairs), or None."""
+    """First sign change in (0, hi] of 1 + h Q_s(x) (x, h polynomials of pairs), or None.
+
+    The root is that of the polynomial with the rounded coefficients, rounded
+    to nearest-even at the working precision (_nearest_root), so its bits do
+    not depend on the path Newton took to it.
+    """
     prec = ctx.prec
     q = _stage_polynomial(tableau, ctx, x, h, split(eps._mpf_), stage_factor)
     p = _poly_add([_ONE], _poly_mul(h, q, prec), prec)
-    roots = _sign_changes(p, split(hi._mpf_), split(ctx.tol(8)._mpf_), prec, first=True)
-    return ctx.make_mpf(pack(roots[0])) if roots else None
+    found = next(_sign_changes(p, split(hi._mpf_), split(ctx.tol(8)._mpf_), prec), None)
+    if found is None:
+        return None
+    return ctx.make_mpf(pack(_nearest_root(p, *found, prec)))
 
 
 def critical_triplet_linearized(
@@ -420,14 +553,19 @@ def critical_triplet_linearized(
 ) -> Optional[CriticalTriplet]:
     """Smallest rho in (0, 10/h] with 1 + h Q_s(-rho) = 0, or None if no sign change.
 
-    At fixed (h, eps), 1 + h Q_s(-rho) is a polynomial of degree s in rho.
-    Its first sign change in (0, 10/h] is isolated between the sign changes
-    of its derivative (found the same way, down to a constant) and polished
-    by bracket-safeguarded Newton to the context's precision, on mantissa
-    pairs; nothing is scanned.  The cap 10/h is fixed: larger entries fall
-    outside the local canonical-form regime.  Forward Euler gives
-    rho* = 1/(2h) exactly; where a scheme has no sign change below the cap
-    (heun2 at h = 0.1, eps = 0.01) the result is None.
+    At fixed (h, eps), 1 + h Q_s(-rho) is a polynomial of degree s in rho,
+    its coefficients rounded at the context's precision.  Its first sign
+    change in (0, 10/h] is isolated between the sign changes of its
+    derivative (found the same way, down to a constant, and only as far as
+    that piece), polished by bracket-safeguarded Newton from a
+    double-precision start, on mantissa pairs, and returned as that
+    polynomial's exact root rounded to nearest-even at the context's
+    precision; nothing is scanned, and the bits do not depend on Newton's
+    path.  Signs that place the root are decided at working precision.  The
+    cap 10/h is fixed: larger entries fall outside the local canonical-form
+    regime.  Forward Euler gives rho* = 1/(2h) exactly; where a scheme has
+    no sign change below the cap (heun2 at h = 0.1, eps = 0.01) the result
+    is None.
     """
     params = SystemParams.create(ctx, eps, h)
     if not params.epsilon > 0:
@@ -445,12 +583,12 @@ def linearized_critical_h(
     This is the critical-triplet equation solved for the step size at fixed
     (rho, eps), the quantity plotted by the critical-surface sweeps.  At
     fixed (rho, eps) it is a polynomial of degree at most 2s in h, equal to
-    1 at h = 0; its first sign change in (0, 10/rho] is isolated and
-    polished as in critical_triplet_linearized, with no scan.  The cap
-    10/rho is fixed; it is what leaves heun2 without a root in most cells
-    of the README grid.  stage_factor is q_s's: 2 on the transcritical
-    diagonal, 1 on the pitchfork line (forward Euler's root is then
-    1/(c rho)).
+    1 at h = 0; its first sign change in (0, 10/rho] is isolated, polished
+    and rounded to nearest as in critical_triplet_linearized, with no scan.
+    The cap 10/rho is fixed; it is what leaves heun2 without a root in most
+    cells of the README grid.  stage_factor is q_s's: 2 on the
+    transcritical diagonal, 1 on the pitchfork line (forward Euler's root
+    is then 1/(c rho)).
     """
     rho, eps = _entry_offset(ctx, rho), ctx.mpf(eps)
     if not (eps >= 0 and ctx.isfinite(eps)):

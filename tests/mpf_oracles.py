@@ -11,6 +11,13 @@ STEP_MAPS lists every (kind, scheme) pair whose SchemeMap.step the command
 line can build: forward Euler on the three kinds, Kutta3 on both lines,
 Kahan on the transcritical and the fold, and the implicit family at
 a = 1/2, 0 and -1/2 (the pitchfork's Kahan map).
+
+stage_polynomial is the RK stage recursion on lists of mpf coefficients, as
+the linearized solvers had it before they ran on pairs; h_polynomial and
+rho_polynomial form from it the critical polynomial 1 + h Q_s(-rho) that
+linearized_critical_h and critical_triplet_linearized solve, each
+coefficient rounded as theirs.  assert_nearest_root checks a root against
+such a polynomial taken exactly.
 """
 
 from fractions import Fraction
@@ -150,3 +157,92 @@ def oracle(kind, scheme, params, p):
     if scheme == KAHAN:
         return (kahan_step_transcritical if kind is T else kahan_step_fold)(params, p)
     return euler_step(kind, params, p) if scheme.s == 1 else rk_step(scheme, kind, params, p)
+
+
+# -- the linearized critical polynomial ------------------------------------------------
+
+
+def poly_add(p, q):
+    n = max(len(p), len(q))
+    return [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)]
+
+
+def poly_scale(p, c):
+    return [c * v for v in p]
+
+
+def poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def stage_polynomial(tableau, ctx, x, h, eps, stage_factor=2):
+    """Q_s in a variable t (mpf coefficients, ascending), x and h given as polynomials in t."""
+    alpha, rows, sums = bind(tableau, ctx)
+    heps = poly_scale(h, eps)
+    dk = []
+    for i in range(tableau.s):
+        acc = [ctx.mpf(0)]
+        for j, aij in enumerate(rows[i]):
+            acc = poly_add(acc, poly_scale(dk[j], aij))
+        base = poly_scale(poly_add(poly_scale(heps, sums[i]), x), stage_factor)
+        dk.append(poly_mul(base, poly_add([ctx.mpf(1)], poly_mul(h, acc))))
+    total = [ctx.mpf(0)]
+    for i in range(tableau.s):
+        total = poly_add(total, poly_scale(dk[i], alpha[i]))
+    return total
+
+
+def h_polynomial(tableau, ctx, rho, eps, stage_factor=2):
+    """1 + h Q_s(-rho; h, eps) in h, each coefficient rounded as linearized_critical_h's."""
+    h = [ctx.mpf(0), ctx.mpf(1)]
+    q = stage_polynomial(tableau, ctx, [-rho], h, eps, stage_factor)
+    return poly_add([ctx.mpf(1)], poly_mul(h, q))
+
+
+def rho_polynomial(tableau, params):
+    """1 + h Q_s(-rho) in rho, each coefficient rounded as critical_triplet_linearized's."""
+    ctx, h = params.ctx, [params.h]
+    q = stage_polynomial(tableau, ctx, [ctx.mpf(0), ctx.mpf(-1)], h, params.epsilon)
+    return poly_add([ctx.mpf(1)], poly_mul(h, q))
+
+
+def exact(v):
+    """The value of an mpf as a Fraction."""
+    sign, man, exp, _ = v._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+def ulp(v, prec):
+    """The gap above the positive mpf v between floats of prec bits."""
+    man, exp = v.man_exp
+    return Fraction(2) ** (man.bit_length() + exp - prec)
+
+
+def assert_nearest_root(coeffs, root, prec):
+    """root is a root of the polynomial coeffs (mpf, ascending) rounded to nearest-even.
+
+    The polynomial, taken exactly, changes sign between the midpoints of the
+    positive prec-bit float root with its neighbours (the gap below a power
+    of two is half the gap above), or vanishes on one of them and root has
+    the even mantissa.
+    """
+    p = [exact(c) for c in coeffs]
+    r, up = exact(root), ulp(root, prec)
+    down = up / 2 if root.man == 1 else up
+
+    def sign(t):
+        acc = Fraction(0)
+        for c in reversed(p):
+            acc = acc * t + c
+        return (acc > 0) - (acc < 0)
+
+    lo, hi = sign(r - down / 2), sign(r + up / 2)
+    if lo and hi:
+        assert lo != hi, f"no root of p within half an ulp of {root}"
+    else:
+        assert lo or hi, f"p vanishes on both midpoints around {root}"
+        assert (r / up) % 2 == 0, f"{root} is on a tie but its mantissa is odd"

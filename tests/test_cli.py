@@ -393,6 +393,17 @@ def test_kstar_rejects_non_finite_parameters(tmp_path, capsys, variant, flag, va
     assert not out.exists()
 
 
+@pytest.mark.parametrize("variant", ["euler-transcritical", "euler-pitchfork", "rk"])
+def test_kstar_rejects_zero_eps(tmp_path, capsys, variant):
+    """Every variant names eps = 0 alike (rk used to report its vanishing C_i)."""
+    out = tmp_path / "kstar.csv"
+    code = main(["kstar", "--variant", variant, "--rho", "4", "--h", "0.1", "--eps", "0",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == ["error: eps must be > 0, got 0.0"]
+    assert not out.exists()
+
+
 def test_kstar_rk_csv(tmp_path):
     out = tmp_path / "kstar.csv"
     code = main([

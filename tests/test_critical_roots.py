@@ -9,8 +9,13 @@ below the cap (10/rho in h, 10/h in rho).
 
 The solvers run on mantissa pairs.  A plain-mpf copy of their earlier form
 (stage recursion over coefficient lists, Horner, derivative cascade and
-safeguarded Newton) is kept below as the oracle their results must equal
-bit for bit.
+safeguarded Newton; the recursion is mpf_oracles.stage_polynomial) is kept
+below as the oracle.  The coefficients must equal its bit for bit; a solver
+must find a root exactly where it does, and return the root of the
+polynomial with those coefficients, taken exactly, rounded to nearest-even,
+within 64 ulps of the oracle's Newton iterate.  The double-precision Newton
+seed must not change a result: it is replaced by no seed and by points on or
+outside the bracket, and it has no float image at extreme parameters.
 """
 
 from fractions import Fraction
@@ -33,25 +38,14 @@ from canardlab import (
     make_context,
     rk_cbar,
 )
+from canardlab import analysis
 from canardlab.analysis import _BERNOULLI_PLUS
 from canardlab.linearization import _stage_polynomial
 from canardlab.rounding import pack, split
-from mpf_oracles import bind
+from mpf_oracles import (assert_nearest_root, exact, h_polynomial, poly_add, poly_mul,
+                         poly_scale, rho_polynomial, stage_polynomial, ulp)
 
 CONTEXTS = {d: make_context(d) for d in (16, 50, 120)}
-
-
-def _add(p, q):
-    n = max(len(p), len(q))
-    return [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)]
-
-
-def _mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
 
 
 def _critical_polynomial(tab, x, h, eps):
@@ -63,13 +57,13 @@ def _critical_polynomial(tab, x, h, eps):
     for row in tab.a:
         acc = [Fraction(0)]
         for aij, dk in zip(row, dks):
-            acc = _add(acc, [aij * c for c in dk])
-        base = _add(x, [eps * sum(row, Fraction(0)) * c for c in h])
-        dks.append(_mul([2 * c for c in base], _add([Fraction(1)], _mul(h, acc))))
+            acc = poly_add(acc, [aij * c for c in dk])
+        base = poly_add(x, [eps * sum(row, Fraction(0)) * c for c in h])
+        dks.append(poly_mul([2 * c for c in base], poly_add([Fraction(1)], poly_mul(h, acc))))
     qs = [Fraction(0)]
     for al, dk in zip(tab.alpha, dks):
-        qs = _add(qs, [al * c for c in dk])
-    p = _add([Fraction(1)], _mul(h, qs))
+        qs = poly_add(qs, [al * c for c in dk])
+    p = poly_add([Fraction(1)], poly_mul(h, qs))
     while p[-1] == 0:
         p.pop()
     return p
@@ -111,18 +105,13 @@ def _roots_between(seq, a, b):
     return changes(a) - changes(b)
 
 
-def _exact(ctx, v):
-    man, exp = ctx.mpf(v).man_exp
-    return Fraction(man) * Fraction(2) ** exp
-
-
 def _check_root(ctx, p, root, cap):
     """root is within tol(8) of the first root of p in (0, cap]; None iff p has none there."""
     seq = _sturm(p)
     if root is None:
         assert _roots_between(seq, Fraction(0), cap) == 0
         return
-    root, delta = _exact(ctx, root), _exact(ctx, ctx.tol(8))
+    root, delta = exact(root), exact(ctx.tol(8))
     below, above = root * (1 - delta), root * (1 + delta)
     assert 0 < root <= cap
     assert _roots_between(seq, below, above) >= 1, "no root within tol(8)"
@@ -130,7 +119,7 @@ def _check_root(ctx, p, root, cap):
 
 
 def _check_h(ctx, tab, rho, eps):
-    rho_q, eps_q = _exact(ctx, rho), _exact(ctx, eps)
+    rho_q, eps_q = exact(ctx.mpf(rho)), exact(ctx.mpf(eps))
     p = _critical_polynomial(tab, [-rho_q], [Fraction(0), Fraction(1)], eps_q)
     h = linearized_critical_h(tab, ctx.mpf(rho), ctx.mpf(eps), ctx)
     _check_root(ctx, p, h, 10 / rho_q)
@@ -138,7 +127,7 @@ def _check_h(ctx, tab, rho, eps):
 
 
 def _check_rho(ctx, tab, h, eps):
-    h_q, eps_q = _exact(ctx, h), _exact(ctx, eps)
+    h_q, eps_q = exact(ctx.mpf(h)), exact(ctx.mpf(eps))
     p = _critical_polynomial(tab, [Fraction(0), Fraction(-1)], [h_q], eps_q)
     trip = critical_triplet_linearized(tab, h, eps, ctx)
     _check_root(ctx, p, None if trip is None else trip.rho_star, 10 / h_q)
@@ -177,44 +166,11 @@ def test_first_root_matches_exact_polynomial(tab, rho, eps, h, digits):
 # -- plain-mpf oracle ----------------------------------------------------------------
 
 
-def ref_poly_add(p, q):
-    n = max(len(p), len(q))
-    return [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)]
-
-
-def ref_poly_scale(p, c):
-    return [c * v for v in p]
-
-
-def ref_poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
 def ref_poly_eval(p, x):
     acc = 0 * x
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def ref_stage_polynomial(tableau, ctx, x, h, eps, stage_factor=2):
-    alpha, rows, sums = bind(tableau, ctx)
-    heps = ref_poly_scale(h, eps)
-    dk = []
-    for i in range(tableau.s):
-        acc = [ctx.mpf(0)]
-        for j, aij in enumerate(rows[i]):
-            acc = ref_poly_add(acc, ref_poly_scale(dk[j], aij))
-        base = ref_poly_scale(ref_poly_add(ref_poly_scale(heps, sums[i]), x), stage_factor)
-        dk.append(ref_poly_mul(base, ref_poly_add([ctx.mpf(1)], ref_poly_mul(h, acc))))
-    total = [ctx.mpf(0)]
-    for i in range(tableau.s):
-        total = ref_poly_add(total, ref_poly_scale(dk[i], alpha[i]))
-    return total
 
 
 def ref_newton_in_bracket(ctx, p, dp, a, b, fa):
@@ -256,27 +212,15 @@ def ref_sign_changes(ctx, p, hi, first=False):
     return roots
 
 
-def ref_first_root(ctx, q, h, hi):
-    roots = ref_sign_changes(ctx, ref_poly_add([ctx.mpf(1)], ref_poly_mul(h, q)), hi, first=True)
+def ref_first_root(ctx, p, hi):
+    roots = ref_sign_changes(ctx, p, hi, first=True)
     return roots[0] if roots else None
-
-
-def ref_linearized_critical_h(tab, rho, eps, ctx, stage_factor):
-    h = [ctx.mpf(0), ctx.mpf(1)]
-    q = ref_stage_polynomial(tab, ctx, [-rho], h, eps, stage_factor)
-    return ref_first_root(ctx, q, h, 10 / rho)
-
-
-def ref_critical_rho(tab, params):
-    h = params.h
-    q = ref_stage_polynomial(tab, params.ctx, [0, -1], [h], params.epsilon)
-    return ref_first_root(params.ctx, q, [h], 10 / h)
 
 
 def ref_rk_cbar(tab, params, rho):
     ctx, h, eps = params.ctx, params.h, params.epsilon
-    qs = ref_stage_polynomial(tab, ctx, [-rho, h * eps], [h], eps)
-    theta = ref_poly_add([ctx.mpf(1)], ref_poly_scale(qs, h))
+    qs = stage_polynomial(tab, ctx, [-rho, h * eps], [h], eps)
+    theta = poly_add([ctx.mpf(1)], poly_scale(qs, h))
     cs = []
     for i in range(1, tab.s + 1):
         acc = ctx.mpf(0)
@@ -293,8 +237,15 @@ def ref_rk_cbar(tab, params, rho):
     return abs(ctx.ln(max_c)) / ctx.ln(2) + 1
 
 
-def _raw(v):
-    return None if v is None else v._mpf_
+def _check_against_oracle(ctx, p, hi, got):
+    """got is None where the oracle finds no root in (0, hi] of the polynomial p;
+    else it is the root of p rounded to nearest, and the oracle's iterate lies
+    within 64 ulps of it."""
+    ref = ref_first_root(ctx, p, hi)
+    assert (got is None) == (ref is None), (got, ref)
+    if got is not None:
+        assert_nearest_root(p, got, ctx.prec)
+        assert abs(exact(ref) - exact(got)) <= 64 * ulp(got, ctx.prec)
 
 
 ORACLE_CONTEXTS = {d: make_context(d) for d in (16, 50, 200)}
@@ -321,25 +272,119 @@ positive = st.fractions(Fraction(1, 100), 40, max_denominator=1000).filter(lambd
 @example(tab=KUTTA3, rho=Fraction(3, 2), eps=Fraction(101, 200), h=Fraction(1, 10),
          stage_factor=1, digits=16)
 def test_pair_solvers_match_mpf_oracle(tab, rho, eps, h, stage_factor, digits):
-    """linearized_critical_h, critical_triplet_linearized, the stage polynomial in the
-    canard position and rk_cbar give the oracle's ``_mpf_`` tuples, or None where it
-    finds no root."""
+    """linearized_critical_h and critical_triplet_linearized find a root where the
+    oracle does, and return it rounded to nearest (_check_against_oracle); the
+    stage polynomial in the canard position and rk_cbar give the oracle's
+    ``_mpf_`` tuples."""
     ctx = ORACLE_CONTEXTS[digits]
     rho_s, eps_s = ctx.mpf(rho), ctx.mpf(eps)
     got = linearized_critical_h(tab, rho_s, eps_s, ctx, stage_factor)
-    assert _raw(got) == _raw(ref_linearized_critical_h(tab, rho_s, eps_s, ctx, stage_factor))
+    _check_against_oracle(ctx, h_polynomial(tab, ctx, rho_s, eps_s, stage_factor), 10 / rho_s, got)
     params = SystemParams.create(ctx, eps_s, ctx.mpf(h))
     if eps:  # critical triplets need eps > 0
         trip = critical_triplet_linearized(tab, params.h, params.epsilon, ctx)
-        assert _raw(None if trip is None else trip.rho_star) == _raw(ref_critical_rho(tab, params))
-    ref_q = ref_stage_polynomial(tab, ctx, [0, 1], [params.h], params.epsilon)
+        _check_against_oracle(ctx, rho_polynomial(tab, params), 10 / params.h,
+                              None if trip is None else trip.rho_star)
+    ref_q = stage_polynomial(tab, ctx, [0, 1], [params.h], params.epsilon)
     h_p, eps_p = split(params.h._mpf_), split(params.epsilon._mpf_)
     got_q = _stage_polynomial(tab, ctx, [(0, 0), (1, 0)], [h_p], eps_p)
     assert [pack(c) for c in got_q] == [ctx.mpf(c)._mpf_ for c in ref_q]
-    try:
-        ref_cbar = ref_rk_cbar(tab, params, rho_s)
-    except ValueError:  # every C_i vanishes
-        with pytest.raises(ValueError, match="all C_i vanish"):
+    if not eps:
+        with pytest.raises(ValueError, match="eps must be > 0"):
             rk_cbar(tab, params, rho_s)
         return
-    assert rk_cbar(tab, params, rho_s)._mpf_ == ref_cbar._mpf_
+    assert rk_cbar(tab, params, rho_s)._mpf_ == ref_rk_cbar(tab, params, rho_s)._mpf_
+
+
+HINT_CASES = [  # (tableau, rho, eps, stage factor): degrees 1, 5 and 3 in h; the last has no root
+    (EULER, Fraction(4), Fraction(1, 100), 2),
+    (HEUN3, Fraction(9), Fraction(1), 2),
+    (KUTTA3, Fraction(3, 2), Fraction(1), 2),
+    (KUTTA3, Fraction(3, 2), Fraction(101, 200), 1),
+    (HEUN2, Fraction(3), Fraction(701, 800), 2),
+    (HEUN2, Fraction(5), Fraction(1, 100), 2),
+]
+
+
+def _hint_roots(ctx):
+    roots = []
+    for tab, rho, eps, stage_factor in HINT_CASES:
+        roots.append(linearized_critical_h(tab, ctx.mpf(rho), ctx.mpf(eps), ctx, stage_factor))
+        trip = critical_triplet_linearized(tab, ctx.mpf(rho) / 10, ctx.mpf(eps), ctx)
+        roots.append(None if trip is None else trip.rho_star)
+    return [None if r is None else r._mpf_ for r in roots]
+
+
+@pytest.mark.parametrize("hint", {
+    "none": lambda p, dp, a, b, fa: None,
+    "left end": lambda p, dp, a, b, fa: a,
+    "right end": lambda p, dp, a, b, fa: b,
+    "above": lambda p, dp, a, b, fa: (b[0], b[1] + 1),
+    "negative": lambda p, dp, a, b, fa: (-b[0], b[1]),
+}.items(), ids=lambda item: item[0])
+@pytest.mark.parametrize("digits", [16, 50, 200])
+def test_float_seed_is_only_a_hint(monkeypatch, digits, hint):
+    """Newton from no seed, from a bracket end or from outside the bracket returns the same bits."""
+    ctx = ORACLE_CONTEXTS[digits]
+    expected = _hint_roots(ctx)
+    calls = []
+
+    def seed(*args):
+        calls.append(args)
+        return hint[1](*args)
+
+    monkeypatch.setattr(analysis, "_float_seed", seed)
+    assert _hint_roots(ctx) == expected
+    assert calls
+
+
+# (solver, tableau, rho or h, eps, the parent solver's root to 15 digits or None)
+EXTREMES = [
+    ("h", KUTTA3, "1e-300", "0.5", "1e300"),
+    ("h", HEUN2, "1e-5000", "0.5", "5e4999"),
+    ("h", HEUN3, "2", "1e300", "0.75"),
+    ("h", HEUN2, "2", "1e5000", "0.25"),
+    ("h", KUTTA3, "1e-300", "1e300", "1.00000000000000e300"),
+    ("rho", KUTTA3, "1e300", "0.5", "1e-300"),
+    ("rho", HEUN3, "1e-300", "0.5", "7.98035818991661e299"),
+    ("rho", HEUN2, "1e-300", "1e300", None),
+]
+
+
+@pytest.mark.parametrize("digits", [16, 50])
+@pytest.mark.parametrize("solver, tab, value, eps, parent", EXTREMES,
+                         ids=[f"{c[0]}-{c[1].name}-{c[2]}-{c[3]}" for c in EXTREMES])
+def test_extreme_parameters(solver, tab, value, eps, parent, digits):
+    """Parameters whose polynomial or bracket has no float image: no OverflowError,
+    the parent solver's root (or None), correctly rounded."""
+    ctx = ORACLE_CONTEXTS[digits]
+    value, eps = ctx.mpf(value), ctx.mpf(eps)
+    if solver == "h":
+        root, p = linearized_critical_h(tab, value, eps, ctx), h_polynomial(tab, ctx, value, eps)
+    else:
+        trip = critical_triplet_linearized(tab, value, eps, ctx)
+        params = SystemParams.create(ctx, eps, value)
+        root, p = None if trip is None else trip.rho_star, rho_polynomial(tab, params)
+    if parent is None:
+        assert root is None
+        return
+    assert abs(root / ctx.mpf(parent) - 1) < ctx.mpf("1e-14")
+    assert_nearest_root(p, root, ctx.prec)
+
+
+@pytest.mark.parametrize("start", [0, 1, -3, 1000, -(2**40), -(2**55), 2**60])
+@pytest.mark.parametrize("digits", [16, 50])
+def test_nearest_root_from_far_iterates(digits, start):
+    """_nearest_root gallops from an iterate `start` ulps away (at 16 digits the last two
+    lie binades away) to the nearest float of the root; a root on a midpoint goes to the
+    even mantissa."""
+    ctx = ORACLE_CONTEXTS[digits]
+    prec = ctx.prec
+    m, e = split((ctx.mpf(1) / 3)._mpf_)  # correctly rounded 1/3, the root of 3t - 1
+    m, e = m << (prec - m.bit_length()), e - (prec - m.bit_length())
+    below = (-1, 0)
+    assert analysis._nearest_root([(-1, 0), (3, 0)], (m + start, e), below, prec) == (m, e)
+    # 2t - (2m + 1) 2**e has its root on the midpoint of m 2**e and (m + 1) 2**e
+    tie = [(-(2 * m + 1), e), (2, 0)]
+    even = m if m % 2 == 0 else m + 1
+    assert analysis._nearest_root(tie, (m + start, e), below, prec) == (even, e)

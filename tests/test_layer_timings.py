@@ -14,16 +14,19 @@ forward-Euler pitchfork step at 5000 digits, the step of the deep simulate
 orbit whose deviation falls below 1e-1054; and one step of every
 SchemeMap.step the command line builds (mpf_oracles.STEP_MAPS) at 16, 50
 and 200 digits, from beside the canard at rho = 1, checked against its mpf
-oracle.
+oracle; and one linearized critical step (Kutta3 at rho = 8, eps = 1, a cell
+of the README surfaces grid) at 16, 50 and 200 digits, checked to be the
+root of its critical polynomial rounded to nearest.
 """
 
 import pytest
 
-from canardlab import PlanarPoint, SingularityKind, SystemParams, make_context
+from canardlab import (KUTTA3, PlanarPoint, SingularityKind, SystemParams, linearized_critical_h,
+                       make_context)
 from canardlab.linearization import CANARDS, scheme_map
 from canardlab.rounding import mul, pack, scaler, split
 from canardlab.schemes import euler_kernel
-from mpf_oracles import STEP_MAPS, euler_step, oracle, selector
+from mpf_oracles import STEP_MAPS, assert_nearest_root, euler_step, h_polynomial, oracle, selector
 
 
 @pytest.mark.parametrize("how", ["scaler", "mul"])
@@ -57,3 +60,11 @@ def test_scheme_map_step(benchmark, kind, scheme, digits):
     xn, yn = benchmark(step, split(p.x._mpf_), split(p.y._mpf_))
     ref = oracle(kind, scheme, params, p)
     assert (pack(xn), pack(yn)) == (ref.x._mpf_, ref.y._mpf_)
+
+
+@pytest.mark.parametrize("digits", [16, 50, 200])
+def test_linearized_critical_h(benchmark, digits):
+    ctx = make_context(digits)
+    rho, eps = ctx.mpf(8), ctx.mpf(1)
+    h = benchmark(linearized_critical_h, KUTTA3, rho, eps, ctx)
+    assert_nearest_root(h_polynomial(KUTTA3, ctx, rho, eps), h, ctx.prec)
