@@ -53,7 +53,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 from typing import Optional, Union
 
 from .linearization import (CANARDS, SchemeSelector, _entry_offset, _escape_threshold,
@@ -340,6 +340,8 @@ class CriticalTriplet:
 #: The linearized solvers search h in (0, _H_CAP / rho] and rho in (0, _RHO_CAP / h].
 _H_CAP = 10
 _RHO_CAP = 10
+#: The least positive normal double; smaller float images fall back to pair arithmetic.
+_MIN_NORMAL = 2.0 ** -1022
 
 
 def _horner(p, x, prec):
@@ -362,6 +364,12 @@ def _float(v):
         return None
 
 
+def _images(p):
+    """The float images of p's coefficients, or None where one has none."""
+    images = [_float(c) for c in p]
+    return None if None in images else images
+
+
 def _float_horner(p, x):
     """The polynomial p (ascending floats) at the float x."""
     acc = p[-1]
@@ -370,20 +378,62 @@ def _float_horner(p, x):
     return acc
 
 
-def _float_seed(p, dp, a, b, fa):
+def _certificate(pf, prec):
+    """What _certified_sign needs for the polynomial whose float image is pf, or None.
+
+    None where an image is missing or subnormal (underflow falls back).  The
+    image of a pair is within delta = 2**-63 + 2**-53 (1 + 2**-63) relative:
+    _float truncates to 64 bits, then rounds to 53.  With u = 2**-53, n the
+    degree and S = sum |c'_i| |x'|**i over the images c', x' (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, section 5.1):
+    Horner's rounding in double precision is within 2n u S; the images of
+    the coefficients and of x move p by at most (n + 1) delta S to first
+    order; the pair Horner at prec bits is within 2n 2**-prec S of p.  rel
+    is twice their sum, which also covers the second-order terms and the
+    rounding of S and of the bound themselves.  Each |c'_i| is raised by
+    2**-1022 so that rel times the raised sum also covers a product that
+    underflows (at most 2**-1075 absolute each, n of them, carried by
+    powers of |x|), and no partial sum of the raised Horner is subnormal.
+    """
+    if pf is None or not all(c == 0 or abs(c) >= _MIN_NORMAL for c in pf):
+        return None
+    n = len(pf) - 1
+    rel = (3 * n + 2) * 2.0 ** -52 + n * 2.0 ** (2 - prec)
+    return pf, [abs(c) + _MIN_NORMAL for c in pf], rel
+
+
+def _certified_sign(cert, xf):
+    """p's exact sign at a positive point with float image xf, as the pair +-1, or None.
+
+    cert is _certificate's.  The sign is returned only where the float
+    Horner's value exceeds the running bound; it is then p's exact sign and
+    the sign the pair Horner at working precision gives.  None where xf is
+    missing or subnormal, or the value is within the bound or not finite.
+    """
+    if cert is None or xf is None or xf < _MIN_NORMAL:
+        return None
+    pf, absf, rel = cert
+    v = _float_horner(pf, xf)
+    if abs(v) > rel * _float_horner(absf, xf):
+        return (1, 0) if v > 0 else (-1, 0)
+    return None
+
+
+def _float_seed(pf, dpf, a, b, fa):
     """A root of p in (a, b) by safeguarded Newton in double precision, as a pair, or None.
 
-    It runs on the float images of p, p' and the bracket, with the sign and
-    bracket tests of _newton_in_bracket, for at most 40 iterations, and
-    stops after a step of at most 2**-40 relative.  None where a value has
-    no finite float image or p's is not finite at an iterate.  The result is
-    only a start for _newton_in_bracket, which checks that it lies inside
-    (a, b); it never decides a sign.
+    pf and dpf are the float images of p and p' (_images, formed once per
+    level of the cascade); a and b are the bracket's pairs.  It runs with the
+    sign and bracket tests of _newton_in_bracket, for at most 40
+    iterations, and stops after a step of at most 2**-40 relative.  None
+    where an image or a bracket end has no finite float image, or p's image
+    is not finite at an iterate.  The result is only a start for
+    _newton_in_bracket, which checks that it lies inside (a, b); it never
+    decides a sign.
     """
-    images = [_float(v) for v in (a, b, *p, *dp)]
-    if None in images:
+    lo, hi = _float(a), _float(b)
+    if pf is None or dpf is None or lo is None or hi is None:
         return None
-    lo, hi, pf, dpf = images[0], images[1], images[2:len(p) + 2], images[len(p) + 2:]
     neg, x = fa[0] < 0, 0.5 * lo + 0.5 * hi
     for _ in range(40):
         fx = _float_horner(pf, x)
@@ -409,24 +459,42 @@ def _float_seed(p, dp, a, b, fa):
     return m, 1 - q.bit_length()
 
 
-def _newton_in_bracket(p, dp, a, b, fa, tol, prec):
+def _magnitude(v):
+    """g with 2**(g - 1) <= |v| < 2**g, for a nonzero pair v."""
+    return v[0].bit_length() + v[1]
+
+
+def _midpoint(p, a, b, prec):
+    """The bisection point of the bracket (a, b), 0 <= a < b, of a root of p.
+
+    Where the magnitudes ga, gb of the ends lie four or more apart, it is
+    2**((ga + gb) // 2), inside (a, b), so a root many binades below b is
+    reached in a few dozen halvings of the exponent range; at a = 0, ga is
+    Cauchy's lower bound on p's positive roots, 2**(mag p(0) - max mag p_i
+    - 2).  Else it is (a + b) / 2.
+    """
+    gb = _magnitude(b)
+    ga = _magnitude(a) if a[0] else _magnitude(p[0]) - max(_magnitude(c) for c in p if c[0]) - 2
+    if gb - ga >= 4:
+        return 1, (ga + gb) // 2
+    m, e = add(a, b, prec)
+    return m, e - 1
+
+
+def _newton_in_bracket(p, dp, pf, dpf, a, b, fa, tol, prec):
     """Root of p on [a, b], where p is monotone and changes sign, by safeguarded Newton.
 
     The first iterate is _float_seed's root where it lies inside (a, b),
-    else the midpoint; the seed only saves iterations.  Convergence (a
+    else _midpoint's; the seed only saves iterations.  Convergence (a
     Newton step of at most tol relative) is tested before the bracket
     safeguard, so the converged iterate is returned; a step that leaves the
-    bracket is replaced by bisection.  Comparisons are exact.
+    bracket is replaced by _midpoint's bisection.  Comparisons are exact.
     """
-    t = _float_seed(p, dp, a, b, fa)
+    t = _float_seed(pf, dpf, a, b, fa)
     if t is not None:
         t = rn(*t, prec)
     while True:
-        if t is not None and lt(a, t) and lt(t, b):
-            x = t
-        else:
-            m, e = add(a, b, prec)
-            x = (m, e - 1)
+        x = t if t is not None and lt(a, t) and lt(t, b) else _midpoint(p, a, b, prec)
         fx = _horner(p, x, prec)
         if not fx[0]:
             return x
@@ -445,28 +513,46 @@ def _newton_in_bracket(p, dp, a, b, fa, tol, prec):
             return x
 
 
-def _sign_changes(p, hi, tol, prec):
-    """Yield, ascending and lazily, each sign change in (0, hi] of the polynomial p (pairs).
+def _sign_changes(p, hi, tol, prec, pf=None):
+    """Yield, ascending and lazily, points of (0, hi] where p's sign is known, its roots among them.
 
-    The sign changes of p' (found the same way, down to a constant) cut
-    (0, hi] into pieces on which p is monotone; a piece whose end values
-    differ in sign holds one, polished by _newton_in_bracket, and a piece
-    ending in an exact zero of p yields that end.  Each is yielded with the
-    value of p at its piece's left end, whose sign p has below it.  A cut is
-    found only when the piece it closes is examined, so taking the first
-    sign change finds no cut past it.  Signs are decided at working
-    precision.
+    Each item is (x, float image of x, below).  A sign change of p (pairs)
+    comes with below, p's value on its left (only its sign is read); every
+    other item is a piece end, with below None.  p' yields the same way,
+    down to a constant.  p is monotone between the sign changes of p', so
+    p's sign read at those and at hi puts each sign change of p in a piece
+    whose end signs differ, where _newton_in_bracket polishes it (a piece
+    ending in an exact zero of p yields that end).  The other ends that p'
+    passes up only let the search stop sooner: p's sign is read there where
+    its float image proves it (_certified_sign), and the end is dropped
+    where not.  Elsewhere a sign the float image cannot prove is read from
+    Horner at working precision, which agrees with it wherever it decides.
+    So a caller that takes the first sign change polishes no cut past it.
+    pf is p's float image, formed once per level and shared with the
+    level's Newton seeds.
     """
     while len(p) > 1 and not p[-1][0]:
         p = p[:-1]
     if len(p) < 2:
         return
+    if pf is None:
+        pf = _images(p)
     dp = [mul((i, 0), c, prec) for i, c in enumerate(p) if i]
+    dpf, cert = _images(dp), _certificate(pf, prec)
     a, fa = _ZERO, p[0]
-    for b in chain((x for x, _ in _sign_changes(dp, hi, tol, prec)), (hi,)):
-        fb = _horner(p, b, prec)
+    ends = _sign_changes(dp, hi, tol, prec, dpf) if len(dp) > 1 else [(hi, _float(hi), None)]
+    for b, bf, below in ends:
+        fb = _certified_sign(cert, bf)
+        if fb is None:
+            if below is None and b is not hi:
+                continue
+            fb = _horner(p, b, prec)
+        root = None
         if fa[0] and (not fb[0] or (fa[0] < 0) != (fb[0] < 0)):
-            yield (b if not fb[0] else _newton_in_bracket(p, dp, a, b, fa, tol, prec)), fa
+            root = _newton_in_bracket(p, dp, pf, dpf, a, b, fa, tol, prec) if fb[0] else b
+            yield root, _float(root), fa
+        if root is None or lt(root, b):  # else the root, within tol of b, stands for it
+            yield b, bf, None
         a, fa = b, fb
 
 
@@ -542,7 +628,8 @@ def _first_root(tableau, ctx, x, h, eps, hi, stage_factor=2):
     prec = ctx.prec
     q = _stage_polynomial(tableau, ctx, x, h, split(eps._mpf_), stage_factor)
     p = _poly_add([_ONE], _poly_mul(h, q, prec), prec)
-    found = next(_sign_changes(p, split(hi._mpf_), split(ctx.tol(8)._mpf_), prec), None)
+    items = _sign_changes(p, split(hi._mpf_), split(ctx.tol(8)._mpf_), prec)
+    found = next(((t, below) for t, _, below in items if below is not None), None)
     if found is None:
         return None
     return ctx.make_mpf(pack(_nearest_root(p, *found, prec)))
@@ -556,16 +643,19 @@ def critical_triplet_linearized(
     At fixed (h, eps), 1 + h Q_s(-rho) is a polynomial of degree s in rho,
     its coefficients rounded at the context's precision.  Its first sign
     change in (0, 10/h] is isolated between the sign changes of its
-    derivative (found the same way, down to a constant, and only as far as
-    that piece), polished by bracket-safeguarded Newton from a
+    derivative (found the same way, down to a constant; the search stops at
+    the first piece end past the root that any level has signed, so no cut
+    beyond it is polished), polished by bracket-safeguarded Newton from a
     double-precision start, on mantissa pairs, and returned as that
     polynomial's exact root rounded to nearest-even at the context's
     precision; nothing is scanned, and the bits do not depend on Newton's
-    path.  Signs that place the root are decided at working precision.  The
-    cap 10/h is fixed: larger entries fall outside the local canonical-form
-    regime.  Forward Euler gives rho* = 1/(2h) exactly; where a scheme has
-    no sign change below the cap (heun2 at h = 0.1, eps = 0.01) the result
-    is None.
+    path.  Signs that place the root are decided at working precision, or
+    from a float image where a running error bound proves them exact (which
+    gives the same sign).  Without a float image, Newton's bisection halves
+    the exponent range while the bracket spans binades.  The cap 10/h is
+    fixed: larger entries fall outside the local canonical-form regime.
+    Forward Euler gives rho* = 1/(2h) exactly; where a scheme has no sign
+    change below the cap (heun2 at h = 0.1, eps = 0.01) the result is None.
     """
     params = SystemParams.create(ctx, eps, h)
     if not params.epsilon > 0:
@@ -584,7 +674,9 @@ def linearized_critical_h(
     (rho, eps), the quantity plotted by the critical-surface sweeps.  At
     fixed (rho, eps) it is a polynomial of degree at most 2s in h, equal to
     1 at h = 0; its first sign change in (0, 10/rho] is isolated, polished
-    and rounded to nearest as in critical_triplet_linearized, with no scan.
+    and rounded to nearest as in critical_triplet_linearized, with no scan
+    and no cut polished past it; h = [0, 1] enters the stage recursion as a
+    shift, with no product by its exact 0 or 1.
     The cap 10/rho is fixed; it is what leaves heun2 without a root in most
     cells of the README grid.  stage_factor is q_s's: 2 on the
     transcritical diagonal, 1 on the pitchfork line (forward Euler's root

@@ -318,23 +318,49 @@ CANARDS = {
 
 
 def _poly_add(p, q, prec):
-    """p + q on ascending coefficient lists of pairs; the longer list's tail is kept."""
+    """p + q on ascending coefficient lists of pairs; the longer list's tail is kept.
+
+    The operands are rounded values, as every caller's are, so a sum with an
+    exact 0 is the other operand: rn of a rounded value is that value.
+    """
     if len(p) < len(q):
         p, q = q, p
-    return [add(a, b, prec) for a, b in zip(p, q)] + p[len(q):]
+    return [(add(a, b, prec) if a[0] else b) if b[0] else a for a, b in zip(p, q)] + p[len(q):]
+
+
+def _unit(c):
+    """1 or -1 where the pair c is (1, 0) or (-1, 0), else 0."""
+    return c[0] if c[1] == 0 and c[0] in (1, -1) else 0
 
 
 def _poly_mul(p, q, prec):
-    """p q on ascending coefficient lists of pairs, each coefficient summed in index order."""
+    """p q on ascending coefficient lists of pairs, each coefficient summed in index order.
+
+    As in _poly_add, a product by an exact 0 is not formed and does not
+    enter its sum, and one by (1, 0) or (-1, 0) is its operand or its
+    negation; values are those of the full expression.
+    """
     out = [_ZERO] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
+        if not a[0]:
+            continue
+        unit = _unit(a)
         for j, b in enumerate(q):
-            out[i + j] = add(out[i + j], mul(a, b, prec), prec)
+            if b[0]:
+                t = mul(a, b, prec) if not unit else b if unit > 0 else (-b[0], b[1])
+                s = out[i + j]
+                out[i + j] = add(s, t, prec) if s[0] else t
     return out
 
 
 def _poly_scale(p, c, prec):
-    return [mul(c, v, prec) for v in p]
+    """c p, with _poly_mul's pass-through for an exact 0, 1 or -1."""
+    if not c[0]:
+        return [_ZERO] * len(p)
+    unit = _unit(c)
+    if unit:
+        return [v if unit > 0 else (-v[0], v[1]) for v in p]
+    return [mul(c, v, prec) if v[0] else v for v in p]
 
 
 def _stage_polynomial(tableau: ButcherTableau, ctx, x, h, eps, stage_factor=2):

@@ -225,10 +225,11 @@ def ulp(v, prec):
 def assert_nearest_root(coeffs, root, prec):
     """root is a root of the polynomial coeffs (mpf, ascending) rounded to nearest-even.
 
-    The polynomial, taken exactly, changes sign between the midpoints of the
-    positive prec-bit float root with its neighbours (the gap below a power
-    of two is half the gap above), or vanishes on one of them and root has
-    the even mantissa.
+    The polynomial, taken exactly, vanishes at root (a root of even
+    multiplicity, where p touches 0 without changing sign, counts), or
+    changes sign between the midpoints of the positive prec-bit float root
+    with its neighbours (the gap below a power of two is half the gap
+    above), or vanishes on one of them and root has the even mantissa.
     """
     p = [exact(c) for c in coeffs]
     r, up = exact(root), ulp(root, prec)
@@ -240,6 +241,8 @@ def assert_nearest_root(coeffs, root, prec):
             acc = acc * t + c
         return (acc > 0) - (acc < 0)
 
+    if not sign(r):
+        return
     lo, hi = sign(r - down / 2), sign(r + up / 2)
     if lo and hi:
         assert lo != hi, f"no root of p within half an ulp of {root}"

@@ -1,5 +1,8 @@
 import csv
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -505,6 +508,28 @@ def test_verify_suite_exit_codes(monkeypatch, capsys):
     assert main(["verify", *(arg for name in names for arg in ("--suite", name))]) == 1
     rows = [row.split()[:2] for row in capsys.readouterr().out.splitlines()]
     assert rows == [[names[0], "FAIL"]] + [[name, "PASS"] for name in names[1:]]
+
+
+@pytest.mark.parametrize("argv", [["--suite", "nope"], ["--suite", "rk-diagonal", "--suite", "x"],
+                                  ["--suite", "nope", "--digits", "16"]])
+def test_verify_rejects_unknown_suite(capsys, argv):
+    """An unknown suite exits 2 with one error line naming it and the suites there are."""
+    assert main(["verify", *argv]) == 2
+    out, err = capsys.readouterr()
+    bad = [name for name in argv[1::2] if name not in checks.SUITES][0]
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: unknown verify suite {bad!r}; choose from {', '.join(sorted(checks.SUITES))}"
+    ]
+
+
+def test_cli_imports_checks_only_for_verify():
+    """Importing the command line leaves canardlab.checks unimported."""
+    code = "import sys, canardlab.cli; print('canardlab.checks' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          check=True)
+    assert done.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("digits", ["49", "16"])

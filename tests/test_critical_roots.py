@@ -16,6 +16,16 @@ polynomial with those coefficients, taken exactly, rounded to nearest-even,
 within 64 ulps of the oracle's Newton iterate.  The double-precision Newton
 seed must not change a result: it is replaced by no seed and by points on or
 outside the bracket, and it has no float image at extreme parameters.
+
+Piece-end signs are read from a polynomial's float image where a running
+error bound proves them; wherever it decides, the sign must be the exact one
+(and the pair Horner's), on polynomials whose coefficients lie up to 1000
+binades apart, at points next to a root and at points with no float image.
+Every sign change that the lazy cascade yields, not only the first, must
+match the oracle's in number and within 64 ulps.  Counts pin the cost: at
+most 15 Horner evaluations at working precision and 2.7 Newton calls per
+solve on the README grid, and a few hundred evaluations where no value has a
+float image (the bisection then halves the exponent range).
 """
 
 from fractions import Fraction
@@ -41,7 +51,7 @@ from canardlab import (
 from canardlab import analysis
 from canardlab.analysis import _BERNOULLI_PLUS
 from canardlab.linearization import _stage_polynomial
-from canardlab.rounding import pack, split
+from canardlab.rounding import pack, rn, split
 from mpf_oracles import (assert_nearest_root, exact, h_polynomial, poly_add, poly_mul,
                          poly_scale, rho_polynomial, stage_polynomial, ulp)
 
@@ -316,15 +326,17 @@ def _hint_roots(ctx):
 
 
 @pytest.mark.parametrize("hint", {
-    "none": lambda p, dp, a, b, fa: None,
-    "left end": lambda p, dp, a, b, fa: a,
-    "right end": lambda p, dp, a, b, fa: b,
-    "above": lambda p, dp, a, b, fa: (b[0], b[1] + 1),
-    "negative": lambda p, dp, a, b, fa: (-b[0], b[1]),
+    "none": lambda pf, dpf, a, b, fa: None,
+    "left end": lambda pf, dpf, a, b, fa: a,
+    "right end": lambda pf, dpf, a, b, fa: b,
+    "above": lambda pf, dpf, a, b, fa: (b[0], b[1] + 1),
+    "negative": lambda pf, dpf, a, b, fa: (-b[0], b[1]),
 }.items(), ids=lambda item: item[0])
 @pytest.mark.parametrize("digits", [16, 50, 200])
 def test_float_seed_is_only_a_hint(monkeypatch, digits, hint):
-    """Newton from no seed, from a bracket end or from outside the bracket returns the same bits."""
+    """Newton from no seed, from a bracket end or from outside the bracket returns the same bits.
+
+    _float_seed takes the float images of p and p' (pf, dpf) and the bracket's pairs."""
     ctx = ORACLE_CONTEXTS[digits]
     expected = _hint_roots(ctx)
     calls = []
@@ -388,3 +400,172 @@ def test_nearest_root_from_far_iterates(digits, start):
     tie = [(-(2 * m + 1), e), (2, 0)]
     even = m if m % 2 == 0 else m + 1
     assert analysis._nearest_root(tie, (m + start, e), below, prec) == (even, e)
+
+
+# -- float sign certificates, the full stream of sign changes, counts ----------------------
+
+
+def _value(v):
+    """The pair v as a Fraction."""
+    m, e = v
+    return Fraction(m) * Fraction(2) ** e
+
+
+def _dyadic(q, prec):
+    """The Fraction q, a dyadic rational, rounded to a pair of prec bits."""
+    k = q.denominator.bit_length() - 1
+    return rn(q.numerator, -k, prec)
+
+
+@st.composite
+def certificate_cases(draw):
+    """(p, points, prec): degree <= 7, coefficient exponents up to 1000 binades apart (beyond
+    the float range for some), and points at and a few ulps from a point where p's value is
+    rounded away (c0 = -rn(sum of the other terms)); some points have no float image."""
+    prec = ORACLE_CONTEXTS[draw(st.sampled_from(sorted(ORACLE_CONTEXTS)))].prec
+    mantissa = st.integers(-(1 << prec) + 1, (1 << prec) - 1)
+    base = draw(st.integers(-600, 600))
+    p = [(draw(mantissa), base + draw(st.integers(-1000, 1000)) - prec)
+         for _ in range(draw(st.integers(2, 8)))]
+    xm = draw(st.integers(1 << (prec - 1), (1 << prec) - 1))
+    xe = draw(st.one_of(st.integers(-60, 60), st.integers(-1150, 1150))) - prec
+    if draw(st.booleans()):  # put a zero of the rounded sum at x
+        rest = sum(_value(c) * _value((xm, xe)) ** i for i, c in enumerate(p) if i)
+        p[0] = _dyadic(-rest, prec)
+    points = [(xm + k, xe) for k in range(-3, 4)]
+    return p, points, prec
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=certificate_cases())
+@example(case=([(1, 0), (-3, -2)], [(4, -2), (3, -2), (5, -2)], 56))  # 1 - 3t/4 at 1, 3/4, 5/4
+@example(case=([(1, 2000), (1, 0)], [(1, 0)], 56))  # a coefficient with no float image
+@example(case=([(1, -1050), (1, 0)], [(1, -1060), (3, 0)], 56))  # subnormal images
+def test_float_certificate_agrees_with_exact_sign(case):
+    """Wherever _certified_sign decides, its sign is p's exact sign and the pair Horner's."""
+    p, points, prec = case
+    cert = analysis._certificate(analysis._images(p), prec)
+    for x in points:
+        sign = analysis._certified_sign(cert, analysis._float(x))
+        if sign is None:
+            continue
+        assert sign in ((1, 0), (-1, 0))
+        assert sign[0] == analysis._exact_sign(p, x)
+        value = analysis._horner(p, x, prec)
+        assert value[0] and (value[0] > 0) == (sign[0] > 0)
+
+
+def _pairs(coeffs):
+    return [split(c._mpf_) for c in coeffs]
+
+
+def _check_stream(ctx, coeffs, hi):
+    """Every sign change that _sign_changes yields in (0, hi] matches the mpf oracle's:
+    as many, each within 64 ulps, ascending, with the sign of p just below it."""
+    prec = ctx.prec
+    tol = split(ctx.tol(8)._mpf_)
+    items = list(analysis._sign_changes(_pairs(coeffs), split(hi._mpf_), tol, prec))
+    got = [(ctx.make_mpf(pack(x)), below) for x, _, below in items if below is not None]
+    ref = ref_sign_changes(ctx, coeffs, hi)
+    assert len(got) == len(ref), ([g for g, _ in got], ref)
+    for (root, below), r in zip(got, ref):
+        assert abs(exact(root) - exact(r)) <= 64 * ulp(root, prec)
+        assert below[0] and (below[0] > 0) == (ref_poly_eval(coeffs, r * (1 - ctx.tol(4))) > 0)
+    points = [exact(ctx.make_mpf(pack(x))) for x, _, _ in items]
+    assert all(a <= b for a, b in zip(points, points[1:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tab=st.sampled_from(sorted(SHIPPED_TABLEAUX.values(), key=lambda t: t.name)),
+    rho=positive,
+    eps=st.fractions(0, 2, max_denominator=1000),
+    h=st.fractions(Fraction(1, 1000), 1, max_denominator=1000).filter(lambda v: v > 0),
+    stage_factor=st.sampled_from([2, 1]),
+    digits=st.sampled_from(sorted(ORACLE_CONTEXTS)),
+)
+@example(tab=HEUN3, rho=Fraction(1, 10), eps=Fraction(1), h=Fraction(1, 10), stage_factor=2,
+         digits=50)
+def test_sign_change_stream_matches_oracle(tab, rho, eps, h, stage_factor, digits):
+    """The full stream of the critical polynomials in h and in rho, not only its first root."""
+    ctx = ORACLE_CONTEXTS[digits]
+    rho_s, eps_s = ctx.mpf(rho), ctx.mpf(eps)
+    _check_stream(ctx, h_polynomial(tab, ctx, rho_s, eps_s, stage_factor), 10 / rho_s)
+    params = SystemParams.create(ctx, eps_s, ctx.mpf(h))
+    _check_stream(ctx, rho_polynomial(tab, params), 10 / params.h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    binades=st.lists(st.integers(-6, 4), min_size=1, max_size=5, unique=True),
+    mantissa=st.integers(16, 31),
+    lead=st.sampled_from([1, -3, Fraction(1, 7)]),
+    digits=st.sampled_from(sorted(ORACLE_CONTEXTS)),
+)
+def test_sign_change_stream_on_products_of_roots(binades, mantissa, lead, digits):
+    """lead * prod (t - r) with one root in each of up to five binades, rounded to the
+    working precision: the stream holds every root below the cap, as the oracle's does."""
+    ctx = ORACLE_CONTEXTS[digits]
+    p = [Fraction(lead)]
+    for k in binades:
+        p = poly_mul(p, [-Fraction(mantissa, 16) * Fraction(2) ** k, Fraction(1)])
+    coeffs = [ctx.mpf(c.numerator) / c.denominator for c in p]
+    _check_stream(ctx, coeffs, ctx.mpf(20))
+
+
+def _counted(monkeypatch, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        f = getattr(analysis, name)
+
+        def counted(*args, f=f, name=name):
+            counts[name] += 1
+            return f(*args)
+
+        monkeypatch.setattr(analysis, name, counted)
+    return counts
+
+
+def test_readme_grid_counts(monkeypatch):
+    """On the README surfaces grid at 50 digits (the four RK tableaux, 684 solves): at most 15
+    Horner evaluations at working precision and 2.7 Newton calls per solve (the solver before
+    the float certificates and the early stop made 23.9 and 3.15), and the float certificate
+    decides most of the piece-end signs it is asked for."""
+    ctx = ORACLE_CONTEXTS[50]
+    counts = _counted(monkeypatch, ["_horner", "_newton_in_bracket"])
+    decided = []
+    certified_sign = analysis._certified_sign
+
+    def certified(cert, xf):
+        sign = certified_sign(cert, xf)
+        decided.append(sign is not None)
+        return sign
+
+    monkeypatch.setattr(analysis, "_certified_sign", certified)
+    rhos = [1 + Fraction(9 * i, 18) for i in range(19)]
+    epss = [Fraction(1, 100) + Fraction(99 * i, 800) for i in range(9)]
+    solves = 0
+    for name in ("kutta3", "heun3", "ralston3", "ssprk3"):
+        for rho in rhos:
+            for eps in epss:
+                rho_s = ctx.mpf(rho.numerator) / rho.denominator
+                eps_s = ctx.mpf(eps.numerator) / eps.denominator
+                linearized_critical_h(SHIPPED_TABLEAUX[name], rho_s, eps_s, ctx)
+                solves += 1
+    assert solves == 684
+    assert counts["_horner"] <= 15 * solves
+    assert counts["_newton_in_bracket"] <= 2.7 * solves
+    assert sum(decided) >= 0.9 * len(decided)
+
+
+@pytest.mark.parametrize("digits", [16, 50])
+def test_no_float_seed_bisects_the_exponent(monkeypatch, digits):
+    """Kutta3 at rho = 1e-5000: no value has a float image and the derivative cuts lie
+    near 1e-5000 in (0, 1e5001], about 33,000 arithmetic halvings away; halving the
+    exponent range finds the root in a few hundred Horner evaluations (the solver
+    before made about 156,000), and the root is the parent solver's (EXTREMES)."""
+    ctx = ORACLE_CONTEXTS[digits]
+    counts = _counted(monkeypatch, ["_horner"])
+    root = linearized_critical_h(KUTTA3, ctx.mpf("1e-5000"), ctx.mpf(1), ctx)
+    assert counts["_horner"] <= 400
+    assert_nearest_root(h_polynomial(KUTTA3, ctx, ctx.mpf("1e-5000"), ctx.mpf(1)), root, ctx.prec)
