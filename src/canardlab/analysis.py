@@ -525,9 +525,12 @@ def _sign_changes(p, hi, tol, prec, pf=None):
     ending in an exact zero of p yields that end).  The other ends that p'
     passes up only let the search stop sooner: p's sign is read there where
     its float image proves it (_certified_sign), and the end is dropped
-    where not.  Elsewhere a sign the float image cannot prove is read from
-    Horner at working precision, which agrees with it wherever it decides.
-    So a caller that takes the first sign change polishes no cut past it.
+    where not.  At a cut (a sign change of p') a sign the float image cannot
+    prove is p's exact sign (_exact_sign): near a double root of p, Horner
+    at working precision reads rounding noise there.  At hi it is read from
+    Horner at working precision, which agrees with the float image wherever
+    that decides.  So a caller that takes the first sign change polishes no
+    cut past it.
     pf is p's float image, formed once per level and shared with the
     level's Newton seeds.
     """
@@ -544,9 +547,12 @@ def _sign_changes(p, hi, tol, prec, pf=None):
     for b, bf, below in ends:
         fb = _certified_sign(cert, bf)
         if fb is None:
-            if below is None and b is not hi:
+            if below is not None:  # a cut
+                fb = (_exact_sign(p, b), 0)
+            elif b is hi:
+                fb = _horner(p, b, prec)
+            else:
                 continue
-            fb = _horner(p, b, prec)
         root = None
         if fa[0] and (not fb[0] or (fa[0] < 0) != (fb[0] < 0)):
             root = _newton_in_bracket(p, dp, pf, dpf, a, b, fa, tol, prec) if fb[0] else b

@@ -46,7 +46,7 @@ from .analysis import (
 )
 from .linearization import CANARDS, AFamily, KAHAN, _escape_threshold, scheme_map
 from .precision import ANALYSIS_DIGITS, SIMULATE_DIGITS, InvalidPrecision, make_context
-from .rounding import abs_le, pack, split
+from .rounding import abs_le, split
 from .schemes import (
     EULER,
     SHIPPED_TABLEAUX,
@@ -130,7 +130,7 @@ def _scheme(args, params):
 
 
 def _row(ctx, n, x, y, nd):
-    return [n, ctx.nstr(ctx.make_mpf(pack(x)), nd), ctx.nstr(ctx.make_mpf(pack(y)), nd)]
+    return [n, ctx.nstr_pair(x, nd), ctx.nstr_pair(y, nd)]
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +483,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:  # built on the first call, not at import; parse_args leaves it as it was
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except PoleError as err:

@@ -12,14 +12,21 @@ invariant sets exponentially fast, and at too few digits two nearby numbers
 collapse onto each other, gluing the simulated orbit to the invariant set.
 Simulations default to 50 digits; bisection and sweep experiments default to
 5000 digits.  Both defaults are overridable everywhere.
+
+Decimal output (``PrecisionContext.nstr``, ``nstr_pair``) formats a value
+straight from its binary mantissa and exponent: one product by a cached
+power of ten and one shift give the digits (Brent and Zimmermann, Modern
+Computer Arithmetic, 2010, section 1.7), and the text is mpmath's ``nstr``
+text, character for character.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import dps_to_prec, mpf_pos, round_down
+from mpmath.libmp import dps_to_prec, mpf_pos, numeral, round_down
 
 MIN_DIGITS = 16
 SIMULATE_DIGITS = 50
@@ -27,6 +34,10 @@ ANALYSIS_DIGITS = 5000
 
 # binary magnitude (exp + bc) beyond which mpmath's decimal conversion rescales
 _RESCALED_MAGNITUDE = 3500
+# mpmath's own float for log2(10), so that its digit counts are met exactly
+_LOG2_10 = math.log(10, 2)
+# digits in an integer of this many bits stay below every int-to-str limit CPython allows
+_STR_SAFE_BITS = 2000
 
 
 class InvalidPrecision(ValueError):
@@ -42,7 +53,7 @@ class PrecisionContext:
     ``digits`` decimal digits.  Rounding mode is round-to-nearest.
     """
 
-    __slots__ = ("digits", "_mp", "_tols")
+    __slots__ = ("digits", "_mp", "_tols", "_tens")
 
     def __init__(self, digits: int):
         if not isinstance(digits, int) or isinstance(digits, bool) or digits < MIN_DIGITS:
@@ -53,6 +64,7 @@ class PrecisionContext:
         self._mp = MPContext()
         self._mp.dps = digits
         self._tols = {}
+        self._tens = {}
 
     def __repr__(self):
         return f"PrecisionContext(digits={self.digits})"
@@ -106,19 +118,86 @@ class PrecisionContext:
         return self._mp.polyroots(coeffs, **kwargs)
 
     def nstr(self, x, n: int):
-        """Decimal string of x with n significant digits.
+        """Decimal string of x with n significant digits: mpmath's nstr(x, n), character for character.
 
-        mpmath prints a value beyond 2**(+-3500) by first scaling it with a
-        power of ten chosen from its raw binary exponent, which ignores the
-        mantissa length; at 4300 or more working digits the scaled integer
-        exceeds CPython's int-to-str limit.  Such values are truncated to 64
-        bits more than n digits need before printing; all others print
-        exactly as mpmath prints them.
+        A finite value is formatted from its ``_mpf_`` tuple by nstr_pair's
+        route; anything else (an infinity, a NaN, a non-scalar) goes to mpmath.
         """
         raw = getattr(x, "_mpf_", None)
-        if raw is not None and raw[1] and abs(raw[2] + raw[3]) > _RESCALED_MAGNITUDE:
-            x = self._mp.make_mpf(mpf_pos(raw, dps_to_prec(n) + 64, round_down))
-        return self._mp.nstr(x, n)
+        if raw is None or (not raw[1] and raw[2]):
+            return self._mp.nstr(x, n)
+        sign, man, exp, bc = raw
+        return self._text(sign, man, exp, exp + bc, n)
+
+    def nstr_pair(self, p, n: int):
+        """nstr of the finite mantissa pair p = (m, e), m 2**e, with no scalar built.
+
+        The mantissa need not be odd: the text depends on the value alone.
+        """
+        m, e = p
+        if m < 0:
+            return self._text(1, -m, e, m.bit_length() + e, n)
+        return self._text(0, m, e, m.bit_length() + e, n)
+
+    def _text(self, neg, man, exp, mag, n):
+        """The text of (-1)**neg man 2**exp, mag its bit length plus exponent, as mpmath prints it.
+
+        Within 2**(+-3500) these are the steps of mpmath's to_digits_exp and
+        to_str: the value in fixed point at bitprec = int((n + 3) log2 10) +
+        10 significant bits, times 10**fixdps and floored, gives n + 3 or more
+        digits; they are rounded half up to n and laid out in fixed point for
+        a leading-digit exponent strictly between min(-(n // 3), -5) and n,
+        else with an exponent.  10**fixdps is cached per fixed-point width,
+        and libmp's numeral writes an integer that could pass the int-to-str
+        limit.  Beyond 2**(+-3500) mpmath scales by a power of ten chosen from
+        the binary exponent alone, and at 4300 or more working digits its
+        scaled integer passes that limit; such a value is truncated to 64 bits
+        more than n digits need and printed by mpmath.  At n < 1 mpmath
+        prints the value untruncated.
+        """
+        if not man:
+            return "0.0" if n else ".0"
+        beyond = not -_RESCALED_MAGNITUDE <= mag <= _RESCALED_MAGNITUDE
+        if beyond or n < 1:
+            bc = man.bit_length()
+            raw = mpf_pos((neg, man, exp, bc), dps_to_prec(n) + 64 if beyond else bc, round_down)
+            return self._mp.nstr(self._mp.make_mpf(raw), n)
+        fixprec = int((n + 3) * _LOG2_10) + 10 - mag
+        if fixprec < 0:
+            fixprec = 0
+        tens = self._tens.get(fixprec)
+        if tens is None:
+            fixdps = int(fixprec / _LOG2_10 + 0.5)
+            tens = self._tens[fixprec] = fixdps, 10**fixdps
+        fixdps, ten = tens
+        shift = exp + fixprec
+        fixed = man << shift if shift >= 0 else man >> -shift
+        whole = fixed * ten >> fixprec
+        digits = str(whole) if whole.bit_length() <= _STR_SAFE_BITS else numeral(whole, 10, n + 3)
+        exponent = len(digits) - fixdps - 1
+        if len(digits) > n and digits[n] >= "5":
+            head = digits[:n].rstrip("9")
+            if head:
+                digits = head[:-1] + chr(ord(head[-1]) + 1) + "0" * (n - len(head))
+            else:
+                digits = "1" + "0" * (n - 1)
+                exponent += 1
+        else:
+            digits = digits[:n]
+        if min(-(n // 3), -5) < exponent < n:
+            if exponent < 0:
+                text = "0." + "0" * (-exponent - 1) + digits
+            else:
+                text = digits[:exponent + 1] + "." + digits[exponent + 1:]
+            exponent = 0
+        else:
+            text = digits[:1] + "." + digits[1:]
+        text = text.rstrip("0")
+        if text[-1] == ".":
+            text += "0"
+        if neg:
+            text = "-" + text
+        return f"{text}e{exponent:+d}" if exponent else text
 
     def isfinite(self, x) -> bool:
         return self._mp.isfinite(x)

@@ -557,9 +557,10 @@ _THREE = (3, 0)
 # b = 1 - 2a, mx = (x + xn)/2 and my = (y + yn)/2; a, b and h are scalers.
 # af_old = a f(x, y) is formed once per step and mx once per candidate xn;
 # halving is exact, so it is an exponent shift.  The term plan: b (a = 1/2)
-# or a (a = 0) is None where it is exactly 0, its terms are not formed, and
-# the rn that adding their zero applied is kept (at a = 1/2, af_old comes so
-# rounded, and mx and my go unused).
+# or a (a = 0) is None where it is exactly 0 and its terms are not formed (at
+# a = 1/2 mx and my go unused).  The sum the zero term made was one more rn
+# of a rounded value, which can change only how a power of two is written,
+# never a value, so it is not formed either.
 
 
 def _pitchfork_f(x, y, prec):
@@ -568,7 +569,7 @@ def _pitchfork_f(x, y, prec):
 
 def _afamily_residual_pair(a, b, h, x, af_old, my, yn, xn, mx, prec):
     if a is None:
-        f = rn(*b(_pitchfork_f(mx, my, prec)), prec)
+        f = b(_pitchfork_f(mx, my, prec))
     else:
         f = af_old if b is None else add(af_old, b(_pitchfork_f(mx, my, prec)), prec)
         f = add(f, a(_pitchfork_f(xn, yn, prec)), prec)
@@ -578,10 +579,28 @@ def _afamily_residual_pair(a, b, h, x, af_old, my, yn, xn, mx, prec):
 def _afamily_slope_pair(a, b, h, my, yn, xn, mx, prec):
     d_new = a(sub(yn, mul(mul(_THREE, xn, prec), xn, prec), prec)) if a else None
     if b is None:
-        return sub(h(rn(*d_new, prec)), _ONE, prec)
+        return sub(h(d_new), _ONE, prec)
     m, e = sub(my, mul(mul(_THREE, mx, prec), mx, prec), prec)
-    d = rn(*b((m, e - 1)), prec) if a is None else add(b((m, e - 1)), d_new, prec)
+    d = b((m, e - 1)) if a is None else add(b((m, e - 1)), d_new, prec)
     return sub(h(d), _ONE, prec)
+
+
+def _within(v, tol, xn, prec):
+    """|v| <= tol (1 + |xn|); magnitudes decide it unsummed where they lie far enough apart.
+
+    With g = max(1, magnitude of xn), 1 + |xn| rounds into [2**(g-1),
+    2**(g+1)], so the rounded product lies in [2**(gt+g-2), 2**(gt+g+1)]
+    (gt: tol's magnitude); a v of magnitude gv <= gt + g - 2 is within it
+    and one of gv >= gt + g + 3 is not.
+    """
+    vm, xm = v[0], xn[0]
+    if not vm:
+        return True
+    g = max(1, xm.bit_length() + xn[1]) if xm else 1
+    d = vm.bit_length() + v[1] - tol[0].bit_length() - tol[1] - g
+    if -2 < d < 3:
+        return le_product(v, tol, add(_ONE, (abs(xm), xn[1]), prec), prec)
+    return d < 0
 
 
 def _half_sum(u, v, prec):
@@ -619,10 +638,6 @@ def _afamily_solver(aparam, params: SystemParams):
     h = scaler(h_pair, prec)
     tol2, tol10 = split(ctx.tol(2)._mpf_), split(ctx.tol(10)._mpf_)
 
-    def within(v, tol, xn):
-        """|v| <= tol (1 + |xn|)."""
-        return le_product(v, tol, add(_ONE, (abs(xn[0]), xn[1]), prec), prec)
-
     def residual(x, af_old, my, yn, xn):
         mx = _half_sum(x, xn, prec) if b else None
         return _afamily_residual_pair(a, b, h, x, af_old, my, yn, xn, mx, prec)
@@ -658,17 +673,15 @@ def _afamily_solver(aparam, params: SystemParams):
             return x, yn, "canard", _ZERO
         my = _half_sum(y, yn, prec) if b else None
         af_old = a(_pitchfork_f(x, y, prec)) if a else None
-        if b is None:
-            af_old = rn(*af_old, prec)
         xn = predictor = add(x, mul(h(x), sub(y, mul(x, x, prec), prec), prec), prec)
         for _ in range(_AFAMILY_MAX_NEWTON):
             step = correction(x, af_old, my, yn, xn)
             if step is None:
                 break
             xn = sub(xn, step, prec)
-            if within(step, tol2, xn):
+            if _within(step, tol2, xn, prec):
                 r = residual(x, af_old, my, yn, xn)
-                if within(r, tol10, xn):
+                if _within(r, tol10, xn, prec):
                     return xn, yn, "newton", r
                 break
 
@@ -680,7 +693,7 @@ def _afamily_solver(aparam, params: SystemParams):
                 break
             xn = sub(xn, step, prec)
         r = residual(x, af_old, my, yn, xn)
-        if not within(r, tol10, xn):
+        if not _within(r, tol10, xn, prec):
             raise NoRealBranch("implicit pitchfork update: no branch met the residual tolerance")
         return xn, yn, "cubic", r
 
@@ -716,8 +729,8 @@ def a_family_step_pitchfork(
     xnew = 0 is returned unconditionally (other real branches may coexist
     there).  Newton and polish round on mantissa pairs (see rounding), as
     afamily_kernel does for whole orbits; at a = 1/2 and a = 0 they skip the
-    terms that are exactly 0 but keep the rounding that adding them applied,
-    so the values are mpf arithmetic's.  A non-finite x or y raises NoRealBranch.
+    terms that are exactly 0 and the sums with them, which can change no
+    value, so the values are mpf arithmetic's.  A non-finite x or y raises NoRealBranch.
 
     The family is symmetric (time-reversible): reverse=True applies the step
     with h -> -h, which undoes the forward step.

@@ -267,3 +267,27 @@ def test_benchmark_orbits_step_by_step(a):
         p = ref.point
         assert (pack(x), pack(y)) == (p.x._mpf_, p.y._mpf_)
     assert methods == {"newton"}
+
+
+def _pair_near(draw, mag, prec):
+    """A nonzero pair of up to prec + 1 bits, either sign, of magnitude mag."""
+    m = draw(st.integers(1, (1 << (prec + 1)) - 1))
+    return (-m if draw(st.booleans()) else m), mag - m.bit_length()
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), digits=digits_st)
+def test_within_decides_like_the_rounded_bound(data, digits):
+    """_within(v, tol, xn) is le_product(v, tol, add(1, |xn|)): the magnitudes it decides
+    from are drawn next to both of its cut-offs, xn above, at and below 1, and zeros."""
+    prec = CONTEXTS[digits].prec
+    draw = data.draw
+    tol = _pair_near(draw, draw(st.integers(-200, 0)), prec)
+    tol = abs(tol[0]), tol[1]
+    gx = draw(st.integers(-5, 5))
+    xn = (0, 0) if draw(st.integers(0, 9)) == 0 else _pair_near(draw, gx, prec)
+    g = max(1, xn[0].bit_length() + xn[1]) if xn[0] else 1
+    gt = tol[0].bit_length() + tol[1]
+    v = (0, 3) if draw(st.integers(0, 19)) == 0 else _pair_near(draw, gt + g + draw(st.integers(-4, 5)), prec)
+    want = schemes.le_product(v, tol, schemes.add((1, 0), (abs(xn[0]), xn[1]), prec), prec)
+    assert schemes._within(v, tol, xn, prec) == want

@@ -20,6 +20,7 @@ from canardlab import (
     classify_jump,
     make_context,
 )
+from canardlab import cli
 from canardlab.cli import main
 
 
@@ -145,6 +146,63 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["simulate", "--kind", "nonsense"])
     assert err.value.code == 2
+
+
+# successive commands through one parser: subcommands, usage errors (exit 2), --version, and
+# repeated flags whose defaults a parse could leave changed if it wrote to them
+PARSER_ARGVS = [
+    ["kstar", "--variant", "euler-transcritical", "--rho", "4", "--h", "0.1", "--eps", "0.01"],
+    ["--version"],
+    ["simulate", "--kind", "nonsense"],
+    ["verify", "--suite", "nope", "--suite", "x"],
+    [],
+    ["simulate", "--kind", "fold", "--scheme", "kahan", "--h", "0.1", "--eps", "0.01",
+     "--rho", "1", "--n-max", "50", "--stride", "10", "--digits", "30", "--out-digits", "7"],
+    ["verify", "--suite", "other"],
+    ["bisect", "--rho", "5"],
+    ["wayout", "--kind", "transcritical", "--scheme", "kahan", "--h", "0.1", "--eps", "0.01",
+     "--rho", "0.0105"],
+    ["kstar", "--variant", "rk", "--tableau", "kutta3", "--rho", "4", "--h", "0.05",
+     "--eps", "0.1", "--out-digits", "12"],
+]
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as err:
+        code = err.code
+    return (code, *capsys.readouterr())
+
+
+def test_parser_is_built_once_and_reused(monkeypatch, capsys):
+    """main builds its parser on the first call only, and every later call prints and exits
+    as a call with a freshly built parser does."""
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None)
+    capsys.readouterr()
+    reused = [_outcome(argv, capsys) for argv in PARSER_ARGVS]
+    assert len(built) == 1
+    fresh = []
+    for argv in PARSER_ARGVS:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(_outcome(argv, capsys))
+    assert len(built) == 1 + len(PARSER_ARGVS)
+    assert reused == fresh
+    codes = [code for code, _, _ in reused]
+    assert codes == [0, 0, 2, 2, 2, 0, 2, 2, 0, 0]
+    assert reused[1][1].startswith("canardlab ")
+
+
+def test_cli_import_builds_no_parser():
+    """The parser is built by the first main call, not at import (it would add to start-up)."""
+    code = "import canardlab.cli as c; print(c._parser is None)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          check=True)
+    assert done.stdout.strip() == "True"
 
 
 def test_unknown_tableau_exits_2(tmp_path):

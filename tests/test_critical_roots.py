@@ -569,3 +569,22 @@ def test_no_float_seed_bisects_the_exponent(monkeypatch, digits):
     root = linearized_critical_h(KUTTA3, ctx.mpf("1e-5000"), ctx.mpf(1), ctx)
     assert counts["_horner"] <= 400
     assert_nearest_root(h_polynomial(KUTTA3, ctx, ctx.mpf("1e-5000"), ctx.mpf(1)), root, ctx.prec)
+
+
+@pytest.mark.parametrize("digits", [16, 50, 200])
+def test_double_roots_change_no_sign(digits):
+    """(t - 3/8)**2 (t - 19/32)**2 (t - 26)(t - 41), exact at every precision here: its sign
+    changes are 26 and 41 alone.  The cuts next to a double root are read with the exact
+    sign, since the pair Horner's sign there is rounding noise (with it the first root came
+    out as 0.5937499936628357 at 16 digits, 19/32 at 50 and 3/8 at 200)."""
+    ctx = make_context(digits)
+    p = [Fraction(1)]
+    for r in (Fraction(3, 8), Fraction(3, 8), Fraction(19, 32), Fraction(19, 32), 26, 41):
+        p = poly_mul(p, [-Fraction(r), Fraction(1)])
+    coeffs = [split(ctx.mpf(c)._mpf_) for c in p]
+    assert [_value(c) for c in coeffs] == p
+    items = analysis._sign_changes(coeffs, split(ctx.mpf(100)._mpf_), split(ctx.tol(8)._mpf_),
+                                   ctx.prec)
+    roots = [analysis._nearest_root(coeffs, x, below, ctx.prec)
+             for x, _, below in items if below is not None]
+    assert [_value(r) for r in roots] == [26, 41]

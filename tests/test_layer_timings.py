@@ -16,9 +16,12 @@ SchemeMap.step the command line builds (mpf_oracles.STEP_MAPS) at 16, 50
 and 200 digits, from beside the canard at rho = 1, checked against its mpf
 oracle; and one linearized critical step (Kutta3 at rho = 8, eps = 1, a cell
 of the README surfaces grid) at 16, 50 and 200 digits, checked to be the
-root of its critical polynomial rounded to nearest.
+root of its critical polynomial rounded to nearest; and one CSV value, a
+mantissa pair printed with 30 digits as simulate's rows print it, at 16, 50
+and 200 digits, checked against mpmath's nstr.
 """
 
+import mpmath
 import pytest
 
 from canardlab import (KUTTA3, PlanarPoint, SingularityKind, SystemParams, linearized_critical_h,
@@ -68,3 +71,11 @@ def test_linearized_critical_h(benchmark, digits):
     rho, eps = ctx.mpf(8), ctx.mpf(1)
     h = benchmark(linearized_critical_h, KUTTA3, rho, eps, ctx)
     assert_nearest_root(h_polynomial(KUTTA3, ctx, rho, eps), h, ctx.prec)
+
+
+@pytest.mark.parametrize("digits", [16, 50, 200])
+def test_csv_value(benchmark, digits):
+    ctx = make_context(digits)
+    p = split((-ctx.sqrt(2) / 3 * ctx.mpf("1e-7"))._mpf_)
+    text = benchmark(ctx.nstr_pair, p, 30)
+    assert text == mpmath.nstr(ctx.make_mpf(pack(p)), 30)

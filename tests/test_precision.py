@@ -6,8 +6,11 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import dps_to_prec, mpf_pos, round_down
 
 from canardlab import InvalidPrecision, make_context
+from canardlab.cli import _row
+from canardlab.rounding import pack, split
 
 
 def test_minimum_digits_accepted():
@@ -121,3 +124,84 @@ def test_nstr_matches_unlimited_conversion(digits, mantissa, exponent, negative)
     for n, ref in zip((3, 12, 30), want):
         got = ctx.nstr(x, n)
         assert got == ref or _adjacent_near_tie(x, got, ref, n), (n, got, ref)
+
+
+# -- the decimal formatter against mpmath's nstr ----------------------------
+
+FORMAT_CONTEXTS = {d: make_context(d) for d in (16, 50, 200, 5000)}
+
+
+def _mpmath_text(x, n):
+    """What nstr printed before it formatted values itself: mpmath's nstr, beyond
+    2**(+-3500) of the value truncated to 64 bits more than n digits need."""
+    raw = x._mpf_
+    if raw[1] and abs(raw[2] + raw[3]) > 3500:
+        raw = mpf_pos(raw, dps_to_prec(n) + 64, round_down)
+    return mpmath.nstr(mpmath.mp.make_mpf(raw), n)
+
+
+@st.composite
+def formatter_cases(draw, n=st.integers(1, 60)):
+    """(context, pair, n): mantissas of up to the working precision, not always odd; both
+    signs and zero; magnitudes anywhere within 2**(+-3510), next to +-3500, or next to a
+    decimal exponent where the text switches between fixed point and exponent form, and
+    runs of 9s that round up across a power of ten."""
+    ctx = FORMAT_CONTEXTS[draw(st.sampled_from(sorted(FORMAT_CONTEXTS)))]
+    n = draw(n)
+    prec = ctx.prec
+    kind = draw(st.sampled_from(["binary", "edge", "switch", "zero"]))
+    if kind == "zero":
+        m, e = 0, draw(st.integers(-100, 100))
+    elif kind == "switch":
+        k = draw(st.sampled_from([min(-(n // 3), -5), n])) + draw(st.integers(-2, 2))
+        size = n + 3  # digits of the integer scaled to a leading digit at 10**k
+        whole = draw(st.one_of(st.integers(0, 3).map(lambda j: 10**size - 10**j),
+                               st.integers(10 ** (size - 1), 10**size - 1)))
+        m, e = split((ctx.mpf(whole) * ctx.mpf(10) ** (k - size + 1))._mpf_)
+    else:
+        m = draw(st.integers(1, (1 << prec) - 1))
+        edge = st.one_of(st.integers(-3503, -3497), st.integers(3497, 3503))
+        mag = draw(edge if kind == "edge" else st.integers(-3510, 3510))
+        e = mag - m.bit_length()
+    shift = draw(st.integers(0, 3))
+    m, e = m << shift, e - shift
+    return ctx, (-m if draw(st.booleans()) else m, e), n
+
+
+def _check_formatter(ctx, pair, n):
+    x = ctx.make_mpf(pack(pair))
+    want = _mpmath_text(x, n)
+    assert ctx.nstr_pair(pair, n) == want, (pair, n)
+    assert ctx.nstr(x, n) == want, (pair, n)
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=formatter_cases())
+@example(case=(FORMAT_CONTEXTS[50], (0, 7), 30))
+@example(case=(FORMAT_CONTEXTS[16], (-(10**17 - 1), 0), 16))  # rounds up to 1.0e+17
+@example(case=(FORMAT_CONTEXTS[50], (3, 3499 - 2), 12))  # magnitude exactly 3500
+@example(case=(FORMAT_CONTEXTS[50], (3, 3500 - 2), 12))  # and 3501, past it
+@example(case=(FORMAT_CONTEXTS[50], (-1 << 8, -3508), 5))  # -2**-3500, not odd
+def test_formatter_equals_mpmath_nstr(case):
+    """nstr and nstr_pair print exactly what mpmath's nstr prints (beyond 2**(+-3500), what
+    it prints of the truncated value, as before)."""
+    _check_formatter(*case)
+
+
+@settings(max_examples=10, deadline=None)
+@given(case=formatter_cases(n=st.integers(4301, 5010)))
+def test_formatter_past_the_int_to_str_limit(case):
+    """n past CPython's int-to-str limit of 4300 digits: libmp's numeral writes the digits."""
+    _check_formatter(*case)
+
+
+def test_row_equals_the_mpf_expression():
+    """cli._row formats pairs as the parent's nstr of their scalars did (make_mpf of pack,
+    then nstr), mantissas that are not odd and values beyond 2**-3500 included."""
+    for ctx in FORMAT_CONTEXTS.values():
+        x = (ctx.sqrt(2) / 3)._mpf_
+        pairs = [split(x), (-x[1] << 5, x[2] - 5), (0, 3), split(ctx.mpf("-1e-1100")._mpf_)]
+        for nd in (1, 16, 30, 60):
+            for p in pairs:
+                want = [_mpmath_text(ctx.make_mpf(pack(v)), nd) for v in (p, pairs[0])]
+                assert _row(ctx, 7, p, pairs[0], nd) == [7] + want
