@@ -12,8 +12,9 @@ computes
   * the way-in/way-out map: entry index N and exit offset psi with
     |v1(N + psi)| >= 1 (Kahan maps give psi = N exactly on the symmetric
     lattice, and psi in {N+1, N+2} off it);
-  * linearized critical triplets (rho*, h*, eps*) solving 1 + h Q_s(-rho) = 0,
-    where the one-step multiplier at entry vanishes and the delay blows up;
+  * linearized critical triplets (rho*, h*, eps*) at the first sign change of
+    1 + h Q_s(-rho), where the one-step multiplier at entry changes sign and
+    the delay blows up;
   * jump classification of simulated orbits near the canard and the
     bisection in h that locates the nonlinear critical step size;
   * parameter sweeps producing critical-step-size surfaces.
@@ -327,7 +328,7 @@ class BisectionBracket:
 class CriticalTriplet:
     """(rho*, h*, eps*) at which the linearized entry multiplier vanishes.
 
-    source is "linearized" for roots of 1 + h Q_s(-rho) = 0 and a
+    source is "linearized" for sign changes of 1 + h Q_s(-rho) and a
     BisectionBracket for values located from the nonlinear system.
     """
 
@@ -340,8 +341,6 @@ class CriticalTriplet:
 #: The linearized solvers search h in (0, _H_CAP / rho] and rho in (0, _RHO_CAP / h].
 _H_CAP = 10
 _RHO_CAP = 10
-#: The least positive normal double; smaller float images fall back to pair arithmetic.
-_MIN_NORMAL = 2.0 ** -1022
 
 
 def _horner(p, x, prec):
@@ -353,21 +352,9 @@ def _horner(p, x, prec):
 
 
 def _float(v):
-    """The pair v as a float (its top 64 bits, truncated), or None where that overflows."""
-    m, e = v
-    n = m.bit_length() - 64
-    if n > 0:
-        m, e = m >> n, e + n
-    try:
-        return math.ldexp(m, e)
-    except OverflowError:
-        return None
-
-
-def _images(p):
-    """The float images of p's coefficients, or None where one has none."""
-    images = [_float(c) for c in p]
-    return None if None in images else images
+    """The pair v, at most 1 in magnitude, as a float (its top 64 bits, truncated)."""
+    n = max(v[0].bit_length() - 64, 0)
+    return math.ldexp(v[0] >> n, v[1] + n)
 
 
 def _float_horner(p, x):
@@ -378,67 +365,21 @@ def _float_horner(p, x):
     return acc
 
 
-def _certificate(pf, prec):
-    """What _certified_sign needs for the polynomial whose float image is pf, or None.
-
-    None where an image is missing or subnormal (underflow falls back).  The
-    image of a pair is within delta = 2**-63 + 2**-53 (1 + 2**-63) relative:
-    _float truncates to 64 bits, then rounds to 53.  With u = 2**-53, n the
-    degree and S = sum |c'_i| |x'|**i over the images c', x' (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2002, section 5.1):
-    Horner's rounding in double precision is within 2n u S; the images of
-    the coefficients and of x move p by at most (n + 1) delta S to first
-    order; the pair Horner at prec bits is within 2n 2**-prec S of p.  rel
-    is twice their sum, which also covers the second-order terms and the
-    rounding of S and of the bound themselves.  Each |c'_i| is raised by
-    2**-1022 so that rel times the raised sum also covers a product that
-    underflows (at most 2**-1075 absolute each, n of them, carried by
-    powers of |x|), and no partial sum of the raised Horner is subnormal.
-    """
-    if pf is None or not all(c == 0 or abs(c) >= _MIN_NORMAL for c in pf):
-        return None
-    n = len(pf) - 1
-    rel = (3 * n + 2) * 2.0 ** -52 + n * 2.0 ** (2 - prec)
-    return pf, [abs(c) + _MIN_NORMAL for c in pf], rel
-
-
-def _certified_sign(cert, xf):
-    """p's exact sign at a positive point with float image xf, as the pair +-1, or None.
-
-    cert is _certificate's.  The sign is returned only where the float
-    Horner's value exceeds the running bound; it is then p's exact sign and
-    the sign the pair Horner at working precision gives.  None where xf is
-    missing or subnormal, or the value is within the bound or not finite.
-    """
-    if cert is None or xf is None or xf < _MIN_NORMAL:
-        return None
-    pf, absf, rel = cert
-    v = _float_horner(pf, xf)
-    if abs(v) > rel * _float_horner(absf, xf):
-        return (1, 0) if v > 0 else (-1, 0)
-    return None
-
-
 def _float_seed(pf, dpf, a, b, fa):
-    """A root of p in (a, b) by safeguarded Newton in double precision, as a pair, or None.
+    """A root of p in (a, b) by safeguarded Newton in double precision, as a pair.
 
-    pf and dpf are the float images of p and p' (_images, formed once per
-    level of the cascade); a and b are the bracket's pairs.  It runs with the
-    sign and bracket tests of _newton_in_bracket, for at most 40
-    iterations, and stops after a step of at most 2**-40 relative.  None
-    where an image or a bracket end has no finite float image, or p's image
-    is not finite at an iterate.  The result is only a start for
-    _newton_in_bracket, which checks that it lies inside (a, b); it never
-    decides a sign.
+    pf and dpf are the float images of the coefficients of p and p', a and
+    b the interval's pairs, in a variable that keeps them all at most 1
+    (_first_sign_change), so every value is finite.  It runs with
+    _newton_in_bracket's sign and bracket tests, for at most 40 iterations,
+    to a step of at most 2**-40 relative.  It only starts
+    _newton_in_bracket, which checks that it lies inside (a, b); it decides
+    no sign.
     """
     lo, hi = _float(a), _float(b)
-    if pf is None or dpf is None or lo is None or hi is None:
-        return None
     neg, x = fa[0] < 0, 0.5 * lo + 0.5 * hi
     for _ in range(40):
         fx = _float_horner(pf, x)
-        if not math.isfinite(fx):
-            return None
         if not fx:
             break
         if (fx < 0) == neg:
@@ -459,42 +400,20 @@ def _float_seed(pf, dpf, a, b, fa):
     return m, 1 - q.bit_length()
 
 
-def _magnitude(v):
-    """g with 2**(g - 1) <= |v| < 2**g, for a nonzero pair v."""
-    return v[0].bit_length() + v[1]
+def _newton_in_bracket(p, a, b, fa, t, tol, prec):
+    """The root of p in its isolating interval (a, b), 0 < a < b <= 2a, by safeguarded Newton.
 
-
-def _midpoint(p, a, b, prec):
-    """The bisection point of the bracket (a, b), 0 <= a < b, of a root of p.
-
-    Where the magnitudes ga, gb of the ends lie four or more apart, it is
-    2**((ga + gb) // 2), inside (a, b), so a root many binades below b is
-    reached in a few dozen halvings of the exponent range; at a = 0, ga is
-    Cauchy's lower bound on p's positive roots, 2**(mag p(0) - max mag p_i
-    - 2).  Else it is (a + b) / 2.
+    fa is p's value left of the root (only its sign is read).  The first
+    iterate is t (a pair, or None) where it lies inside (a, b), else the
+    midpoint.  A Newton step of at most tol relative returns its iterate;
+    one that leaves the bracket, or is not below half the step before, is
+    replaced by bisection (rtsafe in Press et al., Numerical Recipes, 9.4),
+    so a bracket inside Horner's rounding noise still shrinks.  Values are
+    Horner's at working precision; the result only starts _nearest_root.
     """
-    gb = _magnitude(b)
-    ga = _magnitude(a) if a[0] else _magnitude(p[0]) - max(_magnitude(c) for c in p if c[0]) - 2
-    if gb - ga >= 4:
-        return 1, (ga + gb) // 2
-    m, e = add(a, b, prec)
-    return m, e - 1
-
-
-def _newton_in_bracket(p, dp, pf, dpf, a, b, fa, tol, prec):
-    """Root of p on [a, b], where p is monotone and changes sign, by safeguarded Newton.
-
-    The first iterate is _float_seed's root where it lies inside (a, b),
-    else _midpoint's; the seed only saves iterations.  Convergence (a
-    Newton step of at most tol relative) is tested before the bracket
-    safeguard, so the converged iterate is returned; a step that leaves the
-    bracket is replaced by _midpoint's bisection.  Comparisons are exact.
-    """
-    t = _float_seed(pf, dpf, a, b, fa)
-    if t is not None:
-        t = rn(*t, prec)
+    dp, last = [(i * m, e) for i, (m, e) in enumerate(p) if i], sub(b, a, prec)
     while True:
-        x = t if t is not None and lt(a, t) and lt(t, b) else _midpoint(p, a, b, prec)
+        x = t if t is not None and lt(a, t) and lt(t, b) else mul(add(a, b, prec), (1, -1), prec)
         fx = _horner(p, x, prec)
         if not fx[0]:
             return x
@@ -502,64 +421,17 @@ def _newton_in_bracket(p, dp, pf, dpf, a, b, fa, tol, prec):
             a = x
         else:
             b = x
-        d, t = _horner(dp, x, prec), None
-        bar = mul(tol, x, prec)
+        d, t, bar = _horner(dp, x, prec), None, mul(tol, x, prec)
         if d[0]:
             step = div(fx, d, prec)
-            t = sub(x, step, prec)
-            if not lt(bar, (abs(step[0]), step[1])):
+            t, size = sub(x, step, prec), (abs(step[0]), step[1])
+            if not lt(bar, size):
                 return t
+            if not (lt(a, t) and lt(t, b) and lt(mul(size, (2, 0), prec), last)):
+                t = None
+        last = size if t is not None else mul(sub(b, a, prec), (1, -1), prec)
         if not lt(bar, sub(b, a, prec)):
             return x
-
-
-def _sign_changes(p, hi, tol, prec, pf=None):
-    """Yield, ascending and lazily, points of (0, hi] where p's sign is known, its roots among them.
-
-    Each item is (x, float image of x, below).  A sign change of p (pairs)
-    comes with below, p's value on its left (only its sign is read); every
-    other item is a piece end, with below None.  p' yields the same way,
-    down to a constant.  p is monotone between the sign changes of p', so
-    p's sign read at those and at hi puts each sign change of p in a piece
-    whose end signs differ, where _newton_in_bracket polishes it (a piece
-    ending in an exact zero of p yields that end).  The other ends that p'
-    passes up only let the search stop sooner: p's sign is read there where
-    its float image proves it (_certified_sign), and the end is dropped
-    where not.  At a cut (a sign change of p') a sign the float image cannot
-    prove is p's exact sign (_exact_sign): near a double root of p, Horner
-    at working precision reads rounding noise there.  At hi it is read from
-    Horner at working precision, which agrees with the float image wherever
-    that decides.  So a caller that takes the first sign change polishes no
-    cut past it.
-    pf is p's float image, formed once per level and shared with the
-    level's Newton seeds.
-    """
-    while len(p) > 1 and not p[-1][0]:
-        p = p[:-1]
-    if len(p) < 2:
-        return
-    if pf is None:
-        pf = _images(p)
-    dp = [mul((i, 0), c, prec) for i, c in enumerate(p) if i]
-    dpf, cert = _images(dp), _certificate(pf, prec)
-    a, fa = _ZERO, p[0]
-    ends = _sign_changes(dp, hi, tol, prec, dpf) if len(dp) > 1 else [(hi, _float(hi), None)]
-    for b, bf, below in ends:
-        fb = _certified_sign(cert, bf)
-        if fb is None:
-            if below is not None:  # a cut
-                fb = (_exact_sign(p, b), 0)
-            elif b is hi:
-                fb = _horner(p, b, prec)
-            else:
-                continue
-        root = None
-        if fa[0] and (not fb[0] or (fa[0] < 0) != (fb[0] < 0)):
-            root = _newton_in_bracket(p, dp, pf, dpf, a, b, fa, tol, prec) if fb[0] else b
-            yield root, _float(root), fa
-        if root is None or lt(root, b):  # else the root, within tol of b, stands for it
-            yield b, bf, None
-        a, fa = b, fb
 
 
 def _exact_sign(p, x):
@@ -575,93 +447,217 @@ def _exact_sign(p, x):
     return (am > 0) - (am < 0)
 
 
-def _nearest_root(p, x, below, prec):
-    """The root of p next to the positive pair x, rounded to nearest-even at prec bits.
+def _nearest_root(p, x, below, a, b, prec):
+    """The root of p in (a, b) next to the pair x, rounded to nearest-even at prec bits.
 
-    below is p's value on the left of the root (only its sign is used).
-    Positive prec-bit floats are indexed so that neighbours differ by 1,
-    across binades too, with x at 0.  The root is rounded to float k when
-    it lies between the midpoints of k with its neighbours, that is when k
-    is the first index whose upper midpoint is not below the root; that k
-    is found by galloping from 0 (steps 1, 2, 4, ...) and then bisecting,
-    each midpoint decided from the exact sign of p there, and a root
-    exactly on a midpoint goes to the float with the even mantissa.  Where
-    the gallop finds no such k within 2**64 floats of x (p does not change
-    sign near x), x itself is returned.
+    (a, b), 0 < a < b, isolates a root where p changes sign, and below is
+    p's value on its left (only its sign is used).  Positive prec-bit floats
+    are indexed so that neighbours differ by 1, across binades too.  The
+    root rounds to the first float k whose midpoint with k + 1 is not below
+    it.  The floats below a and above b bound k; it is found by galloping
+    from x (steps 1, 2, 4, ...) inside those bounds, then bisecting, each
+    midpoint in (a, b) decided from the exact sign of p there (p may have
+    other roots just outside).  A root exactly on a midpoint goes to the
+    float with the even mantissa.
     """
-    m, e = rn(*x, prec)
-    shift = prec - m.bit_length()
-    m, e = (m << shift, e - shift) if shift >= 0 else (m >> -shift, e - shift)
     half, sign = 1 << (prec - 1), (below[0] > 0) - (below[0] < 0)
 
+    def index(v):  # of the prec-bit float at or below the positive pair v
+        n = v[0].bit_length() - prec
+        return (v[1] + n) * half + (v[0] >> n if n >= 0 else v[0] << -n) - half
+
     def value(k):
-        q, r = divmod(m - half + k, half)
-        return half + r, e + q
+        q, r = divmod(k, half)
+        return half + r, q
 
     def side(k):  # > 0: the midpoint of floats k and k + 1 lies below the root
         (m1, e1), (m2, e2) = value(k), value(k + 1)
-        return sign * _exact_sign(p, (m1 + (m2 << (e2 - e1)), e1 - 1))
+        mid = m1 + (m2 << (e2 - e1)), e1 - 1
+        return 1 if not lt(a, mid) else -1 if not lt(mid, b) else sign * _exact_sign(p, mid)
 
-    s = side(0)
-    lo, hi = (0, None) if s > 0 else (None, 0)
-    step = 1
-    while lo is None or hi is None or hi - lo > 1:
-        if step > 1 << 64:
-            return x
-        if lo is None:
-            k, step = -step, 2 * step
-        elif hi is None:
-            k, step = step, 2 * step
-        else:
-            k = (lo + hi) // 2
+    lo, hi, s = index(a) - 1, index(b) + 1, -1
+    k, step = min(max(index(x), lo + 1), hi - 1), 1
+    while hi - lo > 1:
         t = side(k)
         if t > 0:
-            lo = k
+            lo, k = k, k + step
         else:
-            hi, s = k, t
+            hi, s, k = k, t, k - step
+        step *= 2
+        if not lo < k < hi:
+            k = (lo + hi) // 2
     if s == 0 and value(hi)[0] & 1:
         hi += 1
     return value(hi)
 
 
-def _first_root(tableau, ctx, x, h, eps, hi, stage_factor=2):
-    """First sign change in (0, hi] of 1 + h Q_s(x) (x, h polynomials of pairs), or None.
+def _taylor1(c):
+    """c(t + 1)."""
+    c = list(c)
+    for i in range(len(c) - 1):
+        for k in range(len(c) - 2, i - 1, -1):
+            c[k] += c[k + 1]
+    return c
 
-    The root is that of the polynomial with the rounded coefficients, rounded
-    to nearest-even at the working precision (_nearest_root), so its bits do
-    not depend on the path Newton took to it.
+
+def _descartes(c):
+    """Descartes' bound on the roots of c in (0, 1): the sign variations of (1 + t)**d c(1/(1 + t)).
+
+    It exceeds the root count (with multiplicity) by an even number, and is
+    0 where the disc on the diameter (0, 1) holds no root.  It is
+    subadditive: split (0, 1) at m, and the halves' bounds, plus 1 where m
+    is a root of odd multiplicity, sum to at most this one.
     """
+    signs = [v > 0 for v in _taylor1(c[::-1]) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _order(c):
+    """The multiplicity of the root of c at 0."""
+    return next(i for i, v in enumerate(c) if v)
+
+
+def _prefix(c, j):
+    """c(t / 2**j) as integers over a power of 2, for c of pairs: c on (0, 2**-j) mapped to (0, 1)."""
+    low = min(e - i * j for i, (m, e) in enumerate(c) if m)
+    return [m << e - i * j - low if m else 0 for i, (m, e) in enumerate(c)]
+
+
+def _divide(a, b):
+    """Quotient and remainder of the polynomials a and b, with Fraction coefficients."""
+    r, q = [Fraction(v) for v in a], []
+    while len(r) >= len(b):
+        f = r[-1] / b[-1]
+        for i, v in enumerate(b):
+            r[len(r) - len(b) + i] -= f * v
+        r.pop()
+        q.append(f)
+    while r and not r[-1]:
+        r.pop()
+    return q[::-1], r
+
+
+def _odd_part(c):
+    """The product of c's square-free factors of odd multiplicity, up to a rational factor.
+
+    Its roots are c's sign changes, each simple: with g = gcd(c, c'), c / g
+    holds every root of c once, and g's odd part those of even multiplicity.
+    """
+    g, r = c, [i * v for i, v in enumerate(c) if i]
+    while r:
+        g, r = r, _divide(g, r)[1]
+    return c if len(g) == 1 else _divide(_divide(c, g)[0], _odd_part(g))[0]
+
+
+def _isolate(c):
+    """The first sign change in (0, 1] of c (dyadic, ascending pairs, c(0) != 0), or None.
+
+    Descartes isolation (Collins and Akritas, SYMSAC 1976; Rouillier and
+    Zimmermann, J. Comput. Appl. Math. 162, 2004).  The result (k, j,
+    below, f) puts the root in (k / 2**j, (k + 1) / 2**j) as the one root
+    there of f (c, or its odd part), whose value left of it has the sign of
+    below; with below None the root is k / 2**j.  Fujiwara's bound clears
+    the disc |t| <= 2**-K; galloping, then bisecting, on the exponent j of
+    (0, 2**-j) with Descartes' bound finds the first binade (2**-(j + 1),
+    2**-j) that can hold a root, and past a binade without a sign change the
+    next one (subadditivity clears the binades between).  A binade is
+    halved (2**d c(t / 2), then c(t + 1)), left half first, down to an
+    interval that reads 1; a midpoint where c vanishes is a root of the
+    multiplicity of its lowest nonzero coefficient.  An interval still
+    reading 2 or more after 2 d + 8 halvings may hold a multiple root: the
+    search restarts on the odd part, unless that is c itself.
+    """
+    limit, flat = 2 * len(c) + 6, _prefix(c, 0)
+    mags = [abs(m).bit_length() + e for m, e in c]
+    j = 1 + max(-((mags[0] - g - 1) // k) for k, (g, (m, _)) in enumerate(zip(mags, c)) if k and m)
+    bound, whole, s0 = 0, _descartes(flat), 1 if c[0][0] > 0 else -1
+    while whole > bound:
+        lo, n, hi, mid, step = 0, whole, j, min(3, j // 2), 1
+        while hi - lo > 1:  # gallop from three binades down (roots lie near a tenth of the caps)
+            if n - bound == 1 and (s := _exact_sign(c, (1, -mid))):  # bound or bound + 1: parity decides
+                v = bound + ((s != s0) != bound % 2)  # s0: c's sign right of 0
+            else:
+                v = _descartes(_prefix(c, mid))
+            lo, n, hi, mid = (mid, v, hi, mid + step) if v > bound else (lo, n, mid, mid - step)
+            step *= 2
+            if not lo < mid < hi:
+                mid = (lo + hi) // 2
+        if n - bound == 1 and (s := _exact_sign(c, (1, -lo - 1))):  # parity, subadditivity: one root
+            return 1, lo + 1, s, c
+        j, bound, stack = lo, n, [(_taylor1(_prefix(c, lo + 1)), 1, lo + 1, 0)]
+        while stack:
+            q, k, i, depth = stack.pop()
+            m = _order(q)
+            if m % 2:
+                return k, i, None, c
+            q = q[m:]
+            n = _descartes(q)
+            if n == 1:
+                return k, i, q[0], c
+            if n > 1 and depth > limit:
+                s, limit = _odd_part(flat), math.inf
+                if s is not flat:
+                    lcm = math.lcm(*(v.denominator for v in s))
+                    return _isolate([(int(v * lcm), 0) for v in s]) if len(s) > 1 else None
+            if n:
+                left = [v << (len(q) - 1 - t) for t, v in enumerate(q)]
+                stack.append((_taylor1(left), 2 * k + 1, i + 1, depth + 1))
+                stack.append((left, 2 * k, i + 1, depth + 1))
+    return (1, 0, None, c) if not sum(flat) and _order(_taylor1(flat)) % 2 else None
+
+
+def _first_sign_change(p, hi, tol, prec):
+    """The first sign change in (0, hi] of the polynomial p (ascending pairs), as a pair, or None.
+
+    p is taken exactly: p(hi t) scales to an integer polynomial c on (0, 1]
+    (the coefficients are dyadic) for _isolate.  A root found exactly is
+    rounded to nearest-even at prec bits; any other is polished by
+    _newton_in_bracket in its interval, from _float_seed's root in t, and
+    rounded by _nearest_root, on p or on the odd part that _isolate fell
+    back to, so Newton's path is moot.
+    """
+    hm, he = hi
+    nonzero = [i for i, (m, _) in enumerate(p) if m]  # c drops p's zero lowest and top coefficients
+    c = [(m * hm ** i, e + i * he) for i, (m, e) in enumerate(p)][nonzero[0]:nonzero[-1] + 1]
+    found = _isolate(c) if len(c) > 1 else None
+    if found is None:
+        return None
+    k, j, below, f = found
+    if below is None:
+        return rn(hm * k, he - j, prec)
+    if f is not c:
+        p = [(m * hm ** (len(f) - 1 - i), e - i * he) for i, (m, e) in enumerate(f)]
+    top, below = max(m.bit_length() + e for m, e in f if m), (below, 0)  # the seed's f is below 1
+    pf = [_float((m, e - top)) for m, e in f]
+    t = _float_seed(pf, [i * v for i, v in enumerate(pf) if i], (k, -j), (k + 1, -j), below)
+    a, b = (hm * k, he - j), (hm * (k + 1), he - j)
+    t = _newton_in_bracket(p, a, b, below, t and (hm * t[0], he + t[1]), tol, prec)
+    return _nearest_root(p, t, below, a, b, prec)
+
+
+def _first_root(tableau, ctx, x, h, eps, hi, stage_factor=2):
+    """_first_sign_change in (0, hi] of 1 + h Q_s(x) (x, h polynomials of pairs), or None."""
     prec = ctx.prec
     q = _stage_polynomial(tableau, ctx, x, h, split(eps._mpf_), stage_factor)
     p = _poly_add([_ONE], _poly_mul(h, q, prec), prec)
-    items = _sign_changes(p, split(hi._mpf_), split(ctx.tol(8)._mpf_), prec)
-    found = next(((t, below) for t, _, below in items if below is not None), None)
-    if found is None:
-        return None
-    return ctx.make_mpf(pack(_nearest_root(p, *found, prec)))
+    root = _first_sign_change(p, split(hi._mpf_), split(ctx.tol(8)._mpf_), prec)
+    return None if root is None else ctx.make_mpf(pack(root))
 
 
 def critical_triplet_linearized(
     tableau: ButcherTableau, h, eps, ctx: PrecisionContext
 ) -> Optional[CriticalTriplet]:
-    """Smallest rho in (0, 10/h] with 1 + h Q_s(-rho) = 0, or None if no sign change.
+    """First sign change of 1 + h Q_s(-rho) in rho on (0, 10/h], or None.
 
-    At fixed (h, eps), 1 + h Q_s(-rho) is a polynomial of degree s in rho,
-    its coefficients rounded at the context's precision.  Its first sign
-    change in (0, 10/h] is isolated between the sign changes of its
-    derivative (found the same way, down to a constant; the search stops at
-    the first piece end past the root that any level has signed, so no cut
-    beyond it is polished), polished by bracket-safeguarded Newton from a
-    double-precision start, on mantissa pairs, and returned as that
-    polynomial's exact root rounded to nearest-even at the context's
-    precision; nothing is scanned, and the bits do not depend on Newton's
-    path.  Signs that place the root are decided at working precision, or
-    from a float image where a running error bound proves them exact (which
-    gives the same sign).  Without a float image, Newton's bisection halves
-    the exponent range while the bracket spans binades.  The cap 10/h is
-    fixed: larger entries fall outside the local canonical-form regime.
-    Forward Euler gives rho* = 1/(2h) exactly; where a scheme has no sign
-    change below the cap (heun2 at h = 0.1, eps = 0.01) the result is None.
+    At fixed (h, eps) this is a polynomial of degree s in rho, its
+    coefficients rounded at the context's precision.  Its first root of odd
+    multiplicity in (0, 10/h] (a tangency is not critical) is isolated
+    exactly, polished by Newton and returned rounded to nearest-even at the
+    context's precision (_first_sign_change); nothing is scanned.  The cap
+    10/h is fixed: larger entries fall outside the local canonical-form
+    regime.  Forward Euler gives rho* = 1/(2h) exactly; where a scheme has
+    no sign change below the cap (heun2 at h = 0.1, eps = 0.01, or at h =
+    eps = 1, where the polynomial is 2 (1 - rho)**2) the result is None.
     """
     params = SystemParams.create(ctx, eps, h)
     if not params.epsilon > 0:
@@ -674,19 +670,16 @@ def critical_triplet_linearized(
 def linearized_critical_h(
     tableau: ButcherTableau, rho, eps, ctx: PrecisionContext, stage_factor=2
 ):
-    """Smallest h in (0, 10/rho] with 1 + h Q_s(-rho; h, eps) = 0, or None.
+    """First sign change of 1 + h Q_s(-rho; h, eps) in h on (0, 10/rho], or None.
 
     This is the critical-triplet equation solved for the step size at fixed
-    (rho, eps), the quantity plotted by the critical-surface sweeps.  At
-    fixed (rho, eps) it is a polynomial of degree at most 2s in h, equal to
-    1 at h = 0; its first sign change in (0, 10/rho] is isolated, polished
-    and rounded to nearest as in critical_triplet_linearized, with no scan
-    and no cut polished past it; h = [0, 1] enters the stage recursion as a
-    shift, with no product by its exact 0 or 1.
-    The cap 10/rho is fixed; it is what leaves heun2 without a root in most
-    cells of the README grid.  stage_factor is q_s's: 2 on the
-    transcritical diagonal, 1 on the pitchfork line (forward Euler's root
-    is then 1/(c rho)).
+    (rho, eps), the quantity plotted by the critical-surface sweeps: a
+    polynomial of degree at most 2s in h, equal to 1 at h = 0, solved as in
+    critical_triplet_linearized; h = [0, 1] enters the stage recursion as a
+    shift, with no product by its exact 0 or 1.  The cap 10/rho is fixed; it
+    is what leaves heun2 without a root in most cells of the README grid.
+    stage_factor is q_s's: 2 on the transcritical diagonal, 1 on the
+    pitchfork line (forward Euler's root is then 1/(c rho)).
     """
     rho, eps = _entry_offset(ctx, rho), ctx.mpf(eps)
     if not (eps >= 0 and ctx.isfinite(eps)):
