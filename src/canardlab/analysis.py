@@ -405,13 +405,14 @@ def _newton_in_bracket(p, a, b, fa, t, tol, prec):
 
     fa is p's value left of the root (only its sign is read).  The first
     iterate is t (a pair, or None) where it lies inside (a, b), else the
-    midpoint.  A Newton step of at most tol relative returns its iterate;
-    one that leaves the bracket, or is not below half the step before, is
-    replaced by bisection (rtsafe in Press et al., Numerical Recipes, 9.4),
-    so a bracket inside Horner's rounding noise still shrinks.  Values are
-    Horner's at working precision; the result only starts _nearest_root.
+    midpoint.  A Newton step of at most tol, or 2**-(prec // 2 + 16), relative
+    returns its iterate (the next would fall below prec bits); one that
+    leaves the bracket, or is not below half the step before, is replaced by
+    bisection (rtsafe in Press et al., Numerical Recipes, 9.4), so a bracket
+    inside Horner's rounding noise still shrinks.  Values are Horner's at
+    working precision; the result only starts _nearest_root.
     """
-    dp, last = [(i * m, e) for i, (m, e) in enumerate(p) if i], sub(b, a, prec)
+    dp, last, near = [(i * m, e) for i, (m, e) in enumerate(p) if i], sub(b, a, prec), prec // 2 + 16
     while True:
         x = t if t is not None and lt(a, t) and lt(t, b) else mul(add(a, b, prec), (1, -1), prec)
         fx = _horner(p, x, prec)
@@ -425,7 +426,7 @@ def _newton_in_bracket(p, a, b, fa, t, tol, prec):
         if d[0]:
             step = div(fx, d, prec)
             t, size = sub(x, step, prec), (abs(step[0]), step[1])
-            if not lt(bar, size):
+            if not (lt(bar, size) and lt((x[0], x[1] - near), size)):
                 return t
             if not (lt(a, t) and lt(t, b) and lt(mul(size, (2, 0), prec), last)):
                 t = None
@@ -524,24 +525,27 @@ def _prefix(c, j):
 
 
 def _divide(a, b):
-    """Quotient and remainder of the polynomials a and b, with Fraction coefficients."""
-    r, q = [Fraction(v) for v in a], []
+    """Primitive q and r with |lead b|**k a = q b + r for integer polynomials: a / b's up to
+    positive factors, which keep every sign."""
+    r, q, lead = list(a), [], b[-1]
     while len(r) >= len(b):
-        f = r[-1] / b[-1]
+        f, off = r[-1] if lead > 0 else -r[-1], len(r) - len(b)
+        r, q = [abs(lead) * v for v in r], [abs(lead) * v for v in q] + [f]
         for i, v in enumerate(b):
-            r[len(r) - len(b) + i] -= f * v
+            r[off + i] -= f * v
         r.pop()
-        q.append(f)
     while r and not r[-1]:
         r.pop()
-    return q[::-1], r
+    gq, gr = math.gcd(*q), math.gcd(*r) or 1
+    return [v // gq for v in q[::-1]], [v // gr for v in r]
 
 
 def _odd_part(c):
-    """The product of c's square-free factors of odd multiplicity, up to a rational factor.
+    """The product of c's square-free factors of odd multiplicity, up to a nonzero factor.
 
     Its roots are c's sign changes, each simple: with g = gcd(c, c'), c / g
     holds every root of c once, and g's odd part those of even multiplicity.
+    The gcd is the last term of c's primitive remainder sequence.
     """
     g, r = c, [i * v for i, v in enumerate(c) if i]
     while r:
@@ -597,8 +601,7 @@ def _isolate(c):
             if n > 1 and depth > limit:
                 s, limit = _odd_part(flat), math.inf
                 if s is not flat:
-                    lcm = math.lcm(*(v.denominator for v in s))
-                    return _isolate([(int(v * lcm), 0) for v in s]) if len(s) > 1 else None
+                    return _isolate([(v, 0) for v in s]) if len(s) > 1 else None
             if n:
                 left = [v << (len(q) - 1 - t) for t, v in enumerate(q)]
                 stack.append((_taylor1(left), 2 * k + 1, i + 1, depth + 1))
@@ -791,22 +794,22 @@ def classify_jump(
 
 #: _sign_lock splits u's interval up to thr in _PARTS and lets a chunk lose _LOSS bits of
 #: growth; _classify tries it from step _LOCK_FIRST on.
-_PARTS, _LOSS, _LOCK_FIRST = 8, 16, 16
+_PARTS, _LOSS, _LOCK_FIRST, _LN2 = 8, 16, 16, math.log(2)
 
 
 def _sign_lock(ratio, params, u, y, thr, steps):
     """None once the deviation orbit from (u, y) surely escapes within steps with u's sign.
 
-    ratio() encloses the deviation step's ratio u'/u (see linearization), here
-    over steps a..b ahead: y in y + [a, b] eps h plus the 2**-prec |y| each step
-    may round y by, u in sigma [0, e].  Where lo > 0 these steps keep u's sign
-    and scale |u| by lo to hi.  Bounds on log2 |u| grow over chunks that double,
-    or halve where lo <= 0 or they lose _LOSS bits; e is the upper bound's reach
-    until that meets thr.  Else the steps got through are returned.
+    ratio() gives (enclosure, once), enclosure bounding the deviation step's u'/u - 1 (see
+    linearization) over steps a..b ahead: y in y + [a, b] eps h plus the 2**-prec |y| each
+    step may round y by, u in sigma [0, e].  Where lo > -1 these steps keep u's sign and
+    scale |u| by 1 + lo to 1 + hi.  Bounds on log2 |u| grow over chunks that double, or halve
+    where lo <= -1 or they lose _LOSS bits; e is the upper bound's reach until that meets
+    thr (split in _PARTS there, unless u occurs once).  Else the steps got through are returned.
     """
     heps = mul(split(params.h._mpf_), split(params.epsilon._mpf_), params.ctx.prec)
     try:
-        ratio, y0, dy, top = ratio(), enclose(y), enclose(heps), enclose(thr)[1]
+        (ratio, once), y0, dy, top = ratio(), enclose(y), enclose(heps), enclose(thr)[1]
         reach = (abs(y0[0]) + abs(y0[1]) + (steps + 1) * dy[1] + 1) * steps
         drift, goal = _out(0.0, math.ldexp(reach, 1 - params.ctx.prec))[1], math.log2(top) + 1e-9
     except ArithmeticError:  # no proof beyond the float range, or below 53 bits
@@ -823,24 +826,26 @@ def _sign_lock(ratio, params, u, y, thr, steps):
             return k
         e = math.nextafter(math.ldexp(2.0, math.ceil(room)), math.inf) if room < goal else top
         ys = _iadd(_iadd(y0, _imul((float(k), float(b)), dy)), (-drift, drift))
-        m = 1 if e < top else _PARTS  # u enters the RK stages several times
+        m = 1 if once or e < top else _PARTS  # u enters the RK stages several times
         try:
-            parts = [ratio(ys, (a, c) if sigma > 0 else (-c, -a))
-                     for a, c in ((e * i / m, e * (i + 1) / m) for i in range(m))]
-            lo, hi = min(p[0] for p in parts), max(p[1] for p in parts)
+            los, his = zip(*[ratio(ys, (a, c) if sigma > 0 else (-c, -a))
+                             for a, c in [(e * i / m, e * (i + 1) / m) for i in range(m)]])
+            lo, hi = min(los), max(his)
         except ArithmeticError:
-            lo, hi = -math.inf, math.inf
-        loss = (b - k) * math.log2(hi / lo) if lo > 0 else math.inf
-        # halve where lo <= 0, u may leave a tight interval or a chunk loses much
-        if lo <= 0 or e < top and high + (b - k) * math.log2(hi) > room or n > 1 and (
-                loss > _LOSS if e < top else lo < 1):
+            lo = -math.inf
+        # log2 of the least and the most a step scales |u| by
+        down, up = (math.log1p(lo) / _LN2, math.log1p(hi) / _LN2) if lo > -1 else (-math.inf, 0.0)
+        loss = (b - k) * (up - down)
+        # halve where lo <= -1, u may leave a tight interval or a chunk loses much
+        if lo <= -1 or e < top and high + (b - k) * up > room or n > 1 and (
+                loss > _LOSS if e < top else lo < 0):
             if n == 1:
                 return k
             n //= 2
             continue
-        low = math.nextafter(low + (b - k) * math.log2(lo) - 1e-6, -math.inf)
-        high = math.nextafter(high + (b - k) * math.log2(hi) + 1e-6, math.inf)
-        k, n, rate = b, n if e < top and loss > _LOSS / 4 else 2 * n, 2 * max(math.log2(hi), 0.0)
+        low = math.nextafter(low + (b - k) * down - 1e-6, -math.inf)
+        high = math.nextafter(high + (b - k) * up + 1e-6, math.inf)
+        k, n, rate = b, n if e < top and loss > _LOSS / 4 else 2 * n, 2 * max(up, 0.0)
     return None
 
 
@@ -892,6 +897,12 @@ def _classify(
         if stop is None:
             label = None
             break
+        try:  # a fixed point stays there until the budget runs out, as the full orbit does
+            if stop and step(u, y) == (u, y):
+                label, n = JumpClass.STUCK, max_n
+                break
+        except PoleError:  # raised again, with its index, by the next step
+            pass
         k, at = min(2 * k, max_n) if stop == 0 else max_n, k  # stop 0: the band may go on
         label, n, x, y, u, later = _iterate(step, deviation, x, y, u, thr, k, None, at)
         flip = later or flip

@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import cached_property, partial
 from itertools import count, islice
-from math import inf, ldexp, nextafter
+from math import inf, ldexp
 from typing import Callable, Optional, Union
 
 from .rounding import add, div, le_product, mul, pack, rn, scaler, split, sub
@@ -75,19 +75,24 @@ SchemeSelector = Union[ButcherTableau, str, AFamily]
 class SchemeMap:
     """The discrete map of one (kind, scheme) pair, as built by scheme_map.
 
-    step(x, y) advances the mantissa pairs (see rounding) of a point by one
-    step; factor(s) is the transversal multiplier at the pair s of a canard
-    position, as a pair (None without a canard);
+    step(x, y), built by build() on first use, advances the mantissa pairs (see
+    rounding) of a point by one step; factor(s) is the transversal multiplier
+    at the pair s of a canard position, as a pair (None without a canard);
     deviation_step(u, y), on the transcritical diagonal only, advances the
     pairs of the deviation u = x - y and the slow coordinate y in deviation
     coordinates (on the pitchfork line the deviation is x itself, so step
-    already is its deviation map); deviation_ratio() encloses its u'/u (see _out).
+    already is its deviation map); deviation_ratio() encloses its u'/u - 1
+    (see _out and _rk_ratio).
     """
 
-    step: Callable
+    build: Callable
     factor: Optional[Callable] = None
     deviation_step: Optional[Callable] = None
     deviation_ratio: Optional[Callable] = None
+
+    @cached_property
+    def step(self):
+        return self.build()
 
 
 def scheme_map(
@@ -113,20 +118,20 @@ def scheme_map(
             return add(mul(hp, q, prec), _ONE, prec)
 
         if scheme.s == 1:
-            step = euler_kernel(kind, params)
+            step = partial(euler_kernel, kind, params)
             deviation_step = euler_deviation_kernel(params) if diagonal else None
         else:
-            step = rk_kernel(scheme, kind, params)
+            step = partial(rk_kernel, scheme, kind, params)
             deviation_step = rk_deviation_kernel(scheme, params) if diagonal else None
         return SchemeMap(step, factor, deviation_step, partial(_rk_ratio, scheme, params) if diagonal else None)
     if scheme == KAHAN and diagonal:
-        return SchemeMap(kahan_transcritical_kernel(params), _kahan_transcritical_multiplier(params),
+        return SchemeMap(partial(kahan_transcritical_kernel, params), _kahan_transcritical_multiplier(params),
                          kahan_deviation_kernel(params), partial(_kahan_ratio, params))
     if scheme == KAHAN and kind is SingularityKind.FOLD:
-        return SchemeMap(kahan_fold_kernel(params), _kahan_fold_multiplier(params))
+        return SchemeMap(partial(kahan_fold_kernel, params), _kahan_fold_multiplier(params))
     if kind is SingularityKind.PITCHFORK and (scheme == KAHAN or isinstance(scheme, AFamily)):
         a = ctx.mpf(-1) / 2 if scheme == KAHAN else ctx.mpf(scheme.a)
-        return SchemeMap(afamily_kernel(a, params), _afamily_multiplier(a, params))
+        return SchemeMap(partial(afamily_kernel, a, params), _afamily_multiplier(a, params))
     if isinstance(scheme, ButcherTableau):  # on the fold
         if canard:
             raise NoCanard(
@@ -134,7 +139,7 @@ def scheme_map(
                 "the reduced slow map of an explicit one-step map is undefined on a gap"
             )
         if scheme.s == 1:
-            return SchemeMap(euler_kernel(kind, params))
+            return SchemeMap(partial(euler_kernel, kind, params))
         raise ValueError(
             "explicit RK steps are provided for the transcritical and pitchfork systems, "
             f"not for the fold (tableau {scheme.name!r})"
@@ -152,14 +157,15 @@ def scheme_map(
 
 
 def _out(lo, hi):
-    """(lo, hi) widened by an ulp for a float operation and one for its mpf rounding.
+    """(lo, hi) widened outward for a float operation and its mpf rounding (prec >= 53 bits).
 
-    A deviation kernel's enclosure ratio(y, u) bounds its computed u'/u by
-    running its mpf expression on float intervals, each operation widened
-    here (prec >= 53 bits round within an ulp).  Bounds that are not finite,
-    or a divisor holding 0, raise an ArithmeticError.
+    A deviation kernel's enclosure bounds its computed u'/u - 1 by running its mpf
+    expression on float intervals, each operation widened here.  Rounding to nearest is
+    monotone, so lo - |lo| 2**-50 - 2**-1073 lies at or below two nextafter steps down
+    from lo, for subnormals and 0 too (Rump, Zimmermann, Boldo and Melquiond, BIT 49,
+    2009).  Bounds that are not finite, or a divisor holding 0, raise an ArithmeticError.
     """
-    lo, hi = nextafter(nextafter(lo, -inf), -inf), nextafter(nextafter(hi, inf), inf)
+    lo, hi = lo - abs(lo) * 2.0 ** -50 - 2.0 ** -1073, hi + abs(hi) * 2.0 ** -50 + 2.0 ** -1073
     if not -inf < lo <= hi < inf:
         raise OverflowError("enclosure is not finite")
     return lo, hi
@@ -170,8 +176,15 @@ def _iadd(a, b):
 
 
 def _imul(a, b):
-    ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return _out(min(ps), max(ps))
+    """a b from the two corner products that bound it, or four where both operands hold 0 inside."""
+    (al, ah), (bl, bh) = a, b
+    if al >= 0:
+        return _out(al * bl if bl >= 0 else ah * bl, ah * bh if bh >= 0 else al * bh)
+    if ah <= 0:
+        return _out(al * bh if bh >= 0 else ah * bh, al * bl if bl <= 0 else ah * bl)
+    if bl >= 0 or bh <= 0:
+        return _imul(b, a)
+    return _out(min(al * bh, ah * bl), max(al * bl, ah * bh))
 
 
 def enclose(p):
@@ -180,42 +193,58 @@ def enclose(p):
     return _out(ldexp(p[0] >> n, p[1] + n), ldexp((p[0] >> n) + (n > 0), p[1] + n))
 
 
-def _rk_ratio(tableau: ButcherTableau, params: SystemParams):
-    """1 + h sum_i alpha_i r_i s_i: rk_deviation_kernel's stage slopes d_i = u r_i s_i.
+def _less_one(p, tiny):
+    """u (1 + p) / u - 1 with 1 + p and the product rounded: p + (1 + p) d, |d| < tiny."""
+    lo, hi = p
+    return _out(lo - tiny * (1.0 + abs(lo)), hi + tiny * (1.0 + abs(hi)))
 
-    r_i = 1 + sum_j (h a_ij) r_j s_j, s_i = 2y + u + sum_j (h a_ij) (d_j + 2 eps); the
-    last widening covers the product with u of the Euler kernel u (1 + h (2y + u)).
+
+def _rk_ratio(tableau: ButcherTableau, params: SystemParams):
+    """(enclosure, once): enclosure(y, u) bounds the deviation step's u'/u - 1 (see _out).
+
+    rk_deviation_kernel's u + h sum_i alpha_i d_i has stage slopes d_i = u r_i s_i,
+    r_i = 1 + sum_j (h a_ij) r_j s_j (r_1 = 1), s_i = 2y + u + sum_j (h a_ij) (d_j + 2 eps).
+    euler_deviation_kernel's u (1 + h (2y + u)) holds u once (once is True), so its
+    enclosure over an interval of u is the hull of those over the interval's pieces.
     """
     alpha, rows, _ = tableau.pairs(params.ctx)
     h, eps = (enclose(split(v._mpf_)) for v in (params.h, params.epsilon))
-    plan = [[(j, _imul(h, enclose(a))) for j, a in enumerate(row) if a[0]] for row in rows]
-    weights = [(i, enclose(a)) for i, a in enumerate(alpha) if a[0]]
+    tiny = ldexp(1.0, 2 - params.ctx.prec)
+    if tableau.s == 1:
+        return (lambda y, u: _less_one(_imul(h, _out(2 * y[0] + u[0], 2 * y[1] + u[1])), tiny)), True
+    two_eps = (2 * eps[0], 2 * eps[1])
+    plan = [[(j, _imul(h, enclose(a))) for j, a in enumerate(row) if a[0]] for row in rows[1:]]
+    (i0, a0), *weights = [(i, enclose(a)) for i, a in enumerate(alpha) if a[0]]
 
     def ratio(y, u):
-        s0, ds = _iadd((2 * y[0], 2 * y[1]), u), []
+        s0 = _iadd((2 * y[0], 2 * y[1]), u)
+        ds = [_out(*s0)]
         for entries in plan:
             r, s = (1.0, 1.0), s0
             for j, ha in entries:
                 r = _iadd(r, _imul(ha, ds[j]))
-                s = _iadd(s, _imul(ha, _iadd(_imul(u, ds[j]), (2 * eps[0], 2 * eps[1]))))
+                s = _iadd(s, _imul(ha, _iadd(_imul(u, ds[j]), two_eps)))
             ds.append(_imul(r, s))
-        du = reduce(_iadd, (_imul(a, ds[i]) for i, a in weights))
-        return _out(*_iadd((1.0, 1.0), _imul(h, du)))
+        du = _imul(a0, ds[i0])
+        for i, a in weights:
+            du = _iadd(du, _imul(a, ds[i]))
+        return _less_one(_imul(h, du), tiny)
 
-    return ratio
+    return ratio, False
 
 
 def _kahan_ratio(params: SystemParams):
-    """(1 + h y + (h eps) h) / (1 - h (y + u)); the product with u rounds once more."""
+    """(enclosure, True): (1 + h y + (h eps) h) / (1 - h (y + u)) - 1; the product with u rounds once more."""
     h, eps = (enclose(split(v._mpf_)) for v in (params.h, params.epsilon))
-    num_eps = _imul(_imul(h, eps), h)
+    num_eps, neg_h = _imul(_imul(h, eps), h), (-h[1], -h[0])
 
     def ratio(y, u):
-        den = _iadd((1.0, 1.0), _imul((-h[1], -h[0]), _iadd(y, u)))
+        den = _iadd((1.0, 1.0), _imul(neg_h, _iadd(y, u)))
         num = _iadd(_iadd(_imul(h, y), (1.0, 1.0)), num_eps)
-        return _out(*_imul(num, _out(1 / den[1], 1 / den[0])))  # den holding 0: lo > hi
+        lo, hi = _out(*_imul(num, _out(1 / den[1], 1 / den[0])))  # den holding 0: lo > hi
+        return _out(lo - 1.0, hi - 1.0)
 
-    return ratio
+    return ratio, True
 
 
 # ---------------------------------------------------------------------------

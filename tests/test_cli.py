@@ -302,6 +302,32 @@ def test_bisect_no_bracket_exit_code(tmp_path, capsys):
     assert code == 4
 
 
+def test_bisect_from_a_tiny_bracket_end(tmp_path):
+    # at h = 1e-20, h (2y + u) lies far below a float ulp of 1, so the lock encloses u'/u - 1
+    # apart from the 1; the full orbit at h_lo would iterate about 10**21 steps
+    out = tmp_path / "bisect.csv"
+    code = main([
+        "bisect", "--tableau", "euler", "--rho", "5", "--eps", "1",
+        "--h-lo", "1e-20", "--h-hi", "0.2", "--digits", "50", "--out", str(out),
+    ])
+    assert code == 0
+    rows, _ = _read_csv(out)
+    assert rows[1][4:6] == ["0.166601562500000000001669921875", "0.166699218750000000001665039062"]
+
+
+def test_bisect_from_a_bracket_end_that_cannot_move(tmp_path, capsys):
+    # at h = 1e-300, y + eps h rounds to y and 1 + h (2y + u) to 1: the deviation orbit sits
+    # on a fixed point, stuck, which is known without iterating its budget of 10**302 steps
+    code = main([
+        "bisect", "--tableau", "euler", "--rho", "5", "--eps", "1",
+        "--h-lo", "1e-300", "--h-hi", "0.2", "--digits", "50", "--out", str(tmp_path / "x.csv"),
+    ])
+    assert code == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "unresolved: provided bracket does not classify RIGHT/LEFT: got stuck/left"
+    ]
+
+
 BISECT_ARGV = ["bisect", "--tableau", "euler", "--rho", "5", "--eps", "1", "--digits", "30"]
 BRACKET = ["--h-lo", "0.103", "--h-hi", "0.105"]
 

@@ -566,9 +566,10 @@ def _counted(monkeypatch, names):
 
 def test_readme_grid_counts(monkeypatch):
     """On the README surfaces grid at 50 digits (the four RK tableaux, 684 solves): one Newton
-    call per solve, at most 6 Horner evaluations at working precision and 2.1 of Descartes'
-    counts (5.54 and 2.07 measured).  The derivative cascade with float certificates made
-    13.9 Horner evaluations and 2.62 Newton calls, and the cascade before it 23.9 and 3.15."""
+    call per solve, at most 4.1 Horner evaluations at working precision and 2.1 of Descartes'
+    counts (4.01 and 2.07 measured; 5.57 Horner evaluations while Newton ran on to a step of
+    tol).  The derivative cascade with float certificates made 13.9 Horner evaluations and
+    2.62 Newton calls, and the cascade before it 23.9 and 3.15."""
     ctx = ORACLE_CONTEXTS[50]
     counts = _counted(monkeypatch, ["_horner", "_newton_in_bracket", "_descartes"])
     rhos = [1 + Fraction(9 * i, 18) for i in range(19)]
@@ -582,7 +583,7 @@ def test_readme_grid_counts(monkeypatch):
                 linearized_critical_h(SHIPPED_TABLEAUX[name], rho_s, eps_s, ctx)
                 solves += 1
     assert solves == 684
-    assert counts["_horner"] <= 6 * solves
+    assert counts["_horner"] <= 4.1 * solves
     assert counts["_newton_in_bracket"] <= solves
     assert counts["_descartes"] <= 2.1 * solves
 

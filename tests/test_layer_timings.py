@@ -18,16 +18,22 @@ oracle; and one linearized critical step (Kutta3 at rho = 8, eps = 1, a cell
 of the README surfaces grid) at 16, 50 and 200 digits, checked to be the
 root of its critical polynomial rounded to nearest; and one CSV value, a
 mantissa pair printed with 30 digits as simulate's rows print it, at 16, 50
-and 200 digits, checked against mpmath's nstr.
+and 200 digits, checked against mpmath's nstr; and, at 200 digits, one
+evaluation of the sign lock's enclosure of the deviation step's u'/u - 1 for
+forward Euler, Kutta3 and Kahan, checked to hold the kernel's exact ratio,
+and one sign-lock proof, the one that stops the full orbit of README row 5's
+h_hi end (Kutta3, rho = 8, eps = 0.01) at step 32.
 """
+
+from fractions import Fraction
 
 import mpmath
 import pytest
 
-from canardlab import (KUTTA3, PlanarPoint, SingularityKind, SystemParams, linearized_critical_h,
-                       make_context)
+from canardlab import (EULER, KAHAN, KUTTA3, PlanarPoint, SingularityKind, SystemParams, analysis,
+                       linearized_critical_h, make_context)
 from canardlab.linearization import CANARDS, scheme_map
-from canardlab.rounding import mul, pack, scaler, split
+from canardlab.rounding import mul, pack, scaler, split, sub
 from canardlab.schemes import euler_kernel
 from mpf_oracles import STEP_MAPS, assert_nearest_root, euler_step, h_polynomial, oracle, selector
 
@@ -79,3 +85,34 @@ def test_csv_value(benchmark, digits):
     p = split((-ctx.sqrt(2) / 3 * ctx.mpf("1e-7"))._mpf_)
     text = benchmark(ctx.nstr_pair, p, 30)
     assert text == mpmath.nstr(ctx.make_mpf(pack(p)), 30)
+
+
+def _exact(p):
+    return Fraction(p[0]) * Fraction(2) ** p[1]
+
+
+@pytest.mark.parametrize("scheme", [EULER, KUTTA3, KAHAN], ids=["euler", "kutta3", "kahan"])
+def test_enclosure_evaluation(benchmark, scheme):
+    ctx = make_context(200)
+    params = SystemParams.create(ctx, "0.01", "0.1001378")
+    smap = scheme_map(SingularityKind.TRANSCRITICAL, scheme, params)
+    enclosure, _ = smap.deviation_ratio()
+    lo, hi = benchmark(enclosure, (-7.9, -7.8), (0.0, 2e-30))
+    u, y = (split(ctx.mpf(v)._mpf_) for v in (1e-30, -7.85))  # floats, exact as pairs
+    un, _ = smap.deviation_step(u, y)
+    assert Fraction(lo) <= _exact(un) / _exact(u) - 1 <= Fraction(hi)
+
+
+def test_sign_lock_proof(benchmark):
+    ctx = make_context(200)
+    kind, rho = SingularityKind.TRANSCRITICAL, ctx.mpf(8)
+    params = SystemParams.create(ctx, "0.01", "0.100143905319239313606496089876")
+    smap = scheme_map(kind, KUTTA3, params)
+    p = CANARDS[kind].start(params, rho, ctx.mpf("1e-4"))
+    y = split(p.y._mpf_)
+    u = sub(split(p.x._mpf_), y, ctx.prec)
+    for _ in range(32):
+        u, y = smap.deviation_step(u, y)
+    max_n = int(10 * ctx.floor(2 * rho / CANARDS[kind].spacing(params)) + 10)
+    thr = split((rho / 2)._mpf_)
+    assert benchmark(analysis._sign_lock, smap.deviation_ratio, params, u, y, thr, max_n - 32) is None
