@@ -39,9 +39,10 @@ orbit would need thousands.  The pitchfork needs no rewrite: on its line
 and its stuck rule is the exact-zero rule, so its raw orbit is its
 deviation orbit.  The fold has only its raw representation.
 
-One loop classifies both.  It carries the orbit as signed integer mantissa
-pairs (see rounding) and runs step, stuck rule, sign-change record, then
-threshold or settle: on (x, y) with the raw one-step map and the kind's
+One loop, _iterate, classifies both and also drives the command line's
+simulate, one call per output row.  It carries the orbit as signed integer
+mantissa pairs (see rounding) and runs step, stuck rule, sign-change record,
+then threshold or settle: on (x, y) with the raw one-step map and the kind's
 stuck rule, or on (deviation, slow) with the deviation map and the
 exact-zero rule.  Every operation is rounded to nearest at the context's
 precision in the order of the mpf expression it stands for, so labels, step
@@ -719,22 +720,24 @@ class JumpResult:
     last_sign_change: Optional[int] = None
 
 
-def _iterate(step, deviation, x, y, u, thr, max_n, settle=None, n=0):
-    """The classification loop, on mantissa pairs: (label, steps, x, y, u, last sign change).
+def _iterate(step, deviation, x, y, u, above, thr, max_n, settle=None, n=0):
+    """The one orbit loop, on mantissa pairs: (label, steps, x, y, u, last sign change).
 
-    step(x, y) advances the orbit by one step: a one-step map on (x, y), or
-    a deviation map on (u, y).  deviation(x, y) -> (u, stuck) is then the
-    kind's deviation and stuck rule (see linearization.Canard), or the
-    exact-zero rule.  u is the deviation at the start.  The orbit is STUCK
-    when the rule says so or the budget runs out, and is decided once |u|
-    reaches the threshold thr, by the side it leaves on against u's.  The
-    step of the last sign change of u is recorded.
+    It runs from step n, where the orbit is at (x, y) with deviation u, up to
+    step max_n.  step(x, y) advances the orbit by one step: a one-step map on
+    (x, y), or a deviation map on (u, y).  deviation(x, y) -> (u, stuck) is
+    then the kind's deviation and stuck rule (see linearization.Canard), or
+    the exact-zero rule.  The orbit is STUCK when the rule says so, and is
+    decided once |u| reaches the threshold thr: RIGHT if it leaves on the
+    entry side (above: u > 0 at entry), else LEFT.  A run whose budget ends
+    undecided returns label None; the caller may go on from there with
+    n = max_n, or call the orbit STUCK.  The step of the last sign change of u
+    in this run is recorded (0 if none).
 
-    settle, when given, makes the run a prefix: it also stops at step n >=
-    2 x (its last sign change so far) + settle, or at max_n, and is then
-    decided by the sign of u against the start's.  The orbit starts at step n.
+    settle, when given, makes the run a prefix: it also stops at step n >= 2 x
+    (its last sign change so far) + settle, or at max_n, and is then decided by
+    the sign of u against the entry side.
     """
-    entered_above = u[0] > 0
     negative, flip = u[0] < 0, 0
     # a full orbit never settles: n stays below max_n + 1
     settled = max_n + 1 if settle is None else settle
@@ -746,17 +749,15 @@ def _iterate(step, deviation, x, y, u, thr, max_n, settle=None, n=0):
             raise
         u, stuck = deviation(x, y)
         if stuck:
-            break
+            return JumpClass.STUCK, n, x, y, u, flip
         if (u[0] < 0) != negative:
             negative, flip = not negative, n
         if abs_le(thr, u) or n >= settled + 2 * flip:
             break
     else:
-        stuck = settle is None
-    if stuck:
-        return JumpClass.STUCK, n, x, y, u, flip
-    label = JumpClass.RIGHT if (u[0] > 0) == entered_above else JumpClass.LEFT
-    return label, n, x, y, u, flip
+        if settle is None:
+            return None, n, x, y, u, flip
+    return JumpClass.RIGHT if (u[0] > 0) == above else JumpClass.LEFT, n, x, y, u, flip
 
 
 def classify_jump(
@@ -891,11 +892,12 @@ def _classify(
     else:
         step = smap.step
     thr, k = split(threshold._mpf_), min(_LOCK_FIRST, max_n) if lock and diagonal else max_n
-    label, n, x, y, u, flip = _iterate(step, deviation, x, y, u0, thr, k, settle)
-    while n == k < max_n and u[0] and not abs_le(thr, u):  # undecided at step k
+    above = u0[0] > 0
+    label, n, x, y, u, flip = _iterate(step, deviation, x, y, u0, above, thr, k, settle)
+    while label is None and n < max_n:  # undecided at step k
         stop = _sign_lock(smap.deviation_ratio, params, u, y, thr, max_n - k)
-        if stop is None:
-            label = None
+        if stop is None:  # u keeps its sign: a prefix that ends here has the full label
+            label = _iterate(step, deviation, x, y, u, above, thr, n, 0, n)[0]
             break
         try:  # a fixed point stays there until the budget runs out, as the full orbit does
             if stop and step(u, y) == (u, y):
@@ -903,11 +905,10 @@ def _classify(
                 break
         except PoleError:  # raised again, with its index, by the next step
             pass
-        k, at = min(2 * k, max_n) if stop == 0 else max_n, k  # stop 0: the band may go on
-        label, n, x, y, u, later = _iterate(step, deviation, x, y, u, thr, k, None, at)
+        k = min(2 * k, max_n) if stop == 0 else max_n  # stop 0: the band may go on
+        label, n, x, y, u, later = _iterate(step, deviation, x, y, u, above, thr, k, None, n)
         flip = later or flip
-    if label is not JumpClass.STUCK:  # against the sign of u at the start
-        label = JumpClass.RIGHT if (u[0] > 0) == (u0[0] > 0) else JumpClass.LEFT
+    label = label or JumpClass.STUCK  # never detached within the budget
     if diagonal:
         x = add(y, u, ctx.prec)
     make = ctx.make_mpf

@@ -3,7 +3,10 @@
 Subcommands:
 
   simulate   iterate one orbit, write n,x,y CSV rows plus a footer comment
-             with the parameters and the jump classification
+             with the parameters and the jump classification: that of
+             analysis._iterate, called once per --stride row; stuck when the
+             orbit glues, is still undecided at --n-max or starts on the
+             canard; once decided it steps on to its box (4x the entry scale)
   sweep      critical-step-size surfaces over a (rho, eps) grid, one CSV and
              one gnuplot script per tableau
   wayout     way-in/way-out indices of the linearization along the canard
@@ -33,8 +36,10 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import (
+    JumpClass,
     NoBracket,
     Unresolved,
+    _iterate,
     critical_h_bisection,
     kstar_pitchfork_euler,
     kstar_rk,
@@ -62,15 +67,10 @@ _KINDS = {k.value: k for k in SingularityKind}
 
 
 def _check_positive(flag: str, value: int) -> None:
-    """Reject a count flag (--stride, --out-digits) below 1 before any output."""
+    """Reject a count below 1 before any output: --stride, --out-digits, or the --n-max
+    "iteration budget" (worded as critical_h_bisection words it for bisect)."""
     if value < 1:
         raise ValueError(f"{flag} must be >= 1, got {value}")
-
-
-def _check_budget(n_max: int) -> None:
-    """Reject an --n-max below 1, as critical_h_bisection does for bisect."""
-    if n_max < 1:
-        raise ValueError(f"iteration budget must be >= 1, got {n_max}")
 
 
 def _add_common(p: argparse.ArgumentParser, digits_default: int):
@@ -140,7 +140,7 @@ def _row(ctx, n, x, y, nd):
 
 def cmd_simulate(args) -> int:
     stride, n_max = args.stride, args.n_max
-    _check_budget(n_max)
+    _check_positive("iteration budget", n_max)
     _check_positive("--stride", stride)
     _check_positive("--out-digits", args.out_digits)
     ctx = make_context(args.digits)
@@ -155,25 +155,32 @@ def cmd_simulate(args) -> int:
         raise ValueError("give either --x0/--y0 or --rho (with optional --delta)")
     if not (ctx.isfinite(p.x) and ctx.isfinite(p.y)):
         raise ValueError("start point must be finite")
+    if args.rho is not None and (args.x0 is not None or args.y0 is not None):
+        raise ValueError("give either --x0/--y0 or --rho (with optional --delta), not both")
 
     step = scheme_map(kind, _scheme(args, params), params, canard=False).step
     deviation = canard.deviation(params)
     scale = max(abs(p.x), abs(p.y), ctx.mpf(1))
     threshold = _escape_threshold(ctx, args.escape or None, scale / 2)
     thr = split(threshold._mpf_)
-    hard_stop = split((4 * max(scale, threshold))._mpf_)
+    box = split((4 * max(scale, threshold))._mpf_)
 
     x, y = split(p.x._mpf_), split(p.y._mpf_)
-    dev0, _ = deviation(x, y)
-    decidable = dev0[0] != 0
-    label = "undecided"
+    u, _ = deviation(x, y)
+    above, label, n = u[0] > 0, None if u[0] else JumpClass.STUCK, 0
     nd = args.out_digits
     with _output(args.out) as out:
         writer = csv.writer(out)
         writer.writerow(["n", "x", "y"])
         writer.writerow(_row(ctx, 0, x, y, nd))
-        n = 0
-        for n in range(1, n_max + 1):
+        while label is None and n < n_max:  # one chunk of the orbit loop per row
+            k = min(n + stride, n_max)
+            label, n, x, y, u, _ = _iterate(step, deviation, x, y, u, above, thr, k, None, n)
+            if n == k:
+                writer.writerow(_row(ctx, n, x, y, nd))
+        # once decided, or from a start on the canard, plain steps run on to the hard-stop box
+        inside = label is not None and abs_le(x, box) and abs_le(y, box)
+        for n in range(n + 1, n_max + 1) if inside else ():
             try:
                 x, y = step(x, y)
             except PoleError as err:
@@ -181,25 +188,13 @@ def cmd_simulate(args) -> int:
                 raise
             if n % stride == 0 or n == n_max:
                 writer.writerow(_row(ctx, n, x, y, nd))
-            if label == "undecided":
-                dev, stuck = deviation(x, y)
-                if stuck:
-                    label = "stuck"
-                elif decidable and abs_le(thr, dev):
-                    same = (dev[0] > 0) == (dev0[0] > 0)
-                    label = "right" if same else "left"
-            # stop at the box once the label is decided (or never can be), not before
-            if (label != "undecided" or not decidable) and not (
-                abs_le(x, hard_stop) and abs_le(y, hard_stop)
-            ):
-                if n % stride != 0 and n != n_max:
-                    writer.writerow(_row(ctx, n, x, y, nd))
+            if not (abs_le(x, box) and abs_le(y, box)):
                 break
-        if label == "undecided":
-            label = "stuck"  # never detached within the budget
+        if n % stride and n < n_max:  # stopped at the box between two rows
+            writer.writerow(_row(ctx, n, x, y, nd))
         out.write(
             f"# kind={args.kind} scheme={args.scheme} h={args.h} eps={args.eps}"
-            f" digits={args.digits} n={n} jump={label}\n"
+            f" digits={args.digits} n={n} jump={(label or JumpClass.STUCK).value}\n"
         )
     return 0
 
@@ -287,7 +282,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_wayout(args) -> int:
-    _check_budget(args.n_max)
+    _check_positive("iteration budget", args.n_max)
     ctx = make_context(args.digits)
     params = SystemParams.create(ctx, args.eps, args.h, a=args.a)
     kind = _KINDS[args.kind]

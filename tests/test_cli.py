@@ -93,6 +93,10 @@ def test_simulate_requires_start(tmp_path):
     (["--eps", "inf"], "eps must be finite"),
     (["--escape", "inf"], "escape threshold must be finite, got +inf"),
     (["--escape", "nan"], "escape threshold must be finite, got nan"),
+    # the base command gives --rho: a start point flag with it is a second start
+    (["--x0", "1"], "give either --x0/--y0 or --rho (with optional --delta), not both"),
+    (["--y0", "1"], "give either --x0/--y0 or --rho (with optional --delta), not both"),
+    (["--x0", "1", "--y0", "2"], "give either --x0/--y0 or --rho (with optional --delta), not both"),
 ])
 def test_simulate_rejects_bad_input(tmp_path, capsys, extra, message):
     out = tmp_path / "x.csv"
@@ -101,7 +105,8 @@ def test_simulate_rejects_bad_input(tmp_path, capsys, extra, message):
         "--n-max", "10", "--out", str(out),
     ] + extra)
     assert code == 2
-    assert f"error: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"error: {message}" in err[0]
     assert not out.exists()
 
 

@@ -157,10 +157,10 @@ def merged_transcritical(scheme, params, u0, y0, threshold, max_n):
     """The loop on the pairs of (u0, y0), packed into the references' result."""
     step = scheme_map(T, scheme, params).deviation_step
     u0, thr = split(u0._mpf_), split(threshold._mpf_)
-    label, n, u, y, _, _ = _iterate(step, _exact_zero, u0, split(y0._mpf_), u0, thr, max_n)
+    label, n, u, y, _, _ = _iterate(step, _exact_zero, u0, split(y0._mpf_), u0, u0[0] > 0, thr, max_n)
     make = params.ctx.make_mpf
     point = PlanarPoint(make(pack(add(y, u, params.ctx.prec))), make(pack(y)))
-    return JumpResult(label, n, point, make(pack(u)))
+    return JumpResult(label or JumpClass.STUCK, n, point, make(pack(u)))  # None: budget end
 
 
 def merged_pitchfork_euler(params, start, threshold, max_n):

@@ -22,7 +22,11 @@ and 200 digits, checked against mpmath's nstr; and, at 200 digits, one
 evaluation of the sign lock's enclosure of the deviation step's u'/u - 1 for
 forward Euler, Kutta3 and Kahan, checked to hold the kernel's exact ratio,
 and one sign-lock proof, the one that stops the full orbit of README row 5's
-h_hi end (Kutta3, rho = 8, eps = 0.01) at step 32.
+h_hi end (Kutta3, rho = 8, eps = 0.01) at step 32; and the first 2,000 steps
+of the sticky orbit through simulate (cli.main) at 16 and 50 digits, writing
+every row or every 100th.  They are undecided at both precisions (the orbit
+glues at step 11,005 at 16 digits), so every step runs in the orbit loop
+analysis._iterate, one call per row.
 """
 
 from fractions import Fraction
@@ -32,6 +36,7 @@ import pytest
 
 from canardlab import (EULER, KAHAN, KUTTA3, PlanarPoint, SingularityKind, SystemParams, analysis,
                        linearized_critical_h, make_context)
+from canardlab.cli import main
 from canardlab.linearization import CANARDS, scheme_map
 from canardlab.rounding import mul, pack, scaler, split, sub
 from canardlab.schemes import euler_kernel
@@ -116,3 +121,16 @@ def test_sign_lock_proof(benchmark):
     max_n = int(10 * ctx.floor(2 * rho / CANARDS[kind].spacing(params)) + 10)
     thr = split((rho / 2)._mpf_)
     assert benchmark(analysis._sign_lock, smap.deviation_ratio, params, u, y, thr, max_n - 32) is None
+
+
+@pytest.mark.parametrize("stride", [1, 100])
+@pytest.mark.parametrize("digits", [16, 50])
+def test_simulate_steps(benchmark, tmp_path, digits, stride):
+    out = tmp_path / "sticky.csv"
+    argv = ["simulate", "--kind", "transcritical", "--scheme", "euler", "--h", "1e-3",
+            "--eps", "1e-2", "--x0=-1", "--y0=-0.9999", "--n-max", "2000", "--stride", str(stride),
+            "--digits", str(digits), "--out", str(out)]
+    assert benchmark(main, argv) == 0
+    rows = out.read_text(encoding="utf-8").splitlines()
+    assert len(rows) == 2 + 2000 // stride + 1
+    assert rows[-1].endswith(f"digits={digits} n=2000 jump=stuck")
