@@ -293,8 +293,15 @@ def wayout(
     residual tolerance, so pairs that cancel exactly in real arithmetic are
     accepted).  The product runs on mantissa pairs and is packed at exit
     only; its exponent is unbounded, so it neither overflows nor underflows.
-    Raises Unresolved, before any step, if n_in exceeds max_n, and if psi
-    is not found within max_n steps past the center.
+    On the symmetric lattice psi = n_in because the Kahan and implicit-family
+    multipliers are one Moebius map (A + g s)/(B - g s) whose values at c + d
+    and c - d multiply to exactly 1 in real arithmetic (see
+    linearization._moebius_multiplier): the way-out factors cancel the way-in
+    ones in pairs, up to rounding, which the bar's tol(10) absorbs.  Raises
+    Unresolved, before any step, if n_in exceeds max_n; at the first step
+    whose multiplier rounds to exactly 0 (its zero -A/g lies on the lattice,
+    and its pair partner B/g is the pole), as a product of 0 never reaches
+    the bar; and if psi is not found within max_n steps past the center.
     """
     ctx = params.ctx
     if not params.epsilon > 0:
@@ -308,7 +315,10 @@ def wayout(
         raise Unresolved(max_n, f"way-in N = {n_in} exceeds the budget of {max_n} steps")
     bar = split((1 - ctx.tol(10))._mpf_)
     products = islice(_products(factor, rho, spacing, ctx.prec), n_in + max_n + 1)
-    for n, (_, _, prod) in enumerate(products):
+    for n, (pos, _, prod) in enumerate(products):
+        if not prod[0]:
+            raise Unresolved(max_n, f"way-out product is exactly 0 from step {n} on: the multiplier "
+                                    f"vanishes at canard position {ctx.nstr_pair(pos, 15)}")
         if n >= n_in and abs_le(bar, prod):
             return WayOutResult(n_in=n_in, psi=n - n_in, product_at_exit=ctx.make_mpf(pack(prod)))
     raise Unresolved(max_n, f"way-out not reached within {max_n} steps past the center")

@@ -13,16 +13,20 @@ expansion away from the canard.  Closed forms:
   transcritical, explicit RK:  J(x) = 1 + h Q_s(x), with the stage recursion
       dk_i = 2 (x + h eps A_i) (1 + h sum_{j<i} a_ij dk_j),  Q_s = sum alpha_i dk_i
   transcritical, Kahan:        J(x) = (1 - h^2 x (x + eps h) + eps h^2) / (1 - h x)^2
+                                      = (1 + eps h^2 + h x) / (1 - h x)
   pitchfork, explicit RK:      J(y) = 1 + h R_s(y), same recursion with the
       stage factor (y + h eps A_i) in place of 2(x + h eps A_i)
   pitchfork, implicit family:  J(y) = (1 + (h/2) y + h^2 (1-2a) eps/4)
                                       / (1 - (h/2) y - h^2 (1+2a) eps/4)
   fold, Kahan:                 J(x) = (-h^2 x^2 + (1 + h^2 eps/4)^2)
                                       / (1 - h x + h^2 eps/4)^2
+                                      = (q + h x) / (q - h x),  q = 1 + h^2 eps/4
 
-The Kahan/implicit factors satisfy the exact pairing J(c+d) J(c-d) = 1 about
-the symmetry center c (-eps h/2 on the lines, 0 on the fold parabola), which
-is what makes the delayed loss of stability symmetric for those schemes.
+The Kahan/implicit factors are one Moebius map (A + g s)/(B - g s) of the
+canard position s, evaluated in that reduced form, and satisfy the exact
+pairing J(c+d) J(c-d) = 1 about the symmetry center c = (B - A)/2g (-eps h/2
+on the lines, 0 on the fold parabola), which is what makes the delayed loss
+of stability symmetric for those schemes.
 
 The one-step maps and the multipliers are kernels on mantissa pairs (see
 rounding), built once per orbit, rounding every operation like the mpf
@@ -39,7 +43,7 @@ from itertools import count, islice
 from math import inf, ldexp
 from typing import Callable, Optional, Union
 
-from .rounding import add, div, le_product, mul, pack, rn, scaler, split, sub
+from .rounding import add, div, le_product, mul, pack, scaler, split, sub
 from .schemes import (
     ButcherTableau,
     PoleError,
@@ -125,13 +129,13 @@ def scheme_map(
             deviation_step = rk_deviation_kernel(scheme, params) if diagonal else None
         return SchemeMap(step, factor, deviation_step, partial(_rk_ratio, scheme, params) if diagonal else None)
     if scheme == KAHAN and diagonal:
-        return SchemeMap(partial(kahan_transcritical_kernel, params), _kahan_transcritical_multiplier(params),
+        return SchemeMap(partial(kahan_transcritical_kernel, params), _moebius_multiplier(kind, params),
                          kahan_deviation_kernel(params), partial(_kahan_ratio, params))
     if scheme == KAHAN and kind is SingularityKind.FOLD:
-        return SchemeMap(partial(kahan_fold_kernel, params), _kahan_fold_multiplier(params))
+        return SchemeMap(partial(kahan_fold_kernel, params), _moebius_multiplier(kind, params))
     if kind is SingularityKind.PITCHFORK and (scheme == KAHAN or isinstance(scheme, AFamily)):
         a = ctx.mpf(-1) / 2 if scheme == KAHAN else ctx.mpf(scheme.a)
-        return SchemeMap(partial(afamily_kernel, a, params), _afamily_multiplier(a, params))
+        return SchemeMap(partial(afamily_kernel, a, params), _moebius_multiplier(kind, params, a))
     if isinstance(scheme, ButcherTableau):  # on the fold
         if canard:
             raise NoCanard(
@@ -430,57 +434,45 @@ def q_s(tableau: ButcherTableau, params: SystemParams, x, stage_factor=2):
     return ctx.make_mpf(pack(_stage_polynomial(tableau, ctx, [x], [h], eps, stage_factor)[0]))
 
 
-def _kahan_transcritical_multiplier(params: SystemParams):
-    """(1 - h h x (x + eps h) + eps h h) / (1 - h x)^2; h h, eps h, (eps h) h and scalers once."""
+def _moebius_multiplier(kind: SingularityKind, params: SystemParams, aparam=None):
+    """The Kahan or implicit-family multiplier J(s) = (A + g s) / (B - g s) on pairs.
+
+    The Kahan numerators factor as (1 + h (x + eps h)) (1 - h x) on the diagonal
+    and (q + h x) (q - h x) on the fold parabola, q = 1 + h h eps/4, so one
+    factor of each squared denominator cancels; the implicit family (parameter
+    aparam = a, -1/2 for Kahan on the pitchfork) has this shape already.  With
+    e = (h h) eps:
+      transcritical:  (A, B, g) = (1 + e, 1, h)
+      fold:           (A, B, g) = (q, q, h)
+      pitchfork:      (A, B, g) = (1 + e (1-2a)/4, 1 - e (1+2a)/4, h/2)
+    A (c_num), B (c_den) and g's scaler are formed once; a call rounds g s,
+    A + g s, B - g s and their quotient, and raises PoleError where B - g s
+    rounds to 0.  About c = (B - A)/2g, J(c + d) = (K + g d)/(K - g d) with
+    K = (A + B)/2, so J(c + d) J(c - d) = 1 exactly in real arithmetic.
+    """
     prec = params.ctx.prec
     h, eps = split(params.h._mpf_), split(params.epsilon._mpf_)
-    hh, eh = mul(h, h, prec), mul(eps, h, prec)
-    ehh, by_h, by_hh = mul(eh, h, prec), scaler(h, prec), scaler(hh, prec)
+    em, ee = mul(mul(h, h, prec), eps, prec)
+    if kind is SingularityKind.TRANSCRITICAL:
+        c_num, c_den, g = add(_ONE, (em, ee), prec), _ONE, h
+        pole = "transcritical Kahan multiplier has a pole at x = 1/h"
+    elif kind is SingularityKind.FOLD:
+        c_num = c_den = add(_ONE, (em, ee - 2), prec)
+        g, pole = h, "fold Kahan multiplier has a pole at x = (1 + h^2 eps/4)/h"
+    else:
+        am, ae = split(aparam._mpf_)
+        nm, ne = mul((em, ee), sub(_ONE, (am, ae + 1), prec), prec)
+        dm, de = mul((em, ee), add(_ONE, (am, ae + 1), prec), prec)
+        c_num, c_den = add(_ONE, (nm, ne - 2), prec), sub(_ONE, (dm, de - 2), prec)
+        g, pole = (h[0], h[1] - 1), "implicit pitchfork multiplier has a pole at this y"
+    by_g = scaler(g, prec)
 
-    def factor(x):
-        den = sub(_ONE, by_h(x), prec)
+    def factor(s):
+        gs = by_g(s)
+        den = sub(c_den, gs, prec)
         if not den[0]:
-            raise PoleError("transcritical Kahan multiplier has a pole at x = 1/h")
-        num = add(sub(_ONE, mul(by_hh(x), add(x, eh, prec), prec), prec), ehh, prec)
-        return div(num, mul(den, den, prec), prec)
-
-    return factor
-
-
-def _afamily_multiplier(aparam, params: SystemParams):
-    """(1 + h y/2 + h h (1-2a) eps/4) / (1 - h y/2 - h h (1+2a) eps/4); both constants and h's scaler once."""
-    prec = params.ctx.prec
-    h, eps, (am, ae) = (split(v._mpf_) for v in (params.h, params.epsilon, aparam))
-    hh, two_a = mul(h, h, prec), rn(am, ae + 1, prec)
-    cm, ce = mul(mul(hh, sub(_ONE, two_a, prec), prec), eps, prec)
-    dm, de = mul(mul(hh, add(_ONE, two_a, prec), prec), eps, prec)
-    c_num, c_den, by_h = (cm, ce - 2), (dm, de - 2), scaler(h, prec)
-
-    def factor(y):
-        m, e = by_h(y)
-        den = sub(sub(_ONE, (m, e - 1), prec), c_den, prec)
-        if not den[0]:
-            raise PoleError("implicit pitchfork multiplier has a pole at this y")
-        return div(add(add(_ONE, (m, e - 1), prec), c_num, prec), den, prec)
-
-    return factor
-
-
-def _kahan_fold_multiplier(params: SystemParams):
-    """(q q - h h x x) / (1 - h x + c)^2, c = h h eps/4, q = 1 + c; h h, c, q q and scalers once."""
-    prec = params.ctx.prec
-    h, eps = split(params.h._mpf_), split(params.epsilon._mpf_)
-    hh = mul(h, h, prec)
-    cm, ce = mul(hh, eps, prec)
-    c = (cm, ce - 2)
-    q = add(_ONE, c, prec)
-    qq, by_h, by_hh = mul(q, q, prec), scaler(h, prec), scaler(hh, prec)
-
-    def factor(x):
-        den = add(sub(_ONE, by_h(x), prec), c, prec)
-        if not den[0]:
-            raise PoleError("fold Kahan multiplier has a pole at x = (1 + h^2 eps/4)/h")
-        return div(sub(qq, mul(by_hh(x), x, prec), prec), mul(den, den, prec), prec)
+            raise PoleError(pole)
+        return div(add(c_num, gs, prec), den, prec)
 
     return factor
 
@@ -511,7 +503,11 @@ def canard_spacing(kind: SingularityKind, params: SystemParams):
 
 
 def symmetry_center(kind: SingularityKind, params: SystemParams):
-    """Center of the pairing identity: -eps*h/2 on the lines, 0 on the fold."""
+    """Center of the pairing identity: -eps*h/2 on the lines, 0 on the fold.
+
+    It is the Moebius multiplier's (B - A)/2g (see _moebius_multiplier), the
+    point where numerator and denominator both equal K = (A + B)/2, so J = 1.
+    """
     return CANARDS[kind].center(params)
 
 
@@ -607,8 +603,10 @@ def symmetry_defect(
 ):
     """|J(c+d) J(c-d) - 1| with c the symmetry center and d = s_pos - c.
 
-    Exactly zero (to context precision) for the Kahan and implicit-family
-    multipliers; explicit schemes have no such pairing.
+    Zero up to rounding for the Kahan and implicit-family multipliers: they
+    are J(c + d) = (K + g d)/(K - g d) (see _moebius_multiplier), so
+    J(c - d) is exactly 1/J(c + d) in real arithmetic.  Explicit schemes have
+    no such pairing.
     """
     factor = _on_scalars(params.ctx, scheme_map(kind, scheme, params).factor)
     c = symmetry_center(kind, params)

@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import dps_to_prec, mpf_pos, numeral, round_down
+from mpmath.libmp import NoConvergence, dps_to_prec, mpf_pos, numeral, round_down
 
 MIN_DIGITS = 16
 SIMULATE_DIGITS = 50
@@ -114,7 +114,7 @@ class PrecisionContext:
     # -- utilities -----------------------------------------------------------
 
     def polyroots(self, coeffs, **kwargs):
-        """Roots of a polynomial given by descending coefficients."""
+        """Roots of a polynomial given by descending coefficients; NoConvergence past maxsteps."""
         return self._mp.polyroots(coeffs, **kwargs)
 
     def nstr(self, x, n: int):

@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import partial, reduce
 from typing import Optional
 
-from .precision import PrecisionContext
+from .precision import NoConvergence, PrecisionContext
 from .rounding import add, div, le_product, mul, negligible, pack, rn, scaler, split, sub
 from .systems import PlanarPoint, SingularityKind, SystemParams
 
@@ -659,7 +659,10 @@ def _afamily_solver(aparam, params: SystemParams):
             coeffs = coeffs[1:]
         if len(coeffs) < 2:
             raise NoRealBranch("implicit pitchfork update degenerated to a constant relation")
-        roots = ctx.polyroots(coeffs, maxsteps=200, extraprec=60)
+        try:
+            roots = ctx.polyroots(coeffs, maxsteps=200, extraprec=60)
+        except NoConvergence:
+            raise NoRealBranch("implicit pitchfork update: the cleared cubic's roots did not converge") from None
         imag_bar = ctx.tol(15)
         real_roots = [r.real for r in roots if abs(r.imag) <= imag_bar * (1 + abs(r))]
         if not real_roots:

@@ -272,6 +272,36 @@ def test_wayout_way_in_beyond_budget_exits_4(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, rho, step, position", [
+    ("transcritical", "10.001", 0, "-10.001"),
+    ("transcritical", "20", 9999, "-10.001"),
+    ("fold", "10.00025", 0, "-10.00025"),
+])
+def test_wayout_exactly_zero_product_exits_4(tmp_path, capsys, kind, rho, step, position):
+    # the multiplier's zero -A/g lies on the lattice: the product is 0 from there on
+    out = tmp_path / "wayout.csv"
+    code = main(["wayout", "--kind", kind, "--scheme", "kahan", "--h", "0.1", "--eps", "0.01",
+                 "--rho", rho, "--out", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err.splitlines() == [
+        f"unresolved: way-out product is exactly 0 from step {step} on: "
+        f"the multiplier vanishes at canard position {position}"
+    ]
+    assert not out.exists()
+
+
+def test_wayout_pitchfork_pole_before_any_zero_product(tmp_path, capsys):
+    # -A/g = -20.001 in real arithmetic, but g s never rounds to -A; the pole B/g comes first
+    out = tmp_path / "wayout.csv"
+    code = main(["wayout", "--kind", "pitchfork", "--scheme", "kahan", "--h", "0.1",
+                 "--eps", "0.01", "--rho", "20.001", "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "pole error: implicit pitchfork multiplier has a pole at this y (iterate index 40001)"
+    ]
+    assert not out.exists()
+
+
 def test_bisect_euler_table_row(tmp_path):
     out = tmp_path / "bisect.csv"
     code = main([

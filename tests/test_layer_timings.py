@@ -26,7 +26,11 @@ h_hi end (Kutta3, rho = 8, eps = 0.01) at step 32; and the first 2,000 steps
 of the sticky orbit through simulate (cli.main) at 16 and 50 digits, writing
 every row or every 100th.  They are undecided at both precisions (the orbit
 glues at step 11,005 at 16 digits), so every step runs in the orbit loop
-analysis._iterate, one call per row.
+analysis._iterate, one call per row; and one call of each Kahan multiplier
+(SchemeMap.factor, the Moebius kernel of linearization; the pitchfork's is
+the implicit family's at a = -1/2) at 16, 50 and 200 digits, checked against
+its mpf oracle, and one lattice way-out (transcritical Kahan, N = 40, 81
+multiplier steps) at 50 digits.
 """
 
 from fractions import Fraction
@@ -35,12 +39,13 @@ import mpmath
 import pytest
 
 from canardlab import (EULER, KAHAN, KUTTA3, PlanarPoint, SingularityKind, SystemParams, analysis,
-                       linearized_critical_h, make_context)
+                       linearized_critical_h, make_context, wayout)
 from canardlab.cli import main
 from canardlab.linearization import CANARDS, scheme_map
 from canardlab.rounding import mul, pack, scaler, split, sub
 from canardlab.schemes import euler_kernel
 from mpf_oracles import STEP_MAPS, assert_nearest_root, euler_step, h_polynomial, oracle, selector
+from test_multipliers import _oracle as multiplier_oracle
 
 
 @pytest.mark.parametrize("how", ["scaler", "mul"])
@@ -134,3 +139,24 @@ def test_simulate_steps(benchmark, tmp_path, digits, stride):
     rows = out.read_text(encoding="utf-8").splitlines()
     assert len(rows) == 2 + 2000 // stride + 1
     assert rows[-1].endswith(f"digits={digits} n=2000 jump=stuck")
+
+
+@pytest.mark.parametrize("digits", [16, 50, 200])
+@pytest.mark.parametrize("kind", list(SingularityKind), ids=lambda kind: kind.value)
+def test_multiplier_call(benchmark, kind, digits):
+    ctx = make_context(digits)
+    params = SystemParams.create(ctx, "0.01", "0.1")
+    s = -ctx.sqrt(2) / 3
+    factor = scheme_map(kind, KAHAN, params).factor
+    f = benchmark(factor, split(s._mpf_))
+    assert pack(f) == multiplier_oracle(kind, KAHAN, params)(s)._mpf_
+
+
+def test_wayout_call(benchmark):
+    ctx = make_context(50)
+    params = SystemParams.create(ctx, "0.01", "0.1")
+    kind = SingularityKind.TRANSCRITICAL
+    canard = CANARDS[kind]
+    rho = 40 * canard.spacing(params) - canard.center(params)
+    res = benchmark(wayout, kind, KAHAN, params, rho)
+    assert res.n_in == res.psi == 40

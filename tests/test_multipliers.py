@@ -5,6 +5,15 @@ kept here as the reference: every pair kernel of scheme_map must return
 their ``_mpf_`` tuples bit for bit, raise PoleError exactly where they
 divide by zero, and the way-out product and contraction ledgers built on
 the kernels must equal the same loops written in mpf arithmetic.
+
+The Kahan and implicit-family oracles are the reduced Moebius form
+(A + g s)/(B - g s), in the kernel's order of operations.  They replaced
+the unreduced closed forms, (1 - h^2 x (x + eps h) + eps h^2)/(1 - h x)^2 on
+the diagonal and (q^2 - h^2 x^2)/(1 - h x + h^2 eps/4)^2 on the fold, whose
+common factor the kernels now cancel, so values moved at rounding level; the
+pole messages and EXACT_POLES are unchanged.  test_moebius_forms_are_exact
+keeps the unreduced forms as exact Fraction references: each reduced form
+equals the form it replaces, and pairs to 1 about the symmetry centre.
 """
 
 import re
@@ -47,25 +56,24 @@ def _kahan_transcritical(params, x):
     den = 1 - h * x
     if den == 0:
         raise PoleError("transcritical Kahan multiplier has a pole at x = 1/h")
-    return (1 - h * h * x * (x + eps * h) + eps * h * h) / (den * den)
+    return (1 + h * h * eps + h * x) / den
 
 
 def _afamily_pitchfork(aparam, params, y):
     h, eps = params.h, params.epsilon
-    num = 1 + h * y / 2 + h * h * (1 - 2 * aparam) * eps / 4
-    den = 1 - h * y / 2 - h * h * (1 + 2 * aparam) * eps / 4
+    den = 1 - h * h * eps * (1 + 2 * aparam) / 4 - h * y / 2
     if den == 0:
         raise PoleError("implicit pitchfork multiplier has a pole at this y")
-    return num / den
+    return (1 + h * h * eps * (1 - 2 * aparam) / 4 + h * y / 2) / den
 
 
 def _kahan_fold(params, x):
     h, eps = params.h, params.epsilon
     q = 1 + h * h * eps / 4
-    den = 1 - h * x + h * h * eps / 4
+    den = q - h * x
     if den == 0:
         raise PoleError("fold Kahan multiplier has a pole at x = (1 + h^2 eps/4)/h")
-    return (q * q - h * h * x * x) / (den * den)
+    return (q + h * x) / den
 
 
 def _oracle(kind, scheme, params):
@@ -216,6 +224,51 @@ def test_products_match_mpf_loops(digits, kind, scheme, rho):
     got = tuple([v._mpf_ for v in column]
                 for column in (ledger.positions, ledger.factors, ledger.running_product))
     assert got == _ledger_mpf(oracle, ctx, rho, spacing, 40)
+
+
+# -- the reduced forms, exactly --------------------------------------------------------
+
+
+def _unreduced(kind, h, eps, a, s):
+    """(numerator, denominator) of the closed form each Moebius multiplier replaces."""
+    if kind is T:
+        return 1 - h * h * s * (s + eps * h) + eps * h * h, (1 - h * s) ** 2
+    if kind is F:
+        return (1 + h * h * eps / 4) ** 2 - h * h * s * s, (1 - h * s + h * h * eps / 4) ** 2
+    return 1 + h * s / 2 + h * h * (1 - 2 * a) * eps / 4, 1 - h * s / 2 - h * h * (1 + 2 * a) * eps / 4
+
+
+def _moebius(kind, h, eps, a):
+    """(A, B, g) of J(s) = (A + g s)/(B - g s), as linearization._moebius_multiplier forms them."""
+    if kind is T:
+        return 1 + h * h * eps, Fraction(1), h
+    if kind is F:
+        q = 1 + h * h * eps / 4
+        return q, q, h
+    return 1 + h * h * eps * (1 - 2 * a) / 4, 1 - h * h * eps * (1 + 2 * a) / 4, h / 2
+
+
+_DECIMALS = st.builds(lambda k, e: Fraction(k) / 10 ** e, st.integers(1, 10**6), st.integers(0, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from([T, F, P]), h=_DECIMALS, eps=_DECIMALS,
+       a=st.one_of(st.just(Fraction(-1, 2)), st.fractions(-10, 10, max_denominator=1000)),
+       points=st.lists(_POINTS, min_size=1, max_size=8))
+def test_moebius_forms_are_exact(kind, h, eps, a, points):
+    A, B, g = _moebius(kind, h, eps, a)
+    for s in points:
+        num, den = _unreduced(kind, h, eps, a, s)
+        if den and B - g * s:
+            assert num * (B - g * s) == (A + g * s) * den, s
+    c = 0 if kind is F else -eps * h / 2  # CANARDS' symmetry centre
+    # num(c + d) = (A + g c) + g d equals den(c - d) = (B - g c) + g d coefficient by
+    # coefficient, so J(c + d) J(c - d) = 1 for every d
+    assert (A + g * c, g) == (B - g * c, g)
+    # the unreduced forms pair too: both sides have degree <= 4 in d, so five points decide it
+    for d in range(5):
+        (num_p, den_p), (num_m, den_m) = (_unreduced(kind, h, eps, a, c + t) for t in (d, -d))
+        assert num_p * num_m == den_p * den_m, d
 
 
 # -- the symmetric lattice ---------------------------------------------------------------

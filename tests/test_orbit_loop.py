@@ -13,6 +13,8 @@ Its rows at stride s must be the stride-1 rows at multiples of s plus the row
 it stopped at, with the same footer, or the same pole on stderr.
 """
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -59,6 +61,11 @@ def _run(*args, **kwargs):
          budget=20, cut=0.3)
 @example(orbit=(False, T, KAHAN), digits=16, rho="2", eps="1", h="0.5", delta="1e-15",
          budget=20, cut=0.9)
+# the a = 1/2 orbit at 200 digits reaches the multiplier's pole y = B/g = 3.9375 with
+# x near 1e-162 at step 191; Newton's slope is 0 there, and the cubic's root finder does
+# not converge, which raises NoRealBranch
+@example(orbit=(True, SingularityKind.PITCHFORK, Fraction(1, 2)), digits=200, rho="8",
+         eps="0.125", h="0.5", delta="1e-2", budget=192, cut=0.0)
 def test_a_run_split_at_any_step_is_one_run(orbit, digits, rho, eps, h, delta, budget, cut):
     raw, kind, scheme = orbit
     ctx = CONTEXTS[digits]
