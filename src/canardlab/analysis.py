@@ -62,7 +62,7 @@ from .linearization import (CANARDS, SchemeSelector, _entry_offset, _escape_thre
                             _exact_zero, _iadd, _imul, _out, _poly_add, _poly_mul, _poly_scale,
                             _products, _stage_polynomial, enclose, q_s, scheme_map)
 from .precision import PrecisionContext
-from .rounding import abs_le, add, div, lt, mul, pack, rn, split, sub
+from .rounding import abs_le, add, lt, mul, pack, rn, split
 from .schemes import _ONE, _ZERO, ButcherTableau, PoleError
 from .systems import PlanarPoint, SingularityKind, SystemParams
 
@@ -354,14 +354,6 @@ _H_CAP = 10
 _RHO_CAP = 10
 
 
-def _horner(p, x, prec):
-    """The polynomial p (ascending pairs) at the pair x, by Horner's rule from its leading coefficient."""
-    acc = p[-1]
-    for c in p[-2::-1]:
-        acc = add(mul(acc, x, prec), c, prec)
-    return acc
-
-
 def _float(v):
     """The pair v, at most 1 in magnitude, as a float (its top 64 bits, truncated)."""
     n = max(v[0].bit_length() - 64, 0)
@@ -381,11 +373,10 @@ def _float_seed(pf, dpf, a, b, fa):
 
     pf and dpf are the float images of the coefficients of p and p', a and
     b the interval's pairs, in a variable that keeps them all at most 1
-    (_first_sign_change), so every value is finite.  It runs with
-    _newton_in_bracket's sign and bracket tests, for at most 40 iterations,
-    to a step of at most 2**-40 relative.  It only starts
-    _newton_in_bracket, which checks that it lies inside (a, b); it decides
-    no sign.
+    (_first_sign_change), so every value is finite.  It runs with bracket
+    tests, for at most 40 iterations, to a step of at most 2**-40 relative.
+    It only starts _polish, which checks that it lies inside (a, b); it
+    decides no sign.
     """
     lo, hi = _float(a), _float(b)
     neg, x = fa[0] < 0, 0.5 * lo + 0.5 * hi
@@ -411,39 +402,75 @@ def _float_seed(pf, dpf, a, b, fa):
     return m, 1 - q.bit_length()
 
 
-def _newton_in_bracket(p, a, b, fa, t, tol, prec):
-    """The root of p in its isolating interval (a, b), 0 < a < b <= 2a, by safeguarded Newton.
+#: The polish's guard bits and its cap on Newton steps (_polish).
+_GUARD, _POLISH_STEPS = 24, 64
 
-    fa is p's value left of the root (only its sign is read).  The first
-    iterate is t (a pair, or None) where it lies inside (a, b), else the
-    midpoint.  A Newton step of at most tol, or 2**-(prec // 2 + 16), relative
-    returns its iterate (the next would fall below prec bits); one that
-    leaves the bracket, or is not below half the step before, is replaced by
-    bisection (rtsafe in Press et al., Numerical Recipes, 9.4), so a bracket
-    inside Horner's rounding noise still shrinks.  Values are Horner's at
-    working precision; the result only starts _nearest_root.
+
+def _values(p, x, bits):
+    """p(x) = S 2**E and p'(x) = D 2**(E - s), as (S, E) and (D, E - s), for x in [2**(s-1), 2**s).
+
+    Horner's rule on t = x / 2**s and p's coefficients scaled to t, in integers over 2**E,
+    `bits` bits below the largest coefficient: each coefficient and product is truncated
+    there, and t < 1, so S and D are off by less than 2 deg p + 2 at any coefficient size."""
+    xm, xe = x
+    u = xm.bit_length()
+    s = u + xe
+    top = max(m.bit_length() + e + i * s for i, (m, e) in enumerate(p) if m) - bits
+    c = [m >> k if (k := top - e - i * s) >= 0 else m << -k for i, (m, e) in enumerate(p)]
+    fm, dm = c[-1], 0
+    for v in c[-2::-1]:
+        dm = (dm * xm >> u) + fm
+        fm = (fm * xm >> u) + v
+    return (fm, top), (dm, top - s)
+
+
+def _midpoint(a, b):
+    """The midpoint of the pairs a < b, and how many leading bits of it keep it in (a, b)."""
+    e = min(a[1], b[1])
+    am, bm = a[0] << a[1] - e, b[0] << b[1] - e
+    return (am + bm, e - 1), (am + bm).bit_length() - (bm - am).bit_length() + 1
+
+
+def _polish(p, x, a, b, below, prec):
+    """The simple root of p in (a, b), 0 < a < b <= 2a, to about prec + _GUARD bits.
+
+    Newton's method with doubling precision (Brent and Zimmermann, Modern Computer
+    Arithmetic, 2010, 4.2), from x, a start of 53 bits (_float_seed's), or from the midpoint
+    where x is None or outside.  A step from an iterate with g good bits aims at w = 2g
+    (at least 53, at most prec + _GUARD): _values runs on the iterate cut to g bits, at
+    w + _GUARD bits, plus the bits that p's value then lacks (cancellation next to an
+    ill-conditioned root), which the later steps keep.  A step of relative size 2**-k leaves
+    2k - 4 good bits.  Each value's sign (below is p's left of the root) shrinks (a, b); a
+    step that leaves it, or a zero slope, bisects.  Nothing is exact or rounded: the
+    iterate only starts _nearest_root.
     """
-    dp, last, near = [(i * m, e) for i, (m, e) in enumerate(p) if i], sub(b, a, prec), prec // 2 + 16
-    while True:
-        x = t if t is not None and lt(a, t) and lt(t, b) else mul(add(a, b, prec), (1, -1), prec)
-        fx = _horner(p, x, prec)
-        if not fx[0]:
-            return x
-        if (fx[0] < 0) == (fa[0] < 0):
+    good, target, neg, extra = 53, prec + _GUARD, below[0] < 0, 0
+    if x is None or not (lt(a, x) and lt(x, b)):
+        x, good = _midpoint(a, b)
+    for _ in range(_POLISH_STEPS):
+        if good >= target:
+            break
+        w = min(max(2 * good, 53), target)
+        n = x[0].bit_length() - max(good, (w + 1) // 2)
+        if n > 0:
+            x = x[0] >> n, x[1] + n
+        (fm, fe), (dm, de) = _values(p, x, w + _GUARD + extra)
+        short = w - good + _GUARD // 2 - fm.bit_length()
+        if short > 0 and fm:  # cancellation: the step again, and the later ones, with more bits
+            extra = max(2 * extra, extra + short)
+            continue
+        if (fm < 0) == neg:
             a = x
         else:
             b = x
-        d, t, bar = _horner(dp, x, prec), None, mul(tol, x, prec)
-        if d[0]:
-            step = div(fx, d, prec)
-            t, size = sub(x, step, prec), (abs(step[0]), step[1])
-            if not (lt(bar, size) and lt((x[0], x[1] - near), size)):
-                return t
-            if not (lt(a, t) and lt(t, b) and lt(mul(size, (2, 0), prec), last)):
-                t = None
-        last = size if t is not None else mul(sub(b, a, prec), (1, -1), prec)
-        if not lt(bar, sub(b, a, prec)):
-            return x
+        if dm:
+            q, e = (fm << w) // dm, fe - de - w  # the step, in units of 2**-w x
+            t = (x[0] << x[1] - e) - q, e
+            if not q or lt(a, t) and lt(t, b):
+                x, good = t, min(w, 2 * (w - q.bit_length()) - 4)
+                continue
+        x, good = _midpoint(a, b)
+    return x
 
 
 def _exact_sign(p, x):
@@ -464,13 +491,15 @@ def _nearest_root(p, x, below, a, b, prec):
 
     (a, b), 0 < a < b, isolates a root where p changes sign, and below is
     p's value on its left (only its sign is used).  Positive prec-bit floats
-    are indexed so that neighbours differ by 1, across binades too.  The
-    root rounds to the first float k whose midpoint with k + 1 is not below
-    it.  The floats below a and above b bound k; it is found by galloping
-    from x (steps 1, 2, 4, ...) inside those bounds, then bisecting, each
-    midpoint in (a, b) decided from the exact sign of p there (p may have
-    other roots just outside).  A root exactly on a midpoint goes to the
-    float with the even mantissa.
+    are indexed so that neighbours differ by 1, across binades too (below a
+    power of two the midpoint is a quarter of its ulp away).  The root
+    rounds to the first float k whose midpoint with k + 1 is not below it.
+    Each midpoint in (a, b) is decided from the exact sign of p there (p
+    may have other roots just outside).  The two midpoints around the float
+    nearest x decide where they bracket the root; else the floats below a
+    and above b bound k, and it is found by galloping from x (steps 1, 2,
+    4, ...) inside those bounds, then bisecting.  A root exactly on a
+    midpoint goes to the float with the even mantissa.
     """
     half, sign = 1 << (prec - 1), (below[0] > 0) - (below[0] < 0)
 
@@ -482,11 +511,21 @@ def _nearest_root(p, x, below, a, b, prec):
         q, r = divmod(k, half)
         return half + r, q
 
-    def side(k):  # > 0: the midpoint of floats k and k + 1 lies below the root
-        (m1, e1), (m2, e2) = value(k), value(k + 1)
-        mid = m1 + (m2 << (e2 - e1)), e1 - 1
+    def at(mid):  # > 0: the pair mid lies below the root
         return 1 if not lt(a, mid) else -1 if not lt(mid, b) else sign * _exact_sign(p, mid)
 
+    def side(k):  # at the midpoint of floats k and k + 1
+        (m1, e1), (m2, e2) = value(k), value(k + 1)
+        return at((m1 + (m2 << (e2 - e1)), e1 - 1))
+
+    m, e = rn(x[0], x[1], prec)  # the float nearest x
+    n = m.bit_length() - prec
+    m, e = m >> n if n >= 0 else m << -n, e + n
+    up, down = at((2 * m + 1, e - 1)), at((4 * m - 1, e - 2) if m == half else (2 * m - 1, e - 1))
+    if down > 0 > up:
+        return m, e
+    if down > 0 == up or not down:  # on a midpoint: the float with the even mantissa
+        return m + (m & 1 if down else -(m & 1)), e
     lo, hi, s = index(a) - 1, index(b) + 1, -1
     k, step = min(max(index(x), lo + 1), hi - 1), 1
     while hi - lo > 1:
@@ -620,15 +659,15 @@ def _isolate(c):
     return (1, 0, None, c) if not sum(flat) and _order(_taylor1(flat)) % 2 else None
 
 
-def _first_sign_change(p, hi, tol, prec):
+def _first_sign_change(p, hi, prec):
     """The first sign change in (0, hi] of the polynomial p (ascending pairs), as a pair, or None.
 
     p is taken exactly: p(hi t) scales to an integer polynomial c on (0, 1]
     (the coefficients are dyadic) for _isolate.  A root found exactly is
-    rounded to nearest-even at prec bits; any other is polished by
-    _newton_in_bracket in its interval, from _float_seed's root in t, and
-    rounded by _nearest_root, on p or on the odd part that _isolate fell
-    back to, so Newton's path is moot.
+    rounded to nearest-even at prec bits; any other is polished by _polish
+    in its interval, from _float_seed's root in t, and rounded by
+    _nearest_root, on p or on the odd part that _isolate fell back to, so
+    Newton's path is moot.
     """
     hm, he = hi
     nonzero = [i for i, (m, _) in enumerate(p) if m]  # c drops p's zero lowest and top coefficients
@@ -641,11 +680,13 @@ def _first_sign_change(p, hi, tol, prec):
         return rn(hm * k, he - j, prec)
     if f is not c:
         p = [(m * hm ** (len(f) - 1 - i), e - i * he) for i, (m, e) in enumerate(f)]
+    else:  # p / x**nonzero[0]: p's signs and roots on x > 0, without its zero coefficients
+        p = p[nonzero[0]:nonzero[-1] + 1]
     top, below = max(m.bit_length() + e for m, e in f if m), (below, 0)  # the seed's f is below 1
     pf = [_float((m, e - top)) for m, e in f]
     t = _float_seed(pf, [i * v for i, v in enumerate(pf) if i], (k, -j), (k + 1, -j), below)
     a, b = (hm * k, he - j), (hm * (k + 1), he - j)
-    t = _newton_in_bracket(p, a, b, below, t and (hm * t[0], he + t[1]), tol, prec)
+    t = _polish(p, t and (hm * t[0], he + t[1]), a, b, below, prec)
     return _nearest_root(p, t, below, a, b, prec)
 
 
@@ -654,7 +695,7 @@ def _first_root(tableau, ctx, x, h, eps, hi, stage_factor=2):
     prec = ctx.prec
     q = _stage_polynomial(tableau, ctx, x, h, split(eps._mpf_), stage_factor)
     p = _poly_add([_ONE], _poly_mul(h, q, prec), prec)
-    root = _first_sign_change(p, split(hi._mpf_), split(ctx.tol(8)._mpf_), prec)
+    root = _first_sign_change(p, split(hi._mpf_), prec)
     return None if root is None else ctx.make_mpf(pack(root))
 
 

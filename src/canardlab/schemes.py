@@ -34,7 +34,8 @@ and 1 - 2a) use a rounding.scaler, linear-time for decimal constants at high
 precision.  The pitchfork has no deviation map: on its line {x = 0} the
 deviation is x itself.  A loop splits its start once and packs only what it
 reports; the public steppers split and pack one point.  Only the implicit
-family's rare cubic fallback finds its root with mpmath's polyroots.
+family's rare cubic fallback finds its root with mpmath's polyroots, in a
+variable scaled by a power of two to the size of the roots.
 """
 
 from __future__ import annotations
@@ -619,6 +620,14 @@ def _afamily_cubic_coeffs(aparam, h, x, y, yn):
     return c0, c1, c2, c3
 
 
+def _fujiwara_exponent(coeffs):
+    """k with 2**k at least Fujiwara's bound 2 max |c_i / c_0|**(1/i) on the roots of the
+    polynomial coeffs (descending mpf, c_0 nonzero), from the bit magnitudes exp + bc."""
+    mags = [c._mpf_[2] + c._mpf_[3] for c in coeffs]  # 2**(mag - 1) <= |c| < 2**mag
+    lead = mags[0] - 1
+    return 1 + max((-((lead - m) // i) for i, m in enumerate(mags) if i and coeffs[i]), default=0)
+
+
 def _afamily_solver(aparam, params: SystemParams):
     """The implicit pitchfork step as solve(x, y) -> (xnew, ynew, method, residual).
 
@@ -659,10 +668,13 @@ def _afamily_solver(aparam, params: SystemParams):
             coeffs = coeffs[1:]
         if len(coeffs) < 2:
             raise NoRealBranch("implicit pitchfork update degenerated to a constant relation")
-        try:
-            roots = ctx.polyroots(coeffs, maxsteps=200, extraprec=60)
+        scale, n = make((0, 1, _fujiwara_exponent(coeffs), 1)), len(coeffs) - 1
+        try:  # in x = scale t, every root t has |t| <= 1: polyroots starts at their size
+            roots = ctx.polyroots([c * scale ** (n - i) for i, c in enumerate(coeffs)],
+                                  maxsteps=200, extraprec=60)
         except NoConvergence:
             raise NoRealBranch("implicit pitchfork update: the cleared cubic's roots did not converge") from None
+        roots = [r * scale for r in roots]
         imag_bar = ctx.tol(15)
         real_roots = [r.real for r in roots if abs(r.imag) <= imag_bar * (1 + abs(r))]
         if not real_roots:

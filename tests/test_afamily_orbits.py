@@ -6,9 +6,15 @@ cleared cubic solved with polyroots when Newton fails, and up to 8 polish
 steps.  The pair solve behind a_family_step_pitchfork (its Kahan member
 a = -1/2 included) and afamily_kernel (packed from its pairs) must give the same point and
 residual tuples and the same BranchInfo.method, and raise NoRealBranch
-where the reference does.
+where the reference does.  Since the cubic fallback solves the cleared cubic in a
+variable scaled by a power of two to its roots' size (Fujiwara's bound), so that
+polyroots starts there, the reference does the same.
 """
 
+import math
+from fractions import Fraction
+
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -98,7 +104,14 @@ def ref_step(aparam, params, p, reverse=False, max_newton=200):
         coeffs = coeffs[1:]
     if len(coeffs) < 2:
         raise NoRealBranch("implicit pitchfork update degenerated to a constant relation")
-    roots = ctx.polyroots(coeffs, maxsteps=200, extraprec=60)
+    # solved in x = 2**k t, k from Fujiwara's bound 2 max |c_i / c_0|**(1/i) on the roots
+    mags = [mpmath.mag(c) for c in coeffs]  # 2**(mag - 1) <= |c| < 2**mag
+    k = 1 + max((math.ceil(Fraction(mags[i] - mags[0] + 1, i)) for i in range(1, len(coeffs))
+                 if coeffs[i]), default=0)
+    scale = ctx.mpf(2) ** k
+    roots = ctx.polyroots([c * scale ** (len(coeffs) - 1 - i) for i, c in enumerate(coeffs)],
+                          maxsteps=200, extraprec=60)
+    roots = [r * scale for r in roots]
     imag_bar = ctx.tol(15)
     real_roots = [r.real for r in roots if abs(r.imag) <= imag_bar * (1 + abs(r))]
     if not real_roots:

@@ -147,6 +147,22 @@ def test_simulate_pole_exit_code(tmp_path, capsys):
     assert "pole" in capsys.readouterr().err
 
 
+def test_simulate_afamily_cubic_fallback_at_a_tiny_root(tmp_path):
+    """Row 192 of this orbit needs the cubic fallback where c1 = c2 = 0 and the real root is
+    near -2.07e-56: solved in a variable scaled to its roots' size, the orbit goes on (polyroots
+    from unit-size seeds did not converge, exit 2) and jumps left."""
+    out = tmp_path / "afamily.csv"
+    code = main([
+        "simulate", "--kind", "pitchfork", "--scheme", "afamily", "--a", "0.5", "--h", "0.5",
+        "--eps", "0.125", "--rho", "8", "--n-max", "400", "--digits", "200", "--out", str(out),
+    ])
+    assert code == 0
+    rows, comments = _read_csv(out)
+    assert rows[192][:2] == ["191", "-1.11339104865378446250884715439e-168"]
+    assert rows[193][:2] == ["192", "-2.06749192129862259238588684209e-56"]
+    assert len(rows) == 402 and "n=400" in comments[0] and "jump=left" in comments[0]
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["simulate", "--kind", "nonsense"])

@@ -25,10 +25,12 @@ coefficients scaled below 1, so it exists at extreme parameters too.
 _first_sign_change, the solvers' level below the tableau, is checked the
 same way on the critical polynomials and on products of roots, with
 multiplicities 1 to 3: every root it reports is the polynomial's rounded to
-nearest, from exact signs.  Counts pin the cost: on the README grid at most
-6 Horner evaluations at working precision, one Newton call and 2.1 of
-Descartes' counts per solve, and a few hundred evaluations where no value
-has a float image (the search then locates the root's binade first).
+nearest, from exact signs, also on polynomials with rational roots placed
+where the rounding is hard (test_polish_rounds_exactly, against Fractions).
+Counts pin the cost: on the README grid one polish, 2.07 evaluations in
+it, 4.08 exact signs and 2.1 of Descartes' counts per solve, and as few
+where no value has a float image (the search then locates the root's
+binade first).
 """
 
 from fractions import Fraction
@@ -454,6 +456,71 @@ def test_nearest_root_from_far_iterates(digits, start):
     assert analysis._nearest_root(tie, (m + start, e), below, a, b, prec) == (even, e)
 
 
+@pytest.mark.parametrize("sixths", [1, 2])
+@pytest.mark.parametrize("digits", [16, 50])
+def test_nearest_root_below_a_power_of_two(digits, sixths):
+    """From an iterate on 1/2, the two exact signs decide a root sixths/6 of 1/2's ulp below
+    it: the midpoint with the float below lies a quarter ulp away, so 1/6 rounds to 1/2 and
+    1/3 to the float below (a half-ulp midpoint there would give 1/2 for both)."""
+    prec = ORACLE_CONTEXTS[digits].prec
+    p = [(sixths - 3 * 2**prec, 0), (6 * 2**prec, 0)]  # root 1/2 - sixths 2**-prec / 6
+    got = analysis._nearest_root(p, (1, -1), (-1, 0), (1, -2), (3, -2), prec)
+    assert got == ((2 ** (prec - 1), -prec) if sixths == 1 else (2**prec - 1, -prec - 1))
+
+
+def _rounded(r, prec):
+    """The positive Fraction r rounded to nearest at prec bits, ties to even."""
+    e = r.numerator.bit_length() - r.denominator.bit_length()
+    e -= Fraction(2) ** e > r  # 2**e <= r < 2**(e + 1)
+    scale = Fraction(2) ** (prec - 1 - e)
+    m, rest = divmod(r * scale, 1)
+    if rest > Fraction(1, 2) or rest == Fraction(1, 2) and m % 2:
+        m += 1
+    return m / scale
+
+
+def _hard_root(kind, prec, k, d, mantissa):
+    """A rational root that is hard to round at prec bits (hi = 1, so the isolating intervals'
+    ends are dyadic): on the midpoint above a float (a tie), d/6 ulps of 2**-k either side of
+    2**-k (below it the floats are twice as dense), or a relative d/3 2**-(prec + 2), under an
+    ulp, from the dyadic point (k % 8) / 8 or (k % 8) / 16, an interval's end."""
+    if kind == "tie":
+        m = 2 ** (prec - 1) + mantissa % 2 ** (prec - 1)
+        return Fraction(2 * m + 1, 2 ** (prec + k))
+    if kind == "binade":
+        return Fraction(1, 2**k) * (1 + Fraction(d, 3 * 2**prec))
+    return Fraction(k % 8 or 1, 8 * 2 ** (k % 2)) * (1 + Fraction(d, 3 * 2 ** (prec + 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["tie", "binade", "end"]), k=st.integers(1, 8),
+       d=st.integers(-40, 40).filter(bool), mantissa=st.integers(0, 2**700),
+       digits=st.sampled_from(sorted(ORACLE_CONTEXTS)), seeded=st.booleans(),
+       others=st.lists(st.fractions(-3, 3, max_denominator=50).filter(bool), max_size=3))
+@example(kind="binade", k=3, d=-2, mantissa=0, digits=50, seeded=True, others=[])  # 1/3 ulp below
+@example(kind="binade", k=3, d=-1, mantissa=0, digits=16, seeded=False, others=[])  # 1/6 ulp below
+@example(kind="tie", k=1, d=1, mantissa=0, digits=16, seeded=True, others=[Fraction(1, 7)])
+@example(kind="tie", k=2, d=1, mantissa=1, digits=200, seeded=True, others=[])
+def test_polish_rounds_exactly(kind, k, d, mantissa, digits, seeded, others):
+    """On prod (v t - u) over rational roots u / v, simple and distinct, one of them hard to
+    round (_hard_root), _first_sign_change in (0, 1] is the least root there rounded to
+    nearest-even at the working precision, computed in Fractions; also where _float_seed
+    gives no start, and the polish starts from the midpoint."""
+    prec = ORACLE_CONTEXTS[digits].prec
+    roots = {_hard_root(kind, prec, k, d, mantissa), *others}
+    p = [1]
+    for r in roots:
+        p = poly_mul(p, [-r.numerator, r.denominator])
+    first = min((r for r in roots if 0 < r <= 1), default=None)
+    with pytest.MonkeyPatch.context() as patch:
+        if not seeded:
+            patch.setattr(analysis, "_float_seed", lambda *args: None)
+        got = analysis._first_sign_change([(c, 0) for c in p], (1, 0), prec)
+    assert (got is None) == (first is None)
+    if first is not None:
+        assert _value(got) == _rounded(first, prec)
+
+
 # -- the polynomial level, multiple roots, counts ---------------------------------------
 
 
@@ -469,8 +536,7 @@ def _pairs(coeffs):
 
 def _first(ctx, coeffs, hi):
     """_first_sign_change of the polynomial coeffs (mpf, ascending) in (0, hi], as an mpf or None."""
-    root = analysis._first_sign_change(_pairs(coeffs), split(hi._mpf_), split(ctx.tol(8)._mpf_),
-                                       ctx.prec)
+    root = analysis._first_sign_change(_pairs(coeffs), split(hi._mpf_), ctx.prec)
     return None if root is None else ctx.make_mpf(pack(root))
 
 
@@ -565,13 +631,14 @@ def _counted(monkeypatch, names):
 
 
 def test_readme_grid_counts(monkeypatch):
-    """On the README surfaces grid at 50 digits (the four RK tableaux, 684 solves): one Newton
-    call per solve, at most 4.1 Horner evaluations at working precision and 2.1 of Descartes'
-    counts (4.01 and 2.07 measured; 5.57 Horner evaluations while Newton ran on to a step of
-    tol).  The derivative cascade with float certificates made 13.9 Horner evaluations and
-    2.62 Newton calls, and the cascade before it 23.9 and 3.15."""
+    """On the README surfaces grid at 50 digits (the four RK tableaux, 684 solves): one polish
+    per solve, at most 2.07 evaluations of p and p' in it, 4.08 exact signs (Descartes'
+    isolation and the rounding) and 2.1 of Descartes' counts (2.0175, 3.962 and 2.0673
+    measured).  Newton on working-precision Horner made 4.01 Horner evaluations and 4.48
+    exact signs per solve, the derivative cascade with float certificates 13.9 Horner
+    evaluations and 2.62 Newton calls, and the cascade before it 23.9 and 3.15."""
     ctx = ORACLE_CONTEXTS[50]
-    counts = _counted(monkeypatch, ["_horner", "_newton_in_bracket", "_descartes"])
+    counts = _counted(monkeypatch, ["_values", "_polish", "_exact_sign", "_descartes"])
     rhos = [1 + Fraction(9 * i, 18) for i in range(19)]
     epss = [Fraction(1, 100) + Fraction(99 * i, 800) for i in range(9)]
     solves = 0
@@ -583,8 +650,9 @@ def test_readme_grid_counts(monkeypatch):
                 linearized_critical_h(SHIPPED_TABLEAUX[name], rho_s, eps_s, ctx)
                 solves += 1
     assert solves == 684
-    assert counts["_horner"] <= 4.1 * solves
-    assert counts["_newton_in_bracket"] <= solves
+    assert counts["_polish"] == solves
+    assert counts["_values"] <= 2.07 * solves
+    assert counts["_exact_sign"] <= 4.08 * solves
     assert counts["_descartes"] <= 2.1 * solves
 
 
@@ -592,14 +660,16 @@ def test_readme_grid_counts(monkeypatch):
 def test_no_float_seed_bisects_the_exponent(monkeypatch, digits):
     """Kutta3 at rho = 1e-5000: no value in h has a float image, and complex roots near
     1e-5000 lie about 33,000 halvings below the cap 1e5001.  The binade of the root is
-    located first and the double-precision seed is found in h / cap, so the root takes a
-    few hundred Horner evaluations at most (the solver two versions before made about
-    156,000, the derivative cascade with float certificates 140 at 16 digits and 158 at
-    50; this one makes 2 and 6), and is the parent solver's (EXTREMES)."""
+    located first and the double-precision seed is found in h / cap, so the polish takes
+    1 evaluation of p and p' at 16 digits and 2 at 50, and the solve 4 exact signs (the
+    solver two versions before made about 156,000 Horner evaluations, the derivative
+    cascade with float certificates 140 at 16 digits and 158 at 50, Newton on
+    working-precision Horner 2 and 4), and the root is the parent solver's (EXTREMES)."""
     ctx = ORACLE_CONTEXTS[digits]
-    counts = _counted(monkeypatch, ["_horner"])
+    counts = _counted(monkeypatch, ["_values", "_exact_sign"])
     root = linearized_critical_h(KUTTA3, ctx.mpf("1e-5000"), ctx.mpf(1), ctx)
-    assert counts["_horner"] <= 400
+    assert counts["_values"] <= 2
+    assert counts["_exact_sign"] <= 4
     assert_nearest_root(h_polynomial(KUTTA3, ctx, ctx.mpf("1e-5000"), ctx.mpf(1)), root, ctx.prec)
 
 
@@ -614,7 +684,7 @@ def test_double_roots_change_no_sign(digits):
     has the rho polynomial 2 (1 - rho)**2, so no critical triplet (the cascade reported
     rho* = 1)."""
     ctx = make_context(digits)
-    hi, tol = split(ctx.mpf(100)._mpf_), split(ctx.tol(8)._mpf_)
+    hi = split(ctx.mpf(100)._mpf_)
     for lead, roots, first in ((1, [Fraction(3, 8), Fraction(3, 8), Fraction(19, 32),
                                     Fraction(19, 32), 26, 41], 26),
                                (9, [Fraction(1, 3), Fraction(1, 3), 2], 2)):
@@ -623,5 +693,5 @@ def test_double_roots_change_no_sign(digits):
             p = poly_mul(p, [-Fraction(r), Fraction(1)])
         coeffs = [split(ctx.mpf(c)._mpf_) for c in p]
         assert [_value(c) for c in coeffs] == p
-        assert _value(analysis._first_sign_change(coeffs, hi, tol, ctx.prec)) == first
+        assert _value(analysis._first_sign_change(coeffs, hi, ctx.prec)) == first
     assert critical_triplet_linearized(HEUN2, ctx.mpf(1), ctx.mpf(1), ctx) is None

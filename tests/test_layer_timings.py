@@ -16,7 +16,10 @@ SchemeMap.step the command line builds (mpf_oracles.STEP_MAPS) at 16, 50
 and 200 digits, from beside the canard at rho = 1, checked against its mpf
 oracle; and one linearized critical step (Kutta3 at rho = 8, eps = 1, a cell
 of the README surfaces grid) at 16, 50 and 200 digits, checked to be the
-root of its critical polynomial rounded to nearest; and one CSV value, a
+root of its critical polynomial rounded to nearest, and the same solve at
+extreme entries (Kutta3 and heun2 at rho = 1e-5000 and 1e5000, at 50 and
+200 digits, heun2 then without a root below the cap) and for Kutta3 at
+rho = 8 at 5000 digits, the sweep and bisect default; and one CSV value, a
 mantissa pair printed with 30 digits as simulate's rows print it, at 16, 50
 and 200 digits, checked against mpmath's nstr; and, at 200 digits, one
 evaluation of the sign lock's enclosure of the deviation step's u'/u - 1 for
@@ -38,7 +41,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from canardlab import (EULER, KAHAN, KUTTA3, PlanarPoint, SingularityKind, SystemParams, analysis,
+from canardlab import (EULER, HEUN2, KAHAN, KUTTA3, PlanarPoint, SingularityKind, SystemParams, analysis,
                        linearized_critical_h, make_context, wayout)
 from canardlab.cli import main
 from canardlab.linearization import CANARDS, scheme_map
@@ -87,6 +90,24 @@ def test_linearized_critical_h(benchmark, digits):
     rho, eps = ctx.mpf(8), ctx.mpf(1)
     h = benchmark(linearized_critical_h, KUTTA3, rho, eps, ctx)
     assert_nearest_root(h_polynomial(KUTTA3, ctx, rho, eps), h, ctx.prec)
+
+
+# (tableau, rho, digits): roots about 1e5000 and 1e-5000 in h, heun2 none below the cap
+# 10/rho at rho = 1e5000; and the sweep and bisect default of 5000 digits
+LINEARIZED_EXTREMES = [(tab, rho, digits) for tab in (KUTTA3, HEUN2) for rho in ("1e-5000", "1e5000")
+                       for digits in (50, 200)] + [(KUTTA3, "8", 5000)]
+
+
+@pytest.mark.parametrize("tab, rho, digits", LINEARIZED_EXTREMES,
+                         ids=[f"{t.name}-{r}-{d}" for t, r, d in LINEARIZED_EXTREMES])
+def test_linearized_extreme(benchmark, tab, rho, digits):
+    ctx = make_context(digits)
+    rho, eps = ctx.mpf(rho), ctx.mpf(1)
+    h = benchmark(linearized_critical_h, tab, rho, eps, ctx)
+    if tab is HEUN2 and rho > 1:
+        assert h is None
+    else:
+        assert_nearest_root(h_polynomial(tab, ctx, rho, eps), h, ctx.prec)
 
 
 @pytest.mark.parametrize("digits", [16, 50, 200])
