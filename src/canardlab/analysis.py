@@ -494,12 +494,12 @@ def _nearest_root(p, x, below, a, b, prec):
     are indexed so that neighbours differ by 1, across binades too (below a
     power of two the midpoint is a quarter of its ulp away).  The root
     rounds to the first float k whose midpoint with k + 1 is not below it.
-    Each midpoint in (a, b) is decided from the exact sign of p there (p
-    may have other roots just outside).  The two midpoints around the float
-    nearest x decide where they bracket the root; else the floats below a
-    and above b bound k, and it is found by galloping from x (steps 1, 2,
-    4, ...) inside those bounds, then bisecting.  A root exactly on a
-    midpoint goes to the float with the even mantissa.
+    The floats below a and above b bound k; it is found by galloping from x
+    (steps 1, 2, 4, ...) inside those bounds, then bisecting, each midpoint
+    in (a, b) decided from the exact sign of p there (p may have other roots
+    just outside).  From a polished x the first two midpoints bracket the
+    root.  A root exactly on a midpoint goes to the float with the even
+    mantissa.
     """
     half, sign = 1 << (prec - 1), (below[0] > 0) - (below[0] < 0)
 
@@ -511,21 +511,11 @@ def _nearest_root(p, x, below, a, b, prec):
         q, r = divmod(k, half)
         return half + r, q
 
-    def at(mid):  # > 0: the pair mid lies below the root
+    def side(k):  # > 0: the midpoint of floats k and k + 1 lies below the root
+        (m1, e1), (m2, e2) = value(k), value(k + 1)
+        mid = m1 + (m2 << (e2 - e1)), e1 - 1
         return 1 if not lt(a, mid) else -1 if not lt(mid, b) else sign * _exact_sign(p, mid)
 
-    def side(k):  # at the midpoint of floats k and k + 1
-        (m1, e1), (m2, e2) = value(k), value(k + 1)
-        return at((m1 + (m2 << (e2 - e1)), e1 - 1))
-
-    m, e = rn(x[0], x[1], prec)  # the float nearest x
-    n = m.bit_length() - prec
-    m, e = m >> n if n >= 0 else m << -n, e + n
-    up, down = at((2 * m + 1, e - 1)), at((4 * m - 1, e - 2) if m == half else (2 * m - 1, e - 1))
-    if down > 0 > up:
-        return m, e
-    if down > 0 == up or not down:  # on a midpoint: the float with the even mantissa
-        return m + (m & 1 if down else -(m & 1)), e
     lo, hi, s = index(a) - 1, index(b) + 1, -1
     k, step = min(max(index(x), lo + 1), hi - 1), 1
     while hi - lo > 1:
@@ -680,8 +670,6 @@ def _first_sign_change(p, hi, prec):
         return rn(hm * k, he - j, prec)
     if f is not c:
         p = [(m * hm ** (len(f) - 1 - i), e - i * he) for i, (m, e) in enumerate(f)]
-    else:  # p / x**nonzero[0]: p's signs and roots on x > 0, without its zero coefficients
-        p = p[nonzero[0]:nonzero[-1] + 1]
     top, below = max(m.bit_length() + e for m, e in f if m), (below, 0)  # the seed's f is below 1
     pf = [_float((m, e - top)) for m, e in f]
     t = _float_seed(pf, [i * v for i, v in enumerate(pf) if i], (k, -j), (k + 1, -j), below)

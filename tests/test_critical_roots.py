@@ -459,9 +459,10 @@ def test_nearest_root_from_far_iterates(digits, start):
 @pytest.mark.parametrize("sixths", [1, 2])
 @pytest.mark.parametrize("digits", [16, 50])
 def test_nearest_root_below_a_power_of_two(digits, sixths):
-    """From an iterate on 1/2, the two exact signs decide a root sixths/6 of 1/2's ulp below
-    it: the midpoint with the float below lies a quarter ulp away, so 1/6 rounds to 1/2 and
-    1/3 to the float below (a half-ulp midpoint there would give 1/2 for both)."""
+    """From an iterate on 1/2, the gallop decides a root sixths/6 of 1/2's ulp below it
+    across the binade: the midpoint with the float below lies a quarter ulp away, so 1/6
+    rounds to 1/2 and 1/3 to the float below (a half-ulp midpoint there would give 1/2 for
+    both)."""
     prec = ORACLE_CONTEXTS[digits].prec
     p = [(sixths - 3 * 2**prec, 0), (6 * 2**prec, 0)]  # root 1/2 - sixths 2**-prec / 6
     got = analysis._nearest_root(p, (1, -1), (-1, 0), (1, -2), (3, -2), prec)
