@@ -511,9 +511,9 @@ def _nearest_root(p, x, below, a, b, prec):
         q, r = divmod(k, half)
         return half + r, q
 
-    def side(k):  # > 0: the midpoint of floats k and k + 1 lies below the root
-        (m1, e1), (m2, e2) = value(k), value(k + 1)
-        mid = m1 + (m2 << (e2 - e1)), e1 - 1
+    def side(k):  # > 0: the midpoint of floats k and k + 1 (across binades too) lies below the root
+        m, e = value(k)
+        mid = 2 * m + 1, e - 1
         return 1 if not lt(a, mid) else -1 if not lt(mid, b) else sign * _exact_sign(p, mid)
 
     lo, hi, s = index(a) - 1, index(b) + 1, -1
@@ -662,7 +662,7 @@ def _first_sign_change(p, hi, prec):
     hm, he = hi
     # p / x**nonzero[0], without zero end coefficients, has p's signs on x > 0.  The two zero
     # top coefficients of every h polynomial would widen _exact_sign's integers to about
-    # 50,000 bits at rho = 1e5000 (Kutta3 at 200 digits: 1.04 ms per solve against 0.69).
+    # 50,000 bits at rho = 1e5000 (Kutta3 at 200 digits, 2-core Xeon: 0.94 ms per solve, not 0.60).
     nonzero = [i for i, (m, _) in enumerate(p) if m]
     p = p[nonzero[0]:nonzero[-1] + 1]
     c = [(m * hm ** i, e + i * he) for i, (m, e) in enumerate(p)]
