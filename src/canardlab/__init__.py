@@ -50,14 +50,10 @@ from .schemes import (
 )
 from .linearization import (
     AFamily,
-    ContractionLedger,
     KAHAN,
-    canard_spacing,
-    contraction_product,
     finite_difference_factor,
     jacobian_factor,
     q_s,
-    symmetry_center,
     symmetry_defect,
 )
 from .analysis import (

@@ -55,12 +55,11 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Optional, Union
 
 from .linearization import (CANARDS, SchemeSelector, _entry_offset, _escape_threshold,
                             _exact_zero, _iadd, _imul, _out, _poly_add, _poly_mul, _poly_scale,
-                            _products, _stage_polynomial, enclose, q_s, scheme_map)
+                            _stage_polynomial, enclose, q_s, scheme_map)
 from .precision import PrecisionContext
 from .rounding import abs_le, add, lt, mul, pack, rn, split
 from .schemes import _ONE, _ZERO, ButcherTableau, PoleError
@@ -266,10 +265,6 @@ class WayOutResult:
     psi: int
     product_at_exit: object
 
-    @property
-    def exit_index(self) -> int:
-        return self.n_in + self.psi
-
 
 def _entry_index(ctx, rho, center, spacing) -> int:
     t = (rho + center) / spacing
@@ -312,10 +307,20 @@ def wayout(
     spacing = canard.spacing(params)
     n_in = _entry_index(ctx, rho, canard.center(params), spacing)
     if n_in > max_n:
-        raise Unresolved(max_n, f"way-in N = {n_in} exceeds the budget of {max_n} steps")
+        shown = n_in if n_in < 10**30 else ctx.nstr(ctx.mpf(n_in), 15)
+        raise Unresolved(max_n, f"way-in N = {shown} exceeds the budget of {max_n} steps")
+    prec = ctx.prec
     bar = split((1 - ctx.tol(10))._mpf_)
-    products = islice(_products(factor, rho, spacing, ctx.prec), n_in + max_n + 1)
-    for n, (pos, _, prod) in enumerate(products):
+    start, step = split((-rho)._mpf_), split(spacing._mpf_)
+    prod = _ONE
+    for n in range(n_in + max_n + 1):
+        # n*spacing is formed afresh each step, not accumulated, so rounding cannot drift
+        pos = add(start, mul((n, 0), step, prec), prec)
+        try:
+            prod = mul(prod, factor(pos), prec)
+        except PoleError as err:
+            err.index = n
+            raise
         if not prod[0]:
             raise Unresolved(max_n, f"way-out product is exactly 0 from step {n} on: the multiplier "
                                     f"vanishes at canard position {ctx.nstr_pair(pos, 15)}")

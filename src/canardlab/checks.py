@@ -31,7 +31,6 @@ from .linearization import (
     finite_difference_factor,
     jacobian_factor,
     q_s,
-    symmetry_center,
     symmetry_defect,
 )
 from .rounding import abs_le, mul, pack, split, sub
@@ -97,7 +96,7 @@ def kahan_symmetry(ctx, rng):
     ]
     worst = ctx.mpf(0)
     for kind, scheme in cases:
-        c = symmetry_center(kind, params)
+        c = CANARDS[kind].center(params)
         for i in range(1, 1001):
             d = ctx.mpf(i) / 200  # up to 5, inside the pole radius ~10
             defect = symmetry_defect(kind, scheme, params, c + d)

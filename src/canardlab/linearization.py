@@ -36,10 +36,8 @@ share one stage recursion, _stage_polynomial, on cached tableau pairs.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import count, islice
 from math import inf, ldexp
 from typing import Callable, Optional, Union
 
@@ -497,20 +495,6 @@ def jacobian_factor(
     return _on_scalars(params.ctx, scheme_map(kind, scheme, params).factor)(s_pos)
 
 
-def canard_spacing(kind: SingularityKind, params: SystemParams):
-    """Per-step slow advance of the canard: eps*h, except eps*h/2 on the fold."""
-    return CANARDS[kind].spacing(params)
-
-
-def symmetry_center(kind: SingularityKind, params: SystemParams):
-    """Center of the pairing identity: -eps*h/2 on the lines, 0 on the fold.
-
-    It is the Moebius multiplier's (B - A)/2g (see _moebius_multiplier), the
-    point where numerator and denominator both equal K = (A + B)/2, so J = 1.
-    """
-    return CANARDS[kind].center(params)
-
-
 def _entry_offset(ctx, rho):
     """rho as a scalar of ctx, or a ValueError naming it unless it is finite and > 0."""
     rho = ctx.mpf(rho)
@@ -529,72 +513,6 @@ def _escape_threshold(ctx, escape, default):
     return threshold
 
 
-@dataclass
-class ContractionLedger:
-    """Multipliers and running products along a canard entered at -rho.
-
-    factors[k] is the multiplier at canard position -rho + k*spacing and
-    running_product[k] the inclusive product of factors[0..k].
-    """
-
-    rho: object
-    spacing: object
-    positions: list = field(default_factory=list)
-    factors: list = field(default_factory=list)
-    running_product: list = field(default_factory=list)
-
-    def write_csv(self, path, ndigits: int = 30, ctx=None):
-        """Export as CSV with columns k, s_pos, factor, log_running_product (ln|product|)."""
-        if ctx is None:
-            ctx = self.positions[0].context
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "s_pos", "factor", "log_running_product"])
-            rows = zip(self.positions, self.factors, self.running_product)
-            for k, (pos, f, prod) in enumerate(rows):
-                writer.writerow([k] + [ctx.nstr(v, ndigits) for v in (pos, f, ctx.ln(abs(prod)))])
-
-
-def _products(factor, rho, spacing, prec):
-    """(position, multiplier, running product) as pairs at -rho + k*spacing, k = 0, 1, ...
-
-    k*spacing is formed afresh each step, not accumulated; a PoleError
-    carries the index k of the position that hit the pole.
-    """
-    (rm, re), step = split(rho._mpf_), split(spacing._mpf_)
-    prod = _ONE
-    for k in count():
-        pos = add((-rm, re), mul((k, 0), step, prec), prec)
-        try:
-            f = factor(pos)
-        except PoleError as err:
-            err.index = k
-            raise
-        prod = mul(prod, f, prec)
-        yield pos, f, prod
-
-
-def contraction_product(
-    kind: SingularityKind,
-    scheme: SchemeSelector,
-    params: SystemParams,
-    rho,
-    n: int,
-) -> ContractionLedger:
-    """Ledger of multipliers at canard positions -rho + k*spacing, k = 0..n."""
-    ctx = params.ctx
-    make = ctx.make_mpf
-    rho = _entry_offset(ctx, rho)
-    factor = scheme_map(kind, scheme, params).factor
-    spacing = canard_spacing(kind, params)
-    ledger = ContractionLedger(rho=rho, spacing=spacing)
-    for pos, f, prod in islice(_products(factor, rho, spacing, ctx.prec), n + 1):
-        ledger.positions.append(make(pack(pos)))
-        ledger.factors.append(make(pack(f)))
-        ledger.running_product.append(make(pack(prod)))
-    return ledger
-
-
 def symmetry_defect(
     kind: SingularityKind,
     scheme: SchemeSelector,
@@ -609,7 +527,7 @@ def symmetry_defect(
     no such pairing.
     """
     factor = _on_scalars(params.ctx, scheme_map(kind, scheme, params).factor)
-    c = symmetry_center(kind, params)
+    c = CANARDS[kind].center(params)
     d = s_pos - c
     return abs(factor(c + d) * factor(c - d) - 1)
 

@@ -19,7 +19,6 @@ from canardlab import (
     SystemParams,
     Unresolved,
     classify_jump,
-    contraction_product,
     critical_h_bisection,
     critical_triplet_linearized,
     kstar_pitchfork_euler,
@@ -326,9 +325,8 @@ def test_wayout_requires_entry_past_center(ctx, params):
     (lambda p: classify_jump(T, EULER, p, "inf", "1e-4"), "rho must be finite and > 0, got +inf"),
     (lambda p: classify_jump(P, KAHAN, p, "nan", "1e-4"), "rho must be finite and > 0, got nan"),
     (lambda p: wayout(T, KAHAN, p, "inf"), "rho must be finite and > 0, got +inf"),
-    (lambda p: contraction_product(T, KAHAN, p, "inf", 3), "rho must be finite and > 0, got +inf"),
 ], ids=["classify-escape-inf", "classify-raw-escape-inf", "classify-escape-nan",
-        "classify-rho-inf", "classify-rho-nan", "wayout-rho-inf", "contraction-rho-inf"])
+        "classify-rho-inf", "classify-rho-nan", "wayout-rho-inf"])
 def test_non_finite_rho_and_escape_are_named(params, call, message):
     with pytest.raises(ValueError) as err:
         call(params)

@@ -288,6 +288,30 @@ def test_wayout_way_in_beyond_budget_exits_4(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_wayout_huge_way_in_is_shown_to_15_digits(tmp_path, capsys):
+    # N is about 1e5001: exactly it would need more digits than str(int) converts
+    out = tmp_path / "wayout.csv"
+    code = main(["wayout", "--kind", "transcritical", "--scheme", "kahan", "--h", "0.1",
+                 "--eps", "1e-5000", "--rho", "1", "--out", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "unresolved: way-in N = 1.0e+5001 exceeds the budget of 1000000 steps"
+    ]
+    assert not out.exists()
+
+
+def test_wayout_budget_beyond_machine_integers(tmp_path):
+    rows = []
+    for budget in ([], ["--n-max", "100000000000000000000"]):
+        out = tmp_path / f"wayout{len(rows)}.csv"
+        code = main(["wayout", "--kind", "transcritical", "--scheme", "kahan", "--h", "0.1",
+                     "--eps", "0.01", "--rho", "1", "--out", str(out), *budget])
+        assert code == 0
+        rows.append(_read_csv(out)[0])
+    assert rows[0] == rows[1] == [["kind", "scheme", "h", "eps", "rho", "N", "psi"],
+                                  ["transcritical", "kahan", "0.1", "0.01", "1", "999", "1000"]]
+
+
 @pytest.mark.parametrize("kind, rho, step, position", [
     ("transcritical", "10.001", 0, "-10.001"),
     ("transcritical", "20", 9999, "-10.001"),

@@ -1,4 +1,3 @@
-import csv
 from fractions import Fraction
 
 import pytest
@@ -15,15 +14,14 @@ from canardlab import (
     PoleError,
     SingularityKind,
     SystemParams,
-    contraction_product,
     finite_difference_factor,
     jacobian_factor,
     q_s,
-    symmetry_center,
     symmetry_defect,
     make_context,
+    wayout,
 )
-from canardlab.linearization import CANARDS, _stage_polynomial, canard_spacing, scheme_map
+from canardlab.linearization import CANARDS, _stage_polynomial, scheme_map
 from canardlab.rounding import pack, split
 from mpf_oracles import bind
 
@@ -211,70 +209,44 @@ def test_fold_variational_transversal_entry(ctx, params):
 
 
 def test_contraction_single_factor(ctx, params):
-    ledger = contraction_product(T, EULER, params, ctx.mpf("0.2"), 0)
-    assert abs(ledger.running_product[0] - ctx.mpf("0.96")) < ctx.tol(8)
-    assert len(ledger.factors) == 1
+    assert abs(jacobian_factor(T, EULER, params, ctx.mpf("-0.2")) - ctx.mpf("0.96")) < ctx.tol(8)
 
 
 def test_contraction_lattice_symmetry_transcritical(ctx, params):
     n_lat = 12
     eh = params.epsilon * params.h
     rho = eh * n_lat + eh / 2
-    ledger = contraction_product(T, KAHAN, params, rho, 2 * n_lat)
-    assert abs(ledger.running_product[2 * n_lat] - 1) < ctx.tol(12)
+    res = wayout(T, KAHAN, params, rho)
+    assert res.n_in == res.psi == n_lat
+    assert abs(res.product_at_exit - 1) < ctx.tol(12)
 
 
 def test_contraction_lattice_symmetry_fold(ctx, params):
     n_lat = 12
     rho = params.epsilon * params.h * n_lat / 2
-    ledger = contraction_product(F, KAHAN, params, rho, 2 * n_lat)
-    assert abs(ledger.running_product[2 * n_lat] - 1) < ctx.tol(12)
-
-
-def test_ledger_csv_log_column(tmp_path, ctx, params):
-    ledger = contraction_product(T, EULER, params, ctx.mpf("0.3"), 20)
-    path = tmp_path / "ledger.csv"
-    ledger.write_csv(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))[1:]
-    bar = ctx.mpf("1e-28")  # the column is printed to 30 digits
-    for k in (0, 7, 20):
-        logged = ctx.mpf(rows[k][3])
-        log_sum = sum(ctx.ln(abs(f)) for f in ledger.factors[: k + 1])
-        assert abs(logged - log_sum) <= bar * max(1, abs(log_sum))
-        direct = abs(ledger.running_product[k])
-        assert abs(ctx.exp(logged) - direct) <= bar * direct
+    res = wayout(F, KAHAN, params, rho)
+    assert res.n_in == res.psi == n_lat
+    assert abs(res.product_at_exit - 1) < ctx.tol(12)
 
 
 def test_contraction_pole_carries_index(ctx):
-    params = SystemParams.create(ctx, "1", "0.25")
+    # the entry lies beyond the multiplier's zero -(1 + h^2 eps)/h = -2.3125, off its lattice
+    params = SystemParams.create(ctx, "0.625", "0.5")
     with pytest.raises(PoleError) as err:
-        contraction_product(T, KAHAN, params, ctx.mpf(1), 25)
-    assert err.value.index == 20  # position -1 + 0.25*k hits the pole x = 4 at k = 20
+        wayout(T, KAHAN, params, ctx.mpf("4.25"))
+    assert err.value.index == 20  # position -4.25 + 0.3125*k hits the pole x = 2 at k = 20
 
 
 def test_product_symmetry_vstar(ctx, params):
     """v*(-m) v*(m) = 1 along the special canard for the Kahan maps."""
     for kind in (T, F):
-        c = symmetry_center(kind, params)
-        spacing = canard_spacing(kind, params)
+        c, spacing = CANARDS[kind].center(params), CANARDS[kind].spacing(params)
         for m in (1, 5, 20):
             prod = ctx.mpf(1)
             for k in range(-m, m + 1):
                 prod *= jacobian_factor(kind, KAHAN, params, c + k * spacing)
             # the center factor J(c) = 1 is counted once; pairs cancel exactly
             assert abs(prod - 1) < ctx.tol(12)
-
-
-def test_ledger_csv_export(tmp_path, ctx, params):
-    ledger = contraction_product(T, EULER, params, ctx.mpf("0.2"), 5)
-    path = tmp_path / "ledger.csv"
-    ledger.write_csv(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["k", "s_pos", "factor", "log_running_product"]
-    assert len(rows) == 7
-    assert rows[1][0] == "0"
 
 
 # -- pairing identity ---------------------------------------------------------------
@@ -306,7 +278,7 @@ def test_pairing_identity_property(ctx, kind, h, eps, a, frac):
     a = ctx.mpf(a)
     scheme = AFamily(a) if kind is P else KAHAN
     d = ctx.mpf(frac) / 1000 * _pole_distance(kind, params, a) / 2
-    assert symmetry_defect(kind, scheme, params, symmetry_center(kind, params) + d) <= ctx.tol(10)
+    assert symmetry_defect(kind, scheme, params, CANARDS[kind].center(params) + d) <= ctx.tol(10)
 
 
 # -- finite differences --------------------------------------------------------------

@@ -3,8 +3,8 @@
 The oracles below are the mpf closed forms of the transversal multipliers,
 kept here as the reference: every pair kernel of scheme_map must return
 their ``_mpf_`` tuples bit for bit, raise PoleError exactly where they
-divide by zero, and the way-out product and contraction ledgers built on
-the kernels must equal the same loops written in mpf arithmetic.
+divide by zero, and the way-out product built on the kernels must equal the
+same loop written in mpf arithmetic.
 
 The Kahan and implicit-family oracles are the reduced Moebius form
 (A + g s)/(B - g s), in the kernel's order of operations.  They replaced
@@ -32,7 +32,6 @@ from canardlab import (
     SingularityKind,
     SystemParams,
     Unresolved,
-    contraction_product,
     jacobian_factor,
     make_context,
     q_s,
@@ -136,22 +135,22 @@ def test_explicit_rk_multipliers_match_mpf(digits):
                 _same(kernel, oracle, ctx.mpf(i) / 7)
 
 
-# (kind, scheme, h, eps, rho, n, pole index): the canard positions -rho + k eps h
+# (kind, scheme, h, eps, rho, pole index): the canard positions -rho + k eps h
 # (k eps h / 2 on the fold) hit the pole of the multiplier exactly at that index.
 EXACT_POLES = [
-    (T, KAHAN, "2", "0.25", "0.5", 4, 2),  # 1 - h x = 0 at x = 1/2
-    (T, KAHAN, "0.25", "1", "1", 25, 20),  # x = 4
-    (F, KAHAN, "2", "1", "1", 4, 2),  # 1 - h x + h h eps/4 = 0 at x = 1
-    (P, KAHAN, "2", "0.25", "0.5", 5, 3),  # a = -1/2: 1 - h y/2 = 0 at y = 1
-    (P, AFamily("0.5"), "2", "0.25", "0.5", 5, 2),  # 1 - y - 1/2 = 0 at y = 1/2
+    (T, KAHAN, "2", "0.25", "0.5", 2),  # 1 - h x = 0 at x = 1/2
+    (T, KAHAN, "0.25", "1", "1", 20),  # x = 4
+    (F, KAHAN, "2", "1", "1", 2),  # 1 - h x + h h eps/4 = 0 at x = 1
+    (P, KAHAN, "2", "0.25", "0.5", 3),  # a = -1/2: 1 - h y/2 = 0 at y = 1
+    (P, AFamily("0.5"), "2", "0.25", "0.5", 2),  # 1 - y - 1/2 = 0 at y = 1/2
 ]
 
 
 @pytest.mark.parametrize("digits", sorted(CONTEXTS))
-@pytest.mark.parametrize("kind, scheme, h, eps, rho, n, index", EXACT_POLES,
+@pytest.mark.parametrize("kind, scheme, h, eps, rho, index", EXACT_POLES,
                          ids=["transcritical-h2", "transcritical-h0.25", "fold-h2",
                               "kahan-pitchfork-h2", "afamily-0.5-h2"])
-def test_exact_poles_raise_with_index(digits, kind, scheme, h, eps, rho, n, index):
+def test_exact_poles_raise_with_index(digits, kind, scheme, h, eps, rho, index):
     ctx = CONTEXTS[digits]
     params = SystemParams.create(ctx, eps, h)
     pole = -ctx.mpf(rho) + index * CANARDS[kind].spacing(params)
@@ -162,25 +161,35 @@ def test_exact_poles_raise_with_index(digits, kind, scheme, h, eps, rho, n, inde
         scheme_map(kind, scheme, params).factor(split(pole._mpf_))
     with pytest.raises(PoleError, match=message):
         jacobian_factor(kind, scheme, params, pole)
-    with pytest.raises(PoleError, match=message) as err:
-        contraction_product(kind, scheme, params, rho, n)
+
+
+# The rows above also put the multiplier's zero -A/g on the lattice, 2R/spacing steps
+# before the pole (R the pole's distance from the symmetry centre), so wayout stops at
+# the zero or exits before it reaches the pole.  Here 2R/spacing is not an integer and
+# the entry lies beyond the zero: the product stays below the bar up to the pole.
+WAYOUT_POLES = [
+    (T, KAHAN, "0.5", "0.625", "2.0625", 13),  # x = 1/h = 2
+    (F, KAHAN, "0.5", "0.75", "2.03125", 22),  # x = q/h = 2.09375
+    (P, KAHAN, "0.5", "0.75", "4.25", 22),  # y = 2 B/h = 4
+    (P, AFamily("0.5"), "0.5", "0.75", "3.875", 20),  # y = 2 B/h = 3.625
+]
+
+
+@pytest.mark.parametrize("digits", sorted(CONTEXTS))
+@pytest.mark.parametrize("kind, scheme, h, eps, rho, index", WAYOUT_POLES,
+                         ids=["transcritical", "fold", "kahan-pitchfork", "afamily-0.5"])
+def test_wayout_poles_raise_with_index(digits, kind, scheme, h, eps, rho, index):
+    ctx = CONTEXTS[digits]
+    params = SystemParams.create(ctx, eps, h)
+    pole = -ctx.mpf(rho) + index * CANARDS[kind].spacing(params)
+    with pytest.raises(PoleError) as err:
+        _oracle(kind, scheme, params)(pole)
+    with pytest.raises(PoleError, match=re.escape(str(err.value))) as err:
+        wayout(kind, scheme, params, rho)
     assert err.value.index == index
 
 
 # -- products, bit for bit -------------------------------------------------------------
-
-
-def _ledger_mpf(oracle, ctx, rho, spacing, n):
-    positions, factors, products = [], [], []
-    prod = ctx.mpf(1)
-    for k in range(n + 1):
-        pos = -rho + k * spacing
-        f = oracle(pos)
-        prod = prod * f
-        positions.append(pos._mpf_)
-        factors.append(f._mpf_)
-        products.append(prod._mpf_)
-    return positions, factors, products
 
 
 def _exit_mpf(oracle, ctx, rho, spacing, n_in):
@@ -219,11 +228,6 @@ def test_products_match_mpf_loops(digits, kind, scheme, rho):
 
     res = wayout(kind, scheme, params, rho)
     assert (res.psi, res.product_at_exit._mpf_) == _exit_mpf(oracle, ctx, rho, spacing, res.n_in)
-
-    ledger = contraction_product(kind, scheme, params, rho, 40)
-    got = tuple([v._mpf_ for v in column]
-                for column in (ledger.positions, ledger.factors, ledger.running_product))
-    assert got == _ledger_mpf(oracle, ctx, rho, spacing, 40)
 
 
 # -- the reduced forms, exactly --------------------------------------------------------
