@@ -58,10 +58,9 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .linearization import (CANARDS, SchemeSelector, _entry_offset, _escape_threshold,
-                            _exact_zero, _iadd, _imul, _out, _poly_add, _poly_mul, _poly_scale,
-                            _stage_polynomial, enclose, q_s, scheme_map)
+                            _exact_zero, _iadd, _imul, enclose, q_s, scheme_map)
 from .precision import PrecisionContext
-from .rounding import abs_le, add, lt, mul, pack, rn, split
+from .rounding import abs_le, add, div, lt, mul, pack, rn, split
 from .schemes import _ONE, _ZERO, ButcherTableau, PoleError
 from .systems import PlanarPoint, SingularityKind, SystemParams
 
@@ -186,12 +185,59 @@ _BERNOULLI_PLUS = (
 )
 
 
+def _critical_terms(tableau: ButcherTableau, stage_factor, in_rho, v, eps):
+    """1 + h Q_s(-rho; h, eps) in h at rho = v, or in rho at h = v (in_rho), exactly.
+
+    Lists of exact pairs and D > 0 (ButcherTableau.critical_polynomial at the pairs v and
+    eps): the coefficient of degree i is the sum of the i-th list over D.  There are 2 s
+    lists in h and s + 1 in rho: the degree is at most 2 s - 1 in h, s in rho, s - 1 in eps.
+    """
+    terms, den = tableau.critical_polynomial(stage_factor)
+    s = tableau.s
+    vs = [(v[0] ** i, v[1] * i) for i in range(2 * s)]
+    es = [(eps[0] ** i, eps[1] * i) for i in range(s)]
+    out = [[] for _ in range(s + 1 if in_rho else 2 * s)]
+    for term in terms:  # (i, j, k, n) of h**i x**j eps**k, x = -rho
+        (vm, ve), (em, ee) = vs[term[not in_rho]], es[term[2]]
+        out[term[in_rho]].append(((-1) ** term[1] * term[3] * vm * em, ve + ee))
+    return out, den
+
+
+def _rounded_sum(terms, den, prec):
+    """The sum of the exact pairs terms over den > 0, rounded once to nearest-even at prec bits.
+
+    Where the exponents lie more than 2 w apart, w = prec + 32 + den's bit length, each term
+    is floored at 2**cut, w bits below the top: the sum lies in [a, a + n) 2**cut for n
+    terms, and rounding is monotone, so where both ends round alike, so does the sum.
+    Otherwise the sum is formed exactly.
+    """
+    if len(terms) < 2:
+        return div(terms[0], (den, 0), prec) if terms else _ZERO
+    exps = [e for _, e in terms]
+    low, w = min(exps), prec + 32 + den.bit_length()
+    if max(exps) - low > 2 * w:
+        cut = max(m.bit_length() + e for m, e in terms) - w
+        a = sum(m >> cut - e if e < cut else m << e - cut for m, e in terms)
+        lo = div((a, cut), (den, 0), prec)
+        if not lt(lo, div((a + len(terms), cut), (den, 0), prec)):
+            return lo
+    return div((sum(m << e - low for m, e in terms), low), (den, 0), prec)
+
+
 def _theta_coefficients(tableau: ButcherTableau, params: SystemParams, rho):
-    """Coefficients theta_i of 1 + h Q_s(-rho + h eps k) as a polynomial in k."""
-    ctx, prec = params.ctx, params.ctx.prec
+    """Coefficients theta_i of 1 + h Q_s(-rho + h eps k) as a polynomial in k.
+
+    Each is the exact coefficient at the values of h, eps and rho, rounded once to
+    nearest-even (_rounded_sum): the polynomial in rho of _critical_terms, shifted to
+    rho - (h eps) k binomially.
+    """
+    ctx, s = params.ctx, tableau.s
     h, eps, (rm, re) = (split(v._mpf_) for v in (params.h, params.epsilon, rho))
-    qs = _stage_polynomial(tableau, ctx, [(-rm, re), mul(h, eps, prec)], [h], eps)
-    return [ctx.make_mpf(pack(c)) for c in _poly_add([_ONE], _poly_scale(qs, h, prec), prec)]
+    rhos, den = _critical_terms(tableau, 2, True, h, eps)
+    km, ke = -h[0] * eps[0], h[1] + eps[1]  # -h eps, exactly
+    theta = [[(math.comb(j, i) * m * rm ** (j - i) * km ** i, e + re * (j - i) + ke * i)
+              for j in range(i, s + 1) for m, e in rhos[j]] for i in range(s + 1)]
+    return [ctx.make_mpf(pack(_rounded_sum(t, den, ctx.prec))) for t in theta]
 
 
 def rk_theta0(tableau: ButcherTableau, params: SystemParams, rho):
@@ -665,9 +711,8 @@ def _first_sign_change(p, hi, prec):
     Newton's path is moot.
     """
     hm, he = hi
-    # p / x**nonzero[0], without zero end coefficients, has p's signs on x > 0.  The two zero
-    # top coefficients of every h polynomial would widen _exact_sign's integers to about
-    # 50,000 bits at rho = 1e5000 (Kutta3 at 200 digits, 2-core Xeon: 0.94 ms per solve, not 0.60).
+    # p / x**nonzero[0], without zero end coefficients, has p's signs on x > 0; zero top
+    # coefficients (those of eps at eps = 0) would only widen _exact_sign's integers
     nonzero = [i for i, (m, _) in enumerate(p) if m]
     p = p[nonzero[0]:nonzero[-1] + 1]
     c = [(m * hm ** i, e + i * he) for i, (m, e) in enumerate(p)]
@@ -687,25 +732,17 @@ def _first_sign_change(p, hi, prec):
     return _nearest_root(p, t, below, a, b, prec)
 
 
-def _first_root(tableau, ctx, x, h, eps, hi, stage_factor=2):
-    """_first_sign_change in (0, hi] of 1 + h Q_s(x) (x, h polynomials of pairs), or None."""
-    prec = ctx.prec
-    q = _stage_polynomial(tableau, ctx, x, h, split(eps._mpf_), stage_factor)
-    p = _poly_add([_ONE], _poly_mul(h, q, prec), prec)
-    root = _first_sign_change(p, split(hi._mpf_), prec)
-    return None if root is None else ctx.make_mpf(pack(root))
-
-
 def critical_triplet_linearized(
     tableau: ButcherTableau, h, eps, ctx: PrecisionContext
 ) -> Optional[CriticalTriplet]:
     """First sign change of 1 + h Q_s(-rho) in rho on (0, 10/h], or None.
 
-    At fixed (h, eps) this is a polynomial of degree s in rho, its
-    coefficients rounded at the context's precision.  Its first root of odd
-    multiplicity in (0, 10/h] (a tangency is not critical) is isolated
-    exactly, polished by Newton and returned rounded to nearest-even at the
-    context's precision (_first_sign_change); nothing is scanned.  The cap
+    At fixed (h, eps) this is a polynomial of degree s in rho.  Each
+    coefficient is the exact one at the values of h and eps, rounded once to
+    nearest-even at the context's precision (_critical_terms, _rounded_sum).
+    Its first root of odd multiplicity in (0, 10/h] (a tangency is not
+    critical) is isolated exactly, polished by Newton and returned rounded
+    to nearest-even (_first_sign_change); nothing is scanned.  The cap
     10/h is fixed: larger entries fall outside the local canonical-form
     regime.  Forward Euler gives rho* = 1/(2h) exactly; where a scheme has
     no sign change below the cap (heun2 at h = 0.1, eps = 0.01, or at h =
@@ -714,9 +751,11 @@ def critical_triplet_linearized(
     params = SystemParams.create(ctx, eps, h)
     if not params.epsilon > 0:
         raise ValueError("critical triplets require epsilon > 0")
-    x, h = [_ZERO, (-1, 0)], [split(params.h._mpf_)]
-    rho = _first_root(tableau, ctx, x, h, params.epsilon, _RHO_CAP / params.h)
-    return None if rho is None else CriticalTriplet(rho, params.h, params.epsilon, "linearized")
+    rhos, den = _critical_terms(tableau, 2, True, split(params.h._mpf_), split(params.epsilon._mpf_))
+    p = [_rounded_sum(t, den, ctx.prec) for t in rhos]
+    rho = _first_sign_change(p, split((_RHO_CAP / params.h)._mpf_), ctx.prec)
+    if rho is not None:
+        return CriticalTriplet(ctx.make_mpf(pack(rho)), params.h, params.epsilon, "linearized")
 
 
 def linearized_critical_h(
@@ -726,18 +765,20 @@ def linearized_critical_h(
 
     This is the critical-triplet equation solved for the step size at fixed
     (rho, eps), the quantity plotted by the critical-surface sweeps: a
-    polynomial of degree at most 2s in h, equal to 1 at h = 0, solved as in
-    critical_triplet_linearized; h = [0, 1] enters the stage recursion as a
-    shift, with no product by its exact 0 or 1.  The cap 10/rho is fixed; it
-    is what leaves heun2 without a root in most cells of the README grid.
-    stage_factor is q_s's: 2 on the transcritical diagonal, 1 on the
-    pitchfork line (forward Euler's root is then 1/(c rho)).
+    polynomial of degree at most 2s - 1 in h, equal to 1 at h = 0, its
+    coefficients the exact ones at the values of rho and eps, each rounded
+    once, and solved as in critical_triplet_linearized.  The cap 10/rho is
+    fixed; it is what leaves heun2 without a root in most cells of the
+    README grid.  stage_factor is q_s's: 2 on the transcritical diagonal, 1
+    on the pitchfork line (forward Euler's root is then 1/(c rho)).
     """
     rho, eps = _entry_offset(ctx, rho), ctx.mpf(eps)
     if not (eps >= 0 and ctx.isfinite(eps)):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
-    x, h = [split((-rho)._mpf_)], [_ZERO, _ONE]
-    return _first_root(tableau, ctx, x, h, eps, _H_CAP / rho, stage_factor)
+    hs, den = _critical_terms(tableau, stage_factor, False, split(rho._mpf_), split(eps._mpf_))
+    h = _first_sign_change([_rounded_sum(t, den, ctx.prec) for t in hs], split((_H_CAP / rho)._mpf_),
+                           ctx.prec)
+    return None if h is None else ctx.make_mpf(pack(h))
 
 
 # ---------------------------------------------------------------------------
@@ -841,42 +882,48 @@ def classify_jump(
     return _classify(kind, scheme, params, rho, delta, escape, max_n, track_deviation, start)
 
 
-#: _sign_lock splits u's interval up to thr in _PARTS and lets a chunk lose _LOSS bits of
-#: growth; _classify tries it from step _LOCK_FIRST on.
-_PARTS, _LOSS, _LOCK_FIRST, _LN2 = 8, 16, 16, math.log(2)
+#: _sign_lock splits u's interval up to thr in _PARTS, lets a chunk lose _LOSS bits of growth
+#: and gives up after _CHUNKS chunks; _classify tries it from step _LOCK_FIRST on, and
+#: without a proof iterates at most _ITERATE_CAP steps at a time.
+_PARTS, _LOSS, _CHUNKS, _LOCK_FIRST, _ITERATE_CAP, _LN2 = 8, 16, 2048, 16, 10**10, math.log(2)
 
 
 def _sign_lock(ratio, params, u, y, thr, steps):
     """None once the deviation orbit from (u, y) surely escapes within steps with u's sign.
 
     ratio() gives (enclosure, once), enclosure bounding the deviation step's u'/u - 1 (see
-    linearization) over steps a..b ahead: y in y + [a, b] eps h plus the 2**-prec |y| each
-    step may round y by, u in sigma [0, e].  Where lo > -1 these steps keep u's sign and
-    scale |u| by 1 + lo to 1 + hi.  Bounds on log2 |u| grow over chunks that double, or halve
-    where lo <= -1 or they lose _LOSS bits; e is the upper bound's reach until that meets
-    thr (split in _PARTS there, unless u occurs once).  Else the steps got through are returned.
+    linearization) over steps a..b ahead: y in y + [a, b] eps h plus its rounding drift over
+    those b steps (each may round y by 2**-prec |y|; lo is -inf where it may exceed 1), u in
+    sigma [0, e].  Where lo > -1 these steps keep u's sign and scale |u| by 1 + lo to 1 + hi.
+    Bounds on log2 |u| grow over chunks that double, or halve where lo <= -1 or they lose
+    _LOSS bits; e is the upper bound's reach, at most thr (split in _PARTS there, unless u
+    occurs once).  Else, or after _CHUNKS chunks, the steps got through are returned.
     """
     heps = mul(split(params.h._mpf_), split(params.epsilon._mpf_), params.ctx.prec)
     try:
         (ratio, once), y0, dy, top = ratio(), enclose(y), enclose(heps), enclose(thr)[1]
-        reach = (abs(y0[0]) + abs(y0[1]) + (steps + 1) * dy[1] + 1) * steps
-        drift, goal = _out(0.0, math.ldexp(reach, 1 - params.ctx.prec))[1], math.log2(top) + 1e-9
     except ArithmeticError:  # no proof beyond the float range, or below 53 bits
         return steps
-    if params.ctx.prec < 53 or drift > 1:
+    if params.ctx.prec < 53:
         return steps
+    goal, size = math.log2(top) + 1e-9, abs(y0[0]) + abs(y0[1]) + 1
+    unit = math.ldexp(1 + 2.0 ** -50, 1 - params.ctx.prec)  # with the float rounding of drift
     sigma, k, n, rate = u[0], 0, 1, 0.0
     low = float(abs(u[0]).bit_length() - 1 + u[1])  # low <= log2 |u| < high
     high = low + 1
-    while low < goal:
+    for _ in range(_CHUNKS):
+        if low >= goal:
+            return None
         n = min(n, int((goal - high - 2) / rate)) if rate and high + rate + 2 < goal else n
         b, room = min(k + n, steps), high + n * rate + 2
         if k == b:
             return k
-        e = math.nextafter(math.ldexp(2.0, math.ceil(room)), math.inf) if room < goal else top
-        ys = _iadd(_iadd(y0, _imul((float(k), float(b)), dy)), (-drift, drift))
+        e = top if room >= goal else min(math.nextafter(math.ldexp(2.0, math.ceil(room)), math.inf), top)
         m = 1 if once or e < top else _PARTS  # u enters the RK stages several times
-        try:
+        try:  # y's rounding drift over b steps, |y| <= size + b dy while it is at most 1
+            drift = (size + (b + 1) * dy[1]) * b * unit
+            drift = drift if drift <= 1 else math.inf  # an infinite bound fails the chunk
+            ys = _iadd(_iadd(y0, _imul((float(k), float(b)), dy)), (-drift, drift))
             los, his = zip(*[ratio(ys, (a, c) if sigma > 0 else (-c, -a))
                              for a, c in [(e * i / m, e * (i + 1) / m) for i in range(m)]])
             lo, hi = min(los), max(his)
@@ -895,7 +942,22 @@ def _sign_lock(ratio, params, u, y, thr, steps):
         low = math.nextafter(low + (b - k) * down - 1e-6, -math.inf)
         high = math.nextafter(high + (b - k) * up + 1e-6, math.inf)
         k, n, rate = b, n if e < top and loss > _LOSS / 4 else 2 * n, 2 * max(up, 0.0)
-    return None
+    return None if low >= goal else k
+
+
+def _never_grows(ratio, u, y):
+    """Whether the enclosure at a fixed y over sigma [0, |u|] gives -1 < lo <= hi <= 0.
+
+    Then each step keeps u's sign and |u| does not grow, so u stays in that interval and
+    never reaches the threshold.
+    """
+    try:
+        enclosure, _ = ratio()
+        e = enclose((abs(u[0]), u[1]))[1]
+        lo, hi = enclosure(enclose(y), (0.0, e) if u[0] > 0 else (-e, 0.0))
+    except ArithmeticError:
+        return False
+    return -1 < lo <= hi <= 0
 
 
 def _classify(
@@ -911,7 +973,10 @@ def _classify(
     result.
 
     With lock, a full deviation orbit undecided at step k = 16, 32, ... stops
-    there once _sign_lock proves its label, or runs on if it fails past k.
+    there once _sign_lock proves its label, or runs on if it fails past k.  Where y
+    no longer moves, a fixed point, or a deviation that _never_grows, is STUCK at
+    max_n without iterating; and where no proof holds, a run of more than
+    _ITERATE_CAP steps raises Unresolved instead.
     """
     ctx = params.ctx
     if not params.epsilon > 0:
@@ -947,13 +1012,18 @@ def _classify(
         if stop is None:  # u keeps its sign: a prefix that ends here has the full label
             label = _iterate(step, deviation, x, y, u, above, thr, n, 0, n)[0]
             break
-        try:  # a fixed point stays there until the budget runs out, as the full orbit does
-            if stop and step(u, y) == (u, y):
-                label, n = JumpClass.STUCK, max_n
-                break
+        try:  # y's step is y + eps h: where it leaves y, y stays there
+            un, yn = step(u, y) if stop else (None, None)
         except PoleError:  # raised again, with its index, by the next step
-            pass
+            un = yn = None
+        # a fixed point, or |u| that never grows, runs out the budget as the full orbit does
+        if yn == y and (un == u or _never_grows(smap.deviation_ratio, u, y)):
+            label, n = JumpClass.STUCK, max_n
+            break
         k = min(2 * k, max_n) if stop == 0 else max_n  # stop 0: the band may go on
+        if k - n > _ITERATE_CAP:
+            raise Unresolved(max_n, f"no label proved at step {n}, and the orbit would run more "
+                                    f"than {_ITERATE_CAP} steps on")
         label, n, x, y, u, later = _iterate(step, deviation, x, y, u, above, thr, k, None, n)
         flip = later or flip
     label = label or JumpClass.STUCK  # never detached within the budget

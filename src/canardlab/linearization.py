@@ -30,8 +30,10 @@ of stability symmetric for those schemes.
 
 The one-step maps and the multipliers are kernels on mantissa pairs (see
 rounding), built once per orbit, rounding every operation like the mpf
-expression they replace; the RK multiplier, q_s and the linearized solves
-share one stage recursion, _stage_polynomial, on cached tableau pairs.
+expression they replace; the RK multiplier and q_s share one scalar stage
+recursion, _stage_sum, on cached tableau pairs.  The linearized solves of
+analysis do not round it: they read 1 + h Q_s exactly, from
+ButcherTableau.critical_polynomial, and round each coefficient once.
 """
 
 from __future__ import annotations
@@ -116,8 +118,7 @@ def scheme_map(
         prec, hp, ep = ctx.prec, split(params.h._mpf_), split(params.epsilon._mpf_)
 
         def factor(s):
-            q = _stage_polynomial(scheme, ctx, [s], [hp], ep, stage_factor)[0]
-            return add(mul(hp, q, prec), _ONE, prec)
+            return add(mul(hp, _stage_sum(scheme, ctx, s, hp, ep, stage_factor), prec), _ONE, prec)
 
         if scheme.s == 1:
             step = partial(euler_kernel, kind, params)
@@ -348,73 +349,25 @@ CANARDS = {
 # ---------------------------------------------------------------------------
 
 
-def _poly_add(p, q, prec):
-    """p + q on ascending coefficient lists of pairs; the longer list's tail is kept.
+def _stage_sum(tableau: ButcherTableau, ctx, x, h, eps, stage_factor=2):
+    """Q_s(x) = sum_i alpha_i dk_i on the pairs x, h and eps, rounded as the mpf stage loop.
 
-    The operands are rounded values, as every caller's are, so a sum with an
-    exact 0 is the other operand: rn of a rounded value is that value.
-    """
-    if len(p) < len(q):
-        p, q = q, p
-    return [(add(a, b, prec) if a[0] else b) if b[0] else a for a, b in zip(p, q)] + p[len(q):]
-
-
-def _unit(c):
-    """1 or -1 where the pair c is (1, 0) or (-1, 0), else 0."""
-    return c[0] if c[1] == 0 and c[0] in (1, -1) else 0
-
-
-def _poly_mul(p, q, prec):
-    """p q on ascending coefficient lists of pairs, each coefficient summed in index order.
-
-    As in _poly_add, a product by an exact 0 is not formed and does not
-    enter its sum, and one by (1, 0) or (-1, 0) is its operand or its
-    negation; values are those of the full expression.
-    """
-    out = [_ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a[0]:
-            continue
-        unit = _unit(a)
-        for j, b in enumerate(q):
-            if b[0]:
-                t = mul(a, b, prec) if not unit else b if unit > 0 else (-b[0], b[1])
-                s = out[i + j]
-                out[i + j] = add(s, t, prec) if s[0] else t
-    return out
-
-
-def _poly_scale(p, c, prec):
-    """c p, with _poly_mul's pass-through for an exact 0, 1 or -1."""
-    if not c[0]:
-        return [_ZERO] * len(p)
-    unit = _unit(c)
-    if unit:
-        return [v if unit > 0 else (-v[0], v[1]) for v in p]
-    return [mul(c, v, prec) if v[0] else v for v in p]
-
-
-def _stage_polynomial(tableau: ButcherTableau, ctx, x, h, eps, stage_factor=2):
-    """Coefficients (ascending) of Q_s in a variable t, given x and h as polynomials in t.
-
-    The one RK stage recursion, q_s's with stage factor c (an int), on
-    coefficient lists of mantissa pairs at ctx's precision (eps is a pair),
-    each operation rounded as in mpf arithmetic.  x = [x], h = [h] gives
-    q_s; x = [0, 1], h = [h] gives Q_s in the canard position; x = [-rho],
-    h = [0, 1] gives Q_s(-rho) in the step size.
+    The one RK stage recursion dk_i = c (x + h eps A_i) (1 + h sum_{j<i} a_ij dk_j) with the
+    stage factor c (an int), on the tableau's pairs at ctx's precision, every operation
+    rounded as in mpf arithmetic.
     """
     prec, c, dk = ctx.prec, (stage_factor, 0), []
     alpha, rows, sums = tableau.pairs(ctx)
-    heps = _poly_scale(h, eps, prec)
+    heps = mul(h, eps, prec)
     for row, a_i in zip(rows, sums):
-        acc = [_ZERO]
+        acc = _ZERO
         for aij, dk_j in zip(row, dk):
-            acc = _poly_add(acc, _poly_scale(dk_j, aij, prec), prec)
-        base = _poly_scale(_poly_add(_poly_scale(heps, a_i, prec), x, prec), c, prec)
-        dk.append(_poly_mul(base, _poly_add([_ONE], _poly_mul(h, acc, prec), prec), prec))
-    total = [_ZERO]
+            acc = add(acc, mul(aij, dk_j, prec), prec)
+        base = mul(add(mul(heps, a_i, prec), x, prec), c, prec)
+        dk.append(mul(base, add(_ONE, mul(h, acc, prec), prec), prec))
+    total = _ZERO
     for alpha_i, dk_i in zip(alpha, dk):
-        total = _poly_add(total, _poly_scale(dk_i, alpha_i, prec), prec)
+        total = add(total, mul(alpha_i, dk_i, prec), prec)
     return total
 
 
@@ -424,12 +377,11 @@ def q_s(tableau: ButcherTableau, params: SystemParams, x, stage_factor=2):
     dk_i/dx = c (x + h eps A_i) (1 + h sum_{j<i} a_ij dk_j/dx), A_i = sum_j a_ij;
     Q_s(x) = sum_i alpha_i dk_i/dx.  The stage factor c is 2 on the
     transcritical diagonal and 1 on the pitchfork line {x = 0}, whose slow
-    position is y.  For s = 1 this is c x.  This is _stage_polynomial of
-    degree 0, with x = [x] and h = [h], packed once.
+    position is y.  For s = 1 this is c x.  This is _stage_sum, packed once.
     """
     ctx = params.ctx
     x, h, eps = (split(ctx.mpf(v)._mpf_) for v in (x, params.h, params.epsilon))
-    return ctx.make_mpf(pack(_stage_polynomial(tableau, ctx, [x], [h], eps, stage_factor)[0]))
+    return ctx.make_mpf(pack(_stage_sum(tableau, ctx, x, h, eps, stage_factor)))
 
 
 def _moebius_multiplier(kind: SingularityKind, params: SystemParams, aparam=None):

@@ -21,7 +21,9 @@ Tableau coefficients are stored as exact Fractions and bound to a precision
 context at evaluation time, so a tableau can serve contexts of any precision
 without accumulating conversion error.  The bound coefficients are cached
 per tableau as mantissa pairs keyed by the binary precision, so each
-precision pays for the Fraction conversions once.
+precision pays for the Fraction conversions once; the exact critical
+polynomial 1 + h Q_s(x; h, eps) of the linearized solves is built once per
+tableau and stage factor, as integers over one denominator.
 
 Every one-step map is a kernel on signed integer mantissa pairs (see
 rounding), built once per orbit: forward Euler, explicit RK, both Kahan
@@ -40,9 +42,11 @@ variable scaled by a power of two to the size of the roots.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial, reduce
+from math import lcm
 from typing import Optional
 
 from .precision import NoConvergence, PrecisionContext
@@ -90,6 +94,8 @@ class ButcherTableau:
     # precision in bits -> (alpha, a-rows, row sums) as mantissa pairs;
     # plain tuples only, so contexts still share no mutable state
     _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # stage factor -> critical_polynomial's (terms, denominator)
+    _critical: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         alpha = tuple(_frac(v) for v in self.alpha)
@@ -120,6 +126,30 @@ class ButcherTableau:
 
             self._pairs[ctx.prec] = (bind(self.alpha), tuple(map(bind, self.a)), bind(self.row_sums()))
         return self._pairs[ctx.prec]
+
+    def critical_polynomial(self, c):
+        """1 + h Q_s(x; h, eps) with stage factor c, exactly: ((i, j, k, n), ...) and D > 0.
+
+        n / D is the coefficient of h**i x**j eps**k, every n nonzero: the stage recursion
+        dk_i = c (x + h eps A_i) (1 + h sum_j a_ij dk_j), Q_s = sum_i alpha_i dk_i, run once
+        per stage factor on Counters from exponents (i, j, k) to Fractions.
+        """
+        if c not in self._critical:
+            def one_plus_h(fs, ps):  # 1 + h sum_i f_i p_i
+                out = Counter({(0, 0, 0): 1})
+                for f, p in zip(fs, ps):
+                    out.update({(i + 1, j, k): f * v for (i, j, k), v in p.items()})
+                return out
+
+            dk = []
+            for row, a_i in zip(self.a, self.row_sums()):
+                inner = one_plus_h(row, dk)
+                dk.append(Counter({(i, j + 1, k): c * v for (i, j, k), v in inner.items()}))
+                dk[-1].update({(i + 1, j, k + 1): c * a_i * v for (i, j, k), v in inner.items()})
+            poly = {key: v for key, v in one_plus_h(self.alpha, dk).items() if v}
+            den = lcm(*(Fraction(v).denominator for v in poly.values()))
+            self._critical[c] = tuple((*key, int(v * den)) for key, v in sorted(poly.items())), den
+        return self._critical[c]
 
 
 EULER = ButcherTableau("euler", (1,), ((),))

@@ -12,12 +12,14 @@ line can build: forward Euler on the three kinds, Kutta3 on both lines,
 Kahan on the transcritical and the fold, and the implicit family at
 a = 1/2, 0 and -1/2 (the pitchfork's Kahan map).
 
-stage_polynomial is the RK stage recursion on lists of mpf coefficients, as
-the linearized solvers had it before they ran on pairs; h_polynomial and
-rho_polynomial form from it the critical polynomial 1 + h Q_s(-rho) that
-linearized_critical_h and critical_triplet_linearized solve, each
-coefficient rounded as theirs.  assert_nearest_root checks a root against
-such a polynomial taken exactly.
+critical_polynomial builds 1 + h Q_s(x; h, eps) in exact Fractions from the
+tableau, independently of the package's polynomial (its own stage recursion
+on coefficient lists, x and h given as polynomials in a variable t).
+h_polynomial and rho_polynomial give the critical polynomial 1 + h Q_s(-rho)
+that linearized_critical_h and critical_triplet_linearized solve, at the
+exact values of their mpf arguments, each coefficient rounded once to
+nearest-even at the working precision (nearest, in Fractions).
+assert_nearest_root checks a root against such a polynomial taken exactly.
 """
 
 from fractions import Fraction
@@ -167,10 +169,6 @@ def poly_add(p, q):
     return [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)]
 
 
-def poly_scale(p, c):
-    return [c * v for v in p]
-
-
 def poly_mul(p, q):
     out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
@@ -179,35 +177,56 @@ def poly_mul(p, q):
     return out
 
 
-def stage_polynomial(tableau, ctx, x, h, eps, stage_factor=2):
-    """Q_s in a variable t (mpf coefficients, ascending), x and h given as polynomials in t."""
-    alpha, rows, sums = bind(tableau, ctx)
-    heps = poly_scale(h, eps)
-    dk = []
-    for i in range(tableau.s):
-        acc = [ctx.mpf(0)]
-        for j, aij in enumerate(rows[i]):
-            acc = poly_add(acc, poly_scale(dk[j], aij))
-        base = poly_scale(poly_add(poly_scale(heps, sums[i]), x), stage_factor)
-        dk.append(poly_mul(base, poly_add([ctx.mpf(1)], poly_mul(h, acc))))
-    total = [ctx.mpf(0)]
-    for i in range(tableau.s):
-        total = poly_add(total, poly_scale(dk[i], alpha[i]))
-    return total
+def critical_polynomial(tab, x, h, eps, stage_factor=2):
+    """Exact ascending coefficients in t of 1 + h Q_s(x), with x and h polynomials in t.
+
+    dk_i = c (x + h eps A_i) (1 + h sum_j a_ij dk_j) and Q_s = sum_i alpha_i dk_i, c the
+    stage factor; zero top coefficients are dropped.
+    """
+    dks = []
+    for row in tab.a:
+        acc = [Fraction(0)]
+        for aij, dk in zip(row, dks):
+            acc = poly_add(acc, [aij * c for c in dk])
+        base = poly_add(x, [eps * sum(row, Fraction(0)) * c for c in h])
+        dks.append(poly_mul([stage_factor * c for c in base], poly_add([Fraction(1)], poly_mul(h, acc))))
+    qs = [Fraction(0)]
+    for al, dk in zip(tab.alpha, dks):
+        qs = poly_add(qs, [al * c for c in dk])
+    p = poly_add([Fraction(1)], poly_mul(h, qs))
+    while len(p) > 1 and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def nearest(q, prec):
+    """The Fraction q rounded to nearest at prec bits, ties to even, as a Fraction."""
+    if q <= 0:
+        return -nearest(-q, prec) if q else q
+    e = q.numerator.bit_length() - q.denominator.bit_length()
+    e -= Fraction(2) ** e > q  # 2**e <= q < 2**(e + 1)
+    scale = Fraction(2) ** (prec - 1 - e)
+    m, rest = divmod(q * scale, 1)
+    if rest > Fraction(1, 2) or rest == Fraction(1, 2) and m % 2:
+        m += 1
+    return m / scale
+
+
+def rounded_once(ctx, coeffs):
+    """The exact coefficients coeffs (Fractions), each rounded once to nearest-even, as mpf."""
+    return [ctx.mpf(r.numerator) / r.denominator for r in (nearest(c, ctx.prec) for c in coeffs)]
 
 
 def h_polynomial(tableau, ctx, rho, eps, stage_factor=2):
-    """1 + h Q_s(-rho; h, eps) in h, each coefficient rounded as linearized_critical_h's."""
-    h = [ctx.mpf(0), ctx.mpf(1)]
-    q = stage_polynomial(tableau, ctx, [-rho], h, eps, stage_factor)
-    return poly_add([ctx.mpf(1)], poly_mul(h, q))
+    """1 + h Q_s(-rho; h, eps) in h, as linearized_critical_h solves it: exact, then rounded once."""
+    h = [Fraction(0), Fraction(1)]
+    return rounded_once(ctx, critical_polynomial(tableau, [-exact(rho)], h, exact(eps), stage_factor))
 
 
 def rho_polynomial(tableau, params):
-    """1 + h Q_s(-rho) in rho, each coefficient rounded as critical_triplet_linearized's."""
-    ctx, h = params.ctx, [params.h]
-    q = stage_polynomial(tableau, ctx, [ctx.mpf(0), ctx.mpf(-1)], h, params.epsilon)
-    return poly_add([ctx.mpf(1)], poly_mul(h, q))
+    """1 + h Q_s(-rho) in rho, as critical_triplet_linearized solves it: exact, then rounded once."""
+    x, h = [Fraction(0), Fraction(-1)], [exact(params.h)]
+    return rounded_once(params.ctx, critical_polynomial(tableau, x, h, exact(params.epsilon)))
 
 
 def exact(v):

@@ -33,8 +33,7 @@ from canardlab import (
     sweep_surface,
     wayout,
 )
-from canardlab.analysis import _theta_coefficients
-from canardlab.linearization import _stage_polynomial
+from canardlab.analysis import _critical_terms, _rounded_sum, _theta_coefficients
 from canardlab.rounding import pack, split
 from canardlab.systems import NoCanard
 
@@ -227,14 +226,16 @@ def _horner(coeffs, x):
 
 
 def test_qs_polynomial_matches_scalar_recursion(ctx, params):
-    """The stage polynomial in the canard position, x = [0, 1], evaluates to q_s."""
+    """The exact critical polynomial in the entry offset rho, its coefficients rounded once,
+    evaluates to 1 + h q_s(-rho)."""
     h, eps = split(params.h._mpf_), split(params.epsilon._mpf_)
     for tab in SHIPPED_TABLEAUX.values():
-        poly = [ctx.make_mpf(pack(c)) for c in _stage_polynomial(tab, ctx, [(0, 0), (1, 0)], [h], eps)]
-        assert len(poly) == tab.s + 1
+        terms, den = _critical_terms(tab, 2, True, h, eps)
+        poly = [ctx.make_mpf(pack(_rounded_sum(t, den, ctx.prec))) for t in terms]
+        assert len(poly) == tab.s + 1 and poly[-1] != 0
         for x_txt in ("-1.5", "-0.2", "0.8"):
             x = ctx.mpf(x_txt)
-            assert abs(_horner(poly, x) - q_s(tab, params, x)) < ctx.tol(8)
+            assert abs(_horner(poly, -x) - 1 - params.h * q_s(tab, params, x)) < ctx.tol(8)
 
 
 def test_theta0_consistency(ctx, params):

@@ -403,6 +403,31 @@ def test_bisect_from_a_bracket_end_that_cannot_move(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("h_lo, message", [
+    ("1e-45", None),
+    ("1e-48", None),  # y's drift is bounded over the steps each chunk of the lock reaches
+    ("1e-50", "no label proved at step 16, and the orbit would run more than 10000000000 steps on"),
+    ("1e-51", "provided bracket does not classify RIGHT/LEFT: got stuck/left"),  # |u| never grows
+    ("1e-52", "no label proved at step 16, and the orbit would run more than 10000000000 steps on"),
+    ("1e-53", "provided bracket does not classify RIGHT/LEFT: got stuck/left"),  # a fixed point
+])
+def test_bisect_from_a_bracket_end_in_the_long_band(tmp_path, capsys, h_lo, message):
+    # between h = 1e-52 and 1e-48 at 50 digits eps h is within a few ulps of y: each full
+    # orbit at h_lo has a budget of 10**49 to 10**53 steps, and must end without iterating it
+    out = tmp_path / "bisect.csv"
+    code = main([
+        "bisect", "--tableau", "euler", "--rho", "5", "--eps", "1",
+        "--h-lo", h_lo, "--h-hi", "0.2", "--digits", "50", "--out", str(out),
+    ])
+    if message is None:
+        assert code == 0
+        rows, _ = _read_csv(out)
+        assert rows[1][4:6] == ["0.1666015625", "0.16669921875"]
+    else:
+        assert code == 4
+        assert capsys.readouterr().err.splitlines() == [f"unresolved: {message}"]
+
+
 BISECT_ARGV = ["bisect", "--tableau", "euler", "--rho", "5", "--eps", "1", "--digits", "30"]
 BRACKET = ["--h-lo", "0.103", "--h-hi", "0.105"]
 

@@ -10,17 +10,19 @@ result must sit within tol(8) relative of a sign change of that polynomial,
 with none before it, and the solver must report none exactly when the
 polynomial has none below the cap (10/rho in h, 10/h in rho).
 
-The solvers run on mantissa pairs.  A plain-mpf copy of an earlier form
-(stage recursion over coefficient lists, Horner, derivative cascade and
-safeguarded Newton; the recursion is mpf_oracles.stage_polynomial) is kept
-below as the oracle, with the same rule for a zero at a cut.  The
-coefficients must equal its bit for bit; a solver must find a root exactly
-where it does, and return the root of the polynomial with those
-coefficients, taken exactly, rounded to nearest-even, within 64 ulps of the
-oracle's Newton iterate.  The double-precision Newton seed must not change
-a result: it is replaced by no seed and by points on or outside the
-isolating interval; it is found in the scaled variable t = x / cap, with the
-coefficients scaled below 1, so it exists at extreme parameters too.
+The solvers run on mantissa pairs.  Each coefficient they solve with, and
+each theta coefficient of rk_cbar, is the exact rational coefficient at the
+values of their mpf arguments, rounded once to nearest-even at the working
+precision (mpf_oracles.h_polynomial and rho_polynomial, rounded in
+Fractions); they must equal those bit for bit.  A plain-mpf copy of an
+earlier solver (Horner, derivative cascade and safeguarded Newton) is kept
+below as the oracle, with the same rule for a zero at a cut: a solver must
+find a root exactly where it does, and return the root of the polynomial
+with those coefficients, taken exactly, rounded to nearest-even, within 64
+ulps of the oracle's Newton iterate.  The double-precision Newton seed must
+not change a result: it is replaced by no seed and by points on or outside
+the isolating interval; it is found in the scaled variable t = x / cap, with
+the coefficients scaled below 1, so it exists at extreme parameters too.
 
 _first_sign_change, the solvers' level below the tableau, is checked the
 same way on the critical polynomials and on products of roots, with
@@ -55,33 +57,11 @@ from canardlab import (
 )
 from canardlab import analysis
 from canardlab.analysis import _BERNOULLI_PLUS
-from canardlab.linearization import _stage_polynomial
 from canardlab.rounding import pack, split
-from mpf_oracles import (assert_nearest_root, exact, h_polynomial, poly_add, poly_mul,
-                         poly_scale, rho_polynomial, stage_polynomial, ulp)
+from mpf_oracles import (assert_nearest_root, critical_polynomial, exact, h_polynomial, nearest,
+                         poly_add, poly_mul, rho_polynomial, rounded_once, ulp)
 
 CONTEXTS = {d: make_context(d) for d in (16, 50, 120)}
-
-
-def _critical_polynomial(tab, x, h, eps):
-    """Exact ascending coefficients in t of 1 + h Q_s(x), with x and h polynomials in t.
-
-    dk_i = 2 (x + h eps A_i) (1 + h sum_j a_ij dk_j) and Q_s = sum_i alpha_i dk_i.
-    """
-    dks = []
-    for row in tab.a:
-        acc = [Fraction(0)]
-        for aij, dk in zip(row, dks):
-            acc = poly_add(acc, [aij * c for c in dk])
-        base = poly_add(x, [eps * sum(row, Fraction(0)) * c for c in h])
-        dks.append(poly_mul([2 * c for c in base], poly_add([Fraction(1)], poly_mul(h, acc))))
-    qs = [Fraction(0)]
-    for al, dk in zip(tab.alpha, dks):
-        qs = poly_add(qs, [al * c for c in dk])
-    p = poly_add([Fraction(1)], poly_mul(h, qs))
-    while p[-1] == 0:
-        p.pop()
-    return p
 
 
 def _sign_at(q, t):
@@ -180,7 +160,7 @@ def _check_root(ctx, p, root, cap):
 
 def _check_h(ctx, tab, rho, eps):
     rho_q, eps_q = exact(ctx.mpf(rho)), exact(ctx.mpf(eps))
-    p = _critical_polynomial(tab, [-rho_q], [Fraction(0), Fraction(1)], eps_q)
+    p = critical_polynomial(tab, [-rho_q], [Fraction(0), Fraction(1)], eps_q)
     h = linearized_critical_h(tab, ctx.mpf(rho), ctx.mpf(eps), ctx)
     _check_root(ctx, p, h, 10 / rho_q)
     return h
@@ -188,7 +168,7 @@ def _check_h(ctx, tab, rho, eps):
 
 def _check_rho(ctx, tab, h, eps):
     h_q, eps_q = exact(ctx.mpf(h)), exact(ctx.mpf(eps))
-    p = _critical_polynomial(tab, [Fraction(0), Fraction(-1)], [h_q], eps_q)
+    p = critical_polynomial(tab, [Fraction(0), Fraction(-1)], [h_q], eps_q)
     trip = critical_triplet_linearized(tab, h, eps, ctx)
     _check_root(ctx, p, None if trip is None else trip.rho_star, 10 / h_q)
     return trip
@@ -281,10 +261,16 @@ def ref_first_root(ctx, p, hi):
     return roots[0] if roots else None
 
 
+def theta_polynomial(tab, params, rho):
+    """1 + h Q_s(-rho + h eps k) in k, as _theta_coefficients forms it: exact, then rounded once."""
+    h, eps = exact(params.h), exact(params.epsilon)
+    theta = critical_polynomial(tab, [-exact(rho), h * eps], [h], eps)
+    return rounded_once(params.ctx, theta + [Fraction(0)] * (tab.s + 1 - len(theta)))
+
+
 def ref_rk_cbar(tab, params, rho):
-    ctx, h, eps = params.ctx, params.h, params.epsilon
-    qs = stage_polynomial(tab, ctx, [-rho, h * eps], [h], eps)
-    theta = poly_add([ctx.mpf(1)], poly_scale(qs, h))
+    ctx = params.ctx
+    theta = theta_polynomial(tab, params, rho)
     cs = []
     for i in range(1, tab.s + 1):
         acc = ctx.mpf(0)
@@ -336,28 +322,118 @@ positive = st.fractions(Fraction(1, 100), 40, max_denominator=1000).filter(lambd
 @example(tab=KUTTA3, rho=Fraction(3, 2), eps=Fraction(101, 200), h=Fraction(1, 10),
          stage_factor=1, digits=16)
 def test_pair_solvers_match_mpf_oracle(tab, rho, eps, h, stage_factor, digits):
-    """linearized_critical_h and critical_triplet_linearized find a root where the
-    oracle does, and return it rounded to nearest (_check_against_oracle); the
-    stage polynomial in the canard position and rk_cbar give the oracle's
-    ``_mpf_`` tuples."""
+    """linearized_critical_h and critical_triplet_linearized solve the oracle's polynomial,
+    bit for bit, find a root where the oracle does, and return it rounded to nearest
+    (_check_against_oracle); rk_cbar gives the oracle's ``_mpf_`` tuple."""
     ctx = ORACLE_CONTEXTS[digits]
     rho_s, eps_s = ctx.mpf(rho), ctx.mpf(eps)
-    got = linearized_critical_h(tab, rho_s, eps_s, ctx, stage_factor)
-    _check_against_oracle(ctx, h_polynomial(tab, ctx, rho_s, eps_s, stage_factor), 10 / rho_s, got)
+    got, used = _solved(linearized_critical_h, tab, rho_s, eps_s, ctx, stage_factor)
+    p = h_polynomial(tab, ctx, rho_s, eps_s, stage_factor)
+    assert used == [c._mpf_ for c in p]
+    _check_against_oracle(ctx, p, 10 / rho_s, got)
     params = SystemParams.create(ctx, eps_s, ctx.mpf(h))
-    if eps:  # critical triplets need eps > 0
-        trip = critical_triplet_linearized(tab, params.h, params.epsilon, ctx)
-        _check_against_oracle(ctx, rho_polynomial(tab, params), 10 / params.h,
-                              None if trip is None else trip.rho_star)
-    ref_q = stage_polynomial(tab, ctx, [0, 1], [params.h], params.epsilon)
-    h_p, eps_p = split(params.h._mpf_), split(params.epsilon._mpf_)
-    got_q = _stage_polynomial(tab, ctx, [(0, 0), (1, 0)], [h_p], eps_p)
-    assert [pack(c) for c in got_q] == [ctx.mpf(c)._mpf_ for c in ref_q]
-    if not eps:
+    if not eps:  # critical triplets and rk_cbar need eps > 0
         with pytest.raises(ValueError, match="eps must be > 0"):
             rk_cbar(tab, params, rho_s)
         return
+    got, used = _solved(_rho_star, tab, params.h, params.epsilon, ctx)
+    p = rho_polynomial(tab, params)
+    assert used == [c._mpf_ for c in p]
+    _check_against_oracle(ctx, p, 10 / params.h, got)
     assert rk_cbar(tab, params, rho_s)._mpf_ == ref_rk_cbar(tab, params, rho_s)._mpf_
+
+
+def _rho_star(tab, h, eps, ctx):
+    trip = critical_triplet_linearized(tab, h, eps, ctx)
+    return None if trip is None else trip.rho_star
+
+
+def _solved(solve, *args):
+    """solve(*args), and the coefficients it handed _first_sign_change as ``_mpf_`` tuples,
+    zero top ones dropped."""
+    seen, real = [], analysis._first_sign_change
+
+    def capture(p, hi, prec):
+        seen.append([pack(c) for c in p])
+        return real(p, hi, prec)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_first_sign_change", capture)
+        got = solve(*args)
+    (used,) = seen
+    while len(used) > 1 and not used[-1][1]:
+        used.pop()
+    return got, used
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tab=st.sampled_from(sorted(SHIPPED_TABLEAUX.values(), key=lambda t: t.name)),
+    rho=st.fractions(Fraction(1, 1000), 50, max_denominator=10**6).filter(lambda v: v > 0),
+    eps=st.fractions(Fraction(1, 10**6), 2, max_denominator=10**6).filter(lambda v: v > 0),
+    h=st.fractions(Fraction(1, 1000), 2, max_denominator=10**6).filter(lambda v: v > 0),
+    stage_factor=st.sampled_from([2, 1]),
+    digits=st.sampled_from(sorted(CONTEXTS)),
+)
+@example(tab=KUTTA3, rho=Fraction(8), eps=Fraction(1, 100), h=Fraction(1, 10), stage_factor=2,
+         digits=50)  # README row 5
+def test_coefficients_are_the_exact_ones_rounded_once(tab, rho, eps, h, stage_factor, digits):
+    """Every coefficient that linearized_critical_h (stage factor 2 or 1),
+    critical_triplet_linearized and _theta_coefficients use is the exact rational
+    coefficient of 1 + h Q_s at the values of their mpf arguments, rounded once to
+    nearest-even (mpf_oracles.nearest, in Fractions); each root is the first sign change of
+    the polynomial with those coefficients (Yun and Sturm, _check_root), rounded to
+    nearest-even (assert_nearest_root)."""
+    ctx = CONTEXTS[digits]
+    rho_s, eps_s, h_s = (ctx.mpf(v.numerator) / v.denominator for v in (rho, eps, h))
+    params = SystemParams.create(ctx, eps_s, h_s)
+    for solve, args, p, cap in [
+        (linearized_critical_h, (tab, rho_s, eps_s, ctx, stage_factor),
+         h_polynomial(tab, ctx, rho_s, eps_s, stage_factor), 10 / exact(rho_s)),
+        (_rho_star, (tab, params.h, params.epsilon, ctx), rho_polynomial(tab, params), 10 / exact(params.h)),
+    ]:
+        root, used = _solved(solve, *args)
+        assert used == [c._mpf_ for c in p]
+        _check_root(ctx, [exact(c) for c in p], root, cap)
+        if root is not None:
+            assert_nearest_root(p, root, ctx.prec)
+    theta = analysis._theta_coefficients(tab, params, rho_s)
+    assert [c._mpf_ for c in theta] == [c._mpf_ for c in theta_polynomial(tab, params, rho_s)]
+
+
+@pytest.mark.parametrize("stage_factor", [2, 1])
+@pytest.mark.parametrize("tab", sorted(SHIPPED_TABLEAUX.values(), key=lambda t: t.name),
+                         ids=lambda t: t.name)
+def test_critical_polynomial_terms_are_exact(tab, stage_factor):
+    """ButcherTableau.critical_polynomial's terms n / D of h**i x**j eps**k give
+    1 + h Q_s(x; h, eps) at rational points, as mpf_oracles' stage recursion in Fractions
+    does; every n is nonzero and D > 0."""
+    terms, den = tab.critical_polynomial(stage_factor)
+    assert den > 0 and all(n for *_, n in terms)
+    points = [(Fraction(1, 3), Fraction(-7, 5), Fraction(2, 9)),
+              (Fraction(5, 2), Fraction(3, 11), Fraction(13, 7))]
+    for h, x, eps in points:
+        got = sum(Fraction(n, den) * h ** i * x ** j * eps ** k for i, j, k, n in terms)
+        assert [got] == critical_polynomial(tab, [x], [h], eps, stage_factor)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    terms=st.lists(st.tuples(st.integers(-2**400, 2**400), st.integers(-3000, 3000)), max_size=12),
+    cancel=st.sampled_from([None, 0, 1, -1, 2**40]),
+    den=st.integers(1, 10**9),
+    prec=st.sampled_from([53, 169, 402]),
+)
+def test_rounded_sum_is_the_exact_sum_rounded_once(terms, cancel, den, prec):
+    """_rounded_sum, on exponents that lie far apart (its floored sums) or close (its exact
+    sum), and on a top pair that cancels to within cancel, is the exact sum over den rounded
+    once to nearest-even."""
+    if cancel is not None and terms:
+        m, e = max(terms, key=lambda t: t[0].bit_length() + t[1])
+        terms = terms + [(-m + cancel, e)]
+    got = analysis._rounded_sum(terms, den, prec)
+    assert Fraction(got[0]) * Fraction(2) ** got[1] == nearest(
+        sum((Fraction(m) * Fraction(2) ** e for m, e in terms), Fraction(0)) / den, prec)
 
 
 HINT_CASES = [  # (tableau, rho, eps, stage factor): degrees 1, 5 and 3 in h; the last has no root
@@ -469,17 +545,6 @@ def test_nearest_root_below_a_power_of_two(digits, sixths):
     assert got == ((2 ** (prec - 1), -prec) if sixths == 1 else (2**prec - 1, -prec - 1))
 
 
-def _rounded(r, prec):
-    """The positive Fraction r rounded to nearest at prec bits, ties to even."""
-    e = r.numerator.bit_length() - r.denominator.bit_length()
-    e -= Fraction(2) ** e > r  # 2**e <= r < 2**(e + 1)
-    scale = Fraction(2) ** (prec - 1 - e)
-    m, rest = divmod(r * scale, 1)
-    if rest > Fraction(1, 2) or rest == Fraction(1, 2) and m % 2:
-        m += 1
-    return m / scale
-
-
 def _hard_root(kind, prec, k, d, mantissa):
     """A rational root that is hard to round at prec bits (hi = 1, so the isolating intervals'
     ends are dyadic): on the midpoint above a float (a tie), d/6 ulps of 2**-k either side of
@@ -519,7 +584,7 @@ def test_polish_rounds_exactly(kind, k, d, mantissa, digits, seeded, others):
         got = analysis._first_sign_change([(c, 0) for c in p], (1, 0), prec)
     assert (got is None) == (first is None)
     if first is not None:
-        assert _value(got) == _rounded(first, prec)
+        assert _value(got) == nearest(first, prec)
 
 
 # -- the polynomial level, multiple roots, counts ---------------------------------------

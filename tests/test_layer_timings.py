@@ -33,7 +33,9 @@ analysis._iterate, one call per row; and one call of each Kahan multiplier
 (SchemeMap.factor, the Moebius kernel of linearization; the pitchfork's is
 the implicit family's at a = -1/2) at 16, 50 and 200 digits, checked against
 its mpf oracle, and one lattice way-out (transcritical Kahan, N = 40, 81
-multiplier steps) at 50 digits.
+multiplier steps) at 50 digits; and one q_s call (Kutta3 at x = -sqrt(2)/3,
+h = 0.1, eps = 0.01) at 16, 50 and 200 digits, checked against the mpf stage
+loop.
 """
 
 from fractions import Fraction
@@ -42,12 +44,13 @@ import mpmath
 import pytest
 
 from canardlab import (EULER, HEUN2, KAHAN, KUTTA3, PlanarPoint, SingularityKind, SystemParams, analysis,
-                       linearized_critical_h, make_context, wayout)
+                       linearized_critical_h, make_context, q_s, wayout)
 from canardlab.cli import main
 from canardlab.linearization import CANARDS, scheme_map
 from canardlab.rounding import mul, pack, scaler, split, sub
 from canardlab.schemes import euler_kernel
 from mpf_oracles import STEP_MAPS, assert_nearest_root, euler_step, h_polynomial, oracle, selector
+from test_linearization import ref_q_s
 from test_multipliers import _oracle as multiplier_oracle
 
 
@@ -181,3 +184,12 @@ def test_wayout_call(benchmark):
     rho = 40 * canard.spacing(params) - canard.center(params)
     res = benchmark(wayout, kind, KAHAN, params, rho)
     assert res.n_in == res.psi == 40
+
+
+@pytest.mark.parametrize("digits", [16, 50, 200])
+def test_qs_call(benchmark, digits):
+    ctx = make_context(digits)
+    params = SystemParams.create(ctx, "0.01", "0.1")
+    x = -ctx.sqrt(2) / 3
+    q = benchmark(q_s, KUTTA3, params, x)
+    assert q._mpf_ == ref_q_s(KUTTA3, params, x, 2)._mpf_

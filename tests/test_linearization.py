@@ -21,7 +21,7 @@ from canardlab import (
     make_context,
     wayout,
 )
-from canardlab.linearization import CANARDS, _stage_polynomial, scheme_map
+from canardlab.linearization import CANARDS, _stage_sum, scheme_map
 from canardlab.rounding import pack, split
 from mpf_oracles import bind
 
@@ -86,14 +86,14 @@ QS_CONTEXTS = {d: make_context(d) for d in (16, 50, 200, 5000)}
     digits=st.sampled_from(sorted(QS_CONTEXTS)),
 )
 def test_qs_is_the_degree_zero_stage_polynomial(tab, x, h, eps, stage_factor, digits):
-    """q_s equals _stage_polynomial with x = [x], h = [h] and the mpf stage loop, bit for bit;
+    """q_s equals the scalar stage recursion _stage_sum and the mpf stage loop, bit for bit;
     the explicit-RK multiplier of scheme_map is 1 + h q_s on pairs."""
     ctx = QS_CONTEXTS[digits]
     params = SystemParams.create(ctx, ctx.mpf(eps), ctx.mpf(h))
     x = ctx.mpf(x)
     hp, ep, xp = (split(v._mpf_) for v in (params.h, params.epsilon, x))
     q = q_s(tab, params, x, stage_factor)
-    assert q._mpf_ == pack(_stage_polynomial(tab, ctx, [xp], [hp], ep, stage_factor)[0])
+    assert q._mpf_ == pack(_stage_sum(tab, ctx, xp, hp, ep, stage_factor))
     assert q._mpf_ == ref_q_s(tab, params, x, stage_factor)._mpf_
     kind = T if stage_factor == 2 else P
     factor = scheme_map(kind, tab, params).factor(xp)

@@ -238,3 +238,30 @@ def test_kahan_pole_right_after_a_failed_lock_still_raises():
         with pytest.raises(PoleError) as err:
             analysis._classify(T, KAHAN, params, 1, 0, start=start, max_n=10**9, lock=lock)
         assert err.value.index == 17
+
+
+@pytest.mark.parametrize("digits", [16, 30])
+@pytest.mark.parametrize("scheme", [EULER, KUTTA3, KAHAN], ids=["euler", "kutta3", "kahan"])
+def test_deviation_that_never_grows_is_stuck(scheme, digits):
+    # eps h = 1e-62 rounds away against y = -4.9999, so y stays put, and each step scales u by
+    # about 1 - 2 h |y| = 0.9: the enclosure over u in [0, |u|] proves that |u| never grows,
+    # so the orbit is stuck at its budget (about 10**64 steps by default) without iterating it
+    ctx = CONTEXTS[digits]
+    params = SystemParams.create(ctx, "1e-60", "0.01")
+    locked = analysis._classify(T, scheme, params, 5, "1e-4", lock=True)
+    assert locked.label is JumpClass.STUCK and locked.steps > 10**63
+    for max_n in (100, 3000):
+        full = classify_jump(T, scheme, params, 5, "1e-4", max_n=max_n)
+        locked = analysis._classify(T, scheme, params, 5, "1e-4", max_n=max_n, lock=True)
+        assert full.label is locked.label is JumpClass.STUCK
+        assert full.steps == locked.steps == max_n
+
+
+def test_no_proof_over_a_long_budget_is_unresolved():
+    # h = 1e-50 at 50 digits: eps h lies below an ulp of y, which rounds up by one each step,
+    # so y's rounding drift outgrows 1 long before the escape some 10**51 steps on; no label is
+    # proved, and the orbit is not iterated
+    ctx = make_context(50)
+    params = SystemParams.create(ctx, "1", "1e-50")
+    with pytest.raises(analysis.Unresolved, match="no label proved at step 16"):
+        analysis._classify(T, EULER, params, 5, "1e-4", lock=True)
