@@ -10,8 +10,8 @@ canard, has a unit eigenvalue in the canard direction; the other, the
 transversal multiplier J = d(xnew)/dx, governs contraction toward and
 expansion away from the canard.  Closed forms:
 
-  transcritical, explicit RK:  J(x) = 1 + h Q_s(x), with the stage recursion
-      dk_i = 2 (x + h eps A_i) (1 + h sum_{j<i} a_ij dk_j),  Q_s = sum alpha_i dk_i
+  transcritical, explicit RK:  J(x) = 1 + h Q_s(x), Q_s = sum alpha_i dk_i from
+      dk_i = 2 (x + h eps A_i) (1 + h sum_{j<i} a_ij dk_j), a polynomial in x, h, eps
   transcritical, Kahan:        J(x) = (1 - h^2 x (x + eps h) + eps h^2) / (1 - h x)^2
                                       = (1 + eps h^2 + h x) / (1 - h x)
   pitchfork, explicit RK:      J(y) = 1 + h R_s(y), same recursion with the
@@ -30,25 +30,23 @@ of stability symmetric for those schemes.
 
 The one-step maps and the multipliers are kernels on mantissa pairs (see
 rounding), built once per orbit, rounding every operation like the mpf
-expression they replace; the RK multiplier and q_s share one scalar stage
-recursion, _stage_sum, on cached tableau pairs.  The linearized solves of
-analysis do not round it: they read 1 + h Q_s exactly, from
-ButcherTableau.critical_polynomial, and round each coefficient once.
+expression they replace, but for the explicit-RK multiplier and q_s: they
+evaluate ButcherTableau.critical_polynomial exactly and round the value once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from math import inf, ldexp
 from typing import Callable, Optional, Union
 
+from .roots import _critical_terms, _exact_sum, _exact_value
 from .rounding import add, div, le_product, mul, pack, scaler, split, sub
 from .schemes import (
     ButcherTableau,
     PoleError,
     _ONE,
-    _ZERO,
     afamily_kernel,
     euler_deviation_kernel,
     euler_kernel,
@@ -114,11 +112,15 @@ def scheme_map(
     ctx = params.ctx
     diagonal = kind is SingularityKind.TRANSCRITICAL
     if isinstance(scheme, ButcherTableau) and kind is not SingularityKind.FOLD:
-        stage_factor = 2 if diagonal else 1
-        prec, hp, ep = ctx.prec, split(params.h._mpf_), split(params.epsilon._mpf_)
+        @cache
+        def folded():  # 1 + h Q_s exactly, in rho = -s, at the first call (orbits make none)
+            h, eps = split(params.h._mpf_), split(params.epsilon._mpf_)
+            rhos, den = _critical_terms(scheme, 2 if diagonal else 1, True, h, eps)
+            return [_exact_sum(terms) for terms in rhos], (den, 0)
 
-        def factor(s):
-            return add(mul(hp, _stage_sum(scheme, ctx, s, hp, ep, stage_factor), prec), _ONE, prec)
+        def factor(s):  # the exact value, rounded once
+            p, den = folded()
+            return div(_exact_value(p, (-s[0], s[1])), den, ctx.prec)
 
         if scheme.s == 1:
             step = partial(euler_kernel, kind, params)
@@ -210,7 +212,7 @@ def _rk_ratio(tableau: ButcherTableau, params: SystemParams):
     euler_deviation_kernel's u (1 + h (2y + u)) holds u once (once is True), so its
     enclosure over an interval of u is the hull of those over the interval's pieces.
     """
-    alpha, rows, _ = tableau.pairs(params.ctx)
+    alpha, rows = tableau.pairs(params.ctx)
     h, eps = (enclose(split(v._mpf_)) for v in (params.h, params.epsilon))
     tiny = ldexp(1.0, 2 - params.ctx.prec)
     if tableau.s == 1:
@@ -349,39 +351,19 @@ CANARDS = {
 # ---------------------------------------------------------------------------
 
 
-def _stage_sum(tableau: ButcherTableau, ctx, x, h, eps, stage_factor=2):
-    """Q_s(x) = sum_i alpha_i dk_i on the pairs x, h and eps, rounded as the mpf stage loop.
-
-    The one RK stage recursion dk_i = c (x + h eps A_i) (1 + h sum_{j<i} a_ij dk_j) with the
-    stage factor c (an int), on the tableau's pairs at ctx's precision, every operation
-    rounded as in mpf arithmetic.
-    """
-    prec, c, dk = ctx.prec, (stage_factor, 0), []
-    alpha, rows, sums = tableau.pairs(ctx)
-    heps = mul(h, eps, prec)
-    for row, a_i in zip(rows, sums):
-        acc = _ZERO
-        for aij, dk_j in zip(row, dk):
-            acc = add(acc, mul(aij, dk_j, prec), prec)
-        base = mul(add(mul(heps, a_i, prec), x, prec), c, prec)
-        dk.append(mul(base, add(_ONE, mul(h, acc, prec), prec), prec))
-    total = _ZERO
-    for alpha_i, dk_i in zip(alpha, dk):
-        total = add(total, mul(alpha_i, dk_i, prec), prec)
-    return total
-
-
 def q_s(tableau: ButcherTableau, params: SystemParams, x, stage_factor=2):
-    """Weighted stage-derivative sum Q_s(x) along the canard.
+    """Weighted stage-derivative sum Q_s(x) along the canard, the exact value rounded once.
 
     dk_i/dx = c (x + h eps A_i) (1 + h sum_{j<i} a_ij dk_j/dx), A_i = sum_j a_ij;
-    Q_s(x) = sum_i alpha_i dk_i/dx.  The stage factor c is 2 on the
-    transcritical diagonal and 1 on the pitchfork line {x = 0}, whose slow
-    position is y.  For s = 1 this is c x.  This is _stage_sum, packed once.
+    Q_s(x) = sum_i alpha_i dk_i/dx, c = 2 on the transcritical diagonal and 1 on the
+    pitchfork line (x is then y).  It is (P - 1)/h: the terms of P = 1 + h Q_s in h at
+    rho = -x (roots._critical_terms) but the 1, each of h-degree one lower.
     """
     ctx = params.ctx
-    x, h, eps = (split(ctx.mpf(v)._mpf_) for v in (x, params.h, params.epsilon))
-    return ctx.make_mpf(pack(_stage_sum(tableau, ctx, x, h, eps, stage_factor)))
+    (xm, xe), h, eps = (split(ctx.mpf(v)._mpf_) for v in (x, params.h, params.epsilon))
+    hs, den = _critical_terms(tableau, stage_factor, False, (-xm, xe), eps)
+    p = [_exact_sum(terms) for terms in hs[1:]]
+    return ctx.make_mpf(pack(div(_exact_value(p, h), (den, 0), ctx.prec)))
 
 
 def _moebius_multiplier(kind: SingularityKind, params: SystemParams, aparam=None):

@@ -22,8 +22,8 @@ context at evaluation time, so a tableau can serve contexts of any precision
 without accumulating conversion error.  The bound coefficients are cached
 per tableau as mantissa pairs keyed by the binary precision, so each
 precision pays for the Fraction conversions once; the exact critical
-polynomial 1 + h Q_s(x; h, eps) of the linearized solves is built once per
-tableau and stage factor, as integers over one denominator.
+polynomial 1 + h Q_s(x; h, eps), which every RK linearization reads, is
+built once per tableau and stage factor, as integers over one denominator.
 
 Every one-step map is a kernel on signed integer mantissa pairs (see
 rounding), built once per orbit: forward Euler, explicit RK, both Kahan
@@ -91,8 +91,8 @@ class ButcherTableau:
     name: str
     alpha: tuple
     a: tuple
-    # precision in bits -> (alpha, a-rows, row sums) as mantissa pairs;
-    # plain tuples only, so contexts still share no mutable state
+    # precision in bits -> (alpha, a-rows) as mantissa pairs, which the step
+    # kernels read; plain tuples only, so contexts still share no mutable state
     _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # stage factor -> critical_polynomial's (terms, denominator)
     _critical: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -119,12 +119,12 @@ class ButcherTableau:
         return tuple(sum(row, Fraction(0)) for row in self.a)
 
     def pairs(self, ctx: PrecisionContext):
-        """Coefficients at ctx's precision as mantissa pairs: (alpha, a-rows, row sums)."""
+        """Coefficients at ctx's precision as mantissa pairs: (alpha, a-rows)."""
         if ctx.prec not in self._pairs:
             def bind(values):
                 return tuple(split(ctx.mpf(v)._mpf_) for v in values)
 
-            self._pairs[ctx.prec] = (bind(self.alpha), tuple(map(bind, self.a)), bind(self.row_sums()))
+            self._pairs[ctx.prec] = (bind(self.alpha), tuple(map(bind, self.a)))
         return self._pairs[ctx.prec]
 
     def critical_polynomial(self, c):
@@ -285,7 +285,7 @@ def _stage_plan(tableau: ButcherTableau, params: SystemParams, slow):
     """
     prec = params.ctx.prec
     h = split(params.h._mpf_)
-    alpha, rows, _ = tableau.pairs(params.ctx)
+    alpha, rows = tableau.pairs(params.ctx)
     plan = []
     for row in rows:
         hrow = [(j, mul(h, aij, prec)) for j, aij in enumerate(row) if aij[0]]

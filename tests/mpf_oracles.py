@@ -18,7 +18,9 @@ on coefficient lists, x and h given as polynomials in a variable t).
 h_polynomial and rho_polynomial give the critical polynomial 1 + h Q_s(-rho)
 that linearized_critical_h and critical_triplet_linearized solve, at the
 exact values of their mpf arguments, each coefficient rounded once to
-nearest-even at the working precision (nearest, in Fractions).
+nearest-even at the working precision (nearest, in Fractions);
+rk_multiplier gives its value at constant x and h, the explicit-RK
+multiplier, rounded once the same way.
 assert_nearest_root checks a root against such a polynomial taken exactly.
 """
 
@@ -215,6 +217,12 @@ def nearest(q, prec):
 def rounded_once(ctx, coeffs):
     """The exact coefficients coeffs (Fractions), each rounded once to nearest-even, as mpf."""
     return [ctx.mpf(r.numerator) / r.denominator for r in (nearest(c, ctx.prec) for c in coeffs)]
+
+
+def rk_multiplier(tableau, params, x, stage_factor=2):
+    """1 + h Q_s(x) at the values of the mpf x, h and eps: exact, then rounded once."""
+    p = critical_polynomial(tableau, [exact(x)], [exact(params.h)], exact(params.epsilon), stage_factor)
+    return rounded_once(params.ctx, p)[0]
 
 
 def h_polynomial(tableau, ctx, rho, eps, stage_factor=2):

@@ -33,7 +33,8 @@ from canardlab import (
     sweep_surface,
     wayout,
 )
-from canardlab.analysis import _critical_terms, _rounded_sum, _theta_coefficients
+from canardlab.analysis import _theta_coefficients
+from canardlab.roots import _critical_terms, _rounded_sum
 from canardlab.rounding import pack, split
 from canardlab.systems import NoCanard
 

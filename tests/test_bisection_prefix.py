@@ -177,14 +177,6 @@ def test_pitchfork_scan_fully_classifies_only_the_final_bracket(counted):
     assert counted["prefix"] > 0
 
 
-def test_raw_coordinate_bisection_classifies_every_midpoint_fully(counted):
-    ctx = make_context(60)  # raw orbits at 30 digits collapse onto the diagonal here
-    critical_h_bisection(
-        T, EULER, 5, 1, DELTA, 3, ctx, h_bracket=("0.103", "0.105"), track_deviation=False,
-    )
-    assert counted["prefix"] == 0 and counted["full"] > 4
-
-
 def _with_prefix_results(monkeypatch, rewrite):
     """Route every prefix result (a settle rule given by the bisection) through rewrite."""
     real = analysis._classify

@@ -35,9 +35,10 @@ where no value has a float image (the search then locates the root's
 binade first).
 """
 
-from fractions import Fraction
-
+import ast
+import inspect
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -55,6 +56,7 @@ from canardlab import (
     make_context,
     rk_cbar,
 )
+import canardlab.roots
 from canardlab import analysis
 from canardlab.analysis import _BERNOULLI_PLUS
 from canardlab.rounding import pack, split
@@ -401,6 +403,20 @@ def test_coefficients_are_the_exact_ones_rounded_once(tab, rho, eps, h, stage_fa
     assert [c._mpf_ for c in theta] == [c._mpf_ for c in theta_polynomial(tab, params, rho_s)]
 
 
+def test_roots_imports_only_rounding_from_the_package():
+    """canardlab.roots imports no module of the package but rounding, so any module (schemes
+    too) can call it without an import cycle."""
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(canardlab.roots))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "canardlab":
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names if a.name.split(".")[0] == "canardlab")
+    assert imported == {"rounding"}
+
+
 @pytest.mark.parametrize("stage_factor", [2, 1])
 @pytest.mark.parametrize("tab", sorted(SHIPPED_TABLEAUX.values(), key=lambda t: t.name),
                          ids=lambda t: t.name)
@@ -431,7 +447,7 @@ def test_rounded_sum_is_the_exact_sum_rounded_once(terms, cancel, den, prec):
     if cancel is not None and terms:
         m, e = max(terms, key=lambda t: t[0].bit_length() + t[1])
         terms = terms + [(-m + cancel, e)]
-    got = analysis._rounded_sum(terms, den, prec)
+    got = canardlab.roots._rounded_sum(terms, den, prec)
     assert Fraction(got[0]) * Fraction(2) ** got[1] == nearest(
         sum((Fraction(m) * Fraction(2) ** e for m, e in terms), Fraction(0)) / den, prec)
 
@@ -475,7 +491,7 @@ def test_float_seed_is_only_a_hint(monkeypatch, digits, hint):
         calls.append(args)
         return hint[1](*args)
 
-    monkeypatch.setattr(analysis, "_float_seed", seed)
+    monkeypatch.setattr(canardlab.roots, "_float_seed", seed)
     assert _hint_roots(ctx) == expected
     assert calls
 
@@ -525,11 +541,12 @@ def test_nearest_root_from_far_iterates(digits, start):
     m, e = split((ctx.mpf(1) / 3)._mpf_)  # correctly rounded 1/3, the root of 3t - 1
     m, e = m << (prec - m.bit_length()), e - (prec - m.bit_length())
     below, a, b = (-1, 0), (1, -2), (1, -1)
-    assert analysis._nearest_root([(-1, 0), (3, 0)], (m + start, e), below, a, b, prec) == (m, e)
+    got = canardlab.roots._nearest_root([(-1, 0), (3, 0)], (m + start, e), below, a, b, prec)
+    assert got == (m, e)
     # 2t - (2m + 1) 2**e has its root on the midpoint of m 2**e and (m + 1) 2**e
     tie = [(-(2 * m + 1), e), (2, 0)]
     even = m if m % 2 == 0 else m + 1
-    assert analysis._nearest_root(tie, (m + start, e), below, a, b, prec) == (even, e)
+    assert canardlab.roots._nearest_root(tie, (m + start, e), below, a, b, prec) == (even, e)
 
 
 @pytest.mark.parametrize("sixths", [1, 2])
@@ -541,7 +558,7 @@ def test_nearest_root_below_a_power_of_two(digits, sixths):
     both)."""
     prec = ORACLE_CONTEXTS[digits].prec
     p = [(sixths - 3 * 2**prec, 0), (6 * 2**prec, 0)]  # root 1/2 - sixths 2**-prec / 6
-    got = analysis._nearest_root(p, (1, -1), (-1, 0), (1, -2), (3, -2), prec)
+    got = canardlab.roots._nearest_root(p, (1, -1), (-1, 0), (1, -2), (3, -2), prec)
     assert got == ((2 ** (prec - 1), -prec) if sixths == 1 else (2**prec - 1, -prec - 1))
 
 
@@ -580,8 +597,8 @@ def test_polish_rounds_exactly(kind, k, d, mantissa, digits, seeded, others):
     first = min((r for r in roots if 0 < r <= 1), default=None)
     with pytest.MonkeyPatch.context() as patch:
         if not seeded:
-            patch.setattr(analysis, "_float_seed", lambda *args: None)
-        got = analysis._first_sign_change([(c, 0) for c in p], (1, 0), prec)
+            patch.setattr(canardlab.roots, "_float_seed", lambda *args: None)
+        got = canardlab.roots._first_sign_change([(c, 0) for c in p], (1, 0), prec)
     assert (got is None) == (first is None)
     if first is not None:
         assert _value(got) == nearest(first, prec)
@@ -602,7 +619,7 @@ def _pairs(coeffs):
 
 def _first(ctx, coeffs, hi):
     """_first_sign_change of the polynomial coeffs (mpf, ascending) in (0, hi], as an mpf or None."""
-    root = analysis._first_sign_change(_pairs(coeffs), split(hi._mpf_), ctx.prec)
+    root = canardlab.roots._first_sign_change(_pairs(coeffs), split(hi._mpf_), ctx.prec)
     return None if root is None else ctx.make_mpf(pack(root))
 
 
@@ -686,13 +703,13 @@ def test_first_sign_change_with_multiple_roots(roots, lead, digits):
 def _counted(monkeypatch, names):
     counts = dict.fromkeys(names, 0)
     for name in names:
-        f = getattr(analysis, name)
+        f = getattr(canardlab.roots, name)
 
         def counted(*args, f=f, name=name):
             counts[name] += 1
             return f(*args)
 
-        monkeypatch.setattr(analysis, name, counted)
+        monkeypatch.setattr(canardlab.roots, name, counted)
     return counts
 
 
@@ -759,5 +776,5 @@ def test_double_roots_change_no_sign(digits):
             p = poly_mul(p, [-Fraction(r), Fraction(1)])
         coeffs = [split(ctx.mpf(c)._mpf_) for c in p]
         assert [_value(c) for c in coeffs] == p
-        assert _value(analysis._first_sign_change(coeffs, hi, ctx.prec)) == first
+        assert _value(canardlab.roots._first_sign_change(coeffs, hi, ctx.prec)) == first
     assert critical_triplet_linearized(HEUN2, ctx.mpf(1), ctx.mpf(1), ctx) is None

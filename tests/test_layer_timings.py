@@ -32,10 +32,12 @@ glues at step 11,005 at 16 digits), so every step runs in the orbit loop
 analysis._iterate, one call per row; and one call of each Kahan multiplier
 (SchemeMap.factor, the Moebius kernel of linearization; the pitchfork's is
 the implicit family's at a = -1/2) at 16, 50 and 200 digits, checked against
-its mpf oracle, and one lattice way-out (transcritical Kahan, N = 40, 81
-multiplier steps) at 50 digits; and one q_s call (Kutta3 at x = -sqrt(2)/3,
-h = 0.1, eps = 0.01) at 16, 50 and 200 digits, checked against the mpf stage
-loop.
+its mpf oracle, and of the explicit-RK multiplier of Kutta3 on the diagonal,
+its exact critical polynomial already formed by a first call, checked
+against the exact value rounded once, and one lattice way-out
+(transcritical Kahan, N = 40, 81 multiplier steps) at 50 digits; and one q_s
+call (Kutta3 at x = -sqrt(2)/3, h = 0.1, eps = 0.01) at 16, 50 and 200
+digits, checked against the exact value rounded once.
 """
 
 from fractions import Fraction
@@ -165,15 +167,21 @@ def test_simulate_steps(benchmark, tmp_path, digits, stride):
     assert rows[-1].endswith(f"digits={digits} n=2000 jump=stuck")
 
 
+# (kind, scheme): each Kahan multiplier, and the explicit-RK one of Kutta3 on the diagonal
+MULTIPLIERS = [(kind, KAHAN) for kind in SingularityKind] + [(SingularityKind.TRANSCRITICAL, KUTTA3)]
+
+
 @pytest.mark.parametrize("digits", [16, 50, 200])
-@pytest.mark.parametrize("kind", list(SingularityKind), ids=lambda kind: kind.value)
-def test_multiplier_call(benchmark, kind, digits):
+@pytest.mark.parametrize("kind, scheme", MULTIPLIERS,
+                         ids=[kind.value for kind in SingularityKind] + ["kutta3-transcritical"])
+def test_multiplier_call(benchmark, kind, scheme, digits):
     ctx = make_context(digits)
     params = SystemParams.create(ctx, "0.01", "0.1")
     s = -ctx.sqrt(2) / 3
-    factor = scheme_map(kind, KAHAN, params).factor
+    factor = scheme_map(kind, scheme, params).factor
+    factor(split(s._mpf_))  # the RK multiplier forms its polynomial at the first call
     f = benchmark(factor, split(s._mpf_))
-    assert pack(f) == multiplier_oracle(kind, KAHAN, params)(s)._mpf_
+    assert pack(f) == multiplier_oracle(kind, scheme, params)(s)._mpf_
 
 
 def test_wayout_call(benchmark):

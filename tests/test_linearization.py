@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canardlab import (
@@ -19,11 +19,12 @@ from canardlab import (
     q_s,
     symmetry_defect,
     make_context,
+    rk_theta0,
     wayout,
 )
-from canardlab.linearization import CANARDS, _stage_sum, scheme_map
+from canardlab.linearization import CANARDS, scheme_map
 from canardlab.rounding import pack, split
-from mpf_oracles import bind
+from mpf_oracles import critical_polynomial, exact, rk_multiplier, rounded_once
 
 T = SingularityKind.TRANSCRITICAL
 P = SingularityKind.PITCHFORK
@@ -58,19 +59,11 @@ def test_qs_pitchfork_euler(ctx, params):
 
 
 def ref_q_s(tableau, params, x, stage_factor):
-    """The scalar stage loop q_s ran in plain mpf before it became the degree-0 recursion."""
-    ctx, h, eps = params.ctx, params.h, params.epsilon
-    alpha, rows, sums = bind(tableau, ctx)
-    dk = []
-    for i in range(tableau.s):
-        acc = ctx.mpf(0)
-        for j, aij in enumerate(rows[i]):
-            acc = acc + aij * dk[j]
-        dk.append(stage_factor * (x + h * eps * sums[i]) * (1 + h * acc))
-    total = ctx.mpf(0)
-    for i in range(tableau.s):
-        total = total + alpha[i] * dk[i]
-    return total
+    """Q_s(x) = (P - 1)/h for P = 1 + h Q_s(x) at the values of x, h and eps, exactly
+    (mpf_oracles.critical_polynomial at constant x and h), rounded once to nearest-even."""
+    ctx, h = params.ctx, exact(params.h)
+    (p,) = critical_polynomial(tableau, [exact(x)], [h], exact(params.epsilon), stage_factor)
+    return rounded_once(ctx, [(p - 1) / h])[0]
 
 
 QS_CONTEXTS = {d: make_context(d) for d in (16, 50, 200, 5000)}
@@ -85,19 +78,29 @@ QS_CONTEXTS = {d: make_context(d) for d in (16, 50, 200, 5000)}
     stage_factor=st.sampled_from([2, 1]),
     digits=st.sampled_from(sorted(QS_CONTEXTS)),
 )
-def test_qs_is_the_degree_zero_stage_polynomial(tab, x, h, eps, stage_factor, digits):
-    """q_s equals the scalar stage recursion _stage_sum and the mpf stage loop, bit for bit;
-    the explicit-RK multiplier of scheme_map is 1 + h q_s on pairs."""
+@example(tab=KUTTA3, x=Fraction(-7, 3), h=Fraction(1, 10), eps=Fraction(0), stage_factor=2, digits=50)
+@example(tab=EULER, x=Fraction(-3, 7), h=Fraction(3, 10), eps=Fraction(1, 100), stage_factor=2, digits=16)
+@example(tab=EULER, x=Fraction(5, 3), h=Fraction(1, 10), eps=Fraction(1, 3), stage_factor=1, digits=200)
+# |x| >= 1e300: the terms' exponents lie thousands of bits apart
+@example(tab=KUTTA3, x=Fraction(-(10**300)), h=Fraction(1, 10), eps=Fraction(1, 100), stage_factor=2,
+         digits=16)
+@example(tab=HEUN2, x=Fraction(10**300, 3), h=Fraction(7, 1000), eps=Fraction(2), stage_factor=1,
+         digits=50)
+@example(tab=KUTTA3, x=Fraction(-1, 10**300), h=Fraction(1, 10), eps=Fraction(1, 100), stage_factor=2,
+         digits=200)
+def test_qs_multiplier_and_theta0_are_the_exact_value_rounded_once(tab, x, h, eps, stage_factor, digits):
+    """q_s, the explicit-RK multiplier of scheme_map and rk_theta0 (the multiplier at -rho on
+    the diagonal) are the exact values of Q_s and 1 + h Q_s at the values of their mpf
+    arguments, rounded once to nearest-even (in Fractions), bit for bit."""
     ctx = QS_CONTEXTS[digits]
     params = SystemParams.create(ctx, ctx.mpf(eps), ctx.mpf(h))
     x = ctx.mpf(x)
-    hp, ep, xp = (split(v._mpf_) for v in (params.h, params.epsilon, x))
-    q = q_s(tab, params, x, stage_factor)
-    assert q._mpf_ == pack(_stage_sum(tab, ctx, xp, hp, ep, stage_factor))
-    assert q._mpf_ == ref_q_s(tab, params, x, stage_factor)._mpf_
+    assert q_s(tab, params, x, stage_factor)._mpf_ == ref_q_s(tab, params, x, stage_factor)._mpf_
+    multiplier = rk_multiplier(tab, params, x, stage_factor)._mpf_
     kind = T if stage_factor == 2 else P
-    factor = scheme_map(kind, tab, params).factor(xp)
-    assert pack(factor) == (1 + params.h * ref_q_s(tab, params, x, stage_factor))._mpf_
+    assert pack(scheme_map(kind, tab, params).factor(split(x._mpf_))) == multiplier
+    if stage_factor == 2 and x < 0:
+        assert rk_theta0(tab, params, -x)._mpf_ == multiplier
 
 
 # -- multipliers ------------------------------------------------------------------

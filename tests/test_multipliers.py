@@ -4,7 +4,9 @@ The oracles below are the mpf closed forms of the transversal multipliers,
 kept here as the reference: every pair kernel of scheme_map must return
 their ``_mpf_`` tuples bit for bit, raise PoleError exactly where they
 divide by zero, and the way-out product built on the kernels must equal the
-same loop written in mpf arithmetic.
+same loop written in mpf arithmetic.  The explicit-RK multiplier is not an
+mpf expression: its oracle is 1 + h Q_s at the values of s, h and eps,
+exact in Fractions, rounded once (mpf_oracles.rk_multiplier).
 
 The Kahan and implicit-family oracles are the reduced Moebius form
 (A + g s)/(B - g s), in the kernel's order of operations.  They replaced
@@ -34,11 +36,11 @@ from canardlab import (
     Unresolved,
     jacobian_factor,
     make_context,
-    q_s,
     wayout,
 )
 from canardlab.linearization import CANARDS, scheme_map
 from canardlab.rounding import pack, split
+from mpf_oracles import rk_multiplier
 
 T = SingularityKind.TRANSCRITICAL
 P = SingularityKind.PITCHFORK
@@ -85,7 +87,7 @@ def _oracle(kind, scheme, params):
         a = params.ctx.mpf(-1) / 2 if scheme == KAHAN else params.ctx.mpf(scheme.a)
         return lambda y: _afamily_pitchfork(a, params, y)
     stage_factor = 2 if kind is T else 1
-    return lambda s: 1 + params.h * q_s(scheme, params, s, stage_factor)
+    return lambda s: rk_multiplier(scheme, params, s, stage_factor)
 
 
 def _same(kernel, oracle, x):

@@ -66,15 +66,14 @@ def test_bind_is_cached_per_precision_as_plain_tuples(tab):
     for digits in digit_counts:
         ctx = make_context(digits)
         for _ in range(2):  # the second call reads the cache
-            alpha, rows, sums = tab.pairs(ctx)
+            alpha, rows = tab.pairs(ctx)
             assert [pack(v) for v in alpha] == [ctx.mpf(v)._mpf_ for v in tab.alpha]
             assert [[pack(v) for v in r] for r in rows] == [[ctx.mpf(v)._mpf_ for v in r] for r in tab.a]
-            assert [pack(v) for v in sums] == [ctx.mpf(v)._mpf_ for v in tab.row_sums()]
         assert tab.pairs(ctx) is tab.pairs(ctx)
     # one entry per precision, holding pairs of ints only
     assert {make_context(d).prec for d in digit_counts} <= set(tab._pairs)
-    for alpha, rows, sums in tab._pairs.values():
-        for v in alpha + sums + sum(rows, ()):
+    for alpha, rows in tab._pairs.values():
+        for v in alpha + sum(rows, ()):
             assert type(v) is tuple and all(type(c) is int for c in v)
 
 
